@@ -139,15 +139,16 @@ timeline-smoke:
 	cmp BENCH_timeline_w1.json BENCH_timeline_w8.json
 	rm -f BENCH_timeline_w1.json BENCH_timeline_w8.json
 
-# perf-smoke is the scaling-regression gate: the scheduler and spatial-index
-# microbenchmarks compile and run once each (so a broken hot path fails the
-# gate, without paying for full measurement), then a short fleet with
+# perf-smoke is the scaling-regression gate: the scheduler, spatial-index,
+# energy-integration and NMEA-burst microbenchmarks compile and run once
+# each (so a broken hot path fails the gate, without paying for full
+# measurement), then a short fleet with
 # mobility and churn ON — the workload that exercises incremental grid
 # maintenance, event pooling and the sharded scheduler — runs at
 # GOMAXPROCS=1/-workers 1 and GOMAXPROCS=8/-workers 8: the two summaries
 # must be byte-identical.
 perf-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/vclock ./internal/simnet
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/vclock ./internal/simnet ./internal/energy ./internal/gps
 	GOMAXPROCS=1 $(GO) run ./cmd/contory-load -phones 150 -duration 2m -seed 7 \
 		-workers 1 -stats-out BENCH_perf_w1.json
 	GOMAXPROCS=8 $(GO) run ./cmd/contory-load -phones 150 -duration 2m -seed 7 \

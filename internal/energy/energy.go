@@ -11,7 +11,10 @@
 package energy
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -51,40 +54,56 @@ const (
 // (deviation < 2 % from 4.0965 V under load for the first hour).
 const BatteryVoltage = 4.0965
 
-// changePoint is a step in a state's power level.
+// changePoint is a step in a state's power level at a Unix-nanosecond
+// instant.
 type changePoint struct {
-	at time.Time
+	at int64
 	mw Milliwatts
 }
 
-// window is a transient power contribution over [start, end).
+// window is a transient power contribution over [start, end), in Unix
+// nanoseconds. Its label is an index into the timeline's label table, so
+// the record holds no pointers and a long history costs the GC nothing to
+// scan.
 type window struct {
-	start, end time.Time
+	start, end int64
 	mw         Milliwatts
-	label      string
+	label      int32
+}
+
+// windowLabel is what a timeline keeps per window label, besides its name.
+type windowLabel struct {
+	// folded is the energy of this label's windows before the compaction
+	// cutoff, which Compact dropped or trimmed away.
+	folded Joules
+	gauge  *metrics.Gauge // "energy.joules.<label>", nil until first use
 }
 
 // Timeline records the full power history of one device. All methods are
 // safe for concurrent use. Power is the sum of all named continuous states
-// plus all transient windows active at an instant.
+// plus all transient windows active at an instant. Instants are kept as
+// Unix nanoseconds, which covers the years 1678 to 2262 and so every
+// virtual-clock time; the zero Time orders before every record.
 type Timeline struct {
 	clock vclock.Clock
 
 	mu        sync.Mutex
 	states    map[string][]changePoint
 	windows   []window
+	labels    []windowLabel
+	labelIdx  map[string]int32 // label name → index into labels
 	compacted time.Time
 	folded    Joules // energy of history dropped by Compact
 
-	metrics      *metrics.Registry
-	joulesGauges map[string]*metrics.Gauge // window label → accumulated gauge
+	metrics *metrics.Registry
 }
 
 // NewTimeline returns an empty Timeline bound to the given clock.
 func NewTimeline(clock vclock.Clock) *Timeline {
 	return &Timeline{
-		clock:  clock,
-		states: make(map[string][]changePoint),
+		clock:    clock,
+		states:   make(map[string][]changePoint),
+		labelIdx: make(map[string]int32),
 	}
 }
 
@@ -96,27 +115,15 @@ func (tl *Timeline) SetMetrics(reg *metrics.Registry) {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	tl.metrics = reg
-	tl.joulesGauges = make(map[string]*metrics.Gauge)
-}
-
-// accountWindowLocked adds a window's exact energy (piecewise-constant
-// power × duration) to its label's gauge. Callers hold tl.mu.
-func (tl *Timeline) accountWindowLocked(label string, mw Milliwatts, d time.Duration) {
-	if tl.metrics == nil {
-		return
+	for i := range tl.labels {
+		tl.labels[i].gauge = nil
 	}
-	g := tl.joulesGauges[label]
-	if g == nil {
-		g = tl.metrics.Gauge("energy.joules." + label)
-		tl.joulesGauges[label] = g
-	}
-	g.Add(float64(mw) / 1000.0 * d.Seconds())
 }
 
 // SetState sets the named continuous power state to mw starting now. Setting
 // 0 turns the state off. Re-setting to the current level is a no-op.
 func (tl *Timeline) SetState(name string, mw Milliwatts) {
-	now := tl.clock.Now()
+	now := unixNano(tl.clock.Now())
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	pts := tl.states[name]
@@ -124,9 +131,8 @@ func (tl *Timeline) SetState(name string, mw Milliwatts) {
 		return
 	}
 	// Collapse multiple changes at the same instant to the last one.
-	if n := len(pts); n > 0 && pts[n-1].at.Equal(now) {
+	if n := len(pts); n > 0 && pts[n-1].at == now {
 		pts[n-1].mw = mw
-		tl.states[name] = pts
 		return
 	}
 	tl.states[name] = append(pts, changePoint{at: now, mw: mw})
@@ -152,13 +158,7 @@ func (tl *Timeline) AddWindow(label string, mw Milliwatts, d time.Duration) {
 	now := tl.clock.Now()
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	tl.windows = append(tl.windows, window{
-		start: now,
-		end:   now.Add(d),
-		mw:    mw,
-		label: label,
-	})
-	tl.accountWindowLocked(label, mw, d)
+	tl.addWindowLocked(label, mw, now, d)
 }
 
 // AddWindowAt is AddWindow with an explicit start time; used by radio models
@@ -170,20 +170,35 @@ func (tl *Timeline) AddWindowAt(label string, mw Milliwatts, start time.Time, d 
 	}
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	tl.windows = append(tl.windows, window{
-		start: start,
-		end:   start.Add(d),
-		mw:    mw,
-		label: label,
-	})
-	tl.accountWindowLocked(label, mw, d)
+	tl.addWindowLocked(label, mw, start, d)
+}
+
+// addWindowLocked records the window and adds its exact energy (power ×
+// duration) to its label's gauge. Callers hold tl.mu.
+func (tl *Timeline) addWindowLocked(label string, mw Milliwatts, start time.Time, d time.Duration) {
+	i, ok := tl.labelIdx[label]
+	if !ok {
+		i = int32(len(tl.labels))
+		tl.labels = append(tl.labels, windowLabel{})
+		tl.labelIdx[label] = i
+	}
+	s := unixNano(start)
+	tl.windows = append(tl.windows, window{start: s, end: s + int64(d), mw: mw, label: i})
+	if tl.metrics == nil {
+		return
+	}
+	l := &tl.labels[i]
+	if l.gauge == nil {
+		l.gauge = tl.metrics.Gauge("energy.joules." + label)
+	}
+	l.gauge.Add(float64(mw) / 1000.0 * d.Seconds())
 }
 
 // PowerAt returns the total power draw at time t.
 func (tl *Timeline) PowerAt(t time.Time) Milliwatts {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	return tl.powerAtLocked(t)
+	return tl.powerAtLocked(unixNano(t))
 }
 
 // Power returns the total power draw now.
@@ -191,7 +206,7 @@ func (tl *Timeline) Power() Milliwatts {
 	return tl.PowerAt(tl.clock.Now())
 }
 
-func (tl *Timeline) powerAtLocked(t time.Time) Milliwatts {
+func (tl *Timeline) powerAtLocked(t int64) Milliwatts {
 	// Accumulate in fixed-point nano-milliwatts so the total is exactly
 	// order-independent: states live in a map and windows append in event
 	// execution order, neither of which is stable across runs, and float
@@ -201,11 +216,11 @@ func (tl *Timeline) powerAtLocked(t time.Time) Milliwatts {
 		total += fixedMW(stateAt(pts, t))
 	}
 	for _, w := range tl.windows {
-		if !t.Before(w.start) && t.Before(w.end) {
+		if w.start <= t && t < w.end {
 			total += fixedMW(w.mw)
 		}
 	}
-	return Milliwatts(float64(total) / mwFixedScale)
+	return levelMW(total)
 }
 
 // mwFixedScale is the fixed-point resolution of power summation: 1 nW.
@@ -221,14 +236,46 @@ func fixedMW(mw Milliwatts) int64 {
 	return -int64(-v + 0.5)
 }
 
+// levelMW converts a fixed-point power sum back to milliwatts.
+func levelMW(total int64) Milliwatts { return Milliwatts(float64(total) / mwFixedScale) }
+
+// joulesOver is the energy of a constant draw held for d nanoseconds.
+func joulesOver(mw Milliwatts, d int64) Joules {
+	return Joules(float64(mw) / 1000.0 * time.Duration(d).Seconds())
+}
+
 // stateAt evaluates a step function at t (0 before the first change).
-func stateAt(pts []changePoint, t time.Time) Milliwatts {
+func stateAt(pts []changePoint, t int64) Milliwatts {
 	// Binary search for the last change at or before t.
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].at.After(t) })
+	i := sort.Search(len(pts), func(i int) bool { return pts[i].at > t })
 	if i == 0 {
 		return 0
 	}
 	return pts[i-1].mw
+}
+
+// unixNano converts t to the timeline's Unix-nanosecond instants,
+// saturating outside their range so that the zero Time, the cutoff of a
+// timeline never compacted, still orders before every record.
+func unixNano(t time.Time) int64 {
+	switch {
+	case t.Before(minInstant):
+		return math.MinInt64
+	case t.After(maxInstant):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
+var (
+	minInstant = time.Unix(0, math.MinInt64)
+	maxInstant = time.Unix(0, math.MaxInt64)
+)
+
+// edge is a step in the timeline's total fixed-point power.
+type edge struct {
+	at    int64
+	delta int64
 }
 
 // EnergyBetween integrates power over [t0, t1] and returns Joules. The
@@ -240,40 +287,90 @@ func (tl *Timeline) EnergyBetween(t0, t1 time.Time) Joules {
 	return tl.energyBetweenLocked(t0, t1)
 }
 
+// energyBetweenLocked integrates in one sweep. Every state change point is
+// an edge carrying the change of its fixed-point level, zero included (a
+// same-instant SetState collapse can leave one), and every window an edge
+// of ±its power at its start and at its end. Edges at or before t0 sum to
+// the power at t0; edges inside (t0, t1) are sorted by time and cut the
+// span into segments of constant power. Later edges cannot matter. The
+// cuts, the per-segment power and the order in which segment energies
+// are added are those of evaluating the power afresh at every state
+// change and window boundary inside the span, so the result is the same
+// float64 in O(E log E) instead of O(E·(S+W)).
 func (tl *Timeline) energyBetweenLocked(t0, t1 time.Time) Joules {
 	if !t1.After(t0) {
 		return 0
 	}
+	lo, hi := unixNano(t0), unixNano(t1)
+	var buf [64]edge
+	level, n := tl.edgesLocked(lo, hi, buf[:])
+	cuts := buf[:min(n, len(buf))]
+	if n > len(buf) {
+		cuts = make([]edge, n)
+		tl.edgesLocked(lo, hi, cuts)
+	}
+	slices.SortFunc(cuts, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
 
-	// Collect breakpoints inside (t0, t1).
-	cuts := []time.Time{t0, t1}
+	// A zero-power segment adds +0, which leaves the sum unchanged; skipping
+	// it also keeps the unbounded first segment of an integral from the
+	// zero Time out of the arithmetic.
+	var joules Joules
+	from := lo
+	for i := 0; i < len(cuts); {
+		at := cuts[i].at
+		if level != 0 {
+			joules += joulesOver(levelMW(level), at-from)
+		}
+		for ; i < len(cuts) && cuts[i].at == at; i++ {
+			level += cuts[i].delta
+		}
+		from = at
+	}
+	if level != 0 {
+		joules += joulesOver(levelMW(level), hi-from)
+	}
+	return joules
+}
+
+// edgesLocked returns the fixed-point power at lo and the number of edges
+// inside (lo, hi), writing as many of those edges as fit into dst.
+func (tl *Timeline) edgesLocked(lo, hi int64, dst []edge) (level int64, n int) {
+	put := func(at, delta int64) {
+		if n < len(dst) {
+			dst[n] = edge{at, delta}
+		}
+		n++
+	}
 	for _, pts := range tl.states {
+		var prev int64
 		for _, p := range pts {
-			if p.at.After(t0) && p.at.Before(t1) {
-				cuts = append(cuts, p.at)
+			if p.at >= hi {
+				break // change points are in time order
 			}
+			v := fixedMW(p.mw)
+			if p.at <= lo {
+				level += v - prev
+			} else {
+				put(p.at, v-prev)
+			}
+			prev = v
 		}
 	}
 	for _, w := range tl.windows {
-		if w.start.After(t0) && w.start.Before(t1) {
-			cuts = append(cuts, w.start)
-		}
-		if w.end.After(t0) && w.end.Before(t1) {
-			cuts = append(cuts, w.end)
-		}
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i].Before(cuts[j]) })
-
-	var joules Joules
-	for i := 0; i+1 < len(cuts); i++ {
-		a, b := cuts[i], cuts[i+1]
-		if !b.After(a) {
+		if w.end <= lo || w.start >= hi {
 			continue
 		}
-		p := tl.powerAtLocked(a) // constant over [a, b)
-		joules += Joules(float64(p) / 1000.0 * b.Sub(a).Seconds())
+		v := fixedMW(w.mw)
+		if w.start <= lo {
+			level += v
+		} else {
+			put(w.start, v)
+		}
+		if w.end < hi {
+			put(w.end, -v)
+		}
 	}
-	return joules
+	return level, n
 }
 
 // EnergyBetweenClamped is EnergyBetween with the start clamped to the
@@ -290,16 +387,20 @@ func (tl *Timeline) EnergyBetweenClamped(t0, t1 time.Time) Joules {
 }
 
 // WindowEnergy returns the total energy contributed by windows whose label
-// matches the given label, regardless of when they occurred.
+// matches the given label, regardless of when they occurred: the share of
+// history that Compact dropped or trimmed is counted too.
 func (tl *Timeline) WindowEnergy(label string) Joules {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	var joules Joules
+	i, ok := tl.labelIdx[label]
+	if !ok {
+		return 0
+	}
+	joules := tl.labels[i].folded
 	for _, w := range tl.windows {
-		if w.label != label {
-			continue
+		if w.label == i {
+			joules += joulesOver(w.mw, w.end-w.start)
 		}
-		joules += Joules(float64(w.mw) / 1000.0 * w.end.Sub(w.start).Seconds())
 	}
 	return joules
 }
@@ -318,30 +419,29 @@ func (tl *Timeline) Compact(cutoff time.Time) {
 	}
 	// Integrate the dropped span exactly before mutating anything.
 	tl.folded += tl.energyBetweenLocked(tl.compacted, cutoff)
+	c := unixNano(cutoff)
 
-	// States: keep only the value in force at the cutoff plus later
-	// changes.
+	// States: keep only the value in force at the cutoff, restamped to it,
+	// plus later changes.
 	for name, pts := range tl.states {
-		i := sort.Search(len(pts), func(i int) bool { return pts[i].at.After(cutoff) })
+		i := sort.Search(len(pts), func(i int) bool { return pts[i].at > c })
 		if i == 0 {
 			continue // no history before the cutoff
 		}
-		cur := pts[i-1].mw
-		rest := pts[i:]
-		out := make([]changePoint, 0, len(rest)+1)
-		out = append(out, changePoint{at: cutoff, mw: cur})
-		out = append(out, rest...)
-		tl.states[name] = out
+		n := copy(pts, pts[i-1:])
+		pts[0].at = c
+		tl.states[name] = pts[:n]
 	}
 	// Windows: drop those fully before the cutoff; trim those straddling
-	// it (their pre-cutoff share is already folded).
+	// it. Their pre-cutoff share moves to the label's folded energy.
 	kept := tl.windows[:0]
 	for _, w := range tl.windows {
-		if !w.end.After(cutoff) {
-			continue
-		}
-		if w.start.Before(cutoff) {
-			w.start = cutoff
+		if w.start < c {
+			tl.labels[w.label].folded += joulesOver(w.mw, min(w.end, c)-w.start)
+			if w.end <= c {
+				continue
+			}
+			w.start = c
 		}
 		kept = append(kept, w)
 	}

@@ -393,4 +393,19 @@ func TestCompactTrimsStraddlingWindow(t *testing.T) {
 	if !almostEqual(rest, 5, 1e-9) {
 		t.Fatalf("remaining = %v J", rest)
 	}
+	// WindowEnergy counts the whole window whether it was trimmed or, once
+	// the cutoff passes its end, dropped.
+	if got := float64(tl.WindowEnergy("long")); !almostEqual(got, 10, 1e-9) {
+		t.Fatalf("WindowEnergy after trim = %v J, want 10 J", got)
+	}
+	tl.Compact(vclock.Epoch.Add(15 * time.Second))
+	if n := tl.WindowCount(); n != 0 {
+		t.Fatalf("windows after dropping compaction = %d, want 0", n)
+	}
+	if got := float64(tl.WindowEnergy("long")); !almostEqual(got, 10, 1e-9) {
+		t.Fatalf("WindowEnergy after drop = %v J, want 10 J", got)
+	}
+	if got := tl.WindowEnergy("never-added"); got != 0 {
+		t.Fatalf("WindowEnergy(unknown label) = %v J", got)
+	}
 }

@@ -2,6 +2,7 @@ package gps
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,10 +110,12 @@ func (d *Device) Close() {
 	}
 }
 
-// tick streams one NMEA burst to every subscriber still linked over BT.
+// tick streams one NMEA burst to every subscriber still linked over BT,
+// in NodeID order so same-instant deliveries replay identically. With no
+// subscribers there is nothing to send, so no burst is rendered.
 func (d *Device) tick() {
 	d.mu.Lock()
-	if d.failed {
+	if d.failed || len(d.subs) == 0 {
 		d.mu.Unlock()
 		return
 	}
@@ -122,6 +125,7 @@ func (d *Device) tick() {
 		subs = append(subs, id)
 	}
 	d.mu.Unlock()
+	slices.Sort(subs)
 
 	burst := Burst(fix, d.net.Clock().Now())
 	for _, to := range subs {

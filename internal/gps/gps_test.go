@@ -3,6 +3,7 @@ package gps
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -246,5 +247,67 @@ func TestDeviceSetFix(t *testing.T) {
 	}
 	if got := dev.Fix(); got.Lat != 61.5 {
 		t.Fatalf("Fix() = %+v", got)
+	}
+}
+
+// TestDeviceIdleTicksSendNothing: a device with no subscriber sends no
+// frames, and a subscriber that arrives later gets a burst stamped with
+// the virtual time of the tick that sent it.
+func TestDeviceIdleTicksSendNothing(t *testing.T) {
+	nw, clk, dev, phone := newTestbed(t)
+	defer dev.Close()
+	clk.Advance(5*time.Second + 500*time.Millisecond)
+	if delivered, dropped := nw.Stats(); delivered != 0 || dropped != 0 {
+		t.Fatalf("idle device: %d frames delivered, %d dropped, want none", delivered, dropped)
+	}
+	var bursts []string
+	phone.Handle(KindNMEA, func(m simnet.Message) { bursts = append(bursts, m.Payload.(string)) })
+	if err := nw.Send(simnet.Message{
+		From: "phone", To: dev.ID(), Medium: radio.MediumBT, Kind: KindSubscribe,
+	}, 0); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Second)
+	if len(bursts) != 1 {
+		t.Fatalf("late subscriber got %d bursts in the next second, want 1", len(bursts))
+	}
+	if want := FormatRMC(dev.Fix(), vclock.Epoch.Add(6*time.Second)); !strings.HasPrefix(bursts[0], want+"\r\n") {
+		t.Fatalf("burst %q does not start with %q", bursts[0], want)
+	}
+}
+
+// TestDeviceSendsInNodeIDOrder: with several subscribers, every run
+// delivers each burst to them in NodeID order, not in map order.
+func TestDeviceSendsInNodeIDOrder(t *testing.T) {
+	subscribers := []simnet.NodeID{"phone-d", "phone-a", "phone-c", "phone-b"}
+	want := []simnet.NodeID{"phone-a", "phone-b", "phone-c", "phone-d"}
+	for run := 0; run < 40; run++ {
+		clk := vclock.NewSimulator()
+		nw := simnet.New(clk)
+		dev, err := NewDevice(nw, "bt-gps-1", cxt.Fix{Lat: 60.16, Lon: 24.93})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []simnet.NodeID
+		for _, id := range subscribers {
+			phone, err := nw.AddNode(id, simnet.Position{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := nw.Connect(id, dev.ID(), radio.MediumBT); err != nil {
+				t.Fatal(err)
+			}
+			phone.Handle(KindNMEA, func(m simnet.Message) { got = append(got, m.To) })
+			if err := nw.Send(simnet.Message{
+				From: id, To: dev.ID(), Medium: radio.MediumBT, Kind: KindSubscribe,
+			}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clk.Advance(time.Second + 100*time.Millisecond)
+		dev.Close()
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: delivery order %v, want %v", run, got, want)
+		}
 	}
 }

@@ -31,43 +31,141 @@ func Checksum(body string) byte {
 
 // FormatRMC renders a $GPRMC sentence for the fix at the given time.
 func FormatRMC(fix cxt.Fix, at time.Time) string {
-	body := fmt.Sprintf("GPRMC,%s,A,%s,%s,%06.2f,%06.2f,%s,,",
-		at.Format("150405"),
-		formatLat(fix.Lat), formatLon(fix.Lon),
-		fix.SpeedKn, fix.Course,
-		at.Format("020106"))
-	return fmt.Sprintf("$%s*%02X", body, Checksum(body))
+	var buf [sentenceBytes]byte
+	var pos [positionBytes]byte
+	return string(appendRMC(buf[:0], fix, at, appendPosition(pos[:0], fix)))
 }
 
 // FormatGGA renders a $GPGGA sentence for the fix at the given time.
 func FormatGGA(fix cxt.Fix, at time.Time) string {
-	body := fmt.Sprintf("GPGGA,%s,%s,%s,1,08,0.9,5.0,M,0.0,M,,",
-		at.Format("150405"),
-		formatLat(fix.Lat), formatLon(fix.Lon))
-	return fmt.Sprintf("$%s*%02X", body, Checksum(body))
+	var buf [sentenceBytes]byte
+	var pos [positionBytes]byte
+	return string(appendGGA(buf[:0], at, appendPosition(pos[:0], fix)))
 }
 
 // Burst renders the per-second NMEA burst the receiver ships over BT. The
 // paper measures GPS-NMEA data at 340 bytes per sample; the burst is padded
 // with $GPGSV filler sentences to that size.
 func Burst(fix cxt.Fix, at time.Time) string {
-	var b strings.Builder
-	b.WriteString(FormatRMC(fix, at))
-	b.WriteString("\r\n")
-	b.WriteString(FormatGGA(fix, at))
-	b.WriteString("\r\n")
+	var buf [BurstBytes]byte
+	var posBuf [positionBytes]byte
+	pos := appendPosition(posBuf[:0], fix)
+	b := appendRMC(buf[:0], fix, at, pos)
+	b = append(b, "\r\n"...)
+	b = appendGGA(b, at, pos)
+	b = append(b, "\r\n"...)
 	// Pad with satellite-in-view filler to the measured burst size.
-	for b.Len() < BurstBytes {
-		body := "GPGSV,3,1,12,02,45,120,40,05,30,200,35,12,60,050,42,25,15,310,30"
-		s := fmt.Sprintf("$%s*%02X\r\n", body, Checksum(body))
-		remaining := BurstBytes - b.Len()
-		if remaining < len(s) {
-			b.WriteString(s[:remaining])
-			break
-		}
-		b.WriteString(s)
+	for len(b) < BurstBytes {
+		b = append(b, gsvFiller[:min(len(gsvFiller), BurstBytes-len(b))]...)
 	}
-	return b.String()
+	return string(b)
+}
+
+// sentenceBytes is the longest NMEA 0183 sentence, CR LF included, and
+// positionBytes the length of a ddmm.mmmm,N,dddmm.mmmm,E position.
+const (
+	sentenceBytes = 82
+	positionBytes = 24
+)
+
+// gsvFiller is the constant satellites-in-view sentence that pads a burst.
+var gsvFiller = string(appendChecksum([]byte("$GPGSV,3,1,12,02,45,120,40,05,30,200,35,12,60,050,42,25,15,310,30"), 0)) + "\r\n"
+
+// appendRMC and appendGGA take the fix's position already rendered by
+// appendPosition, so a burst renders it once for both sentences.
+func appendRMC(b []byte, fix cxt.Fix, at time.Time, pos []byte) []byte {
+	start := len(b)
+	b = append(b, "$GPRMC,"...)
+	b = appendClock(b, at)
+	b = append(b, ",A,"...)
+	b = append(b, pos...)
+	b = append(b, ',')
+	b = appendZeroPadded(b, fix.SpeedKn, 6, 2)
+	b = append(b, ',')
+	b = appendZeroPadded(b, fix.Course, 6, 2)
+	b = append(b, ',')
+	year, month, day := at.Date()
+	if year < 0 {
+		year = -year
+	}
+	b = appendTwoDigits(b, day)
+	b = appendTwoDigits(b, int(month))
+	b = appendTwoDigits(b, year%100)
+	b = append(b, ",,"...)
+	return appendChecksum(b, start)
+}
+
+func appendGGA(b []byte, at time.Time, pos []byte) []byte {
+	start := len(b)
+	b = append(b, "$GPGGA,"...)
+	b = appendClock(b, at)
+	b = append(b, ',')
+	b = append(b, pos...)
+	b = append(b, ",1,08,0.9,5.0,M,0.0,M,,"...)
+	return appendChecksum(b, start)
+}
+
+// appendChecksum closes the sentence that starts with '$' at b[start] with
+// '*' and the two upper-case hex digits of its checksum.
+func appendChecksum(b []byte, start int) []byte {
+	var cs byte
+	for _, c := range b[start+1:] {
+		cs ^= c
+	}
+	const hex = "0123456789ABCDEF"
+	return append(b, '*', hex[cs>>4], hex[cs&0xf])
+}
+
+// appendClock renders at as hhmmss.
+func appendClock(b []byte, at time.Time) []byte {
+	h, m, s := at.Clock()
+	return appendTwoDigits(appendTwoDigits(appendTwoDigits(b, h), m), s)
+}
+
+// appendTwoDigits renders 0 ≤ v < 100 as two digits.
+func appendTwoDigits(b []byte, v int) []byte {
+	return append(b, byte('0'+v/10), byte('0'+v%10))
+}
+
+// appendPosition renders ddmm.mmmm,N/S,dddmm.mmmm,E/W.
+func appendPosition(b []byte, fix cxt.Fix) []byte {
+	b = appendCoord(b, fix.Lat, 2, 'N', 'S')
+	b = append(b, ',')
+	return appendCoord(b, fix.Lon, 3, 'E', 'W')
+}
+
+// appendCoord renders |deg| as whole degrees zero-padded to degDigits,
+// minutes as mm.mmmm, then the hemisphere.
+func appendCoord(b []byte, deg float64, degDigits int, pos, neg byte) []byte {
+	hemi := pos
+	if deg < 0 {
+		hemi = neg
+		deg = -deg
+	}
+	d := math.Floor(deg)
+	b = appendZeroPadded(b, d, degDigits, 0)
+	b = appendZeroPadded(b, (deg-d)*60, 7, 4)
+	return append(b, ',', hemi)
+}
+
+// appendZeroPadded renders v as fmt's %0<width>.<prec>f does: zeros go
+// between the sign and the digits, and NaN and ±Inf are padded with spaces
+// instead.
+func appendZeroPadded(b []byte, v float64, width, prec int) []byte {
+	var buf [32]byte
+	num := strconv.AppendFloat(buf[:0], v, 'f', prec, 64)
+	fill := byte('0')
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		fill = ' '
+	} else if num[0] == '-' {
+		b = append(b, '-')
+		num = num[1:]
+		width--
+	}
+	for n := len(num); n < width; n++ {
+		b = append(b, fill)
+	}
+	return append(b, num...)
 }
 
 // BurstBytes is the size of one GPS-NMEA sample (340 B in §6.1).
@@ -134,30 +232,6 @@ func checkFrame(sentence string) (string, error) {
 		return "", fmt.Errorf("%w: checksum mismatch", ErrBadSentence)
 	}
 	return body, nil
-}
-
-// formatLat renders ddmm.mmmm,N/S.
-func formatLat(deg float64) string {
-	hemi := "N"
-	if deg < 0 {
-		hemi = "S"
-		deg = -deg
-	}
-	d := math.Floor(deg)
-	m := (deg - d) * 60
-	return fmt.Sprintf("%02.0f%07.4f,%s", d, m, hemi)
-}
-
-// formatLon renders dddmm.mmmm,E/W.
-func formatLon(deg float64) string {
-	hemi := "E"
-	if deg < 0 {
-		hemi = "W"
-		deg = -deg
-	}
-	d := math.Floor(deg)
-	m := (deg - d) * 60
-	return fmt.Sprintf("%03.0f%07.4f,%s", d, m, hemi)
 }
 
 // parseCoord converts ddmm.mmmm (+ hemisphere) back to decimal degrees;
