@@ -5,12 +5,14 @@ GO ?= go
 all: check
 
 # check is the full pre-merge gate: formatting, build, vet, staticcheck
-# (when installed), tests, the race detector, a small fleet-load smoke run,
-# a determinism-checked chaos run, a determinism-checked trace export, a
-# determinism-checked answer-cache run, a determinism-checked QoS overload
-# run, an invariant-audited chaos+qos+cache run, a determinism-checked
-# flight-recorder run and a scaling-regression perf smoke.
-check: fmt-check build vet staticcheck test race load-smoke chaos-smoke trace-smoke cache-smoke qos-smoke audit-smoke timeline-smoke perf-smoke
+# (when installed), tests, the race detector, the five example programs
+# (examples/aggregate is the only non-test caller of ProcessCxtQueryMulti),
+# a small fleet-load smoke run, a determinism-checked chaos run, a
+# determinism-checked trace export, a determinism-checked answer-cache run,
+# a determinism-checked QoS overload run, an invariant-audited
+# chaos+qos+cache run, a determinism-checked flight-recorder run and a
+# scaling-regression perf smoke.
+check: fmt-check build vet staticcheck test race examples load-smoke chaos-smoke trace-smoke cache-smoke qos-smoke audit-smoke timeline-smoke perf-smoke
 
 build:
 	$(GO) build ./...

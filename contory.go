@@ -184,8 +184,8 @@ type (
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
 // Flight recorder (periodic metric timelines, SLO evaluation and burn-rate
-// alerting). Arm it per factory with WithTimeline, or world-wide with
-// WorldConfig.Timeline so one window stream covers the whole testbed.
+// alerting). Arm it world-wide with WorldConfig.Timeline so one window
+// stream covers the whole testbed.
 type (
 	// TimelineConfig configures the flight recorder: sampling interval,
 	// window ring bound, objectives and burn-rate gates.
@@ -201,9 +201,6 @@ type (
 	// TimelineAlert is one fired burn-rate alert with cause attribution.
 	TimelineAlert = timeline.Alert
 )
-
-// WithTimeline arms the flight recorder on a standalone factory's registry.
-var WithTimeline = core.WithTimeline
 
 // ParseSLOList parses a comma-separated objective list in the -slo flag
 // syntax ("p99_first_item_ms<5000,cache_hit_ratio>0.5").

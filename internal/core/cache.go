@@ -1,6 +1,9 @@
 package core
 
 import (
+	"strconv"
+	"time"
+
 	"contory/internal/cxt"
 	"contory/internal/metrics"
 	"contory/internal/query"
@@ -17,10 +20,11 @@ import (
 // query with neither bound never hits the cache.
 
 // cacheEligible reports whether the query may be served from the answer
-// cache at all. Event queries need live evaluation; entity/region queries
-// target a specific remote party, which stored items cannot attest to.
+// cache at all: the cache must be on, and event queries need live
+// evaluation; entity/region queries target a specific remote party, which
+// stored items cannot attest to.
 func (f *Factory) cacheEligible(q *query.Query) bool {
-	if q.Event != nil {
+	if !f.cacheEnabled || q.Event != nil {
 		return false
 	}
 	switch q.From.Kind {
@@ -48,39 +52,16 @@ func cacheSourceCompatible(q *query.Query, it cxt.Item) bool {
 }
 
 // cacheLookup returns the newest repository item satisfying the query's
-// type, FROM, WHERE and FRESHNESS clauses (bounded further by the type's
-// TTL), if any.
-func (f *Factory) cacheLookup(q *query.Query) (cxt.Item, bool) {
-	now := f.clock.Now()
-	for _, it := range f.dev.Repo.Servable(q.Select, q.Freshness) {
-		if !cacheSourceCompatible(q, it) {
-			continue
+// type, FROM and WHERE clauses among those the repository may serve:
+// unexpired, within the type's TTL and at most maxAge old. Live lookups
+// pass the FRESHNESS clause; the QoS plane passes 0, bounding staleness by
+// the TTL alone, to serve degraded queries stale answers a strict lookup
+// would refuse.
+func (f *Factory) cacheLookup(q *query.Query, maxAge time.Duration) (cxt.Item, bool) {
+	for _, it := range f.dev.Repo.Servable(q.Select, maxAge) {
+		if cacheSourceCompatible(q, it) && query.EvalWhere(q.Where, it.Meta) {
+			return it, true
 		}
-		if !q.Matches(it, now) {
-			continue
-		}
-		return it, true
-	}
-	return cxt.Item{}, false
-}
-
-// cacheLookupRelaxed is cacheLookup with the FRESHNESS clause relaxed:
-// staleness is bounded only by the type's TTL (via Servable) and item
-// expiry. The QoS plane uses it to serve degraded queries stale answers a
-// strict lookup would refuse.
-func (f *Factory) cacheLookupRelaxed(q *query.Query) (cxt.Item, bool) {
-	now := f.clock.Now()
-	for _, it := range f.dev.Repo.Servable(q.Select, 0) {
-		if !cacheSourceCompatible(q, it) {
-			continue
-		}
-		if it.Expired(now) {
-			continue
-		}
-		if !query.EvalWhere(q.Where, it.Meta) {
-			continue
-		}
-		return it, true
 	}
 	return cxt.Item{}, false
 }
@@ -90,43 +71,25 @@ func (f *Factory) cacheLookupRelaxed(q *query.Query) (cxt.Item, bool) {
 // true means the query is live on MechanismCache and the first answer is
 // already scheduled.
 func (f *Factory) tryServeFromCache(aq *activeQuery) bool {
-	if !f.cacheEnabled || !f.cacheEligible(aq.q) {
+	if !f.cacheEligible(aq.q) {
 		return false
 	}
 	sp := aq.span.Child("cache.lookup")
 	sp.SetAttr("type", string(aq.q.Select))
-	it, ok := f.cacheLookup(aq.q)
+	it, ok := f.cacheLookup(aq.q, aq.q.Freshness)
+	sp.SetAttr("hit", strconv.FormatBool(ok))
+	sp.End()
 	if !ok {
-		sp.SetAttr("hit", "false")
-		sp.End()
 		f.instr.cacheMisses.Inc()
 		return false
 	}
-	sp.SetAttr("hit", "true")
-	sp.End()
 	hit := aq.span.Child("cache.hit")
 	hit.SetAttr("age", it.Age(f.clock.Now()).String())
 	hit.End()
-
-	id := aq.id
-	aq.mech = MechanismCache
-	aq.span.SetAttr("mech", MechanismCache.String())
-	f.mu.Lock()
-	f.queries[id] = aq
-	if aq.q.Duration.Time > 0 {
-		aq.expiry = f.clock.After(aq.q.Duration.Time, func() { f.finishQuery(id, metrics.EventExpired) })
-	}
-	f.mu.Unlock()
-	f.auditStarted(aq)
-	if aq.expiry != nil {
-		f.auditTimerArmed(id, "expiry")
-	}
-	f.instr.assigned[MechanismCache].Inc()
-	f.instr.active.Add(1)
-	f.instr.event(f.clock.Now(), id, metrics.EventAssigned, MechanismCache.String(), "")
+	f.register(aq, MechanismCache, "")
 	// The first answer is delivered asynchronously, like a provider's, so
 	// the Subscription handle exists before the client callback runs.
-	f.clock.After(0, func() { f.cacheDeliver(id, true) })
+	f.clock.After(0, func() { f.cacheDeliver(aq.id, true) })
 	return true
 }
 
@@ -144,15 +107,13 @@ func (f *Factory) cacheDeliver(queryID string, first bool) {
 	degraded := aq.degraded
 	f.mu.Unlock()
 
-	var it cxt.Item
-	var hit bool
+	maxAge := q.Freshness
 	if degraded {
 		// Degraded queries accept staleness up to the type's TTL: that is
 		// the point of degrading.
-		it, hit = f.cacheLookupRelaxed(q)
-	} else {
-		it, hit = f.cacheLookup(q)
+		maxAge = 0
 	}
+	it, hit := f.cacheLookup(q, maxAge)
 	if !hit {
 		if degraded {
 			// A degraded query never promotes back to live provisioning —
@@ -167,46 +128,33 @@ func (f *Factory) cacheDeliver(queryID string, first bool) {
 	}
 
 	f.mu.Lock()
-	if cur, still := f.queries[queryID]; !still || cur != aq || aq.mech != MechanismCache {
+	if f.queries[queryID] != aq || aq.mech != MechanismCache {
 		f.mu.Unlock()
 		return
 	}
-	aq.delivered++
+	firstItem, exhausted := aq.countDelivery()
 	aq.cacheHits++
-	client := aq.client
-	firstItem := aq.delivered == 1
-	submitted := aq.submitted
-	exhausted := q.Duration.IsSamples() && aq.delivered >= q.Duration.Samples
 	f.mu.Unlock()
 
-	now := f.clock.Now()
-	f.instr.delivered.Inc()
+	f.reportDelivered(aq, MechanismCache, it, firstItem, true)
 	f.instr.cacheHits.Inc()
-	f.audit.ItemDelivered(now, string(f.dev.ID), queryID, true)
 	if !first {
 		f.instr.cacheRefreshes.Inc()
 	}
-	f.instr.observeServedAge(it.Age(now))
-	f.instr.event(now, queryID, metrics.EventDelivered, MechanismCache.String(), string(it.Type))
-	if firstItem {
-		f.instr.observeFirstItem(MechanismCache, now.Sub(submitted))
-		aq.span.MarkFirstItem()
-	}
+	f.instr.observeServedAge(it.Age(f.clock.Now()))
 	// The item came from the repository, so it is not re-stored and needs no
 	// access-control re-admission: it was admitted when originally delivered.
-	client.ReceiveCxtItem(it)
+	aq.client.ReceiveCxtItem(it)
 
 	switch {
-	case exhausted:
-		f.finishQuery(queryID, metrics.EventExpired)
-	case q.Every <= 0:
-		// On-demand: one answer, then done (matching provider semantics).
+	case exhausted, q.Every <= 0:
+		// Sample budget spent, or on-demand: one answer, then done
+		// (matching provider semantics).
 		f.finishQuery(queryID, metrics.EventExpired)
 	case first:
 		// Periodic: arm the EVERY-period refresh ticker.
 		f.mu.Lock()
-		if cur, still := f.queries[queryID]; still && cur == aq &&
-			aq.mech == MechanismCache && aq.cacheTick == nil {
+		if f.queries[queryID] == aq && aq.mech == MechanismCache && aq.cacheTick == nil {
 			aq.cacheTick = f.clock.Every(q.Every, func() { f.cacheDeliver(queryID, false) })
 			f.auditTimerArmed(queryID, "cacheTick")
 		}
@@ -225,42 +173,23 @@ func (f *Factory) promoteFromCache(queryID, reason string) {
 		f.mu.Unlock()
 		return
 	}
-	if aq.cacheTick != nil {
-		aq.cacheTick.Stop()
-		aq.cacheTick = nil
-		f.auditTimerStopped(queryID, "cacheTick")
-	}
-	mergeOn := f.mergeEnabled
-	prefs := aq.prefs
+	f.stopTimer(queryID, &aq.cacheTick, "cacheTick")
 	f.mu.Unlock()
 
-	for _, mech := range prefs {
-		if !f.mechanismHealthy(mech, aq.q) {
-			continue
-		}
-		if err := f.facades[mech].submit(queryID, aq.q, mergeOn, aq.span); err != nil {
-			continue
-		}
-		f.mu.Lock()
-		if cur, still := f.queries[queryID]; !still || cur != aq {
-			// Cancelled inside a synchronous delivery from the new provider.
-			f.mu.Unlock()
-			f.facades[mech].Cancel(queryID)
-			return
-		}
-		aq.mech = mech
-		f.mu.Unlock()
-		f.instr.cachePromotions.Inc()
-		f.instr.assigned[mech].Inc()
-		pr := aq.span.Child("cache.promote")
-		pr.SetAttr("to", mech.String())
-		pr.SetAttr("reason", reason)
-		pr.End()
-		f.instr.event(f.clock.Now(), queryID, metrics.EventAssigned, mech.String(),
-			"promoted from cache: "+reason)
+	mech, err := f.submitFirst(aq)
+	if err != nil {
+		aq.client.InformError("contory: query " + queryID +
+			": answer cache went stale and no provisioning mechanism is available")
+		f.finishQuery(queryID, metrics.EventCancelled)
 		return
 	}
-	aq.client.InformError("contory: query " + queryID +
-		": answer cache went stale and no provisioning mechanism is available")
-	f.finishQuery(queryID, metrics.EventCancelled)
+	if !f.moveTo(aq, mech, false) {
+		return
+	}
+	f.instr.cachePromotions.Inc()
+	pr := aq.span.Child("cache.promote")
+	pr.SetAttr("to", mech.String())
+	pr.SetAttr("reason", reason)
+	pr.End()
+	f.reportAssigned(queryID, mech, "promoted from cache: "+reason)
 }

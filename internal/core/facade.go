@@ -140,6 +140,24 @@ func (f *Facade) auditAdd(name string, delta int64) {
 	f.audit.Add(f.clock.Now(), f.owner, name, delta)
 }
 
+// released accounts for stopped providers and the subscribers they carried.
+func (f *Facade) released(providers, subs int) {
+	f.mActive.Add(-float64(providers))
+	f.auditAdd(f.balProviders, -int64(providers))
+	f.auditAdd(f.balSubs, -int64(subs))
+}
+
+// sortedKeys returns a map's keys in ascending order, for deterministic
+// scans.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // Mechanism returns the facade's provisioning mechanism.
 func (f *Facade) Mechanism() Mechanism { return f.mechanism }
 
@@ -186,13 +204,7 @@ func (f *Facade) submit(queryID string, q *query.Query, mergeEnabled bool, paren
 		return fmt.Errorf("core: %s %s: %w", f.mechanism, queryID, ErrFacadeDisabled)
 	}
 	if mergeEnabled {
-		// Deterministic scan order.
-		ids := make([]string, 0, len(f.managed))
-		for id := range f.managed {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
+		for _, id := range sortedKeys(f.managed) {
 			m := f.managed[id]
 			if !query.SameCluster(m.merged, q) {
 				continue
@@ -285,12 +297,9 @@ func (f *Facade) removeFailed(provID string) {
 		delete(f.managed, provID)
 	}
 	f.mu.Unlock()
-	if !ok {
-		return
+	if ok {
+		f.released(1, subs)
 	}
-	f.mActive.Add(-1)
-	f.auditAdd(f.balProviders, -1)
-	f.auditAdd(f.balSubs, -int64(subs))
 }
 
 // sinkFor returns the provider sink performing post-extraction: received
@@ -305,23 +314,15 @@ func (f *Facade) sinkFor(provID string) provider.Sink {
 			f.mu.Unlock()
 			return
 		}
-		type target struct {
-			id string
-		}
-		var targets []target
-		ids := make([]string, 0, len(m.originals))
-		for id := range m.originals {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
+		var targets []string
+		for _, id := range sortedKeys(m.originals) {
 			if m.originals[id].Matches(it, now) {
-				targets = append(targets, target{id: id})
+				targets = append(targets, id)
 			}
 		}
 		f.mu.Unlock()
-		for _, t := range targets {
-			f.deliver(t.id, it)
+		for _, id := range targets {
+			f.deliver(id, it)
 		}
 	}
 }
@@ -337,16 +338,10 @@ func (f *Facade) doneFor(provID string) provider.DoneFunc {
 			return
 		}
 		delete(f.managed, provID)
-		ids := make([]string, 0, len(m.originals))
-		for id := range m.originals {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
+		ids := sortedKeys(m.originals)
 		f.mu.Unlock()
 		m.span.End()
-		f.mActive.Add(-1)
-		f.auditAdd(f.balProviders, -1)
-		f.auditAdd(f.balSubs, -int64(len(ids)))
+		f.released(1, len(ids))
 		if f.onExpire != nil {
 			f.onExpire(ids)
 		}
@@ -376,21 +371,14 @@ func (f *Facade) Cancel(queryID string) bool {
 		prov := found.prov
 		f.mu.Unlock()
 		found.span.End()
-		f.mActive.Add(-1)
-		f.auditAdd(f.balProviders, -1)
-		f.auditAdd(f.balSubs, -1)
+		f.released(1, 1)
 		if prov != nil {
 			prov.Stop()
 		}
 		return true
 	}
 	rest := make([]*query.Query, 0, len(found.originals))
-	ids := make([]string, 0, len(found.originals))
-	for id := range found.originals {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(found.originals) {
 		rest = append(rest, found.originals[id])
 	}
 	if narrowed, err := query.MergeAll(rest); err == nil {
@@ -447,9 +435,7 @@ func (f *Facade) StopAll() {
 	}
 	f.managed = make(map[string]*managed)
 	f.mu.Unlock()
-	f.mActive.Add(-float64(len(ms)))
-	f.auditAdd(f.balProviders, -int64(len(ms)))
-	f.auditAdd(f.balSubs, -int64(subs))
+	f.released(len(ms), subs)
 	for _, m := range ms {
 		m.span.End()
 		if m.prov != nil {

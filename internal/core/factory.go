@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -19,7 +20,6 @@ import (
 	"contory/internal/query"
 	"contory/internal/repo"
 	"contory/internal/simnet"
-	"contory/internal/timeline"
 	"contory/internal/tracing"
 	"contory/internal/vclock"
 )
@@ -115,12 +115,10 @@ type Factory struct {
 	// returns to zero (see qosExitUnstable).
 	qosUnstable int
 
-	metrics     *metrics.Registry
-	instr       *instruments
-	tracer      *tracing.Tracer
-	audit       *audit.Auditor
-	timelineCfg *timeline.Config
-	recorder    *timeline.Recorder
+	metrics *metrics.Registry
+	instr   *instruments
+	tracer  *tracing.Tracer
+	audit   *audit.Auditor
 }
 
 // recoveryProbeInterval is how often a failed-over query probes for its
@@ -170,10 +168,6 @@ func NewFactory(dev *Device, opts ...Option) *Factory {
 			return mon.BatteryLevel() == monitor.LevelLow || mon.MemoryLevel() == monitor.LevelLow
 		})
 	}
-	if f.timelineCfg != nil {
-		f.recorder = timeline.New(dev.Clock, f.metrics, *f.timelineCfg)
-		f.recorder.Install()
-	}
 	f.applyRetryPolicy()
 	f.engine.SetEnforcer(f.enforce)
 	f.monCancel = dev.Monitor.OnEvent(f.onMonitorEvent)
@@ -190,9 +184,6 @@ func (f *Factory) Device() *Device { return f.dev }
 
 // Metrics returns the registry the factory instruments into.
 func (f *Factory) Metrics() *metrics.Registry { return f.metrics }
-
-// Timeline returns the factory's flight recorder (WithTimeline), or nil.
-func (f *Factory) Timeline() *timeline.Recorder { return f.recorder }
 
 // Facade returns the facade for a mechanism (for experiment harnesses).
 func (f *Factory) Facade(m Mechanism) *Facade { return f.facades[m] }
@@ -269,39 +260,20 @@ func (f *Factory) QueryMechanism(queryID string) (Mechanism, error) {
 // a Subscription handle for it. The assignment follows the FROM clause,
 // sensor availability and the active control policies (§4.3).
 func (f *Factory) ProcessCxtQuery(q *query.Query, client Client) (*Subscription, error) {
-	if client == nil {
-		return nil, fmt.Errorf("core: process query: %w", ErrNilClient)
-	}
-	if err := query.Validate(q); err != nil {
+	if err := checkSubmission("process query", q, client); err != nil {
 		return nil, err
 	}
 	prefs := f.preferences(q)
 	if len(prefs) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoMechanism, q.From.Kind)
 	}
-	f.mu.Lock()
-	f.nextID++
-	id := "q-" + strconv.Itoa(f.nextID)
-	aq := &activeQuery{
-		id:        id,
-		q:         q.Clone(),
-		client:    client,
-		prefs:     prefs,
-		submitted: f.clock.Now(),
-	}
-	aq.q.ID = id
-	mergeOn := f.mergeEnabled
-	f.mu.Unlock()
-	f.instr.submitted.Inc()
-	f.instr.event(aq.submitted, id, metrics.EventSubmitted, "", string(aq.q.Select))
-	aq.span = f.tracer.StartRoot(string(f.dev.ID)+"/"+id, string(f.dev.ID), f.dev.Node.Timeline())
-	aq.span.SetAttr("select", string(aq.q.Select))
+	aq := f.openQuery(q, client, prefs)
 	aq.span.SetAttr("duration", aq.q.Duration.String())
 
 	// Answer cache: when stored context satisfies the query, serve it with
 	// zero provider work instead of assigning a mechanism.
 	if f.tryServeFromCache(aq) {
-		return &Subscription{f: f, id: id}, nil
+		return &Subscription{f: f, id: aq.id}, nil
 	}
 
 	// QoS plane: cache misses pass admission control before provisioning
@@ -314,50 +286,19 @@ func (f *Factory) ProcessCxtQuery(q *query.Query, client Client) (*Subscription,
 		}
 	}
 
-	var lastErr error
-	for _, mech := range prefs {
-		if !f.mechanismHealthy(mech, aq.q) {
-			lastErr = fmt.Errorf("core: %s unavailable", mech)
-			continue
-		}
-		if err := f.facades[mech].submit(id, aq.q, mergeOn, aq.span); err != nil {
-			lastErr = err
-			continue
-		}
-		aq.mech = mech
-		aq.span.SetAttr("mech", mech.String())
-		f.mu.Lock()
-		f.queries[id] = aq
-		if aq.q.Duration.Time > 0 {
-			aq.expiry = f.clock.After(aq.q.Duration.Time, func() { f.finishQuery(id, metrics.EventExpired) })
-		}
-		f.mu.Unlock()
-		f.auditStarted(aq)
-		if aq.expiry != nil {
-			f.auditTimerArmed(id, "expiry")
-		}
-		f.instr.assigned[mech].Inc()
-		f.instr.active.Add(1)
-		f.instr.event(f.clock.Now(), id, metrics.EventAssigned, mech.String(), "")
-		return &Subscription{f: f, id: id}, nil
+	mech, err := f.submitFirst(aq)
+	if err == nil {
+		f.register(aq, mech, "")
+		return &Subscription{f: f, id: aq.id}, nil
 	}
-	if lastErr == nil {
-		lastErr = ErrNoMechanism
-	}
-	f.mu.Lock()
-	wasLive := aq.qosLive
-	aq.qosLive = false
-	f.mu.Unlock()
-	if wasLive {
+	if aq.qosLive {
 		// Admission succeeded but no mechanism could serve: hand the live
 		// slot back so the failure does not leak provisioning capacity.
-		f.qosDone(id)
+		f.qosDone(aq.id)
 		f.qosDispatch()
 	}
-	f.instr.rejected.Inc()
-	aq.span.SetAttr("error", lastErr.Error())
-	aq.span.End()
-	return nil, fmt.Errorf("core: assign query: %w", lastErr)
+	f.reject(aq, err)
+	return nil, fmt.Errorf("core: assign query: %w", err)
 }
 
 // ProcessCxtQueryMulti assigns one query to several provisioning
@@ -365,66 +306,110 @@ func (f *Factory) ProcessCxtQuery(q *query.Query, client Client) (*Subscription,
 // be assigned to the same query"). Applications use this to combine
 // results from multiple context sources — typically through a
 // CxtAggregator — to relieve the uncertainty of any single source. With no
-// explicit mechanisms, every supported one is used. Multi-assigned queries
-// do not participate in failover (they are already redundant).
+// explicit mechanisms, every supported one is used; a mechanism listed
+// twice is used once. Multi-assigned queries bypass the answer cache and
+// QoS admission, and do not participate in failover (they are already
+// redundant).
 func (f *Factory) ProcessCxtQueryMulti(q *query.Query, client Client, mechs ...Mechanism) (*Subscription, error) {
-	if client == nil {
-		return nil, fmt.Errorf("core: process multi query: %w", ErrNilClient)
-	}
-	if err := query.Validate(q); err != nil {
+	if err := checkSubmission("process multi query", q, client); err != nil {
 		return nil, err
 	}
-	if len(mechs) == 0 {
+	var distinct []Mechanism
+	for _, m := range mechs {
+		if !slices.Contains(distinct, m) {
+			distinct = append(distinct, m)
+		}
+	}
+	if len(distinct) == 0 {
 		for _, m := range allMechanisms {
 			if f.mechanismSupported(m, q) {
-				mechs = append(mechs, m)
+				distinct = append(distinct, m)
 			}
 		}
 	}
-	f.mu.Lock()
-	f.nextID++
-	id := "q-" + strconv.Itoa(f.nextID)
-	aq := &activeQuery{
-		id:        id,
-		q:         q.Clone(),
-		client:    client,
-		submitted: f.clock.Now(),
-	}
-	aq.q.ID = id
-	mergeOn := f.mergeEnabled
-	f.mu.Unlock()
-	f.instr.submitted.Inc()
-	f.instr.event(aq.submitted, id, metrics.EventSubmitted, "", string(aq.q.Select))
-	aq.span = f.tracer.StartRoot(string(f.dev.ID)+"/"+id, string(f.dev.ID), f.dev.Node.Timeline())
-	aq.span.SetAttr("select", string(aq.q.Select))
+	aq := f.openQuery(q, client, nil)
 	aq.span.SetAttr("multi", "true")
 
 	var assigned []Mechanism
-	var lastErr error
-	for _, mech := range mechs {
-		if !f.mechanismHealthy(mech, aq.q) {
-			lastErr = fmt.Errorf("core: %s unavailable", mech)
-			continue
-		}
-		if err := f.facades[mech].submit(id, aq.q, mergeOn, aq.span); err != nil {
+	lastErr := ErrNoMechanism
+	for _, mech := range distinct {
+		if err := f.trySubmit(aq, mech); err != nil {
 			lastErr = err
 			continue
 		}
 		assigned = append(assigned, mech)
 	}
 	if len(assigned) == 0 {
-		if lastErr == nil {
-			lastErr = ErrNoMechanism
-		}
-		f.instr.rejected.Inc()
-		aq.span.SetAttr("error", lastErr.Error())
-		aq.span.End()
+		f.reject(aq, lastErr)
 		return nil, fmt.Errorf("core: assign multi query: %w", lastErr)
 	}
-	aq.span.SetAttr("mech", assigned[0].String())
-	f.mu.Lock()
-	aq.mech = assigned[0]
 	aq.extra = assigned[1:]
+	f.register(aq, assigned[0], "")
+	for _, mech := range aq.extra {
+		f.reportAssigned(aq.id, mech, "")
+	}
+	return &Subscription{f: f, id: aq.id}, nil
+}
+
+// checkSubmission refuses what no query path can serve: a nil client or an
+// invalid query.
+func checkSubmission(op string, q *query.Query, client Client) error {
+	if client == nil {
+		return fmt.Errorf("core: %s: %w", op, ErrNilClient)
+	}
+	return query.Validate(q)
+}
+
+// openQuery is the submission prologue: it numbers the query, counts and
+// ring-logs the submission, and opens the query's root span.
+func (f *Factory) openQuery(q *query.Query, client Client, prefs []Mechanism) *activeQuery {
+	f.mu.Lock()
+	f.nextID++
+	id := "q-" + strconv.Itoa(f.nextID)
+	f.mu.Unlock()
+	aq := &activeQuery{id: id, q: q.Clone(), client: client, prefs: prefs, submitted: f.clock.Now()}
+	aq.q.ID = id
+	f.instr.submitted.Inc()
+	f.instr.event(aq.submitted, id, metrics.EventSubmitted, "", string(aq.q.Select))
+	aq.span = f.tracer.StartRoot(string(f.dev.ID)+"/"+id, string(f.dev.ID), f.dev.Node.Timeline())
+	aq.span.SetAttr("select", string(aq.q.Select))
+	return aq
+}
+
+// trySubmit hands the query to one mechanism's facade if the mechanism is
+// healthy.
+func (f *Factory) trySubmit(aq *activeQuery, mech Mechanism) error {
+	if !f.mechanismHealthy(mech, aq.q) {
+		return fmt.Errorf("core: %s unavailable", mech)
+	}
+	return f.facades[mech].submit(aq.id, aq.q, f.mergeEnabled, aq.span)
+}
+
+// submitFirst walks the query's mechanism preferences and submits it to the
+// first that accepts it. It returns the last refusal when none does.
+func (f *Factory) submitFirst(aq *activeQuery) (Mechanism, error) {
+	err := ErrNoMechanism
+	for _, mech := range aq.prefs {
+		if err = f.trySubmit(aq, mech); err == nil {
+			return mech, nil
+		}
+	}
+	return 0, err
+}
+
+// register makes a query live under mech — a facade, the answer cache, or
+// the QoS queue (MechanismPending, which names no mechanism on the span and
+// has no assigned counter). It enters the query table, arms the DURATION
+// expiry, tells the auditor and reports the assignment. The expiry is armed
+// before any timer the caller schedules next, so at an equal virtual
+// instant it fires first.
+func (f *Factory) register(aq *activeQuery, mech Mechanism, detail string) {
+	id := aq.id
+	aq.mech = mech
+	if mech != MechanismPending {
+		aq.span.SetAttr("mech", mech.String())
+	}
+	f.mu.Lock()
 	f.queries[id] = aq
 	if aq.q.Duration.Time > 0 {
 		aq.expiry = f.clock.After(aq.q.Duration.Time, func() { f.finishQuery(id, metrics.EventExpired) })
@@ -435,11 +420,37 @@ func (f *Factory) ProcessCxtQueryMulti(q *query.Query, client Client, mechs ...M
 		f.auditTimerArmed(id, "expiry")
 	}
 	f.instr.active.Add(1)
-	for _, mech := range assigned {
-		f.instr.assigned[mech].Inc()
-		f.instr.event(f.clock.Now(), id, metrics.EventAssigned, mech.String(), "")
+	f.reportAssigned(id, mech, detail)
+}
+
+// reportAssigned counts and ring-logs a query's assignment to a mechanism.
+func (f *Factory) reportAssigned(queryID string, mech Mechanism, detail string) {
+	f.instr.assigned[mech].Inc()
+	f.instr.event(f.clock.Now(), queryID, metrics.EventAssigned, mech.String(), detail)
+}
+
+// moveTo records that a preference walk moved a registered query onto
+// mech; live records whether the query now holds a QoS live slot. It
+// reports false, and undoes the walk's submission, when the query was torn
+// down meanwhile — cancelled inside a synchronous delivery from the new
+// provider.
+func (f *Factory) moveTo(aq *activeQuery, mech Mechanism, live bool) bool {
+	f.mu.Lock()
+	if f.queries[aq.id] != aq {
+		f.mu.Unlock()
+		f.facades[mech].Cancel(aq.id)
+		return false
 	}
-	return &Subscription{f: f, id: id}, nil
+	aq.mech, aq.qosLive = mech, live
+	f.mu.Unlock()
+	return true
+}
+
+// reject reports a submission that never went live.
+func (f *Factory) reject(aq *activeQuery, err error) {
+	f.instr.rejected.Inc()
+	aq.span.SetAttr("error", err.Error())
+	aq.span.End()
 }
 
 // QueryMechanisms reports every mechanism currently serving the query.
@@ -469,30 +480,14 @@ func (f *Factory) finishQuery(queryID string, kind metrics.EventKind) {
 		return
 	}
 	delete(f.queries, queryID)
-	if aq.expiry != nil {
-		aq.expiry.Stop()
-		f.auditTimerStopped(queryID, "expiry")
-	}
-	if aq.probe != nil {
-		aq.probe.Stop()
-		f.auditTimerStopped(queryID, "probe")
-	}
-	if aq.cacheTick != nil {
-		aq.cacheTick.Stop()
-		f.auditTimerStopped(queryID, "cacheTick")
-	}
+	f.stopTimer(queryID, &aq.expiry, "expiry")
+	f.stopTimer(queryID, &aq.probe, "probe")
+	f.stopTimer(queryID, &aq.cacheTick, "cacheTick")
 	wasPending := aq.mech == MechanismPending
 	wasLive := aq.qosLive
 	aq.qosLive = false
 	f.mu.Unlock()
-	// Cancel on every facade, not just the recorded ones: a concurrent
-	// switch may have submitted the query to a facade before updating
-	// aq.mech, and cancelling an unknown id is free.
-	for _, mech := range allMechanisms {
-		if fac := f.facades[mech]; fac != nil {
-			fac.Cancel(queryID)
-		}
-	}
+	f.cancelEverywhere(queryID)
 	f.instr.active.Add(-1)
 	switch kind {
 	case metrics.EventExpired:
@@ -520,6 +515,25 @@ func (f *Factory) finishQuery(queryID string, kind metrics.EventKind) {
 			f.qosDone(queryID)
 			f.qosDispatch()
 		}
+	}
+}
+
+// stopTimer stops and clears one of a query's timers, if armed. f.mu must
+// be held.
+func (f *Factory) stopTimer(queryID string, t **vclock.Timer, kind string) {
+	if *t != nil {
+		(*t).Stop()
+		*t = nil
+		f.auditTimerStopped(queryID, kind)
+	}
+}
+
+// cancelEverywhere cancels the query on every facade, not just the
+// recorded ones: a concurrent switch may have submitted the query to a
+// facade before updating aq.mech, and cancelling an unknown id is free.
+func (f *Factory) cancelEverywhere(queryID string) {
+	for _, mech := range allMechanisms {
+		f.facades[mech].Cancel(queryID)
 	}
 }
 
@@ -557,28 +571,37 @@ func (f *Factory) deliver(queryID string, it cxt.Item) {
 			return
 		}
 	}
-	aq.delivered++
-	client := aq.client
-	first := aq.delivered == 1
+	first, exhausted := aq.countDelivery()
 	mech := aq.mech
-	submitted := aq.submitted
-	exhausted := aq.q.Duration.IsSamples() && aq.delivered >= aq.q.Duration.Samples
 	f.mu.Unlock()
 
-	now := f.clock.Now()
-	f.instr.delivered.Inc()
-	f.audit.ItemDelivered(now, string(f.dev.ID), queryID, false)
-	f.instr.event(now, queryID, metrics.EventDelivered, mech.String(), string(it.Type))
-	if first {
-		f.instr.observeFirstItem(mech, now.Sub(submitted))
-		aq.span.MarkFirstItem()
-	}
-
+	f.reportDelivered(aq, mech, it, first, false)
 	f.dev.Repo.Store(it)
 	f.dev.Monitor.SetMemory(f.dev.Repo.MemoryBytes(), 9<<20)
-	client.ReceiveCxtItem(it)
+	aq.client.ReceiveCxtItem(it)
 	if exhausted {
 		f.finishQuery(queryID, metrics.EventExpired)
+	}
+}
+
+// countDelivery books one delivered item on the query and reports whether
+// it was the first and whether it exhausted a SAMPLES budget. f.mu must be
+// held.
+func (aq *activeQuery) countDelivery() (first, exhausted bool) {
+	aq.delivered++
+	return aq.delivered == 1, aq.q.Duration.IsSamples() && aq.delivered >= aq.q.Duration.Samples
+}
+
+// reportDelivered counts, audits and ring-logs one item handed to the
+// query's client, and the query's first-item latency.
+func (f *Factory) reportDelivered(aq *activeQuery, mech Mechanism, it cxt.Item, first, fromCache bool) {
+	now := f.clock.Now()
+	f.instr.delivered.Inc()
+	f.audit.ItemDelivered(now, string(f.dev.ID), aq.id, fromCache)
+	f.instr.event(now, aq.id, metrics.EventDelivered, mech.String(), string(it.Type))
+	if first {
+		f.instr.observeFirstItem(mech, now.Sub(aq.submitted))
+		aq.span.MarkFirstItem()
 	}
 }
 
@@ -777,10 +800,9 @@ func (f *Factory) onMonitorEvent(ev monitor.Event) {
 		}
 		f.EvaluatePolicies()
 	}
-	f.evaluateAfterEvent()
-}
-
-func (f *Factory) evaluateAfterEvent() {
+	// Every event re-evaluates the policies. After a low-resource event
+	// this second pass sees what the first pass's enforcement left, so
+	// rules that no longer hold become inactive and can fire again.
 	f.EvaluatePolicies()
 }
 
@@ -952,10 +974,8 @@ func (f *Factory) switchQuery(queryID, reason string) {
 	if aq.probe == nil && to != aq.prefs[0] {
 		f.startRecoveryProbeLocked(aq)
 	}
-	if to == aq.prefs[0] && aq.probe != nil {
-		aq.probe.Stop()
-		aq.probe = nil
-		f.auditTimerStopped(queryID, "probe")
+	if to == aq.prefs[0] {
+		f.stopTimer(queryID, &aq.probe, "probe")
 	}
 	f.mu.Unlock()
 	f.instr.switched.Inc()
@@ -1096,21 +1116,11 @@ func (f *Factory) enforceReducePower(ruleName string) {
 // cost per delivered item — the least productive consumer — never simply
 // the newest submission.
 func (f *Factory) enforceReduceLoad(ruleName string) {
-	now := f.clock.Now()
-	f.mu.Lock()
-	var victim *activeQuery
-	var victimCost float64
-	for _, aq := range f.queries {
-		cost := f.queryCost(aq, now)
-		if victim == nil || cost > victimCost ||
-			(cost == victimCost && shedBefore(aq, victim)) {
-			victim, victimCost = aq, cost
-		}
-	}
-	f.mu.Unlock()
-	if victim == nil {
+	ranked := f.shedOrder(false)
+	if len(ranked) == 0 {
 		return
 	}
+	victim := ranked[0]
 	victim.client.InformError("contory: query " + victim.id + " terminated by reduceLoad policy")
 	f.finishQuery(victim.id, metrics.EventCancelled)
 }
@@ -1171,9 +1181,6 @@ func (f *Factory) DeregisterCxtServer(client Client) {
 func (f *Factory) Close() {
 	if f.monCancel != nil {
 		f.monCancel()
-	}
-	if f.recorder != nil {
-		f.recorder.Stop()
 	}
 	f.mu.Lock()
 	ids := make([]string, 0, len(f.queries))

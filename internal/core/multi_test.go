@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"contory/internal/audit"
 	"contory/internal/cxt"
 	"contory/internal/policy"
 	"contory/internal/query"
@@ -59,6 +61,47 @@ func TestMultiMechanismQuery(t *testing.T) {
 	if b.factory.Facade(MechanismLocal).ActiveProviders() != 0 ||
 		b.factory.Facade(MechanismAdHoc).ActiveProviders() != 0 {
 		t.Fatal("providers survive multi cancel")
+	}
+}
+
+// TestMultiMechanismRepeatedMechanism: a mechanism listed twice is used
+// once — one provider stream, one subscriber attachment — so the client
+// gets one stream's items, Cancel leaves no provider behind, and the
+// facade balances close at zero.
+func TestMultiMechanismRepeatedMechanism(t *testing.T) {
+	for _, merge := range []bool{true, false} {
+		t.Run(fmt.Sprintf("merging=%v", merge), func(t *testing.T) {
+			a := audit.New()
+			b := newBed(t, WithMerging(merge), WithAudit(a))
+			b.dev.Internal.Register(refs.FuncSensor{
+				SensorName: "thermo", CxtType: cxt.TypeTemperature,
+				ReadFunc: func(now time.Time) (cxt.Item, error) {
+					return cxt.Item{Type: cxt.TypeTemperature, Value: 20, Timestamp: now}, nil
+				},
+			})
+			cli := &testClient{}
+			sub, err := b.factory.ProcessCxtQueryMulti(
+				query.MustParse("SELECT temperature DURATION 5 min EVERY 20 sec"),
+				cli, MechanismLocal, MechanismLocal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mechs, err := sub.Mechanisms(); err != nil || len(mechs) != 1 || mechs[0] != MechanismLocal {
+				t.Errorf("mechanisms = %v, %v; want [intSensor]", mechs, err)
+			}
+			b.clk.Advance(time.Minute)
+			if len(cli.items) != 3 {
+				t.Errorf("items after one minute = %d, want 3", len(cli.items))
+			}
+			sub.Cancel()
+			if n := b.factory.Facade(MechanismLocal).ActiveProviders(); n != 0 {
+				t.Errorf("providers after cancel = %d, want 0", n)
+			}
+			b.factory.Close()
+			if vs := a.Violations(); len(vs) != 0 {
+				t.Errorf("violations: %v", vs)
+			}
+		})
 	}
 }
 

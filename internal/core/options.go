@@ -5,7 +5,6 @@ import (
 
 	"contory/internal/metrics"
 	"contory/internal/qos"
-	"contory/internal/timeline"
 	"contory/internal/tracing"
 )
 
@@ -122,16 +121,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 			f.metrics = reg
 		}
 	}
-}
-
-// WithTimeline arms the flight recorder on the factory's registry: the
-// device clock samples it every cfg.Interval of virtual time into
-// delta-windows with SLO evaluation and burn-rate alerting, readable via
-// Factory.Timeline(). Standalone factories use this; worlds and fleets
-// prefer one world-wide recorder (WorldConfig.Timeline) so windows cover
-// the whole testbed.
-func WithTimeline(cfg timeline.Config) Option {
-	return func(f *Factory) { f.timelineCfg = &cfg }
 }
 
 // WithTracer attaches a distributed tracer: every ProcessCxtQuery opens a

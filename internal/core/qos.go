@@ -89,86 +89,42 @@ func (f *Factory) qosGate(aq *activeQuery) (sub *Subscription, err error, handle
 		f.audit.Add(f.clock.Now(), string(f.dev.ID), balQoSSlots, 1)
 		return nil, nil, false
 	case qos.VerdictDegrade:
-		f.registerDegraded(aq, d.Reason)
+		// Served stale repository answers (bounded by the type's TTL)
+		// instead of provisioning live.
+		aq.degraded = true
+		dg := aq.span.Child("qos.degrade")
+		dg.SetAttr("reason", d.Reason)
+		dg.End()
+		f.register(aq, MechanismCache, "degraded: "+d.Reason)
+		f.instr.qosDegraded.Inc()
+		f.clock.After(0, func() { f.cacheDeliver(aq.id, true) })
 		return &Subscription{f: f, id: aq.id}, nil, true
 	case qos.VerdictDefer:
-		id := aq.id
-		aq.mech = MechanismPending
-		f.mu.Lock()
-		f.queries[id] = aq
-		if aq.q.Duration.Time > 0 {
-			aq.expiry = f.clock.After(aq.q.Duration.Time, func() { f.finishQuery(id, metrics.EventExpired) })
-		}
-		f.mu.Unlock()
-		f.auditStarted(aq)
-		if aq.expiry != nil {
-			f.auditTimerArmed(id, "expiry")
-		}
+		f.register(aq, MechanismPending, "deferred "+d.Wait.String())
 		f.instr.qosDeferred.Inc()
 		f.instr.qosPending.Add(1)
 		f.audit.Add(f.clock.Now(), string(f.dev.ID), balQoSPending, 1)
-		f.instr.active.Add(1)
-		f.instr.event(d.At, id, metrics.EventAssigned, MechanismPending.String(),
-			"deferred "+d.Wait.String())
 		// The token is earned at Wait; a dispatch then releases this (or a
 		// higher-priority) entry if a provisioning slot is free.
 		f.clock.After(d.Wait, func() { f.qosDispatch() })
-		return &Subscription{f: f, id: id}, nil, true
+		return &Subscription{f: f, id: aq.id}, nil, true
 	default: // qos.VerdictReject
 		f.instr.qosRejected.Inc()
-		f.instr.rejected.Inc()
 		rejErr := fmt.Errorf("core: query %s (%s class, %s): %w", aq.id, cls, d.Reason, qos.ErrRejected)
-		aq.span.SetAttr("error", rejErr.Error())
-		aq.span.End()
+		f.reject(aq, rejErr)
 		return nil, rejErr, true
 	}
 }
 
 // canDegradeToCache reports whether a stale-cache answer could serve the
-// query right now: cache on, query cache-shaped, staleness bounded (by
-// FRESHNESS or a per-type TTL), and a relaxed lookup actually hits.
+// query right now: the query may be cache-served at all and a lookup
+// bounded only by the type's TTL actually hits.
 func (f *Factory) canDegradeToCache(q *query.Query) bool {
-	if !f.cacheEnabled || q.Event != nil {
+	if !f.cacheEligible(q) {
 		return false
 	}
-	switch q.From.Kind {
-	case query.SourceEntity, query.SourceRegion:
-		return false
-	}
-	if q.Freshness <= 0 && f.dev.Repo.TTLFor(q.Select) <= 0 {
-		return false
-	}
-	_, ok := f.cacheLookupRelaxed(q)
+	_, ok := f.cacheLookup(q, 0)
 	return ok
-}
-
-// registerDegraded registers a fresh submission as degraded-to-cache: the
-// query is served stale repository answers (bounded by the type's TTL)
-// instead of provisioning live.
-func (f *Factory) registerDegraded(aq *activeQuery, reason string) {
-	id := aq.id
-	aq.mech = MechanismCache
-	aq.degraded = true
-	aq.span.SetAttr("mech", MechanismCache.String())
-	sp := aq.span.Child("qos.degrade")
-	sp.SetAttr("reason", reason)
-	sp.End()
-	f.mu.Lock()
-	f.queries[id] = aq
-	if aq.q.Duration.Time > 0 {
-		aq.expiry = f.clock.After(aq.q.Duration.Time, func() { f.finishQuery(id, metrics.EventExpired) })
-	}
-	f.mu.Unlock()
-	f.auditStarted(aq)
-	if aq.expiry != nil {
-		f.auditTimerArmed(id, "expiry")
-	}
-	f.instr.qosDegraded.Inc()
-	f.instr.assigned[MechanismCache].Inc()
-	f.instr.active.Add(1)
-	f.instr.event(f.clock.Now(), id, metrics.EventAssigned, MechanismCache.String(),
-		"degraded: "+reason)
-	f.clock.After(0, func() { f.cacheDeliver(id, true) })
 }
 
 // qosDispatch releases deferred queries while slots are free and lanes
@@ -212,38 +168,22 @@ func (f *Factory) qosRelease(queryID string) {
 		f.qosDone(queryID)
 		return
 	}
-	mergeOn := f.mergeEnabled
-	prefs := aq.prefs
 	f.mu.Unlock()
-	for _, mech := range prefs {
-		if !f.mechanismHealthy(mech, aq.q) {
-			continue
-		}
-		if err := f.facades[mech].submit(queryID, aq.q, mergeOn, aq.span); err != nil {
-			continue
-		}
-		f.mu.Lock()
-		if cur, still := f.queries[queryID]; !still || cur != aq {
-			// Cancelled inside a synchronous delivery from the new provider.
-			f.mu.Unlock()
-			f.facades[mech].Cancel(queryID)
-			f.qosDone(queryID)
-			return
-		}
-		aq.mech = mech
-		aq.qosLive = true
-		f.mu.Unlock()
-		aq.span.SetAttr("mech", mech.String())
-		f.instr.qosReleased.Inc()
-		f.instr.assigned[mech].Inc()
-		f.instr.event(f.clock.Now(), queryID, metrics.EventAssigned, mech.String(),
-			"released from qos queue")
+	mech, err := f.submitFirst(aq)
+	if err != nil {
+		f.qosDone(queryID)
+		aq.client.InformError("contory: query " + queryID +
+			": released from qos queue but no provisioning mechanism is available")
+		f.finishQuery(queryID, metrics.EventCancelled)
 		return
 	}
-	f.qosDone(queryID)
-	aq.client.InformError("contory: query " + queryID +
-		": released from qos queue but no provisioning mechanism is available")
-	f.finishQuery(queryID, metrics.EventCancelled)
+	if !f.moveTo(aq, mech, true) {
+		f.qosDone(queryID)
+		return
+	}
+	aq.span.SetAttr("mech", mech.String())
+	f.instr.qosReleased.Inc()
+	f.reportAssigned(queryID, mech, "released from qos queue")
 }
 
 // queryCost is the measured energy cost of a query: joules the device
@@ -253,6 +193,37 @@ func (f *Factory) qosRelease(queryID string) {
 func (f *Factory) queryCost(aq *activeQuery, now time.Time) float64 {
 	e := f.dev.Node.Timeline().EnergyBetween(aq.submitted, now)
 	return float64(e) / float64(aq.delivered+1)
+}
+
+// shedOrder ranks the queries for shedding: highest measured joules per
+// delivered item first, equal costs by shedBefore. liveOnly leaves out
+// the cache-served and QoS-pending queries, which hold no live provider.
+func (f *Factory) shedOrder(liveOnly bool) []*activeQuery {
+	now := f.clock.Now()
+	type costed struct {
+		aq   *activeQuery
+		cost float64
+	}
+	f.mu.Lock()
+	var cs []costed
+	for _, aq := range f.queries {
+		if liveOnly && (aq.mech == MechanismCache || aq.mech == MechanismPending) {
+			continue
+		}
+		cs = append(cs, costed{aq, f.queryCost(aq, now)})
+	}
+	f.mu.Unlock()
+	sort.Slice(cs, func(i, j int) bool {
+		if cs[i].cost != cs[j].cost {
+			return cs[i].cost > cs[j].cost
+		}
+		return shedBefore(cs[i].aq, cs[j].aq)
+	})
+	ranked := make([]*activeQuery, len(cs))
+	for i, c := range cs {
+		ranked[i] = c.aq
+	}
+	return ranked
 }
 
 // qidNum extracts the numeric part of a "q-N" query id for ordering ("q-9"
@@ -284,21 +255,8 @@ func (f *Factory) qosShedLoad(reason string, minShed int) {
 	if f.qos == nil {
 		return
 	}
-	now := f.clock.Now()
 	target := f.qos.MaxActive()
-	type costed struct {
-		aq   *activeQuery
-		cost float64
-	}
-	f.mu.Lock()
-	var live []costed
-	for _, aq := range f.queries {
-		if aq.mech == MechanismCache || aq.mech == MechanismPending {
-			continue
-		}
-		live = append(live, costed{aq, f.queryCost(aq, now)})
-	}
-	f.mu.Unlock()
+	live := f.shedOrder(true)
 	over := len(live) - target
 	if over < minShed {
 		over = minShed
@@ -309,24 +267,18 @@ func (f *Factory) qosShedLoad(reason string, minShed int) {
 	if over <= 0 {
 		return
 	}
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].cost != live[j].cost {
-			return live[i].cost > live[j].cost
-		}
-		return shedBefore(live[i].aq, live[j].aq)
-	})
 	var rest []*activeQuery
-	for _, c := range live {
+	for _, aq := range live {
 		if over <= 0 {
 			break
 		}
-		if f.canDegradeToCache(c.aq.q) {
-			if f.degradeToCache(c.aq.id, reason) {
+		if f.canDegradeToCache(aq.q) {
+			if f.degradeToCache(aq.id, reason) {
 				over--
 			}
 			continue
 		}
-		rest = append(rest, c.aq)
+		rest = append(rest, aq)
 	}
 	for _, aq := range rest {
 		if over <= 0 {
@@ -361,28 +313,18 @@ func (f *Factory) degradeToCache(queryID, reason string) bool {
 	aq.degraded = true
 	wasLive := aq.qosLive
 	aq.qosLive = false
-	if aq.probe != nil {
-		aq.probe.Stop()
-		aq.probe = nil
-		f.auditTimerStopped(queryID, "probe")
-	}
+	f.stopTimer(queryID, &aq.probe, "probe")
 	f.mu.Unlock()
-	for _, mech := range allMechanisms {
-		if fac := f.facades[mech]; fac != nil {
-			fac.Cancel(queryID)
-		}
-	}
+	f.cancelEverywhere(queryID)
 	if wasLive {
 		f.qosDone(queryID)
 	}
 	f.instr.qosDegraded.Inc()
-	f.instr.assigned[MechanismCache].Inc()
 	sp := aq.span.Child("qos.degrade")
 	sp.SetAttr("from", from.String())
 	sp.SetAttr("reason", reason)
 	sp.End()
-	f.instr.event(f.clock.Now(), queryID, metrics.EventAssigned, MechanismCache.String(),
-		"degraded from "+from.String()+": "+reason)
+	f.reportAssigned(queryID, MechanismCache, "degraded from "+from.String()+": "+reason)
 	f.clock.After(0, func() { f.cacheDeliver(queryID, true) })
 	return true
 }
