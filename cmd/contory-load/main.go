@@ -1,14 +1,18 @@
 // Command contory-load drives the fleet-scale load engine: it expands a
-// seeded scenario into thousands of simulated phones, runs them for a span
+// scenario file into thousands of simulated phones, runs them for a span
 // of virtual time across a parallel worker pool, and reports the fleet
 // summary (queries/s of virtual time, delivery-latency percentiles, energy
 // per device class, failover counts).
 //
+// A scenario is a fleet.Spec written as JSON (see fleet.ParseSpec); the
+// checked-in ones live in testdata/scenarios. -phones, -seed and -duration
+// override the file's values.
+//
 // Usage:
 //
-//	contory-load -phones 5000 -duration 10m -stats-out BENCH_fleet.json
-//	contory-load -phones 1000 -duration 5m -workers 8 -stats
-//	contory-load -sweep 1000,2000,5000 -duration 10m -bench-out BENCH_fleet.json
+//	contory-load -spec testdata/scenarios/load.json -phones 5000 -duration 10m -stats-out fleet.json
+//	contory-load -spec testdata/scenarios/trace.json -workers 8 -trace-out trace.json
+//	contory-load -spec testdata/scenarios/load.json -duration 10m -sweep 1000,2000,5000 -bench-out BENCH_fleet.json
 //
 // Same seed, same summary bytes — at any -workers value or GOMAXPROCS.
 package main
@@ -16,8 +20,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -31,227 +37,161 @@ import (
 
 	"contory/internal/fleet"
 	"contory/internal/timeline"
-	"contory/internal/tracing"
 )
 
 func main() {
-	var (
-		phones   = flag.Int("phones", 1000, "fleet population size")
-		duration = flag.Duration("duration", 10*time.Minute, "virtual time to run")
-		seed     = flag.Int64("seed", 42, "deterministic scenario seed")
-		workers  = flag.Int("workers", 0, "parallel event workers (0 = GOMAXPROCS)")
-		lanes    = flag.Int("lanes", 0, "device shard lanes (0 = auto)")
-		area     = flag.Float64("area", 0, "deployment area side in metres (0 = auto-size for ~10 WiFi neighbors)")
-		period   = flag.Duration("period", 30*time.Second, "base query/workload period")
-		mobility = flag.Float64("mobility", 1.0, "max phone speed in m/s (0 = static)")
-		leave    = flag.Float64("churn-leave", 0.02, "per-phone leave/join probability per virtual minute")
-		links    = flag.Float64("churn-links", 5, "expected WiFi link failures per virtual minute")
-		chaosP   = flag.String("chaos", "", "chaos profile to inject (flap, partition, outage, hang, gps, battery, mixed; \"\" = off)")
-		chaosR   = flag.Float64("chaos-rate", 1.0, "scale factor on the chaos profile's fault rates")
-		gpsFrac  = flag.Float64("gps", 0, "fraction of phones carrying a BT-GPS receiver (enables the gps-periodic workload)")
-		cacheOn  = flag.Bool("cache", false, "enable the per-phone answer cache (shared provisioning plane)")
-		cacheTTL = flag.Duration("cache-ttl", 0, "cache staleness bound for types without item lifetimes (0 = 2x -period)")
-		dupFrac  = flag.Float64("dup", 0, "fraction of phones running the duplicate-heavy workload; replaces the default mix (bursts of identical cacheable extInfra queries)")
-		qosOn    = flag.Bool("qos", false, "enable the QoS provisioning plane (admission control, deadline-aware scheduling, overload shedding)")
-		qosRate  = flag.Float64("qos-rate", 0, "per-client sustained admission rate in queries/s when -qos is on (0 = default)")
-		qosBurst = flag.Int("qos-burst", 0, "per-client admission burst size when -qos is on (0 = default)")
-		qosQueue = flag.Int("qos-queue", 0, "pending-query queue bound per phone when -qos is on (0 = default)")
-		qosSlots = flag.Int("qos-slots", 0, "concurrent live-provisioning slots per phone when -qos is on (0 = default)")
-		overload = flag.Float64("overload", 0, "fraction of phones running the overload-burst workload; replaces the default mix (bursts of distinct tight-FRESHNESS extInfra queries that serialize on the UMTS channel)")
-		auditOn  = flag.Bool("audit", false, "run the conservation-law auditor over the fleet (quiesces the run, checks slot/refcount/timer/accounting invariants; violations fail the run)")
-		stats    = flag.Bool("stats", false, "print the full summary JSON to stdout")
-		statsOut = flag.String("stats-out", "", "write the run summary JSON to this file")
-		benchOut = flag.String("bench-out", "", "write sweep wall-clock timings JSON to this file")
-		benchGo  = flag.String("bench-go", "", "append sweep timings in Go benchmark format to this file (benchstat-friendly)")
-		sweep    = flag.String("sweep", "", "comma-separated phone counts to run back to back (e.g. 1000,2000,5000)")
-		traceOn  = flag.Bool("trace", false, "record per-query span trees (deterministic distributed tracing)")
-		traceOut = flag.String("trace-out", "", "write retained traces as Chrome trace-event JSON (open in Perfetto); implies -trace")
-		traceSmp = flag.Int("trace-sample", 0, "keep one trace in N by trace-id residue (<=1 keeps all)")
-		tlOn     = flag.Bool("timeline", false, "arm the flight recorder: periodic metric delta-windows, SLO evaluation and burn-rate alerting")
-		tlEvery  = flag.Duration("timeline-interval", 10*time.Second, "flight-recorder sampling window in virtual time")
-		tlSLO    = flag.String("slo", "", "comma-separated SLO objectives evaluated per window (e.g. p99_first_item_ms<5000,cache_hit_ratio>0.5); implies -timeline")
-		tlOut    = flag.String("timeline-out", "", "write the flight-recorder report JSON to this file; implies -timeline")
-		pprofAt  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's lifetime")
-	)
-	flag.Parse()
-	if *tlSLO != "" || *tlOut != "" {
-		*tlOn = true
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		fmt.Fprintln(os.Stderr, "contory-load:", err)
+		os.Exit(1)
 	}
-	if err := validateFlags(*phones, *duration, *workers, *qosRate, *overload, *auditOn, *sweep, *benchOut, *tlOn, *tlEvery); err != nil {
-		fail(err)
+}
+
+// options are the run's settings besides the scenario itself.
+type options struct {
+	workers                         int
+	sweep                           []int
+	stats                           bool
+	statsOut, traceOut, timelineOut string
+	benchOut, benchGo, pprofAddr    string
+}
+
+// parseArgs reads the flags and the scenario file they name, applies the
+// -phones/-seed/-duration overrides that were set, and refuses the flag
+// combinations the engine cannot honour. Spec validation itself is left
+// to fleet.New.
+func parseArgs(args []string) (fleet.Spec, options, error) {
+	var o options
+	fs := flag.NewFlagSet("contory-load", flag.ContinueOnError)
+	specPath := fs.String("spec", "", "scenario file: a fleet.Spec as JSON (required; see testdata/scenarios)")
+	phones := fs.Int("phones", 0, "override the scenario's population size")
+	seed := fs.Int64("seed", 0, "override the scenario's seed")
+	duration := fs.Duration("duration", 0, "override the scenario's virtual run time")
+	fs.IntVar(&o.workers, "workers", 0, "parallel event workers (0 = GOMAXPROCS)")
+	sweep := fs.String("sweep", "", "comma-separated phone counts to run the scenario at back to back (e.g. 1000,2000,5000)")
+	fs.BoolVar(&o.stats, "stats", false, "print the full summary JSON to stdout")
+	fs.StringVar(&o.statsOut, "stats-out", "", "write the run summary JSON to this file")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write retained traces as Chrome trace-event JSON (open in Perfetto); the scenario must enable trace")
+	fs.StringVar(&o.timelineOut, "timeline-out", "", "write the flight-recorder report JSON to this file; the scenario must enable timeline")
+	fs.StringVar(&o.benchOut, "bench-out", "", "write sweep wall-clock timings JSON to this file")
+	fs.StringVar(&o.benchGo, "bench-go", "", "append sweep timings in Go benchmark format to this file (benchstat-friendly)")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's lifetime")
+	if err := fs.Parse(args); err != nil {
+		return fleet.Spec{}, o, err
 	}
-	slos, err := timeline.ParseSLOList(*tlSLO)
+	if *specPath == "" {
+		return fleet.Spec{}, o, fmt.Errorf("-spec is required (scenario files live in testdata/scenarios)")
+	}
+	data, err := os.ReadFile(*specPath)
 	if err != nil {
-		fail(err)
+		return fleet.Spec{}, o, err
 	}
-	if *traceOut != "" {
-		*traceOn = true
+	spec, err := fleet.ParseSpec(data)
+	if err != nil {
+		return fleet.Spec{}, o, fmt.Errorf("%s: %w", *specPath, err)
 	}
-	if *pprofAt != "" {
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "phones":
+			spec.Phones = *phones
+		case "seed":
+			spec.Seed = *seed
+		case "duration":
+			spec.Duration = *duration
+		}
+	})
+	if *sweep != "" {
+		for _, part := range strings.Split(*sweep, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil || n <= 0 {
+				return fleet.Spec{}, o, fmt.Errorf("bad -sweep entry %q", part)
+			}
+			o.sweep = append(o.sweep, n)
+		}
+	}
+	if o.workers < 0 {
+		return fleet.Spec{}, o, fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", o.workers)
+	}
+	if spec.Audit.Enabled && (o.sweep != nil || o.benchOut != "") {
+		return fleet.Spec{}, o, fmt.Errorf("an audited scenario quiesces each run with a virtual-time drain, which would skew -sweep/-bench-out timings; audit a single run without -bench-out")
+	}
+	if o.traceOut != "" && !spec.Trace.Enabled {
+		return fleet.Spec{}, o, fmt.Errorf("-trace-out needs a scenario with trace enabled")
+	}
+	if o.timelineOut != "" && !spec.Timeline.Enabled {
+		return fleet.Spec{}, o, fmt.Errorf("-timeline-out needs a scenario with timeline enabled")
+	}
+	return spec, o, nil
+}
+
+// run is the whole command: parse, run the scenario (or the sweep), write
+// the requested artifacts. The human-readable report goes to stdout.
+func run(args []string, stdout io.Writer) error {
+	spec, o, err := parseArgs(args)
+	if err != nil {
+		return err
+	}
+	if o.pprofAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(*pprofAt, nil); err != nil {
+			if err := http.ListenAndServe(o.pprofAddr, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "contory-load: pprof:", err)
 			}
 		}()
-		fmt.Fprintln(os.Stderr, "pprof listening on", *pprofAt)
+		fmt.Fprintln(os.Stderr, "pprof listening on", o.pprofAddr)
+	}
+	if o.sweep != nil {
+		return runSweep(stdout, spec, o)
 	}
 
-	specFor := func(n int) fleet.Spec {
-		spec := fleet.Spec{
-			Name:            fmt.Sprintf("load-%d", n),
-			Phones:          n,
-			Seed:            *seed,
-			Duration:        *duration,
-			AreaMetres:      *area,
-			Lanes:           *lanes,
-			MobilitySpeedMS: *mobility,
-			GPSFraction:     *gpsFrac,
-			Workload:        fleet.Workload{Period: *period},
-			Churn:           fleet.Churn{LeaveJoinPerMin: *leave, LinkFailuresPerMin: *links},
-			Chaos:           fleet.ChaosSpec{Profile: *chaosP, Rate: *chaosR},
-			Trace:           fleet.TraceSpec{Enabled: *traceOn, Sample: *traceSmp},
-			Cache:           fleet.CacheSpec{Enabled: *cacheOn, TTL: *cacheTTL},
-			QoS: fleet.QoSSpec{
-				Enabled: *qosOn, Rate: *qosRate, Burst: *qosBurst,
-				QueueCap: *qosQueue, MaxActive: *qosSlots,
-			},
-			Audit: fleet.AuditSpec{Enabled: *auditOn},
-			Timeline: fleet.TimelineSpec{
-				Enabled:  *tlOn,
-				Interval: *tlEvery,
-				SLOs:     slos,
-			},
-		}
-		if *dupFrac > 0 {
-			// A pure duplicate-heavy fleet: the cleanest cache-on-vs-off
-			// comparison at identical seeds.
-			spec.Workload = fleet.Workload{DupHeavy: *dupFrac, Period: *period}
-		}
-		if *overload > 0 {
-			// A pure overload fleet: the cleanest qos-on-vs-off comparison
-			// at identical seeds (pair with -cache so the QoS plane can
-			// degrade the burst tail to stale-cache answers).
-			spec.Workload = fleet.Workload{Overload: *overload, Period: *period}
-		}
-		if *gpsFrac > 0 {
-			// GPS carriers run the failover-exercising location workload
-			// alongside the default mix.
-			spec.Workload = fleet.Workload{
-				GPSPeriodic:   0.4,
-				LocalPeriodic: 0.2,
-				AdHocPeriodic: 0.1,
-				InfraOneShot:  0.2,
-				Period:        *period,
-			}
-		}
-		return spec
-	}
-
-	if *sweep != "" {
-		if err := runSweep(*sweep, specFor, *workers, *benchOut, *benchGo); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	sum, eng, wall, mem, err := runOne(specFor(*phones), *workers)
+	sum, eng, wall, mem, err := runOne(spec, o.workers)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	printSummary(sum, wall)
+	printSummary(stdout, sum, wall)
 	if sum.Audit != nil && len(sum.Audit.Violations) > 0 {
 		for _, v := range sum.Audit.Violations {
 			fmt.Fprintln(os.Stderr, "contory-load: audit:", v)
 		}
-		fail(fmt.Errorf("audit found %d invariant violations", len(sum.Audit.Violations)))
+		return fmt.Errorf("audit found %d invariant violations", len(sum.Audit.Violations))
 	}
-	if *traceOut != "" {
-		if err := exportTraces(eng, *traceOut, sum.Timeline); err != nil {
-			fail(err)
+	if o.traceOut != "" {
+		data, err := eng.ChromeTrace()
+		if err != nil {
+			return err
 		}
-		fmt.Fprintln(os.Stderr, "chrome trace written to", *traceOut)
+		if err := writeFile(o.traceOut, append(data, '\n')); err != nil {
+			return err
+		}
+		fmt.Fprintln(os.Stderr, "chrome trace written to", o.traceOut)
 	}
-	if *tlOut != "" {
-		if sum.Timeline == nil {
-			fail(fmt.Errorf("run recorded no timeline"))
-		}
+	if o.timelineOut != "" {
 		js, err := json.MarshalIndent(sum.Timeline, "", "  ")
 		if err != nil {
-			fail(err)
+			return err
 		}
-		if err := writeFile(*tlOut, append(js, '\n')); err != nil {
-			fail(err)
+		if err := writeFile(o.timelineOut, append(js, '\n')); err != nil {
+			return err
 		}
-		fmt.Fprintln(os.Stderr, "timeline report written to", *tlOut)
+		fmt.Fprintln(os.Stderr, "timeline report written to", o.timelineOut)
 	}
-	if *stats {
+	if o.stats || o.statsOut != "" {
 		js, err := sum.JSON()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println(string(js))
-	}
-	if *statsOut != "" {
-		js, err := sum.JSON()
-		if err != nil {
-			fail(err)
+		if o.stats {
+			fmt.Fprintln(stdout, string(js))
 		}
-		if err := writeFile(*statsOut, append(js, '\n')); err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(os.Stderr, "fleet summary written to", *statsOut)
-	}
-	if *benchOut != "" || *benchGo != "" {
-		entry := benchEntry(sum, wall, mem)
-		if *benchOut != "" {
-			data, err := json.MarshalIndent(benchDoc{Bench: "fleet", Runs: []benchRun{entry}}, "", "  ")
-			if err != nil {
-				fail(err)
+		if o.statsOut != "" {
+			if err := writeFile(o.statsOut, append(js, '\n')); err != nil {
+				return err
 			}
-			if err := writeFile(*benchOut, append(data, '\n')); err != nil {
-				fail(err)
-			}
-			fmt.Fprintln(os.Stderr, "bench timings written to", *benchOut)
-		}
-		if *benchGo != "" {
-			if err := appendFile(*benchGo, []byte(benchGoLine(entry))); err != nil {
-				fail(err)
-			}
+			fmt.Fprintln(os.Stderr, "fleet summary written to", o.statsOut)
 		}
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "contory-load:", err)
-	os.Exit(1)
-}
-
-// validateFlags rejects flag values that would otherwise surface as a
-// confusing engine panic or an instantly-finished run. -workers keeps 0 as
-// its documented "use GOMAXPROCS" sentinel; only negatives are refused.
-func validateFlags(phones int, duration time.Duration, workers int, qosRate, overload float64, audit bool, sweep, benchOut string, timelineOn bool, timelineInterval time.Duration) error {
-	if phones <= 0 {
-		return fmt.Errorf("-phones must be positive, got %d", phones)
-	}
-	if duration <= 0 {
-		return fmt.Errorf("-duration must be positive, got %s", duration)
-	}
-	if workers < 0 {
-		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", workers)
-	}
-	if qosRate < 0 {
-		return fmt.Errorf("-qos-rate must be >= 0 (0 = default), got %g", qosRate)
-	}
-	if overload < 0 || overload > 1 {
-		return fmt.Errorf("-overload must be a fraction in [0, 1], got %g", overload)
-	}
-	if audit && (sweep != "" || benchOut != "") {
-		return fmt.Errorf("-audit quiesces each run with a virtual-time drain, which would skew -sweep/-bench-out timings; audit a single run without -bench-out")
-	}
-	if timelineOn && timelineInterval <= 0 {
-		return fmt.Errorf("-timeline-interval must be positive, got %s", timelineInterval)
-	}
-	return nil
+	return writeBench(benchDoc{Bench: "fleet", Runs: []benchRun{benchEntry(sum, wall, mem)}}, o)
 }
 
 // benchMem is the allocation profile of one run, measured by
@@ -295,31 +235,11 @@ func runOne(spec fleet.Spec, workers int) (fleet.Summary, *fleet.Engine, time.Du
 	return sum, e, wall, mem, nil
 }
 
-// exportTraces writes the engine's retained traces as Chrome trace-event
-// JSON (chrome://tracing / Perfetto format). With the flight recorder on,
-// its derived series and alerts ride along as counter tracks and instant
-// markers under a "timeline" pseudo-process, aligned with the span rows.
-func exportTraces(e *fleet.Engine, path string, rep *timeline.Report) error {
-	tr := e.World().Tracer()
-	if tr == nil {
-		return fmt.Errorf("run was not traced (pass -trace)")
-	}
-	var extras tracing.ChromeExtras
-	if rep != nil {
-		extras = timeline.ChromeExtras(*rep)
-	}
-	data, err := tracing.ChromeJSONWithExtras(tr.Store().Traces(), extras)
-	if err != nil {
-		return err
-	}
-	return writeFile(path, append(data, '\n'))
-}
-
 // printSummary renders the human-readable report.
-func printSummary(s fleet.Summary, wall time.Duration) {
-	fmt.Printf("fleet %s: %d phones, %d lanes, %.0fs virtual in %s wall\n",
+func printSummary(w io.Writer, s fleet.Summary, wall time.Duration) {
+	fmt.Fprintf(w, "fleet %s: %d phones, %d lanes, %.0fs virtual in %s wall\n",
 		s.Name, s.Phones, s.Lanes, s.VirtualSeconds, wall.Round(time.Millisecond))
-	fmt.Printf("  queries   %d submitted (%.2f/s virtual), %d items delivered, %d failovers, %d expired, %d rejected\n",
+	fmt.Fprintf(w, "  queries   %d submitted (%.2f/s virtual), %d items delivered, %d failovers, %d expired, %d rejected\n",
 		s.QueriesSubmitted, s.QueriesPerSec, s.ItemsDelivered, s.Failovers, s.Expired, s.Rejected)
 	mechs := make([]string, 0, len(s.Latency))
 	for m := range s.Latency {
@@ -328,7 +248,7 @@ func printSummary(s fleet.Summary, wall time.Duration) {
 	sort.Strings(mechs)
 	for _, m := range mechs {
 		l := s.Latency[m]
-		fmt.Printf("  latency   %-13s p50 %.1f ms  p90 %.1f ms  p99 %.1f ms  max %.1f ms  (n=%d)\n",
+		fmt.Fprintf(w, "  latency   %-13s p50 %.1f ms  p90 %.1f ms  p99 %.1f ms  max %.1f ms  (n=%d)\n",
 			m, l.P50, l.P90, l.P99, l.Max, l.Count)
 	}
 	media := make([]string, 0, len(s.Frames))
@@ -338,7 +258,7 @@ func printSummary(s fleet.Summary, wall time.Duration) {
 	sort.Strings(media)
 	for _, m := range media {
 		f := s.Frames[m]
-		fmt.Printf("  frames    %-6s sent %d delivered %d dropped %d\n", m, f.Sent, f.Delivered, f.Dropped)
+		fmt.Fprintf(w, "  frames    %-6s sent %d delivered %d dropped %d\n", m, f.Sent, f.Delivered, f.Dropped)
 	}
 	classes := make([]string, 0, len(s.Energy))
 	for c := range s.Energy {
@@ -347,37 +267,37 @@ func printSummary(s fleet.Summary, wall time.Duration) {
 	sort.Strings(classes)
 	for _, c := range classes {
 		e := s.Energy[c]
-		fmt.Printf("  energy    %-10s %d phones, %.2f J mean\n", c, e.Phones, e.MeanJoules)
+		fmt.Fprintf(w, "  energy    %-10s %d phones, %.2f J mean\n", c, e.Phones, e.MeanJoules)
 	}
 	if s.CacheMux != nil {
 		c := s.CacheMux
-		fmt.Printf("  cache     %d hits / %d misses (ratio %.2f), %d refreshes, %d promotions\n",
+		fmt.Fprintf(w, "  cache     %d hits / %d misses (ratio %.2f), %d refreshes, %d promotions\n",
 			c.Hits, c.Misses, c.HitRatio, c.Refreshes, c.Promotions)
-		fmt.Printf("  mux       %d attached, %d detached, %d shared streams\n",
+		fmt.Fprintf(w, "  mux       %d attached, %d detached, %d shared streams\n",
 			c.MuxAttached, c.MuxDetached, c.SharedStreams)
 	}
 	if s.QoS != nil {
 		q := s.QoS
-		fmt.Printf("  qos       %d admitted, %d deferred (%d released), %d degraded, %d rejected, %d shed; p99 first item %.1f ms\n",
+		fmt.Fprintf(w, "  qos       %d admitted, %d deferred (%d released), %d degraded, %d rejected, %d shed; p99 first item %.1f ms\n",
 			q.Admitted, q.Deferred, q.Released, q.Degraded, q.Rejected, q.Shed, q.P99FirstItemMs)
 	}
 	if s.Audit != nil {
-		fmt.Printf("  audit     %d queries tracked, %d checks, %d timers live, %d violations\n",
+		fmt.Fprintf(w, "  audit     %d queries tracked, %d checks, %d timers live, %d violations\n",
 			s.Audit.Queries, s.Audit.Checks, s.Audit.LiveTimers, len(s.Audit.Violations))
 	}
 	if s.Chaos != nil {
-		fmt.Printf("  chaos     %s profile: %d faults injected, %d/%d switches attributed (%d unattributed)\n",
+		fmt.Fprintf(w, "  chaos     %s profile: %d faults injected, %d/%d switches attributed (%d unattributed)\n",
 			s.Chaos.Profile, s.Chaos.Faults, s.Chaos.Attributed, s.Chaos.Switches, s.Chaos.Unattributed)
 	}
 	if s.Trace != nil {
-		fmt.Printf("  tracing   %d traces started, %d retained (%d spans), %d sampled out, %d/%d traces/spans dropped\n",
+		fmt.Fprintf(w, "  tracing   %d traces started, %d retained (%d spans), %d sampled out, %d/%d traces/spans dropped\n",
 			s.Trace.Started, s.Trace.Retained, s.Trace.Spans, s.Trace.SampledOut,
 			s.Trace.DroppedTraces, s.Trace.DroppedSpans)
 	}
 	if s.Timeline != nil {
-		fmt.Printf("  %s\n", timeline.Describe(*s.Timeline))
+		fmt.Fprintf(w, "  %s\n", timeline.Describe(*s.Timeline))
 	}
-	fmt.Printf("  executor  %d events in %d batches, %d lane groups, %d barriers\n",
+	fmt.Fprintf(w, "  executor  %d events in %d batches, %d lane groups, %d barriers\n",
 		s.Events, s.Batches, s.Groups, s.Barriers)
 }
 
@@ -433,43 +353,42 @@ func benchGoLine(r benchRun) string {
 
 // runSweep runs the scenario at each population size and reports how
 // wall-clock scales with fleet size.
-func runSweep(list string, specFor func(int) fleet.Spec, workers int, benchOut, benchGo string) error {
-	var counts []int
-	for _, part := range strings.Split(list, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad -sweep entry %q", part)
-		}
-		counts = append(counts, n)
-	}
+func runSweep(stdout io.Writer, spec fleet.Spec, o options) error {
 	doc := benchDoc{Bench: "fleet"}
-	for _, n := range counts {
-		sum, _, wall, mem, err := runOne(specFor(n), workers)
+	for _, n := range o.sweep {
+		spec.Phones = n
+		sum, _, wall, mem, err := runOne(spec, o.workers)
 		if err != nil {
 			return fmt.Errorf("sweep %d phones: %w", n, err)
 		}
-		printSummary(sum, wall)
+		printSummary(stdout, sum, wall)
 		doc.Runs = append(doc.Runs, benchEntry(sum, wall, mem))
 	}
-	if benchOut != "" {
+	return writeBench(doc, o)
+}
+
+// writeBench writes the runs' timings to -bench-out and appends them to
+// -bench-go, whichever are set.
+func writeBench(doc benchDoc, o options) error {
+	if o.benchOut != "" {
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			return err
 		}
-		if err := writeFile(benchOut, append(data, '\n')); err != nil {
+		if err := writeFile(o.benchOut, append(data, '\n')); err != nil {
 			return err
 		}
-		fmt.Fprintln(os.Stderr, "bench timings written to", benchOut)
+		fmt.Fprintln(os.Stderr, "bench timings written to", o.benchOut)
 	}
-	if benchGo != "" {
+	if o.benchGo != "" {
 		var lines []byte
 		for _, r := range doc.Runs {
 			lines = append(lines, benchGoLine(r)...)
 		}
-		if err := appendFile(benchGo, lines); err != nil {
+		if err := appendFile(o.benchGo, lines); err != nil {
 			return err
 		}
-		fmt.Fprintln(os.Stderr, "benchstat lines appended to", benchGo)
+		fmt.Fprintln(os.Stderr, "benchstat lines appended to", o.benchGo)
 	}
 	return nil
 }

@@ -95,7 +95,7 @@ type Profile struct {
 	PartitionFraction float64       // fraction of targets split off (default 0.1)
 }
 
-// Scale multiplies every per-kind rate by r (the -chaos-rate sweep knob).
+// Scale multiplies every per-kind rate by r (fleet.ChaosSpec.Rate).
 func (p Profile) Scale(r float64) Profile {
 	if r < 0 {
 		r = 0
@@ -112,8 +112,8 @@ func (p Profile) Scale(r float64) Profile {
 	return p
 }
 
-// Profiles are the named chaos profiles accepted by fleet.ChaosSpec and the
-// -chaos flag of contory-load.
+// Profiles are the named chaos profiles accepted by fleet.ChaosSpec (a
+// scenario file's "chaos": {"profile": ...}).
 var Profiles = map[string]Profile{
 	"flap":      {LinkFlapPerMin: 4},
 	"partition": {PartitionPerMin: 0.5},

@@ -1188,6 +1188,9 @@ func (f *Factory) Close() {
 		ids = append(ids, id)
 	}
 	f.mu.Unlock()
+	// Cancel in a fixed order: with QoS on, finishing a live query can hand
+	// its slot to a parked one, so map order would change the counts.
+	sort.Strings(ids)
 	for _, id := range ids {
 		f.finishQuery(id, metrics.EventCancelled)
 	}

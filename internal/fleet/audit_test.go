@@ -1,39 +1,20 @@
 package fleet
 
 import (
-	"bytes"
-	"runtime"
 	"testing"
-	"time"
 
 	"contory"
 )
 
-// auditSpec is the audit-smoke scenario: chaos faults, the QoS plane and
-// the answer cache all on at once, so the auditor sees every disposition a
-// query can take (live, cache, deferred, degraded, shed, failed over).
-func auditSpec() Spec {
-	return Spec{
-		Name: "audit-smoke", Phones: 60, Seed: 19, Duration: 2 * time.Minute,
-		Lanes: 16, GPSFraction: 0.3, PublisherFraction: 0.4,
-		Workload: Workload{
-			LocalPeriodic: 0.15, AdHocPeriodic: 0.15, InfraOneShot: 0.15,
-			GPSPeriodic: 0.15, DupHeavy: 0.15, Overload: 0.15,
-			Period: 30 * time.Second,
-		},
-		Chaos: ChaosSpec{Profile: "mixed", Rate: 1},
-		Cache: CacheSpec{Enabled: true},
-		QoS:   QoSSpec{Enabled: true},
-		Audit: AuditSpec{Enabled: true},
-	}
-}
-
-// TestFleetNoLeaks is the conservation sweep after a chaos+qos+cache run:
-// every facade holds zero providers, the QoS controller holds zero slots
-// and zero parked queries, and no query timer is still armed. The run must
+// TestFleetNoLeaks is the conservation sweep after the
+// audit-dispositions run, where chaos faults, the QoS plane and the answer
+// cache are all on at once so the auditor sees every disposition a query
+// can take (live, cache, deferred, degraded, shed, failed over): every
+// facade holds zero providers, the QoS controller holds zero slots and
+// zero parked queries, and no query timer is still armed. The run must
 // have actually been audited (checks > 0) and audited clean.
 func TestFleetNoLeaks(t *testing.T) {
-	e, err := New(auditSpec())
+	e, err := New(loadScenario(t, "audit-dispositions"))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -79,22 +60,5 @@ func TestFleetNoLeaks(t *testing.T) {
 	}
 	if len(sum.Audit.Violations) != 0 {
 		t.Errorf("summary reports %d violations", len(sum.Audit.Violations))
-	}
-}
-
-// TestFleetAuditDeterministicAcrossWorkers pins the auditor into the
-// engine's core contract: an audited chaos+qos+cache run produces
-// byte-identical summaries — audit report included — at workers=1 and
-// workers=8.
-func TestFleetAuditDeterministicAcrossWorkers(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	runtime.GOMAXPROCS(1)
-	serial := run(t, auditSpec(), 1)
-	runtime.GOMAXPROCS(8)
-	parallel := run(t, auditSpec(), 8)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("audited summary differs between workers=1 and workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			firstDiff(serial, parallel), firstDiff(parallel, serial))
 	}
 }

@@ -1,57 +1,22 @@
 package fleet
 
 import (
-	"bytes"
 	"testing"
 	"time"
 )
 
-// dupHeavySpec is the shared-provisioning-plane scenario: most of the fleet
-// runs duplicate bursts of identical cacheable extInfra queries, so with the
-// cache on almost all of that traffic should be absorbed on-device.
-func dupHeavySpec(cacheOn bool) Spec {
-	return Spec{
-		Name: "dup-heavy", Phones: 80, Seed: 11, Duration: 3 * time.Minute,
-		Lanes:    16,
-		Workload: Workload{DupHeavy: 0.6, LocalPeriodic: 0.2, Period: 30 * time.Second},
-		Cache:    CacheSpec{Enabled: cacheOn},
-	}
-}
-
-// runSummary builds and runs one engine, returning the structured summary.
-func runSummary(t *testing.T, spec Spec, workers int) Summary {
-	t.Helper()
-	e, err := New(spec)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	sum, err := e.Run(workers)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return sum
-}
-
-// TestFleetCacheDeterministicAcrossWorkers extends the engine's determinism
-// contract to the answer cache and the stream multiplexer: a cache-enabled
-// duplicate-heavy run produces byte-identical summaries at 1 and 8 workers.
-func TestFleetCacheDeterministicAcrossWorkers(t *testing.T) {
-	spec := dupHeavySpec(true)
-	a := run(t, spec, 1)
-	b := run(t, spec, 8)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("cache summary differs between workers=1 and workers=8:\n%s", firstDiff(a, b))
-	}
-}
-
 // TestFleetCacheReducesRadioAndEnergy is the acceptance run for the shared
-// provisioning plane: at identical seeds, enabling the answer cache on a
-// duplicate-heavy fleet must absorb query traffic (nonzero hit ratio,
-// multiplexed duplicates), send strictly fewer UMTS frames and drain
-// strictly less energy — without delivering fewer answers.
+// provisioning plane on the dup-heavy scenario, where most of the fleet
+// runs duplicate bursts of identical cacheable extInfra queries: at
+// identical seeds, enabling the answer cache must absorb query traffic
+// (nonzero hit ratio, multiplexed duplicates), send strictly fewer UMTS
+// frames and drain strictly less energy — without delivering fewer
+// answers.
 func TestFleetCacheReducesRadioAndEnergy(t *testing.T) {
-	off := runSummary(t, dupHeavySpec(false), 4)
-	on := runSummary(t, dupHeavySpec(true), 4)
+	spec := loadScenario(t, "dup-heavy")
+	on, _, _ := runSpec(t, spec, 4)
+	spec.Cache.Enabled = false
+	off, _, _ := runSpec(t, spec, 4)
 
 	if on.CacheMux == nil {
 		t.Fatal("cache-enabled summary lacks the cache/mux report")

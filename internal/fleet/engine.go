@@ -90,10 +90,10 @@ type Engine struct {
 // drawn from Spec.Seed in a fixed order, so the same Spec always builds the
 // same fleet.
 func New(spec Spec) (*Engine, error) {
-	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
+	spec = spec.withDefaults()
 	wcfg := contory.WorldConfig{Seed: spec.Seed, Lanes: spec.Lanes}
 	if spec.Cache.Enabled {
 		wcfg.FactoryOptions = []contory.Option{
@@ -533,6 +533,23 @@ func (e *Engine) installChaos() {
 		}
 		rec.SetFaults(spans)
 	}
+}
+
+// ChromeTrace renders the run's retained span trees as Chrome trace-event
+// JSON (chrome://tracing and Perfetto read it). With the flight recorder on,
+// its derived series and alerts ride along as counter tracks and instant
+// markers under a "timeline" pseudo-process, aligned with the span rows.
+// Call it after Run; a spec without tracing has nothing to export.
+func (e *Engine) ChromeTrace() ([]byte, error) {
+	tr := e.w.Tracer()
+	if tr == nil {
+		return nil, fmt.Errorf("fleet: scenario %q is not traced", e.spec.Name)
+	}
+	var extras tracing.ChromeExtras
+	if rec := e.w.Timeline(); rec != nil {
+		extras = timeline.ChromeExtras(rec.Report())
+	}
+	return tracing.ChromeJSONWithExtras(tr.Store().Traces(), extras)
 }
 
 // Injector returns the run's fault injector (nil without a chaos profile).

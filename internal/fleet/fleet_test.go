@@ -3,75 +3,114 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
-	"contory/internal/tracing"
+	"contory/internal/timeline"
 )
 
-// run builds a fresh engine from spec and runs it with the given worker
-// count, returning the summary JSON bytes.
-func run(t *testing.T, spec Spec, workers int) []byte {
+// scenarioDir holds the checked-in scenario files, relative to this
+// package.
+const scenarioDir = "../../testdata/scenarios"
+
+// loadScenario parses the checked-in scenario file name.json.
+func loadScenario(t testing.TB, name string) Spec {
 	t.Helper()
+	data, err := os.ReadFile(filepath.Join(scenarioDir, name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseSpec(data)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return spec
+}
+
+// runSpec builds spec, runs it with workers workers at GOMAXPROCS=workers
+// and returns the summary, its JSON and, for a traced spec, the Chrome
+// export.
+func runSpec(t *testing.T, spec Spec, workers int) (sum Summary, js, trace []byte) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	e, err := New(spec)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	sum, err := e.Run(workers)
-	if err != nil {
+	if sum, err = e.Run(workers); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	js, err := sum.JSON()
-	if err != nil {
+	if js, err = sum.JSON(); err != nil {
 		t.Fatalf("JSON: %v", err)
 	}
-	return js
+	if spec.Trace.Enabled {
+		if trace, err = e.ChromeTrace(); err != nil {
+			t.Fatalf("ChromeTrace: %v", err)
+		}
+	}
+	return sum, js, trace
 }
 
-// TestFleetDeterministicAcrossWorkers is the engine's core contract: the
-// same spec produces byte-identical summaries (including the embedded
-// metrics snapshot) whether the run drains events on one worker or eight,
-// and at GOMAXPROCS 1 or 8.
-func TestFleetDeterministicAcrossWorkers(t *testing.T) {
-	specs := []Spec{
-		{
-			Name: "calm", Phones: 60, Seed: 7, Duration: 2 * time.Minute,
-			Lanes: 16,
-		},
-		{
-			Name: "mobile-churn", Phones: 80, Seed: 42, Duration: 2 * time.Minute,
-			Lanes: 32, MobilitySpeedMS: 1.5,
-			Churn: Churn{LeaveJoinPerMin: 0.05, LinkFailuresPerMin: 3},
-		},
-		{
-			Name: "infra-heavy", Phones: 50, Seed: 1234, Duration: 90 * time.Second,
-			Lanes: 8,
-			Workload: Workload{
-				InfraOneShot: 0.5, LocalEvent: 0.2, AdHocPeriodic: 0.1,
-				Period: 20 * time.Second,
-			},
-			Radio: RadioMix{Dual: 0.5, WiFiOnly: 0.2, UMTSOnly: 0.3},
-		},
-		{
-			Name: "chaos-mixed", Phones: 60, Seed: 11, Duration: 3 * time.Minute,
-			Lanes: 16, GPSFraction: 0.5, PublisherFraction: 0.4,
-			Workload: Workload{GPSPeriodic: 0.5, LocalPeriodic: 0.2, InfraOneShot: 0.2},
-			Chaos:    ChaosSpec{Profile: "mixed", Rate: 2},
-		},
+// TestScenarios is the engine's determinism and robustness matrix over
+// every checked-in scenario file. Each runs at its own seed and the next
+// two, and at every seed:
+//   - the summary JSON is byte-identical at workers=1/GOMAXPROCS=1 and
+//     workers=8/GOMAXPROCS=8;
+//   - a traced scenario's Chrome export (timeline tracks included) is
+//     byte-identical too;
+//   - an audited scenario made checks and found no violation;
+//   - a scenario with the flight recorder on recorded a window per
+//     interval, and at least one window saw queries.
+func TestScenarios(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join(scenarioDir, "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no scenario files in %s (%v)", scenarioDir, err)
 	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, spec := range specs {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			runtime.GOMAXPROCS(1)
-			serial := run(t, spec, 1)
-			runtime.GOMAXPROCS(8)
-			parallel := run(t, spec, 8)
-			if !bytes.Equal(serial, parallel) {
-				t.Fatalf("summary differs between workers=1/GOMAXPROCS=1 and workers=8/GOMAXPROCS=8:\n--- serial ---\n%s\n--- parallel ---\n%s",
-					firstDiff(serial, parallel), firstDiff(parallel, serial))
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		t.Run(name, func(t *testing.T) {
+			base := loadScenario(t, name)
+			for k := int64(0); k < 3; k++ {
+				spec := base
+				spec.Seed += k
+				t.Run(fmt.Sprintf("seed=%d", spec.Seed), func(t *testing.T) {
+					sum, serial, serialTrace := runSpec(t, spec, 1)
+					_, parallel, parallelTrace := runSpec(t, spec, 8)
+					if !bytes.Equal(serial, parallel) {
+						t.Fatalf("summary differs between workers=1/GOMAXPROCS=1 and workers=8/GOMAXPROCS=8:\n--- serial ---\n%s\n--- parallel ---\n%s",
+							firstDiff(serial, parallel), firstDiff(parallel, serial))
+					}
+					if !bytes.Equal(serialTrace, parallelTrace) {
+						t.Fatalf("Chrome export differs between workers=1 and workers=8:\n%s",
+							firstDiff(serialTrace, parallelTrace))
+					}
+					if spec.Audit.Enabled {
+						if sum.Audit.Checks == 0 {
+							t.Error("audited run made zero checks: taps are not wired")
+						}
+						for _, v := range sum.Audit.Violations {
+							t.Errorf("violation: %s", v)
+						}
+					}
+					if rep := sum.Timeline; rep != nil {
+						if want := int(spec.Duration / rep.Interval); rep.WindowsTotal < want {
+							t.Errorf("timeline recorded %d windows, want >= %d", rep.WindowsTotal, want)
+						}
+						active := false
+						for _, w := range rep.Windows {
+							active = active || w.Derived.QueriesSubmitted > 0
+						}
+						if !active {
+							t.Error("no timeline window recorded query activity")
+						}
+					}
+				})
 			}
 		})
 	}
@@ -143,8 +182,8 @@ func TestFleetSmoke(t *testing.T) {
 // TestFleetSameSeedSameBytes runs the identical spec twice end to end.
 func TestFleetSameSeedSameBytes(t *testing.T) {
 	spec := Spec{Name: "twin", Phones: 30, Seed: 99, Duration: time.Minute}
-	a := run(t, spec, 4)
-	b := run(t, spec, 4)
+	_, a, _ := runSpec(t, spec, 4)
+	_, b, _ := runSpec(t, spec, 4)
 	if !bytes.Equal(a, b) {
 		t.Fatal("same seed produced different summaries")
 	}
@@ -152,24 +191,19 @@ func TestFleetSameSeedSameBytes(t *testing.T) {
 
 // TestFleetSeedChangesRun guards against the seed being ignored.
 func TestFleetSeedChangesRun(t *testing.T) {
-	a := run(t, Spec{Phones: 30, Seed: 1, Duration: time.Minute}, 4)
-	b := run(t, Spec{Phones: 30, Seed: 2, Duration: time.Minute}, 4)
+	_, a, _ := runSpec(t, Spec{Phones: 30, Seed: 1, Duration: time.Minute}, 4)
+	_, b, _ := runSpec(t, Spec{Phones: 30, Seed: 2, Duration: time.Minute}, 4)
 	if bytes.Equal(a, b) {
 		t.Fatal("different seeds produced identical summaries")
 	}
 }
 
 // TestFleetChaos is the acceptance run for fault injection: a seeded chaos
-// fleet must inject faults, trigger failovers, attribute every one of them
-// to an injected fault, and stay byte-identical across worker counts.
+// fleet must inject faults, trigger failovers and attribute every one of
+// them to an injected fault. TestScenarios/chaos-gps checks that the same
+// scenario stays byte-identical across worker counts.
 func TestFleetChaos(t *testing.T) {
-	spec := Spec{
-		Name: "chaos", Phones: 60, Seed: 7, Duration: 4 * time.Minute,
-		Lanes: 16, GPSFraction: 0.5, PublisherFraction: 0.4,
-		Workload: Workload{GPSPeriodic: 0.5, LocalPeriodic: 0.2, InfraOneShot: 0.2},
-		Chaos:    ChaosSpec{Profile: "gps", Rate: 2},
-	}
-	e, err := New(spec)
+	e, err := New(loadScenario(t, "chaos-gps"))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -196,50 +230,15 @@ func TestFleetChaos(t *testing.T) {
 	if sum.ItemsDelivered == 0 {
 		t.Fatal("no items delivered under chaos")
 	}
-
-	// Byte-identity across worker counts, chaos included.
-	a := run(t, spec, 1)
-	b := run(t, spec, 8)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("chaos summary differs between workers=1 and workers=8:\n%s", firstDiff(a, b))
-	}
 }
 
-// TestFleetTraceDeterministicExport is the tracing acceptance run: a traced
-// chaos fleet must retain span trees, report attribution in its summary, and
-// export byte-identical Chrome trace-event JSON at 1 and 8 workers.
+// TestFleetTraceDeterministicExport is the tracing acceptance run on the
+// trace scenario: a traced chaos fleet must retain span trees, report
+// attribution in its summary, and export Chrome trace-event JSON whose
+// spans all find their parents. TestScenarios/trace checks that the export
+// is byte-identical at 1 and 8 workers.
 func TestFleetTraceDeterministicExport(t *testing.T) {
-	spec := Spec{
-		Name: "traced", Phones: 60, Seed: 7, Duration: 2 * time.Minute,
-		Lanes: 16, GPSFraction: 0.3, PublisherFraction: 0.4,
-		Workload: Workload{GPSPeriodic: 0.3, LocalPeriodic: 0.2, AdHocPeriodic: 0.2, InfraOneShot: 0.2},
-		Chaos:    ChaosSpec{Profile: "mixed"},
-		Trace:    TraceSpec{Enabled: true},
-	}
-	export := func(workers int) ([]byte, Summary) {
-		e, err := New(spec)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		sum, err := e.Run(workers)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		tr := e.World().Tracer()
-		if tr == nil {
-			t.Fatal("traced spec built no tracer")
-		}
-		data, err := tracing.ChromeJSON(tr.Store().Traces())
-		if err != nil {
-			t.Fatalf("ChromeJSON: %v", err)
-		}
-		return data, sum
-	}
-	a, sum := export(1)
-	b, _ := export(8)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("Chrome export differs between workers=1 and workers=8:\n%s", firstDiff(a, b))
-	}
+	sum, _, a := runSpec(t, loadScenario(t, "trace"), 4)
 	if sum.Trace == nil {
 		t.Fatal("summary lacks trace attribution report")
 	}
@@ -301,60 +300,177 @@ func TestFleetUntracedHasNoTraceReport(t *testing.T) {
 	if e.World().Tracer() != nil {
 		t.Fatal("untraced spec built a tracer")
 	}
+	if _, err := e.ChromeTrace(); err == nil {
+		t.Fatal("untraced run exported a Chrome trace")
+	}
 }
 
+// TestParseSpec pins the scenario-file format: Spec's JSON field names,
+// durations as Go duration strings and SLOs in timeline.SLO's JSON form,
+// with everything else refused by an error that names the problem.
+func TestParseSpec(t *testing.T) {
+	got, err := ParseSpec([]byte(`{
+		"name": "x", "phones": 3, "duration": "1m30s",
+		"workload": {"overload": 1, "period": "20s"},
+		"timeline": {"enabled": true, "slos": [{"metric": "p99_first_item_ms", "op": "<", "threshold": 5}]}
+	}`))
+	if err != nil {
+		t.Fatalf("ParseSpec: %v", err)
+	}
+	want := Spec{
+		Name: "x", Phones: 3, Duration: 90 * time.Second,
+		Workload: Workload{Overload: 1, Period: 20 * time.Second},
+		Timeline: TimelineSpec{Enabled: true, SLOs: []timeline.SLO{
+			{Metric: timeline.MetricP99FirstItemMs, Op: "<", Threshold: 5},
+		}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParseSpec:\n got %+v\nwant %+v", got, want)
+	}
+	for _, tc := range []struct{ name, in, want string }{
+		{"unknown field", `{"phone": 3}`, `spec: unknown field "phone"`},
+		{"miscased field", `{"Phones": 3}`, `spec: unknown field "Phones"`},
+		{"nested unknown field", `{"workload": {"periods": "1s"}}`, `spec.workload: unknown field "periods"`},
+		{"unknown slo field", `{"timeline": {"slos": [{"metrc": "x"}]}}`, `spec.timeline.slos[0]: unknown field "metrc"`},
+		{"bad duration", `{"duration": "3 minutes"}`, `spec.duration: time: unknown unit`},
+		{"duration as number", `{"duration": 180}`, `spec.duration: want a duration string`},
+		{"wrong type", `{"phones": "3"}`, `Spec.phones of type int`},
+		{"trailing data", `{"phones": 3} {"phones": 4}`, `trailing data`},
+		{"not json", `phones: 3`, `invalid character`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseSpec([]byte(tc.in))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ParseSpec(%s) = %v, want an error containing %q", tc.in, err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzFleetSpec feeds scenario files through the whole engine: every input
+// must be refused by ParseSpec or New, or run audited to completion with
+// the same summary at one worker and four and no audit violation. The
+// seed corpus is the checked-in scenarios. Inputs too costly for one fuzz
+// iteration are skipped: over 40 phones or 2 minutes, a sub-second period,
+// tick or interval, or fault and link-failure rates that schedule events
+// by the million.
+func FuzzFleetSpec(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join(scenarioDir, "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	subSecond := func(d time.Duration) bool { return d > 0 && d < time.Second }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		if spec.Phones > 40 || spec.Duration > 2*time.Minute ||
+			subSecond(spec.Workload.Period) || subSecond(spec.MobilityTick) ||
+			subSecond(spec.Timeline.Interval) ||
+			spec.Chaos.Rate > 10 || spec.Churn.LinkFailuresPerMin > 100 {
+			t.Skip("too costly for one fuzz iteration")
+		}
+		spec.Audit.Enabled = true
+		var sums [2][]byte
+		for i, workers := range []int{1, 4} {
+			e, err := New(spec)
+			if err != nil {
+				return
+			}
+			sum, err := e.Run(workers)
+			if err != nil {
+				t.Fatalf("Run(%d): %v", workers, err)
+			}
+			for _, v := range sum.Audit.Violations {
+				t.Errorf("workers=%d: violation: %s", workers, v)
+			}
+			if sums[i], err = sum.JSON(); err != nil {
+				t.Fatalf("JSON: %v", err)
+			}
+		}
+		if !bytes.Equal(sums[0], sums[1]) {
+			t.Fatalf("summary differs between workers=1 and workers=4:\n%s", firstDiff(sums[0], sums[1]))
+		}
+	})
+}
+
+// TestSpecValidation checks that New refuses each malformed spec with an
+// error naming the offending field. A negative knob is refused rather than
+// replaced by its default: only zero selects a default.
 func TestSpecValidation(t *testing.T) {
-	if _, err := New(Spec{Phones: 0, Duration: time.Minute}); err == nil {
-		t.Fatal("Phones=0 accepted")
+	cases := []struct {
+		field string
+		edit  func(*Spec)
+	}{
+		{"phones", func(s *Spec) { s.Phones = 0 }},
+		{"duration", func(s *Spec) { s.Duration = 0 }},
+		{"workload fractions", func(s *Spec) { s.Workload = Workload{LocalPeriodic: 0.9, AdHocPeriodic: 0.9} }},
+		{"churn.leave_join_per_min", func(s *Spec) { s.Churn.LeaveJoinPerMin = 1.5 }},
+		{"unknown chaos profile", func(s *Spec) { s.Chaos.Profile = "no-such-profile" }},
+		{"workload.gps_periodic", func(s *Spec) { s.Workload.GPSPeriodic = 1.5 }},
+		{"timeline.interval", func(s *Spec) { s.Timeline = TimelineSpec{Enabled: true, Interval: -time.Second} }},
+		{"workload.period", func(s *Spec) { s.Workload.Period = -time.Second }},
+		{"cache.ttl", func(s *Spec) { s.Cache = CacheSpec{Enabled: true, TTL: -time.Second} }},
+		{"mobility_tick", func(s *Spec) { s.MobilityTick = -time.Second }},
+		{"churn.fail_duration", func(s *Spec) { s.Churn.FailDuration = -time.Second }},
+		{"chaos.grace", func(s *Spec) { s.Chaos = ChaosSpec{Profile: "mixed", Grace: -time.Second} }},
+		{"chaos.rate", func(s *Spec) { s.Chaos = ChaosSpec{Profile: "mixed", Rate: -1} }},
+		{"churn.link_failures_per_min", func(s *Spec) { s.Churn.LinkFailuresPerMin = -3 }},
+		{"lanes", func(s *Spec) { s.Lanes = -3 }},
+		{"lanes must be <= phones", func(s *Spec) { s.Lanes = 6 }},
+		{"wifi_range_m", func(s *Spec) { s.WiFiRangeM = -3 }},
+		{"bt_range_m", func(s *Spec) { s.BTRangeM = -3 }},
+		{"area_metres", func(s *Spec) { s.AreaMetres = -3 }},
+		{"mobility_speed_ms", func(s *Spec) { s.MobilitySpeedMS = -1 }},
+		{"trace.head_cap", func(s *Spec) { s.Trace = TraceSpec{Enabled: true, HeadCap: -1} }},
+		{"qos.rate", func(s *Spec) { s.QoS = QoSSpec{Enabled: true, Rate: -0.5} }},
+		{"timeline.burn_rate", func(s *Spec) { s.Timeline = TimelineSpec{Enabled: true, BurnRate: -0.5} }},
 	}
-	if _, err := New(Spec{Phones: 5}); err == nil {
-		t.Fatal("Duration=0 accepted")
-	}
-	if _, err := New(Spec{Phones: 5, Duration: time.Minute,
-		Workload: Workload{LocalPeriodic: 0.9, AdHocPeriodic: 0.9}}); err == nil {
-		t.Fatal("overfull workload accepted")
-	}
-	if _, err := New(Spec{Phones: 5, Duration: time.Minute,
-		Churn: Churn{LeaveJoinPerMin: 1.5}}); err == nil {
-		t.Fatal("probability > 1 accepted")
-	}
-	if _, err := New(Spec{Phones: 5, Duration: time.Minute,
-		Chaos: ChaosSpec{Profile: "no-such-profile"}}); err == nil {
-		t.Fatal("unknown chaos profile accepted")
-	}
-	if _, err := New(Spec{Phones: 5, Duration: time.Minute,
-		Workload: Workload{GPSPeriodic: 1.5}}); err == nil {
-		t.Fatal("GPSPeriodic > 1 accepted")
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			spec := Spec{Phones: 5, Duration: time.Minute}
+			tc.edit(&spec)
+			_, err := New(spec)
+			if err == nil {
+				t.Fatal("New accepted the spec")
+			}
+			want, _, _ := strings.Cut(tc.field, " ")
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %q", err, want)
+			}
+		})
 	}
 }
 
-// TestFleetQoS is the acceptance run for the QoS provisioning plane: an
-// overloaded fleet (every phone bursts eight tight-FRESHNESS infrastructure
-// queries that serialize on its single UMTS data channel) must, with QoS
-// enabled, deliver a strictly lower p99 first-item latency for the queries
-// it serves than the same seed without QoS, keep total delivered items
-// within 10%, attribute its dispositions in Summary.QoS, and stay
-// byte-identical across worker counts.
+// TestFleetQoS is the acceptance run for the QoS provisioning plane on the
+// qos-overload scenario: an overloaded fleet (every phone bursts eight
+// tight-FRESHNESS infrastructure queries that serialize on its single UMTS
+// data channel) must, with QoS enabled, deliver a strictly lower p99
+// first-item latency for the queries it serves than the same seed without
+// QoS, keep total delivered items within 10%, and attribute its
+// dispositions in Summary.QoS. The scenario grants two back-to-back tokens
+// and two live slots per phone, so each burst head provisions live, the
+// next query defers briefly and the tail degrades to stale-cache answers;
+// its cache TTL outlives the longest stretch a context type goes without a
+// live fetch under rotation (five periods), or degraded queries would lose
+// their answers and collapse into rejections. TestScenarios/qos-overload
+// checks that the QoS-on run is byte-identical across worker counts.
 func TestFleetQoS(t *testing.T) {
-	base := Spec{
-		Name: "qos-overload", Phones: 24, Seed: 99, Duration: 20 * time.Minute,
-		Lanes:    8,
-		Workload: Workload{Overload: 1.0, Period: 60 * time.Second},
-		Radio:    RadioMix{Dual: 1},
-		// TTL must outlive the longest stretch a context type goes without a
-		// live fetch under rotation (five periods), or degraded queries lose
-		// their stale-cache answers and collapse into rejections.
-		Cache: CacheSpec{Enabled: true, TTL: 8 * 60 * time.Second},
-	}
-	on := base
-	on.Name = "qos-overload-on"
-	// Two back-to-back tokens and two live slots per phone: each burst
-	// head provisions live, the next query defers briefly, and the tail
-	// degrades to stale-cache answers instead of queueing on the radio.
-	on.QoS = QoSSpec{Enabled: true, Rate: 0.5, Burst: 2, QueueCap: 2, MaxActive: 2}
+	on := loadScenario(t, "qos-overload")
+	base := on
+	base.Name = "qos-overload"
+	base.QoS = QoSSpec{}
 
-	off := runSummary(t, base, 4)
-	onSum := runSummary(t, on, 4)
+	off, _, _ := runSpec(t, base, 4)
+	onSum, _, _ := runSpec(t, on, 4)
 
 	if off.QoS != nil {
 		t.Fatalf("QoS-off run has a QoS report: %+v", off.QoS)
@@ -396,12 +512,4 @@ func TestFleetQoS(t *testing.T) {
 			onSum.ItemsDelivered, off.ItemsDelivered)
 	}
 
-	// Determinism: the QoS-enabled summary is byte-identical at one worker
-	// and eight.
-	w1 := run(t, on, 1)
-	w8 := run(t, on, 8)
-	if !bytes.Equal(w1, w8) {
-		t.Fatalf("QoS summary differs between workers=1 and workers=8:\n--- w1 ---\n%s\n--- w8 ---\n%s",
-			firstDiff(w1, w8), firstDiff(w8, w1))
-	}
 }

@@ -12,7 +12,14 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"contory/internal/chaos"
@@ -160,8 +167,8 @@ type TimelineSpec struct {
 	Enabled bool `json:"enabled"`
 	// Interval is the sampling window length (default 10s of virtual time).
 	Interval time.Duration `json:"interval"`
-	// SLOs are the objectives evaluated per window (flag syntax, e.g.
-	// "p99_first_item_ms<5000").
+	// SLOs are the objectives evaluated per window. An SLO without a Name
+	// is named after its objective, e.g. "p99_first_item_ms<5000".
 	SLOs []timeline.SLO `json:"slos,omitempty"`
 	// MaxWindows bounds the retained window ring (default 512).
 	MaxWindows int `json:"max_windows"`
@@ -321,12 +328,81 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
+// validate rejects a spec New cannot run as written. It runs before
+// withDefaults, so a negative knob is refused rather than replaced by its
+// default: zero is the only value that selects a default.
 func (s Spec) validate() error {
 	if s.Phones <= 0 {
-		return fmt.Errorf("fleet: spec needs Phones > 0")
+		return fmt.Errorf("fleet: phones must be > 0, got %d", s.Phones)
 	}
 	if s.Duration <= 0 {
-		return fmt.Errorf("fleet: spec needs Duration > 0")
+		return fmt.Errorf("fleet: duration must be > 0, got %v", s.Duration)
+	}
+	type knob struct {
+		field string
+		v     float64
+	}
+	for _, d := range []struct {
+		field string
+		v     time.Duration
+	}{
+		{"mobility_tick", s.MobilityTick},
+		{"workload.period", s.Workload.Period},
+		{"churn.fail_duration", s.Churn.FailDuration},
+		{"chaos.grace", s.Chaos.Grace},
+		{"cache.ttl", s.Cache.TTL},
+		{"timeline.interval", s.Timeline.Interval},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("fleet: %s must be >= 0, got %v", d.field, d.v)
+		}
+	}
+	for _, k := range []knob{
+		{"area_metres", s.AreaMetres},
+		{"wifi_range_m", s.WiFiRangeM},
+		{"bt_range_m", s.BTRangeM},
+		{"lanes", float64(s.Lanes)},
+		{"mobility_speed_ms", s.MobilitySpeedMS},
+		{"churn.link_failures_per_min", s.Churn.LinkFailuresPerMin},
+		{"chaos.rate", s.Chaos.Rate},
+		{"trace.head_cap", float64(s.Trace.HeadCap)},
+		{"trace.tail_cap", float64(s.Trace.TailCap)},
+		{"qos.rate", s.QoS.Rate},
+		{"qos.burst", float64(s.QoS.Burst)},
+		{"qos.queue_cap", float64(s.QoS.QueueCap)},
+		{"qos.max_active", float64(s.QoS.MaxActive)},
+		{"timeline.max_windows", float64(s.Timeline.MaxWindows)},
+		{"timeline.burn_short", float64(s.Timeline.BurnShort)},
+		{"timeline.burn_long", float64(s.Timeline.BurnLong)},
+		{"timeline.burn_rate", s.Timeline.BurnRate},
+	} {
+		if k.v < 0 {
+			return fmt.Errorf("fleet: %s must be >= 0, got %v", k.field, k.v)
+		}
+	}
+	for _, k := range []knob{
+		{"workload.local_periodic", s.Workload.LocalPeriodic},
+		{"workload.local_event", s.Workload.LocalEvent},
+		{"workload.adhoc_periodic", s.Workload.AdHocPeriodic},
+		{"workload.infra_one_shot", s.Workload.InfraOneShot},
+		{"workload.gps_periodic", s.Workload.GPSPeriodic},
+		{"workload.dup_heavy", s.Workload.DupHeavy},
+		{"workload.overload", s.Workload.Overload},
+		{"publisher_fraction", s.PublisherFraction},
+		{"gps_fraction", s.GPSFraction},
+		{"radio.dual", s.Radio.Dual},
+		{"radio.wifi_only", s.Radio.WiFiOnly},
+		{"radio.umts_only", s.Radio.UMTSOnly},
+		{"churn.leave_join_per_min", s.Churn.LeaveJoinPerMin},
+	} {
+		if k.v < 0 || k.v > 1 {
+			return fmt.Errorf("fleet: %s must be a fraction in [0, 1], got %v", k.field, k.v)
+		}
+	}
+	if s.Lanes > s.Phones {
+		// Lanes are scheduler shards indexed by a hash modulo Lanes: more
+		// lanes than phones only allocates empty shards.
+		return fmt.Errorf("fleet: lanes must be <= phones (%d), got %d", s.Phones, s.Lanes)
 	}
 	wl := s.Workload.LocalPeriodic + s.Workload.LocalEvent + s.Workload.AdHocPeriodic +
 		s.Workload.InfraOneShot + s.Workload.GPSPeriodic + s.Workload.DupHeavy +
@@ -339,28 +415,102 @@ func (s Spec) validate() error {
 			return fmt.Errorf("fleet: unknown chaos profile %q (have %v)", s.Chaos.Profile, chaos.ProfileNames())
 		}
 	}
-	if s.Chaos.Rate < 0 {
-		return fmt.Errorf("fleet: chaos rate %v < 0", s.Chaos.Rate)
-	}
-	if s.QoS.Enabled &&
-		(s.QoS.Rate < 0 || s.QoS.Burst < 0 || s.QoS.QueueCap < 0 || s.QoS.MaxActive < 0) {
-		return fmt.Errorf("fleet: qos parameters must be >= 0 (zero = default)")
-	}
 	if s.Timeline.Enabled {
 		if err := s.Timeline.config().Validate(); err != nil {
 			return fmt.Errorf("fleet: %w", err)
 		}
 	}
-	for _, f := range []float64{s.Workload.LocalPeriodic, s.Workload.LocalEvent,
-		s.Workload.AdHocPeriodic, s.Workload.InfraOneShot, s.Workload.GPSPeriodic,
-		s.Workload.DupHeavy, s.Workload.Overload, s.PublisherFraction, s.GPSFraction,
-		s.Radio.Dual, s.Radio.WiFiOnly, s.Radio.UMTSOnly,
-		s.Churn.LeaveJoinPerMin} {
-		if f < 0 || f > 1 {
-			return fmt.Errorf("fleet: fraction %v out of [0,1]", f)
+	return nil
+}
+
+// ParseSpec decodes one scenario file: a JSON object keyed by Spec's JSON
+// field names, with durations written as Go duration strings ("3m", "30s")
+// and SLOs in timeline.SLO's JSON form. Decoding is strict: an unknown or
+// miscased field, a duration that is not a duration string, and anything
+// after the object are errors that name the problem. Defaults and range
+// checks stay New's job, so New may still refuse a parsed Spec.
+func ParseSpec(data []byte) (Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var tree any
+	if err := dec.Decode(&tree); err != nil {
+		return Spec{}, fmt.Errorf("fleet: spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("fleet: spec: trailing data after the JSON object")
+	}
+	tree, err := normalize(tree, reflect.TypeOf(Spec{}), "spec")
+	if err != nil {
+		return Spec{}, fmt.Errorf("fleet: %w", err)
+	}
+	norm, err := json.Marshal(tree)
+	if err != nil {
+		return Spec{}, fmt.Errorf("fleet: spec: %w", err)
+	}
+	var s Spec
+	if err := json.Unmarshal(norm, &s); err != nil {
+		return Spec{}, fmt.Errorf("fleet: spec: %w", err)
+	}
+	return s, nil
+}
+
+var durationType = reflect.TypeOf(time.Duration(0))
+
+// normalize checks a decoded JSON value against the Go type it will fill
+// and returns the value encoding/json can decode into that type: every
+// object key must be exactly one of the struct's JSON field names, and
+// every duration must be a duration string, which becomes its nanosecond
+// count. Any other mismatch of JSON kind and Go type is left for
+// encoding/json to report.
+func normalize(v any, t reflect.Type, path string) (any, error) {
+	switch {
+	case t == durationType:
+		str, ok := v.(string)
+		if !ok {
+			return nil, fmt.Errorf("%s: want a duration string such as \"30s\", got %v", path, v)
+		}
+		d, err := time.ParseDuration(str)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		return json.Number(strconv.FormatInt(int64(d), 10)), nil
+	case t.Kind() == reflect.Struct:
+		obj, ok := v.(map[string]any)
+		if !ok {
+			return v, nil
+		}
+		fields := make(map[string]reflect.Type, t.NumField())
+		for i := 0; i < t.NumField(); i++ {
+			name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+			fields[name] = t.Field(i).Type
+		}
+		keys := make([]string, 0, len(obj))
+		for k := range obj {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			ft, ok := fields[k]
+			if !ok {
+				return nil, fmt.Errorf("%s: unknown field %q", path, k)
+			}
+			nv, err := normalize(obj[k], ft, path+"."+k)
+			if err != nil {
+				return nil, err
+			}
+			obj[k] = nv
+		}
+	case t.Kind() == reflect.Slice:
+		arr, _ := v.([]any)
+		for i, e := range arr {
+			nv, err := normalize(e, t.Elem(), fmt.Sprintf("%s[%d]", path, i))
+			if err != nil {
+				return nil, err
+			}
+			arr[i] = nv
 		}
 	}
-	return nil
+	return v, nil
 }
 
 // sqrt avoids importing math for one call site.

@@ -1,75 +1,12 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"contory/internal/timeline"
 )
-
-// timelineSpec is a chaos+qos fleet with the flight recorder armed: the
-// mix that exercises every derived series (latency, shed rate, energy) at
-// once.
-func timelineSpec() Spec {
-	return Spec{
-		Name: "timeline", Phones: 50, Seed: 90125, Duration: 2 * time.Minute,
-		Lanes: 16, GPSFraction: 0.4, PublisherFraction: 0.4,
-		Workload: Workload{
-			GPSPeriodic: 0.3, LocalPeriodic: 0.2, InfraOneShot: 0.2, Overload: 0.2,
-			Period: 30 * time.Second,
-		},
-		Chaos: ChaosSpec{Profile: "mixed", Rate: 2},
-		QoS:   QoSSpec{Enabled: true},
-		Timeline: TimelineSpec{
-			Enabled:  true,
-			Interval: 10 * time.Second,
-			SLOs: []timeline.SLO{
-				{Metric: timeline.MetricP99FirstItemMs, Op: "<", Threshold: 5000},
-				{Metric: timeline.MetricShedRate, Op: "<", Threshold: 0.9},
-			},
-		},
-	}
-}
-
-// TestFleetTimelineDeterministicAcrossWorkers pins the flight recorder's
-// determinism contract: the summary — timeline windows, derived series and
-// alert log included — is byte-identical at workers=1/GOMAXPROCS=1 and
-// workers=8/GOMAXPROCS=8.
-func TestFleetTimelineDeterministicAcrossWorkers(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	runtime.GOMAXPROCS(1)
-	serial := run(t, timelineSpec(), 1)
-	runtime.GOMAXPROCS(8)
-	parallel := run(t, timelineSpec(), 8)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("timeline summary differs between workers=1 and workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			firstDiff(serial, parallel), firstDiff(parallel, serial))
-	}
-	// The run must actually record windows, not trivially agree on nothing.
-	var sum struct {
-		Timeline *timeline.Report `json:"timeline"`
-	}
-	if err := json.Unmarshal(serial, &sum); err != nil {
-		t.Fatalf("summary JSON: %v", err)
-	}
-	if sum.Timeline == nil || sum.Timeline.WindowsTotal < 12 {
-		t.Fatalf("timeline missing or too short: %+v", sum.Timeline)
-	}
-	active := 0
-	for _, w := range sum.Timeline.Windows {
-		if w.Derived.QueriesSubmitted > 0 {
-			active++
-		}
-	}
-	if active == 0 {
-		t.Fatalf("no window recorded query activity")
-	}
-}
 
 // TestFleetTimelinePartitionAlertAttribution is the acceptance scenario: a
 // link-partition chaos profile plus an impossible latency objective must
