@@ -48,10 +48,11 @@ load-smoke:
 	$(GO) run -race ./cmd/contory-load -spec testdata/scenarios/load.json -workers 4 -stats-out BENCH_fleet_smoke.json
 
 # perf-smoke compiles and runs the scheduler, spatial-index,
-# energy-integration and NMEA-burst microbenchmarks once each, so a broken
-# hot path fails the gate without paying for full measurement.
+# energy-integration, NMEA-burst and SM-finder-tour microbenchmarks once
+# each, so a broken hot path fails the gate without paying for full
+# measurement.
 perf-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/vclock ./internal/simnet ./internal/energy ./internal/gps
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/vclock ./internal/simnet ./internal/energy ./internal/gps ./internal/sm
 
 # load-bench regenerates BENCH_fleet.json: wall-clock scaling of the fleet
 # engine at 1k/2k/5k phones over ten virtual minutes. With COUNT=n (needs

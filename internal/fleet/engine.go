@@ -11,7 +11,6 @@ import (
 	"contory/internal/cxt"
 	"contory/internal/radio"
 	"contory/internal/refs"
-	"contory/internal/sm"
 	"contory/internal/timeline"
 	"contory/internal/tracing"
 	"contory/internal/vclock"
@@ -472,7 +471,7 @@ func (e *Engine) scheduleChurn() {
 				ph := p
 				e.w.After(at, func() {
 					wifi := ph.Device.WiFi
-					if wifi.Tags().Has(sm.ParticipationTag) {
+					if wifi.Participating() {
 						wifi.Leave()
 					} else {
 						wifi.Join()

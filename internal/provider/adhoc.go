@@ -140,7 +140,7 @@ func (p *AdHocCxtProvider) onBTDevices(devs []simnet.NodeID) {
 	if p.isStopped() {
 		return
 	}
-	q := p.Query()
+	q := p.liveQuery()
 	pendingSDP := 0
 	for _, dev := range devs {
 		dev := dev
@@ -177,7 +177,7 @@ func (p *AdHocCxtProvider) scheduleBT() {
 	if p.isStopped() {
 		return
 	}
-	q := p.Query()
+	q := p.liveQuery()
 	switch q.Mode() {
 	case query.ModeOnDemand:
 		p.collectBT(true)
@@ -193,7 +193,7 @@ func (p *AdHocCxtProvider) collectBT(deliver bool) {
 	if p.isStopped() {
 		return
 	}
-	q := p.Query()
+	q := p.liveQuery()
 	p.mu.Lock()
 	devs := make([]simnet.NodeID, len(p.btDevices))
 	copy(devs, p.btDevices)
@@ -232,7 +232,7 @@ const btRoundGrace = 2 * defaultSensorPoll
 const entityMaxHops = 8
 
 func (p *AdHocCxtProvider) scheduleWiFi() {
-	q := p.Query()
+	q := p.liveQuery()
 	switch q.Mode() {
 	case query.ModeOnDemand:
 		p.track(p.clock.After(0, func() { p.collectWiFi(true, true) }))
@@ -251,7 +251,7 @@ func (p *AdHocCxtProvider) collectWiFi(deliver, finishAfter bool) {
 	if p.isStopped() {
 		return
 	}
-	q := p.Query()
+	q := p.liveQuery()
 	hops := q.From.NumHops
 	if hops < 1 {
 		hops = 1
@@ -333,7 +333,7 @@ func resultItem(q *query.Query, r sm.Result) cxt.Item {
 // deliverItem applies local filters (and the event window for event-based
 // queries) before emitting.
 func (p *AdHocCxtProvider) deliverItem(it cxt.Item, deliver bool) {
-	q := p.Query()
+	q := p.liveQuery()
 	if v, numeric := it.NumericValue(); numeric {
 		p.window.Observe(v)
 	}

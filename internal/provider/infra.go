@@ -80,7 +80,7 @@ func (p *InfraCxtProvider) Start() error {
 	}
 	p.umts.SetGSMRadio(true)
 	p.armDuration()
-	q := p.Query()
+	q := p.liveQuery()
 	switch q.Mode() {
 	case query.ModeOnDemand:
 		p.track(p.clock.After(0, func() { p.request(true, true) }))
@@ -103,7 +103,7 @@ func (p *InfraCxtProvider) Start() error {
 
 // Stop implements Provider, dropping the event subscription if any.
 func (p *InfraCxtProvider) Stop() {
-	q := p.Query()
+	q := p.liveQuery()
 	if q.Mode() == query.ModeEvent {
 		_ = p.umts.Unsubscribe(string(q.Select))
 	}
@@ -131,7 +131,7 @@ func (p *InfraCxtProvider) request(deliver, finishAfter bool) {
 	if p.isStopped() {
 		return
 	}
-	q := p.Query()
+	q := p.liveQuery()
 	sp := p.span.Child("umts.request")
 	sp.SetAttr("op", InfraOpGetItem)
 	p.umts.RequestTraced(InfraOpGetItem, infraQueryFrom(q), 0, sp, func(v any, err error) {
@@ -168,7 +168,7 @@ func (p *InfraCxtProvider) onNotification(n fuego.Notification) {
 	if !ok {
 		return
 	}
-	q := p.Query()
+	q := p.liveQuery()
 	if v, numeric := it.NumericValue(); numeric {
 		p.window.Observe(v)
 	}

@@ -77,7 +77,7 @@ func (p *LocalCxtProvider) Start() error {
 		return ErrStopped
 	}
 	p.armDuration()
-	q := p.Query()
+	q := p.liveQuery()
 
 	if p.usesGPS(q) {
 		return p.startGPS(q)
@@ -145,7 +145,7 @@ func (p *LocalCxtProvider) onFix(fix cxt.Fix) {
 	if p.isStopped() {
 		return
 	}
-	q := p.Query()
+	q := p.liveQuery()
 	it := cxt.Item{
 		Type:      cxt.TypeLocation,
 		Value:     fix,
@@ -200,7 +200,7 @@ func (p *LocalCxtProvider) sample(deliver bool) {
 	if p.internal == nil {
 		return
 	}
-	q := p.Query()
+	q := p.liveQuery()
 	s, ok := p.internal.ByType(q.Select)
 	if !ok {
 		return

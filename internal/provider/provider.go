@@ -93,6 +93,16 @@ func (b *base) Query() *query.Query {
 	return b.q.Clone()
 }
 
+// liveQuery returns the stored query without cloning it, for the
+// provider's own per-round reads. setQuery replaces the stored query
+// wholesale and nothing mutates it in place, so callers may read the
+// result freely but must never modify it.
+func (b *base) liveQuery() *query.Query {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.q
+}
+
 // Delivered implements Provider.
 func (b *base) Delivered() int {
 	b.mu.Lock()
@@ -166,9 +176,7 @@ func (b *base) isStopped() bool {
 // armDuration schedules the DURATION-based shutdown for time-limited
 // queries; sample-limited queries finish via emit's accounting.
 func (b *base) armDuration() {
-	b.mu.Lock()
-	q := b.q
-	b.mu.Unlock()
+	q := b.liveQuery()
 	if q.Duration.IsSamples() || q.Duration.Time <= 0 {
 		return
 	}
@@ -217,8 +225,5 @@ func (b *base) emit(it cxt.Item) {
 
 // accepts applies the provider-side WHERE and FRESHNESS filters.
 func (b *base) accepts(it cxt.Item) bool {
-	b.mu.Lock()
-	q := b.q
-	b.mu.Unlock()
-	return q.Matches(it, b.clock.Now())
+	return b.liveQuery().Matches(it, b.clock.Now())
 }

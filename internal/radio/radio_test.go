@@ -436,6 +436,24 @@ func TestWiFiAccessors(t *testing.T) {
 	}
 }
 
+// A reseeded model draws exactly what a fresh NewWiFi with that seed draws,
+// whatever the model drew before.
+func TestWiFiReseedMatchesFresh(t *testing.T) {
+	w := NewWiFi(99)
+	for seed := int64(0); seed < 50; seed++ {
+		for i := int64(0); i < seed%7; i++ {
+			w.HopLatency(false) // leave the source mid-stream
+		}
+		w.Reseed(seed)
+		fresh := NewWiFi(seed)
+		for k := 0; k < 5; k++ {
+			if got, want := w.HopLatency(k == 0), fresh.HopLatency(k == 0); got != want {
+				t.Fatalf("seed %d draw %d: reseeded %v, fresh %v", seed, k, got, want)
+			}
+		}
+	}
+}
+
 func TestUniformMWDegenerate(t *testing.T) {
 	s := NewSampler(2)
 	if got := s.UniformMW(500, 500); got != 500 {

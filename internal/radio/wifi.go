@@ -18,6 +18,11 @@ func NewWiFi(seed int64) *WiFi {
 	return &WiFi{sampler: NewSampler(seed)}
 }
 
+// Reseed resets the model's sampler to the state NewWiFi(seed) starts in,
+// so a reused model draws exactly what a fresh one would, without
+// allocating a new source.
+func (w *WiFi) Reseed(seed int64) { w.sampler.rng.Seed(seed) }
+
 // Breakdown is the per-component split of a multi-hop SM latency.
 type Breakdown struct {
 	Connection time.Duration

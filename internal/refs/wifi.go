@@ -237,5 +237,9 @@ func (r *WiFiReference) Leave() { r.rt.Leave() }
 // Join re-exposes the participation tag.
 func (r *WiFiReference) Join() { r.rt.Join() }
 
+// Participating reports whether the node is part of the Contory ad hoc
+// network.
+func (r *WiFiReference) Participating() bool { return r.rt.Participating() }
+
 // Node returns the underlying simnet node.
 func (r *WiFiReference) Node() *simnet.Node { return r.node }

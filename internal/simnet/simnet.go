@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -826,7 +827,7 @@ func (nw *Network) Neighbors(id NodeID, m radio.Medium) []NodeID {
 	if nw.ranges[m] > 0 {
 		cand = nw.rangeCandidatesLocked(n, m, cand)
 	}
-	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
+	slices.Sort(cand)
 	var out []NodeID
 	for _, other := range cand {
 		if other == id {

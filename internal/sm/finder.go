@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -123,7 +124,10 @@ func (p *Platform) LaunchFinder(origin simnet.NodeID, spec FinderSpec, done func
 	if !rt.Participating() {
 		return fmt.Errorf("%w: %s", ErrNotParticipnt, origin)
 	}
-	targets := spec.Targets
+	// The visit plan is consumed in place as the tour goes, so a pinned
+	// list is copied: the caller's spec (which a retry may relaunch) keeps
+	// its targets.
+	targets := slices.Clone(spec.Targets)
 	if len(targets) == 0 {
 		targets = p.discoverTargets(origin, spec)
 	}
@@ -235,14 +239,13 @@ func (p *Platform) discoverTargets(origin simnet.NodeID, spec FinderSpec) []simn
 // returns the hop distance of every node reached, stopping at maxHops when
 // it is positive (0 = unbounded).
 func (p *Platform) hopDistances(origin simnet.NodeID, maxHops int) map[simnet.NodeID]int {
-	set := p.participantSet()
 	dist := map[simnet.NodeID]int{origin: 0}
 	frontier := []simnet.NodeID{origin}
 	for d := 1; len(frontier) > 0 && (maxHops <= 0 || d <= maxHops); d++ {
 		var next []simnet.NodeID
 		for _, cur := range frontier {
 			for _, nb := range p.net.Neighbors(cur, radio.MediumWiFi) {
-				if _, seen := dist[nb]; seen || (nb != origin && !set[nb]) {
+				if _, seen := dist[nb]; seen || (nb != origin && !p.participating(nb)) {
 					continue
 				}
 				dist[nb] = d
@@ -270,7 +273,6 @@ func (p *Platform) shortestPath(a, b simnet.NodeID) ([]simnet.NodeID, bool) {
 	if a == b {
 		return nil, true
 	}
-	set := p.participantSet()
 	prev := map[simnet.NodeID]simnet.NodeID{}
 	visited := map[simnet.NodeID]bool{a: true}
 	frontier := []simnet.NodeID{a}
@@ -278,7 +280,7 @@ func (p *Platform) shortestPath(a, b simnet.NodeID) ([]simnet.NodeID, bool) {
 		var next []simnet.NodeID
 		for _, cur := range frontier {
 			for _, nb := range p.net.Neighbors(cur, radio.MediumWiFi) {
-				if visited[nb] || (nb != a && nb != b && !set[nb]) {
+				if visited[nb] || (nb != a && nb != b && !p.participating(nb)) {
 					continue
 				}
 				visited[nb] = true
@@ -351,12 +353,14 @@ func (p *Platform) finderStep(rt *Runtime, m *Message) {
 	for {
 		if len(st.remaining) == 0 {
 			st.returning = true
-			p.routeToward(rt, m, st, m.Origin)
+			p.routeHome(rt, m, st)
 			return
 		}
-		target := st.remaining[0]
-		if _, ok := p.shortestPath(here, target); ok {
-			p.routeToward(rt, m, st, target)
+		// The reachability test's path is the route: the search runs on the
+		// same topology in the same event, so a second one would find the
+		// same path.
+		if path, ok := p.shortestPath(here, st.remaining[0]); ok {
+			p.hopAlong(m, st, here, path)
 			return
 		}
 		// Unreachable (partition/mobility): skip it.
@@ -364,31 +368,37 @@ func (p *Platform) finderStep(rt *Runtime, m *Message) {
 	}
 }
 
-// routeToward migrates the SM one hop along the participant path to dest.
-func (p *Platform) routeToward(rt *Runtime, m *Message, st *finderState, dest simnet.NodeID) {
+// routeHome migrates a returning SM one hop along the participant path to
+// its origin, delivering the results once it is there.
+func (p *Platform) routeHome(rt *Runtime, m *Message, st *finderState) {
 	here := rt.Node().ID()
-	if here == dest {
+	if here == m.Origin {
 		// Already there. A finder that never departed found no provider
 		// to visit: per §5.2 the query is cancelled by its timeout rather
 		// than answered with an empty result.
-		if dest == m.Origin && st.returning && st.departed {
+		if st.departed {
 			p.deliver(st)
 		}
 		return
 	}
-	path, ok := p.shortestPath(here, dest)
-	if !ok || len(path) == 0 {
-		// Origin unreachable: the SM dies; the timeout cancels the query.
+	// Origin unreachable: the SM dies; the timeout cancels the query.
+	if path, ok := p.shortestPath(here, m.Origin); ok {
+		p.hopAlong(m, st, here, path)
+	}
+}
+
+// hopAlong migrates the SM to the first node of path (which excludes here).
+// An empty path means the SM is already at its destination and stays.
+func (p *Platform) hopAlong(m *Message, st *finderState, here simnet.NodeID, path []simnet.NodeID) {
+	if len(path) == 0 {
 		return
 	}
 	next := path[0]
 	departOrigin := !st.departed
 	st.departed = true
 	arriveOrigin := st.returning && next == m.Origin && len(path) == 1
-	if err := p.migrate(m, st.spec.Span, here, next, departOrigin, arriveOrigin); err != nil {
-		// Link vanished between path computation and send: let the SM die.
-		return
-	}
+	// A link that vanished between the search and the send lets the SM die.
+	_ = p.migrate(m, st.spec.Span, here, next, departOrigin, arriveOrigin)
 }
 
 // deliver hands results to the registered callback, applying the hopCnt

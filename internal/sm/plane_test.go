@@ -1,0 +1,324 @@
+package sm
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+	"testing/quick"
+	"time"
+
+	"contory/internal/radio"
+	"contory/internal/simnet"
+	"contory/internal/vclock"
+)
+
+// Flipping a node's participation costs nothing however many nodes are
+// installed: no copy of a participant set, no allocation.
+func TestLeaveJoinAllocs(t *testing.T) {
+	clk := vclock.NewSimulator()
+	nw := simnet.New(clk)
+	p := NewPlatform(nw, radio.NewWiFi(1))
+	const n = 5000
+	for i := 0; i < n; i++ {
+		id := simnet.NodeID(fmt.Sprintf("p%05d", i))
+		if _, err := nw.AddNode(id, simnet.Position{X: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Install(id, Admission{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt := p.Runtime("p02500")
+	if got := testing.AllocsPerRun(100, func() {
+		rt.Leave()
+		rt.Join()
+	}); got != 0 {
+		t.Fatalf("Leave+Join with %d installed nodes: %v allocations, want 0", n, got)
+	}
+	if !rt.Participating() || !p.participating("p02500") {
+		t.Fatal("node not participating after Join")
+	}
+	// Route searches ask this of every neighbour they expand.
+	var in bool
+	if got := testing.AllocsPerRun(100, func() { in = p.participating("p02500") }); got != 0 || !in {
+		t.Fatalf("participating lookup: %v allocations (result %v), want 0", got, in)
+	}
+}
+
+// shardedPlatform returns a platform over a lane-sharded network, the mode
+// fleet runs use, where every hop draws from a sampler keyed on the SM.
+func shardedPlatform(t testing.TB) *Platform {
+	t.Helper()
+	nw := simnet.New(vclock.NewSimulator())
+	if err := nw.EnableSharding(4); err != nil {
+		t.Fatal(err)
+	}
+	return NewPlatform(nw, radio.NewWiFi(1))
+}
+
+var sinkLatency time.Duration
+
+func TestShardedHopLatencyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	p := shardedPlatform(t)
+	m := &Message{ID: "sm-p00042-7", HopCnt: 3}
+	if got := testing.AllocsPerRun(100, func() {
+		sinkLatency = p.hopLatency(m, true, false, false)
+	}); got != 0 {
+		t.Fatalf("sharded hopLatency: %v allocations, want 0", got)
+	}
+}
+
+// A pooled, reseeded sampler draws exactly what a fresh sampler keyed on
+// (message, hop) draws, whatever the pooled one drew before: the
+// interleaved keys make each Get return a sampler left mid-stream by
+// another SM.
+func TestPooledHopLatencyMatchesFresh(t *testing.T) {
+	p := shardedPlatform(t)
+	// The unsharded reference draws from its shared sampler, which is set
+	// to a fresh NewWiFi of the hop's key before every draw — the
+	// allocate-per-hop sampler the pool replaced.
+	ref := NewPlatform(simnet.New(vclock.NewSimulator()), nil)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1500; i++ {
+		m := &Message{
+			ID:     fmt.Sprintf("sm-p%05d-%d", rng.Intn(40), rng.Intn(5)),
+			HopCnt: rng.Intn(8),
+		}
+		depart, arrive, cached := rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0
+		got := p.hopLatency(m, depart, arrive, cached)
+		ref.wifi = radio.NewWiFi(int64(hashID(m.ID)) + int64(m.HopCnt))
+		if want := ref.hopLatency(m, depart, arrive, cached); got != want {
+			t.Fatalf("draw %d (%s hop %d): pooled %v, fresh %v", i, m.ID, m.HopCnt, got, want)
+		}
+	}
+}
+
+// Lanes search routes and draw hop latencies at once: the lock-free runtime
+// lookups and the shared sampler pool must give every goroutine what a
+// serial run gives.
+func TestConcurrentRouteSearchAndHopLatency(t *testing.T) {
+	p := shardedPlatform(t)
+	const n = 64
+	ids := make([]simnet.NodeID, n)
+	for i := range ids {
+		ids[i] = simnet.NodeID(fmt.Sprintf("c%02d", i))
+		if _, err := p.net.AddNode(ids[i], simnet.Position{}); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if err := p.net.Connect(ids[i-1], ids[i], radio.MediumWiFi); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := p.Install(ids[i], Admission{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Runtime(ids[n/2]).Leave() // splits the line
+	type answer struct {
+		dists int
+		path  []simnet.NodeID
+		lat   time.Duration
+	}
+	ask := func(i int) answer {
+		a, b := ids[i%n], ids[(i*7)%n]
+		path, _ := p.shortestPath(a, b)
+		m := &Message{ID: fmt.Sprintf("sm-%s-%d", a, i), HopCnt: i % 5}
+		return answer{len(p.hopDistances(a, 3)), path, p.hopLatency(m, i%2 == 0, false, i%3 == 0)}
+	}
+	const queries = 400
+	want := make([]answer, queries)
+	for i := range want {
+		want[i] = ask(i)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < queries; k++ {
+				i := (k*5 + g*97) % queries
+				if got := ask(i); got.dists != want[i].dists || got.lat != want[i].lat || !slices.Equal(got.path, want[i].path) {
+					t.Errorf("goroutine %d query %d: %+v, serial %+v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// bruteDistances is the reference route search: BFS over the test's own
+// edge list, expanding only into nodes that read the participation tag
+// (plus the origin, and the destination when one is given), visiting
+// neighbours in ID order.
+func bruteDistances(adj map[simnet.NodeID][]simnet.NodeID, tagged func(simnet.NodeID) bool, origin, dest simnet.NodeID, maxHops int) (map[simnet.NodeID]int, map[simnet.NodeID]simnet.NodeID) {
+	dist := map[simnet.NodeID]int{origin: 0}
+	prev := map[simnet.NodeID]simnet.NodeID{}
+	frontier := []simnet.NodeID{origin}
+	for d := 1; len(frontier) > 0 && (maxHops <= 0 || d <= maxHops); d++ {
+		var next []simnet.NodeID
+		for _, cur := range frontier {
+			for _, nb := range adj[cur] {
+				if _, seen := dist[nb]; seen || (nb != dest && !tagged(nb)) {
+					continue
+				}
+				dist[nb] = d
+				prev[nb] = cur
+				next = append(next, nb)
+			}
+		}
+		frontier = next
+	}
+	return dist, prev
+}
+
+// Property: after any sequence of Install, Leave and Join on a random
+// graph, the route searches agree with a brute-force BFS over the
+// participant set read from the tags, path for path.
+func TestRouteSearchMatchesBruteForce(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nw := simnet.New(vclock.NewSimulator())
+		p := NewPlatform(nw, radio.NewWiFi(seed))
+		n := 4 + rng.Intn(20)
+		ids := make([]simnet.NodeID, n)
+		for i := range ids {
+			ids[i] = simnet.NodeID(fmt.Sprintf("n%02d", i))
+			if _, err := nw.AddNode(ids[i], simnet.Position{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		adj := map[simnet.NodeID][]simnet.NodeID{}
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			a, b := ids[rng.Intn(n)], ids[rng.Intn(n)]
+			if a == b || slices.Contains(adj[a], b) {
+				continue
+			}
+			if err := nw.Connect(a, b, radio.MediumWiFi); err != nil {
+				t.Fatal(err)
+			}
+			adj[a] = append(adj[a], b)
+			adj[b] = append(adj[b], a)
+		}
+		for _, nbs := range adj {
+			slices.Sort(nbs)
+		}
+		// Some nodes never get a runtime; the rest churn.
+		for op := rng.Intn(4 * n); op > 0; op-- {
+			id := ids[rng.Intn(n)]
+			rt := p.Runtime(id)
+			switch {
+			case rt == nil && rng.Intn(3) > 0:
+				if _, err := p.Install(id, Admission{}); err != nil {
+					t.Fatal(err)
+				}
+			case rt != nil && rng.Intn(2) == 0:
+				rt.Leave()
+			case rt != nil:
+				rt.Join()
+			}
+		}
+		tagged := func(id simnet.NodeID) bool {
+			rt := p.Runtime(id)
+			return rt != nil && rt.Tags().Has(ParticipationTag)
+		}
+		for _, id := range ids {
+			if rt := p.Runtime(id); rt != nil && rt.Participating() != tagged(id) {
+				t.Logf("seed %d: %s Participating()=%v, tag=%v", seed, id, rt.Participating(), tagged(id))
+				return false
+			}
+		}
+		for _, a := range ids {
+			maxHops := rng.Intn(4)
+			want, _ := bruteDistances(adj, tagged, a, "", maxHops)
+			if got := p.hopDistances(a, maxHops); !maps.Equal(got, want) {
+				t.Logf("seed %d: hopDistances(%s, %d) = %v, want %v", seed, a, maxHops, got, want)
+				return false
+			}
+			for _, b := range ids {
+				path, ok := p.shortestPath(a, b)
+				dist, prev := bruteDistances(adj, tagged, a, b, 0)
+				_, reach := dist[b]
+				if ok != reach {
+					t.Logf("seed %d: shortestPath(%s, %s) ok=%v, brute force %v", seed, a, b, ok, reach)
+					return false
+				}
+				var wantPath []simnet.NodeID
+				for at := b; reach && at != a; at = prev[at] {
+					wantPath = append([]simnet.NodeID{at}, wantPath...)
+				}
+				if !slices.Equal(path, wantPath) {
+					t.Logf("seed %d: shortestPath(%s, %s) = %v, want %v", seed, a, b, path, wantPath)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkFinderTour measures SM-FINDER rounds on a churning grid of 300
+// sharded nodes: before each round a few nodes leave or rejoin the ad hoc
+// network (as fleet churn does, between events), then one finder discovers
+// up to four providers within three hops, tours them and returns home.
+func BenchmarkFinderTour(b *testing.B) {
+	const cols, rows, spacing = 20, 15, 40.0
+	clk := vclock.NewSimulator()
+	nw := simnet.New(clk)
+	if err := nw.EnableSharding(8); err != nil {
+		b.Fatal(err)
+	}
+	nw.SetRange(radio.MediumWiFi, 50) // four grid neighbours each
+	p := NewPlatform(nw, radio.NewWiFi(1))
+	var rts []*Runtime
+	for i := 0; i < cols*rows; i++ {
+		id := simnet.NodeID(fmt.Sprintf("g%03d", i))
+		pos := simnet.Position{X: float64(i%cols) * spacing, Y: float64(i/cols) * spacing}
+		if _, err := nw.AddNode(id, pos); err != nil {
+			b.Fatal(err)
+		}
+		rt, err := p.Install(id, Admission{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i%4 == 0 {
+			rt.Tags().Update(Tag{Name: "temperature", Value: float64(i)})
+		}
+		rts = append(rts, rt)
+	}
+	rng := rand.New(rand.NewSource(9))
+	spec := FinderSpec{TagName: "temperature", MaxHops: 3, MaxNodes: 4, Timeout: time.Minute}
+	answered := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 4; k++ {
+			if rt := rts[rng.Intn(len(rts))]; rt.Participating() {
+				rt.Leave()
+			} else {
+				rt.Join()
+			}
+		}
+		origin := rts[rng.Intn(len(rts))]
+		origin.Join()
+		if err := p.LaunchFinder(origin.Node().ID(), spec, func(rs []Result, err error) {
+			if err == nil {
+				answered++
+			}
+		}); err != nil {
+			b.Fatal(err)
+		}
+		clk.Run(0)
+	}
+	b.ReportMetric(float64(answered)/float64(b.N), "answered/op")
+}

@@ -79,18 +79,16 @@ type Platform struct {
 	net  *simnet.Network
 	wifi *radio.WiFi
 
-	mu       sync.Mutex
-	runtimes map[simnet.NodeID]*Runtime
-	nextID   int
-	perNode  map[simnet.NodeID]int // sharded mode: per-origin SM counters
-	code     map[string]CodeBrick
-	finders  map[string]func([]Result, error)
+	// runtimes maps node ID to *Runtime. Route searches look a runtime up
+	// for every neighbour they expand, possibly from many lanes at once,
+	// so reads take no lock.
+	runtimes sync.Map
 
-	// parts is a copy-on-write snapshot of the participant set, so route
-	// discovery (which consults it on every SM operation, possibly from
-	// many lanes at once) never pays a per-node tag-space read. Mutated
-	// only under mu, via setParticipating.
-	parts atomic.Pointer[map[simnet.NodeID]bool]
+	mu      sync.Mutex
+	nextID  int
+	perNode map[simnet.NodeID]int // sharded mode: per-origin SM counters
+	code    map[string]CodeBrick
+	finders map[string]func([]Result, error)
 
 	// aud is the runtime invariant auditor (nil = auditing off): every
 	// resident SM moves the per-node sm.resident balance, which must
@@ -102,10 +100,9 @@ type Platform struct {
 // built-in SM-FINDER code brick registered.
 func NewPlatform(nw *simnet.Network, wifi *radio.WiFi) *Platform {
 	p := &Platform{
-		net:      nw,
-		wifi:     wifi,
-		runtimes: make(map[simnet.NodeID]*Runtime),
-		code:     make(map[string]CodeBrick),
+		net:  nw,
+		wifi: wifi,
+		code: make(map[string]CodeBrick),
 	}
 	p.code[finderCodeID] = func(rt *Runtime, m *Message) { p.finderStep(rt, m) }
 	return p
@@ -149,19 +146,28 @@ func (p *Platform) Install(id simnet.NodeID, adm Admission) (*Runtime, error) {
 	if err := rt.tags.Create(Tag{Name: ParticipationTag, Owner: "sm"}); err != nil {
 		return nil, fmt.Errorf("sm: participation tag: %w", err)
 	}
+	rt.participating.Store(true)
 	node.Handle(msgKindSM, rt.onArrive)
-	p.mu.Lock()
-	p.runtimes[id] = rt
-	p.mu.Unlock()
-	p.setParticipating(id, true)
+	p.runtimes.Store(id, rt)
 	return rt, nil
 }
 
 // Runtime returns the runtime installed on a node, or nil.
 func (p *Platform) Runtime(id simnet.NodeID) *Runtime {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.runtimes[id]
+	if rt, ok := p.runtimes.Load(id); ok {
+		return rt.(*Runtime)
+	}
+	return nil
+}
+
+// participating reports whether a node runs an SM runtime that exposes
+// the participation tag — the one question route searches ask of every
+// node they expand. The flags change only during set-up and in scripted
+// churn, which runs as global barrier events, so no search on any lane
+// sees a flag change mid-walk.
+func (p *Platform) participating(id simnet.NodeID) bool {
+	rt := p.Runtime(id)
+	return rt != nil && rt.participating.Load()
 }
 
 // nextMsgID allocates a unique SM identifier ("to disambiguate between
@@ -183,34 +189,6 @@ func (p *Platform) nextMsgID(origin simnet.NodeID) string {
 	return fmt.Sprintf("sm-%d", p.nextID)
 }
 
-// setParticipating updates the copy-on-write participant snapshot.
-func (p *Platform) setParticipating(id simnet.NodeID, on bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	old := p.parts.Load()
-	next := make(map[simnet.NodeID]bool)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	if on {
-		next[id] = true
-	} else {
-		delete(next, id)
-	}
-	p.parts.Store(&next)
-}
-
-// participantSet returns the current participant snapshot. The returned map
-// is immutable — callers must only read it.
-func (p *Platform) participantSet() map[simnet.NodeID]bool {
-	if s := p.parts.Load(); s != nil {
-		return *s
-	}
-	return nil
-}
-
 // Runtime is the per-node SM runtime system: tag space, admission manager,
 // code cache and scheduler (execution is dispatched on the shared virtual
 // clock).
@@ -219,6 +197,10 @@ type Runtime struct {
 	node      *simnet.Node
 	tags      *TagSpace
 	admission Admission
+
+	// participating mirrors the participation tag: set by Install and
+	// Join, cleared by Leave.
+	participating atomic.Bool
 
 	mu        sync.Mutex
 	resident  int
@@ -244,17 +226,17 @@ func (rt *Runtime) Stats() (accepted, rejected int) {
 // participation tag; Join re-adds it.
 func (rt *Runtime) Leave() {
 	rt.tags.Delete(ParticipationTag)
-	rt.platform.setParticipating(rt.node.ID(), false)
+	rt.participating.Store(false)
 }
 
 // Join re-exposes the participation tag.
 func (rt *Runtime) Join() {
 	rt.tags.Update(Tag{Name: ParticipationTag, Owner: "sm"})
-	rt.platform.setParticipating(rt.node.ID(), true)
+	rt.participating.Store(true)
 }
 
 // Participating reports whether the node is part of the SM ad hoc network.
-func (rt *Runtime) Participating() bool { return rt.tags.Has(ParticipationTag) }
+func (rt *Runtime) Participating() bool { return rt.participating.Load() }
 
 // admit runs admission control on an arriving SM.
 func (rt *Runtime) admit(m *Message) error {
@@ -323,7 +305,10 @@ func (p *Platform) hopLatency(m *Message, departOrigin, arriveOrigin, codeCached
 		// The shared sampler's draw order depends on cross-lane scheduling;
 		// key a private sampler on (message, hop) instead so every hop's
 		// latency is a pure function of the SM's deterministic identity.
-		w = radio.NewWiFi(int64(hashID(m.ID)) + int64(m.HopCnt))
+		// Reseeding a pooled model draws what a fresh one would.
+		w = hopSamplers.Get().(*radio.WiFi)
+		defer hopSamplers.Put(w)
+		w.Reseed(int64(hashID(m.ID)) + int64(m.HopCnt))
 	}
 	half := w.PerHopLatency() / 2
 	d := w.HopLatency(false) / 2 // jittered per-hop half-cost
@@ -343,6 +328,9 @@ func (p *Platform) hopLatency(m *Message, departOrigin, arriveOrigin, codeCached
 	}
 	return d
 }
+
+// hopSamplers recycles the private per-hop samplers of sharded runs.
+var hopSamplers = sync.Pool{New: func() any { return radio.NewWiFi(0) }}
 
 // migrate ships an SM one hop and accounts WiFi power on both endpoints for
 // the transfer duration. When span is non-nil an "sm.hop" child covers the

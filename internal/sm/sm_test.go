@@ -230,6 +230,33 @@ func TestFinderPinnedTargetsHopFilter(t *testing.T) {
 	}
 }
 
+// The finder consumes its visit plan as it tours; a pinned list is the
+// caller's, and a retry relaunches the same spec, so it must come back
+// unchanged and visit every target again.
+func TestFinderKeepsPinnedTargets(t *testing.T) {
+	p, clk, _ := line(t)
+	p.Runtime("relay").Tags().Update(Tag{Name: "temperature", Value: 14.0})
+	p.Runtime("far").Tags().Update(Tag{Name: "temperature", Value: 20.0})
+	spec := FinderSpec{
+		TagName: "temperature", MaxHops: 3,
+		Targets: []simnet.NodeID{"relay", "far"},
+		Timeout: time.Minute,
+	}
+	for round := 1; round <= 2; round++ {
+		var results []Result
+		if err := p.LaunchFinder("origin", spec, func(rs []Result, err error) { results = rs }); err != nil {
+			t.Fatal(err)
+		}
+		clk.Run(0)
+		if got := spec.Targets; len(got) != 2 || got[0] != "relay" || got[1] != "far" {
+			t.Fatalf("round %d: caller's Targets = %v, want [relay far]", round, got)
+		}
+		if len(results) != 2 || results[0].Node != "relay" || results[1].Node != "far" {
+			t.Fatalf("round %d: results = %+v, want relay then far", round, results)
+		}
+	}
+}
+
 func TestFinderMultiNode(t *testing.T) {
 	p, clk, _ := line(t)
 	p.Runtime("relay").Tags().Update(Tag{Name: "temperature", Value: 14.0})

@@ -96,10 +96,14 @@ func (ts *TagSpace) Read(name string) (Tag, error) {
 	return tag, nil
 }
 
-// Has reports whether a live tag with the given name exists.
+// Has reports whether a live tag with the given name exists. Discovery asks
+// it of every participant a finder reaches, so a miss builds no error.
 func (ts *TagSpace) Has(name string) bool {
-	_, err := ts.Read(name)
-	return err == nil
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	ts.expireLocked()
+	_, ok := ts.tags[name]
+	return ok
 }
 
 // Delete removes a tag by name (idempotent).
