@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: all check build fmt-check vet staticcheck test race bench experiments examples cover clean load-smoke load-bench perf-smoke
+.PHONY: all check build fmt-check vet staticcheck test race bench experiments examples cover clean load-smoke load-bench perf-smoke fleetbench-check
 
 all: check
 
 # check is the full pre-merge gate: formatting, build, vet, staticcheck
 # (when installed), tests, the race detector, the five example programs
 # (examples/aggregate is the only non-test caller of ProcessCxtQueryMulti),
-# the fleet CLI end to end and the hot-path microbenchmarks. The fleet
-# scenarios' determinism matrix (TestScenarios over
-# testdata/scenarios/*.json: w1 vs w8 summaries and trace exports, audit
-# violations) runs inside test and race.
-check: fmt-check build vet staticcheck test race examples load-smoke perf-smoke
+# the fleet CLI end to end, the hot-path microbenchmarks and the fleet
+# benchmark module. The fleet scenarios' determinism matrix (TestScenarios
+# over testdata/scenarios/*.json: w1 vs w8 summaries and trace exports,
+# audit violations) runs inside test and race.
+check: fmt-check build vet staticcheck test race examples load-smoke perf-smoke fleetbench-check
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,12 @@ load-smoke:
 # measurement.
 perf-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/vclock ./internal/simnet ./internal/energy ./internal/gps ./internal/sm
+
+# fleetbench-check builds, vets and tests the fleet benchmark, a nested
+# module that the root build, vet and test skip, so an internal API change
+# that breaks it fails the gate rather than the benchmark run.
+fleetbench-check:
+	cd fleetbench && $(GO) build -o /dev/null . && $(GO) vet . && $(GO) test .
 
 # load-bench regenerates BENCH_fleet.json: wall-clock scaling of the fleet
 # engine at 1k/2k/5k phones over ten virtual minutes. With COUNT=n (needs

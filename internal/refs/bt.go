@@ -148,15 +148,13 @@ func (r *BTReference) Close() {
 }
 
 // Discover runs a BT inquiry (≈ 13 s) and reports the discoverable BT
-// devices in range.
+// devices in range, in ID order.
 func (r *BTReference) Discover(done func([]simnet.NodeID)) {
 	r.mInquiries.Inc()
 	d, ws := r.bt.DeviceDiscovery()
 	applyWindows(r.node, ws, r.clock.Now())
 	r.clock.After(d, func() {
-		found := r.net.Neighbors(r.node.ID(), radio.MediumBT)
-		sort.Slice(found, func(i, j int) bool { return found[i] < found[j] })
-		done(found)
+		done(r.net.Neighbors(r.node.ID(), radio.MediumBT))
 	})
 }
 

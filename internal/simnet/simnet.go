@@ -10,6 +10,7 @@
 package simnet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -61,11 +62,12 @@ var (
 	ErrNodeDown     = errors.New("simnet: node is down")
 	ErrNoHandler    = errors.New("simnet: no handler registered for message kind")
 	ErrDuplicateID  = errors.New("simnet: duplicate node id")
-	ErrNoPath       = errors.New("simnet: no path between nodes")
 	ErrRadioOff     = errors.New("simnet: radio is off")
 	ErrSelfDelivery = errors.New("simnet: cannot send to self")
 )
 
+// linkKey names an undirected link by its endpoint IDs; it keys the
+// per-link loss table.
 type linkKey struct {
 	a, b   NodeID
 	medium radio.Medium
@@ -78,8 +80,24 @@ func newLinkKey(a, b NodeID, m radio.Medium) linkKey {
 	return linkKey{a: a, b: b, medium: m}
 }
 
-// maxMedium bounds the per-node radio state array; media are small ints.
+// maxMedium bounds the per-node radio state and per-medium arrays; media
+// are small ints.
 const maxMedium = 8
+
+// validMedium reports whether m addresses the per-medium arrays. No radio
+// can be on for any other medium, so nothing links over it.
+func validMedium(m radio.Medium) bool { return m >= 0 && int(m) < maxMedium }
+
+// nodePair names an undirected link by its endpoints' dense indices: the
+// key of the explicit-link and failed-link sets, which hashes no strings.
+type nodePair struct{ lo, hi int32 }
+
+func pairOf(a, b *Node) nodePair {
+	if a.index > b.index {
+		a, b = b, a
+	}
+	return nodePair{lo: a.index, hi: b.index}
+}
 
 // Node is one device in the simulated testbed.
 //
@@ -97,6 +115,12 @@ type Node struct {
 	id  NodeID
 	net *Network
 
+	// index is the node's dense handle, fixed at AddNode; rank is its
+	// position in ID order, renumbered (under nw.mu) when a node with a
+	// smaller ID is added later.
+	index int32
+	rank  int32
+
 	posX, posY atomic.Uint64 // math.Float64bits
 	velX, velY atomic.Uint64 // metres/second, applied by mobility ticks
 	down       atomic.Bool
@@ -111,6 +135,12 @@ type Node struct {
 
 // ID returns the node's identifier.
 func (n *Node) ID() NodeID { return n.id }
+
+// Index returns the node's dense index: 0 for the first node added to its
+// network, 1 for the next, and so on. Tables kept per node (route-search
+// scratch, partition membership, the SM runtime table) are addressed by it
+// instead of hashing the ID.
+func (n *Node) Index() int32 { return n.index }
 
 // Timeline returns the node's power timeline.
 func (n *Node) Timeline() *energy.Timeline { return n.timeline }
@@ -144,9 +174,7 @@ func (n *Node) SetPosition(p Position) {
 	nw := n.net
 	nw.mu.Lock()
 	n.storePosition(p)
-	for _, g := range nw.grids {
-		g.move(n.id, p)
-	}
+	nw.moveLocked(n, p)
 	nw.mu.Unlock()
 }
 
@@ -160,7 +188,7 @@ func (n *Node) SetVelocity(v Position) {
 // SetRadio switches a medium's radio on or off. Turning a radio off fails
 // in-flight deliveries to this node on that medium.
 func (n *Node) SetRadio(m radio.Medium, on bool) {
-	if m < 0 || int(m) >= maxMedium {
+	if !validMedium(m) {
 		return
 	}
 	n.radios[m].Store(on)
@@ -168,7 +196,7 @@ func (n *Node) SetRadio(m radio.Medium, on bool) {
 
 // RadioOn reports whether the given radio is on.
 func (n *Node) RadioOn(m radio.Medium) bool {
-	if m < 0 || int(m) >= maxMedium {
+	if !validMedium(m) {
 		return false
 	}
 	return n.radios[m].Load()
@@ -221,10 +249,34 @@ type nodeMedium struct {
 }
 
 // partition splits one medium: nodes inside the member set can only talk to
-// other members, nodes outside only to other outsiders.
+// other members, nodes outside only to other outsiders. members is indexed
+// by node index; nodes added after the partition are outsiders.
 type partition struct {
-	medium  radio.Medium
-	members map[NodeID]bool
+	id      int
+	members []bool
+}
+
+func (p *partition) has(n *Node) bool {
+	return int(n.index) < len(p.members) && p.members[n.index]
+}
+
+// medium is one medium's connectivity state. The tables a run does not use
+// (explicit links, failures, partitions) stay empty, and the link predicate
+// skips an empty table with one length check.
+type medium struct {
+	// rangeM enables range-based linking (0 = explicit links only); grid
+	// is the medium's spatial index while it is on (cell size = the range,
+	// so candidates beyond range cannot appear outside the 3×3 cell
+	// neighborhood). It is maintained incrementally: AddNode inserts into
+	// every active grid, position changes migrate only the moved node's
+	// cell, and SetRange rebuilds only its own medium.
+	rangeM float64
+	grid   *grid
+
+	links  map[nodePair]struct{} // explicit links
+	adj    [][]*Node             // explicit-link adjacency, by node index
+	failed map[nodePair]struct{}
+	parts  []*partition
 }
 
 // Network is the simulated testbed fabric.
@@ -237,22 +289,18 @@ type Network struct {
 
 	mu       sync.Mutex
 	nodes    map[NodeID]*Node
-	nodeList []*Node // sorted by ID; maintained incrementally by AddNode
-	links    map[linkKey]bool
-	adj      map[radio.Medium]map[NodeID]map[NodeID]bool // explicit-link adjacency
-	failed   map[linkKey]bool
-	ranges   map[radio.Medium]float64 // 0 = explicit links only
-	loss     map[linkKey]float64      // per-link drop probability
+	nodeList []*Node // in ID order (nodeList[n.rank] == n); maintained by AddNode
+	media    [maxMedium]medium
+	loss     map[linkKey]float64 // per-link drop probability
 	rng      *rand.Rand
 	seed     int64
 
-	// Fault-injection state (internal/chaos): active partitions, per-node
-	// drop probability (degraded RSSI, provider hang at p=1) and per-node
-	// extra delivery latency (slow response).
-	partitions map[int]*partition
-	nextPart   int
-	nodeLoss   map[nodeMedium]float64
-	nodeDelay  map[nodeMedium]time.Duration
+	// Fault-injection state (internal/chaos): partitions live in media;
+	// per-node drop probability (degraded RSSI, provider hang at p=1) and
+	// per-node extra delivery latency (slow response) live here.
+	nextPart  int
+	nodeLoss  map[nodeMedium]float64
+	nodeDelay map[nodeMedium]time.Duration
 
 	// faultLoss and faultDelay count active loss/delay entries so the
 	// per-delivery fast path can skip the mutex entirely when no fault is
@@ -260,15 +308,8 @@ type Network struct {
 	faultLoss  atomic.Int32
 	faultDelay atomic.Int32
 
-	// grids holds a uniform spatial index per range-enabled medium (cell
-	// size = the medium's range, so candidates beyond range cannot appear
-	// outside the 3×3 cell neighborhood). Maintained incrementally:
-	// AddNode inserts into every active grid, position changes migrate only
-	// the moved node's cell, and SetRange rebuilds only its own medium.
-	grids map[radio.Medium]*grid
-
-	// candScratch is the reusable Neighbors candidate buffer (guarded by mu).
-	candScratch []NodeID
+	// search is the route-search and neighbour-query scratch (guarded by mu).
+	search search
 
 	// lossSeq counts deliveries per directed link in sharded mode; the
 	// hash-based loss decision is keyed on it instead of a shared rand
@@ -288,20 +329,14 @@ type Network struct {
 // New returns an empty Network on the given simulator clock.
 func New(clock *vclock.Simulator) *Network {
 	return &Network{
-		clock:      clock,
-		nodes:      make(map[NodeID]*Node),
-		links:      make(map[linkKey]bool),
-		adj:        make(map[radio.Medium]map[NodeID]map[NodeID]bool),
-		failed:     make(map[linkKey]bool),
-		ranges:     make(map[radio.Medium]float64),
-		loss:       make(map[linkKey]float64),
-		rng:        rand.New(rand.NewSource(1)),
-		seed:       1,
-		partitions: make(map[int]*partition),
-		nodeLoss:   make(map[nodeMedium]float64),
-		nodeDelay:  make(map[nodeMedium]time.Duration),
-		grids:      make(map[radio.Medium]*grid),
-		lossSeq:    make(map[dirLink]uint64),
+		clock:     clock,
+		nodes:     make(map[NodeID]*Node),
+		loss:      make(map[linkKey]float64),
+		rng:       rand.New(rand.NewSource(1)),
+		seed:      1,
+		nodeLoss:  make(map[nodeMedium]float64),
+		nodeDelay: make(map[nodeMedium]time.Duration),
+		lossSeq:   make(map[dirLink]uint64),
 	}
 }
 
@@ -335,7 +370,7 @@ func (nw *Network) LaneOf(id NodeID) int32 {
 	if nw.lanes <= 0 {
 		return vclock.GlobalLane
 	}
-	return int32(fnv1a(string(id)) % uint64(nw.lanes))
+	return int32(HashID(string(id)) % uint64(nw.lanes))
 }
 
 // ClockFor returns the Clock a node's components must schedule through: the
@@ -348,8 +383,10 @@ func (nw *Network) ClockFor(id NodeID) vclock.Clock {
 	return nw.clock.Lane(int(nw.LaneOf(id)))
 }
 
-// fnv1a is the 64-bit FNV-1a hash (inlined to keep simnet dependency-free).
-func fnv1a(s string) uint64 {
+// HashID is the 64-bit FNV-1a hash of an identifier: the stable key of lane
+// assignment, of sharded loss decisions and of the SM plane's per-message
+// latency samplers.
+func HashID(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -463,7 +500,7 @@ func (nw *Network) lossDrop(a, b NodeID, m radio.Medium) bool {
 	seq := nw.lossSeq[dk]
 	nw.lossSeq[dk] = seq + 1
 	nw.lossMu.Unlock()
-	h := splitmix64(uint64(seed) ^ fnv1a(string(a)+"\x00"+string(b)+"\x00"+m.String()) ^ splitmix64(seq))
+	h := splitmix64(uint64(seed) ^ HashID(string(a)+"\x00"+string(b)+"\x00"+m.String()) ^ splitmix64(seq))
 	return float64(h>>11)/(1<<53) < p
 }
 
@@ -472,9 +509,9 @@ func (nw *Network) Clock() *vclock.Simulator { return nw.clock }
 
 // AddNode creates a node at the given position with all radios on. When
 // sharding is enabled the node's timeline and battery tick on its lane
-// clock, so their periodic work stays on the node's shard. The node is
-// inserted into every active spatial grid; other media's grids are
-// untouched.
+// clock, so their periodic work stays on the node's shard. The node gets
+// the next dense index and its place in ID order, and is inserted into
+// every active spatial grid; other media's grids are untouched.
 func (nw *Network) AddNode(id NodeID, pos Position) (*Node, error) {
 	clk := nw.ClockFor(id)
 	nw.mu.Lock()
@@ -485,6 +522,7 @@ func (nw *Network) AddNode(id NodeID, pos Position) (*Node, error) {
 	n := &Node{
 		id:       id,
 		net:      nw,
+		index:    int32(len(nw.nodeList)),
 		timeline: energy.NewTimeline(clk),
 		battery:  energy.NewBattery(clk, energy.BatteryConfig{}),
 	}
@@ -498,12 +536,20 @@ func (nw *Network) AddNode(id NodeID, pos Position) (*Node, error) {
 		n.timeline.SetMetrics(nw.metrics)
 	}
 	nw.nodes[id] = n
-	i := sort.Search(len(nw.nodeList), func(i int) bool { return nw.nodeList[i].id >= id })
-	nw.nodeList = append(nw.nodeList, nil)
-	copy(nw.nodeList[i+1:], nw.nodeList[i:])
-	nw.nodeList[i] = n
-	for _, g := range nw.grids {
-		g.insert(id, pos)
+	// Fleet IDs arrive in ID order, so the common insert is an append and
+	// costs O(1); an earlier ID shifts the ranks behind it.
+	i := len(nw.nodeList)
+	if i > 0 && nw.nodeList[i-1].id > id {
+		i = sort.Search(i, func(j int) bool { return nw.nodeList[j].id > id })
+	}
+	nw.nodeList = slices.Insert(nw.nodeList, i, n)
+	for j := i; j < len(nw.nodeList); j++ {
+		nw.nodeList[j].rank = int32(j)
+	}
+	for m := range nw.media {
+		if g := nw.media[m].grid; g != nil {
+			g.insert(n, pos)
+		}
 	}
 	return n, nil
 }
@@ -526,16 +572,34 @@ func (nw *Network) Nodes() []NodeID {
 	return ids
 }
 
+// pairLocked resolves two IDs to nodes; nw.mu must be held.
+func (nw *Network) pairLocked(a, b NodeID) (*Node, *Node, bool) {
+	na, nb := nw.nodes[a], nw.nodes[b]
+	return na, nb, na != nil && nb != nil
+}
+
 // Connect creates an explicit bidirectional link between a and b on medium m.
 func (nw *Network) Connect(a, b NodeID, m radio.Medium) error {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if nw.nodes[a] == nil || nw.nodes[b] == nil {
+	na, nb, ok := nw.pairLocked(a, b)
+	if !ok {
 		return fmt.Errorf("%w: %s-%s", ErrUnknownNode, a, b)
 	}
-	nw.links[newLinkKey(a, b, m)] = true
-	nw.adjAddLocked(m, a, b)
-	nw.adjAddLocked(m, b, a)
+	if !validMedium(m) {
+		return nil // no radio is on for m: the link could never carry a frame
+	}
+	md := &nw.media[m]
+	key := pairOf(na, nb)
+	if _, dup := md.links[key]; dup {
+		return nil
+	}
+	if md.links == nil {
+		md.links = make(map[nodePair]struct{})
+	}
+	md.links[key] = struct{}{}
+	md.adjAdd(na, nb)
+	md.adjAdd(nb, na)
 	return nil
 }
 
@@ -543,59 +607,80 @@ func (nw *Network) Connect(a, b NodeID, m radio.Medium) error {
 func (nw *Network) Disconnect(a, b NodeID, m radio.Medium) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	delete(nw.links, newLinkKey(a, b, m))
-	nw.adjDelLocked(m, a, b)
-	nw.adjDelLocked(m, b, a)
+	na, nb, ok := nw.pairLocked(a, b)
+	if !ok || !validMedium(m) {
+		return
+	}
+	md := &nw.media[m]
+	key := pairOf(na, nb)
+	if _, linked := md.links[key]; !linked {
+		return
+	}
+	delete(md.links, key)
+	md.adjDel(na, nb)
+	md.adjDel(nb, na)
 }
 
-func (nw *Network) adjAddLocked(m radio.Medium, from, to NodeID) {
-	byNode := nw.adj[m]
-	if byNode == nil {
-		byNode = make(map[NodeID]map[NodeID]bool)
-		nw.adj[m] = byNode
+func (md *medium) adjAdd(from, to *Node) {
+	for len(md.adj) <= int(from.index) {
+		md.adj = append(md.adj, nil)
 	}
-	set := byNode[from]
-	if set == nil {
-		set = make(map[NodeID]bool)
-		byNode[from] = set
-	}
-	set[to] = true
+	md.adj[from.index] = append(md.adj[from.index], to)
 }
 
-func (nw *Network) adjDelLocked(m radio.Medium, from, to NodeID) {
-	if set := nw.adj[m][from]; set != nil {
-		delete(set, to)
+func (md *medium) adjDel(from, to *Node) {
+	s := md.adj[from.index]
+	if i := slices.Index(s, to); i >= 0 {
+		md.adj[from.index] = slices.Delete(s, i, i+1)
 	}
 }
 
 // FailLink marks the link (explicit or range-based) as failed until
-// RestoreLink is called.
+// RestoreLink is called. A link with an endpoint that is not a node has
+// nothing to fail, and the call is ignored.
 func (nw *Network) FailLink(a, b NodeID, m radio.Medium) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	nw.failed[newLinkKey(a, b, m)] = true
+	na, nb, ok := nw.pairLocked(a, b)
+	if !ok || !validMedium(m) {
+		return
+	}
+	md := &nw.media[m]
+	if md.failed == nil {
+		md.failed = make(map[nodePair]struct{})
+	}
+	md.failed[pairOf(na, nb)] = struct{}{}
 }
 
 // RestoreLink clears a link failure.
 func (nw *Network) RestoreLink(a, b NodeID, m radio.Medium) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	delete(nw.failed, newLinkKey(a, b, m))
+	if na, nb, ok := nw.pairLocked(a, b); ok && validMedium(m) {
+		delete(nw.media[m].failed, pairOf(na, nb))
+	}
 }
 
 // Partition splits the medium into two sides: the given members can only
 // reach each other, and every other node can only reach non-members. It
 // returns a handle for Heal. Multiple partitions compose (a pair must be on
-// the same side of every active partition to communicate).
+// the same side of every active partition to communicate). Membership is
+// fixed when the partition is made: names that are not nodes yet, and
+// nodes added later, are outsiders.
 func (nw *Network) Partition(m radio.Medium, members ...NodeID) int {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	set := make(map[NodeID]bool, len(members))
-	for _, id := range members {
-		set[id] = true
-	}
 	nw.nextPart++
-	nw.partitions[nw.nextPart] = &partition{medium: m, members: set}
+	if !validMedium(m) {
+		return nw.nextPart
+	}
+	p := &partition{id: nw.nextPart, members: make([]bool, len(nw.nodeList))}
+	for _, id := range members {
+		if n := nw.nodes[id]; n != nil {
+			p.members[n.index] = true
+		}
+	}
+	nw.media[m].parts = append(nw.media[m].parts, p)
 	return nw.nextPart
 }
 
@@ -604,7 +689,10 @@ func (nw *Network) Partition(m radio.Medium, members ...NodeID) int {
 func (nw *Network) Heal(id int) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	delete(nw.partitions, id)
+	for m := range nw.media {
+		md := &nw.media[m]
+		md.parts = slices.DeleteFunc(md.parts, func(p *partition) bool { return p.id == id })
+	}
 }
 
 // SetNodeLoss makes every delivery to or from the node over m drop with at
@@ -675,240 +763,340 @@ func (nw *Network) extraDelayLocked(from, to NodeID, m radio.Medium) time.Durati
 func (nw *Network) SetRange(m radio.Medium, metres float64) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	nw.ranges[m] = metres
-	if metres <= 0 {
-		delete(nw.grids, m)
+	if !validMedium(m) {
 		return
 	}
-	g := newGrid(metres)
-	for _, n := range nw.nodeList {
-		g.insert(n.id, n.position())
+	md := &nw.media[m]
+	md.rangeM = metres
+	if metres <= 0 {
+		md.grid = nil
+		return
 	}
-	nw.grids[m] = g
+	g := newGrid(metres, len(nw.nodeList))
+	for _, n := range nw.nodeList {
+		g.insert(n, n.position())
+	}
+	md.grid = g
 }
 
 // Linked reports whether a and b can currently communicate over m.
 func (nw *Network) Linked(a, b NodeID, m radio.Medium) bool {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	return nw.linkedLocked(a, b, m)
+	na, nb, ok := nw.pairLocked(a, b)
+	return ok && validMedium(m) && nw.linkedLocked(na, nb, m)
 }
 
-func (nw *Network) linkedLocked(a, b NodeID, m radio.Medium) bool {
-	na, nb := nw.nodes[a], nw.nodes[b]
-	if na == nil || nb == nil || a == b {
+// linkedLocked is the link predicate. It hashes no strings: failures,
+// partitions and explicit links are consulted only when the medium has
+// any, keyed by node index. nw.mu must be held and m must be valid.
+func (nw *Network) linkedLocked(a, b *Node, m radio.Medium) bool {
+	if a == b || a.down.Load() || b.down.Load() || !a.radios[m].Load() || !b.radios[m].Load() {
 		return false
 	}
-	if na.down.Load() || nb.down.Load() || !na.RadioOn(m) || !nb.RadioOn(m) {
-		return false
-	}
-	key := newLinkKey(a, b, m)
-	if nw.failed[key] {
-		return false
-	}
-	for _, p := range nw.partitions {
-		if p.medium == m && p.members[a] != p.members[b] {
+	md := &nw.media[m]
+	if len(md.failed) > 0 {
+		if _, failed := md.failed[pairOf(a, b)]; failed {
 			return false
 		}
 	}
-	if nw.links[key] {
+	for _, p := range md.parts {
+		if p.has(a) != p.has(b) {
+			return false
+		}
+	}
+	if r := md.rangeM; r > 0 && a.position().Distance(b.position()) <= r {
 		return true
 	}
-	if r := nw.ranges[m]; r > 0 {
-		return na.position().Distance(nb.position()) <= r
+	if len(md.links) > 0 {
+		_, linked := md.links[pairOf(a, b)]
+		return linked
 	}
 	return false
 }
 
-// grid is a uniform spatial index: node IDs bucketed into square cells of
+// grid is a uniform spatial index: nodes bucketed into square cells of
 // side = the medium's range. Any pair within range is in the same or an
 // adjacent cell, so a 3×3 neighborhood scan finds every range candidate
 // (each still verified with the exact link predicate, so link decisions are
 // identical to the brute-force scan — the grid only prunes).
 //
-// The index is incremental: where remembers each member's cell, and a
-// position change removes the node from its old cell and inserts it into
-// the new one — O(log cell) for the sorted-slice membership — instead of
-// rebuilding every medium's grid on the next query. Cells stay sorted by
-// NodeID so candidate enumeration is deterministic.
+// The index is incremental: where remembers each node's cell, by node
+// index, and a position change removes the node from its old cell and
+// inserts it into the new one — O(log cell) for the rank-ordered
+// membership — instead of rebuilding every medium's grid on the next
+// query. Cells are kept in ID order (by rank), so enumeration is
+// deterministic. A cell that empties keeps its map entry and capacity until
+// empty cells outnumber occupied ones; then one pass drops them all. Nodes
+// shuttling between cells therefore allocate nothing, and the map stays
+// within twice the occupied cells.
 type grid struct {
 	cell  float64
-	cells map[[2]int][]NodeID
-	where map[NodeID][2]int
+	cells map[uint64][]*Node
+	where []uint64 // cell key, by node index
+	empty int      // cells in the map with no member
 }
 
-func newGrid(cell float64) *grid {
+func newGrid(cell float64, nodes int) *grid {
 	return &grid{
 		cell:  cell,
-		cells: make(map[[2]int][]NodeID),
-		where: make(map[NodeID][2]int),
+		cells: make(map[uint64][]*Node),
+		where: make([]uint64, 0, nodes),
 	}
 }
 
-func (g *grid) key(p Position) [2]int {
-	return [2]int{int(math.Floor(p.X / g.cell)), int(math.Floor(p.Y / g.cell))}
+// coords returns the cell coordinates covering p.
+func (g *grid) coords(p Position) (int, int) {
+	return int(math.Floor(p.X / g.cell)), int(math.Floor(p.Y / g.cell))
 }
 
+// cellKey packs cell coordinates into a map key. Coordinates beyond 32
+// bits alias, which only adds candidates: every one is still checked with
+// the link predicate.
+func cellKey(x, y int) uint64 { return uint64(uint32(x))<<32 | uint64(uint32(y)) }
+
 // insert adds a node that must not already be a member.
-func (g *grid) insert(id NodeID, p Position) {
-	k := g.key(p)
-	g.cells[k] = insertSorted(g.cells[k], id)
-	g.where[id] = k
+func (g *grid) insert(n *Node, p Position) {
+	for len(g.where) <= int(n.index) {
+		g.where = append(g.where, 0)
+	}
+	k := cellKey(g.coords(p))
+	g.where[n.index] = k
+	g.add(k, n)
 }
 
 // move migrates a member to the cell for p; a no-op when the cell is
 // unchanged (the common case for small mobility steps).
-func (g *grid) move(id NodeID, p Position) {
-	k := g.key(p)
-	old, ok := g.where[id]
-	if ok && old == k {
+func (g *grid) move(n *Node, p Position) {
+	k := cellKey(g.coords(p))
+	old := g.where[n.index]
+	if old == k {
 		return
 	}
-	if ok {
-		if rest := removeSorted(g.cells[old], id); len(rest) > 0 {
-			g.cells[old] = rest
-		} else {
-			delete(g.cells, old)
+	s := g.cells[old]
+	if i, found := rankSearch(s, n); found {
+		s = slices.Delete(s, i, i+1)
+	}
+	g.cells[old] = s
+	if len(s) == 0 {
+		g.empty++
+	}
+	g.where[n.index] = k
+	g.add(k, n)
+	if 2*g.empty > len(g.cells) {
+		for key, members := range g.cells {
+			if len(members) == 0 {
+				delete(g.cells, key)
+			}
+		}
+		g.empty = 0
+	}
+}
+
+// add inserts n into cell k in rank order.
+func (g *grid) add(k uint64, n *Node) {
+	s, ok := g.cells[k]
+	if ok && len(s) == 0 {
+		g.empty--
+	}
+	i, _ := rankSearch(s, n)
+	g.cells[k] = slices.Insert(s, i, n)
+}
+
+// rankSearch finds n's place in a rank-ordered cell.
+func rankSearch(s []*Node, n *Node) (int, bool) {
+	return slices.BinarySearchFunc(s, n, byRank)
+}
+
+// byRank orders nodes by ID through their ranks, without comparing
+// strings.
+func byRank(a, b *Node) int { return cmp.Compare(a.rank, b.rank) }
+
+// neighborsLocked appends to out the nodes linked to n over m, in ID
+// order. Candidates come from the explicit-link adjacency plus the 3×3
+// grid neighborhood; each is filtered with the link predicate first, and
+// only the linked ones are sorted. nw.mu must be held and m must be valid.
+func (nw *Network) neighborsLocked(n *Node, m radio.Medium, out []*Node) []*Node {
+	start := len(out)
+	md := &nw.media[m]
+	if int(n.index) < len(md.adj) {
+		for _, o := range md.adj[n.index] {
+			if nw.linkedLocked(n, o, m) {
+				out = append(out, o)
+			}
 		}
 	}
-	g.cells[k] = insertSorted(g.cells[k], id)
-	g.where[id] = k
-}
-
-func insertSorted(s []NodeID, id NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	s = append(s, "")
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
-}
-
-func removeSorted(s []NodeID, id NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	if i < len(s) && s[i] == id {
-		copy(s[i:], s[i+1:])
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
-// rangeCandidatesLocked appends to out the IDs of nodes that could be within
-// range of n over m (superset pruned by the grid). nw.mu must be held.
-func (nw *Network) rangeCandidatesLocked(n *Node, m radio.Medium, out []NodeID) []NodeID {
-	g := nw.grids[m]
-	if g == nil {
-		return out
-	}
-	k := g.key(n.position())
-	for dx := -1; dx <= 1; dx++ {
-		for dy := -1; dy <= 1; dy++ {
-			out = append(out, g.cells[[2]int{k[0] + dx, k[1] + dy}]...)
+	explicit := len(out) > start
+	if g := md.grid; g != nil {
+		x, y := g.coords(n.position())
+		for dx := -1; dx <= 1; dx++ {
+			for dy := -1; dy <= 1; dy++ {
+				for _, o := range g.cells[cellKey(x+dx, y+dy)] {
+					if nw.linkedLocked(n, o, m) {
+						out = append(out, o)
+					}
+				}
+			}
 		}
 	}
-	return out
+	found := out[start:]
+	slices.SortFunc(found, byRank)
+	if explicit {
+		found = slices.Compact(found) // adjacency and grid both produced it
+	}
+	return out[:start+len(found)]
 }
 
 // Neighbors returns the IDs of all nodes currently linked to id over m, in
-// stable order. Candidates come from the explicit-link adjacency set plus
-// the spatial grid (when the medium has a range), so the cost is
-// O(degree + local density) instead of O(all nodes). The candidate buffer
-// is recycled across calls; only the result slice is allocated.
+// ID order. The cost is O(degree + local density), not O(all nodes); the
+// result slice is the only allocation.
 func (nw *Network) Neighbors(id NodeID, m radio.Medium) []NodeID {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	n := nw.nodes[id]
-	if n == nil {
+	if n == nil || !validMedium(m) {
 		return nil
 	}
-	cand := nw.candScratch[:0]
-	for other := range nw.adj[m][id] {
-		cand = append(cand, other)
+	s := &nw.search
+	s.nbs = nw.neighborsLocked(n, m, s.nbs[:0])
+	if len(s.nbs) == 0 {
+		return nil
 	}
-	if nw.ranges[m] > 0 {
-		cand = nw.rangeCandidatesLocked(n, m, cand)
+	out := make([]NodeID, len(s.nbs))
+	for i, o := range s.nbs {
+		out[i] = o.id
 	}
-	slices.Sort(cand)
-	var out []NodeID
-	for _, other := range cand {
-		if other == id {
-			continue
-		}
-		if len(out) > 0 && out[len(out)-1] == other {
-			continue // adjacency and grid both produced it
-		}
-		if nw.linkedLocked(id, other, m) {
-			out = append(out, other)
-		}
-	}
-	nw.candScratch = cand
 	return out
 }
 
-// HopDistance returns the minimum hop count between a and b over m using
-// BFS over the current topology, or ErrNoPath.
-func (nw *Network) HopDistance(a, b NodeID, m radio.Medium) (int, error) {
-	if a == b {
-		return 0, nil
-	}
-	visited := map[NodeID]bool{a: true}
-	frontier := []NodeID{a}
-	hops := 0
-	for len(frontier) > 0 {
-		hops++
-		var next []NodeID
-		for _, cur := range frontier {
-			for _, nb := range nw.Neighbors(cur, m) {
-				if visited[nb] {
-					continue
-				}
-				if nb == b {
-					return hops, nil
-				}
-				visited[nb] = true
-				next = append(next, nb)
-			}
-		}
-		frontier = next
-	}
-	return 0, fmt.Errorf("%w: %s→%s over %s", ErrNoPath, a, b, m)
+// Relay reports whether the node with the given index may forward traffic
+// between other nodes. Route searches call it under the network's lock, so
+// it must not call back into the Network. A nil Relay lets every node
+// relay.
+type Relay func(index int32) bool
+
+// Reach is one node a sweep found, with its hop distance from the origin.
+type Reach struct {
+	Node *Node
+	Hops int
 }
 
-// ShortestPath returns the node sequence (excluding a, including b) of a
-// minimum-hop path from a to b over m.
-func (nw *Network) ShortestPath(a, b NodeID, m radio.Medium) ([]NodeID, error) {
-	if a == b {
-		return nil, nil
+// search is the BFS scratch, guarded by nw.mu. Its arrays are addressed by
+// node index; a node is visited in the current search when its stamp
+// equals gen, so starting a search is one increment, not a clear.
+type search struct {
+	gen   uint32
+	stamp []uint32
+	first []*Node // first hop from the origin toward each visited node
+	queue []*Node // visited nodes in BFS order
+	nbs   []*Node // the neighbours of the node being expanded
+}
+
+// begin starts a search over a network of n nodes from origin.
+func (s *search) begin(n int, origin *Node) {
+	for len(s.stamp) < n {
+		s.stamp = append(s.stamp, 0)
+		s.first = append(s.first, nil)
 	}
-	prev := map[NodeID]NodeID{}
-	visited := map[NodeID]bool{a: true}
-	frontier := []NodeID{a}
-	for len(frontier) > 0 {
-		var next []NodeID
-		for _, cur := range frontier {
-			for _, nb := range nw.Neighbors(cur, m) {
-				if visited[nb] {
+	s.gen++
+	if s.gen == 0 { // wrapped: no stale stamp may equal the new generation
+		clear(s.stamp)
+		s.gen = 1
+	}
+	s.queue = s.queue[:0]
+	s.visit(origin)
+}
+
+// seen reports whether the current search has visited n.
+func (s *search) seen(n *Node) bool { return s.stamp[n.index] == s.gen }
+
+// visit marks n visited and queues it for expansion.
+func (s *search) visit(n *Node) {
+	s.stamp[n.index] = s.gen
+	s.queue = append(s.queue, n)
+}
+
+// Route is the point-to-point search: the first hop and the hop count of a
+// minimum-hop path from a to b over m whose relays — every node strictly
+// between a and b — satisfy relay. The BFS expands neighbours in ID order,
+// so among equally short paths it picks the one a breadth-first walk in
+// ID order meets first. a == b is reached in 0 hops with no next hop. The
+// search takes nw.mu once and allocates nothing.
+func (nw *Network) Route(a, b NodeID, m radio.Medium, relay Relay) (next *Node, hops int, ok bool) {
+	if a == b {
+		return nil, 0, true
+	}
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	na, nb, ok := nw.pairLocked(a, b)
+	if !ok || !validMedium(m) {
+		return nil, 0, false
+	}
+	// A direct link answers at once, and exactly: level 1 of the BFS
+	// expands a's neighbours, b among them, and the destination is accepted
+	// whatever relay says, so the walk would return b after 1 hop.
+	if nw.linkedLocked(na, nb, m) {
+		return nb, 1, true
+	}
+	s := &nw.search
+	s.begin(len(nw.nodeList), na)
+	for level, lo := 1, 0; lo < len(s.queue); level++ {
+		hi := len(s.queue)
+		for i := lo; i < hi; i++ {
+			cur := s.queue[i]
+			s.nbs = nw.neighborsLocked(cur, m, s.nbs[:0])
+			for _, o := range s.nbs {
+				if s.seen(o) {
 					continue
 				}
-				visited[nb] = true
-				prev[nb] = cur
-				if nb == b {
-					// Reconstruct.
-					var path []NodeID
-					for at := b; at != a; at = prev[at] {
-						path = append(path, at)
-					}
-					// Reverse.
-					for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-						path[i], path[j] = path[j], path[i]
-					}
-					return path, nil
+				hop := s.first[cur.index]
+				if cur == na {
+					hop = o
 				}
-				next = append(next, nb)
+				if o == nb {
+					return hop, level, true
+				}
+				if relay != nil && !relay(o.index) {
+					continue
+				}
+				s.visit(o)
+				s.first[o.index] = hop
 			}
 		}
-		frontier = next
+		lo = hi
 	}
-	return nil, fmt.Errorf("%w: %s→%s over %s", ErrNoPath, a, b, m)
+	return nil, 0, false
+}
+
+// Within is the sweep: it appends to out, in BFS order and with its hop
+// distance, every node satisfying relay that a BFS from origin over m
+// reaches within maxHops (0 = unbounded) through such nodes. The origin is
+// not listed. The sweep takes nw.mu once and allocates nothing beyond
+// growing out.
+func (nw *Network) Within(origin NodeID, m radio.Medium, maxHops int, relay Relay, out []Reach) []Reach {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	no := nw.nodes[origin]
+	if no == nil || !validMedium(m) {
+		return out
+	}
+	s := &nw.search
+	s.begin(len(nw.nodeList), no)
+	for level, lo := 1, 0; lo < len(s.queue) && (maxHops <= 0 || level <= maxHops); level++ {
+		hi := len(s.queue)
+		for i := lo; i < hi; i++ {
+			s.nbs = nw.neighborsLocked(s.queue[i], m, s.nbs[:0])
+			for _, o := range s.nbs {
+				if s.seen(o) || (relay != nil && !relay(o.index)) {
+					continue
+				}
+				s.visit(o)
+				out = append(out, Reach{Node: o, Hops: level})
+			}
+		}
+		lo = hi
+	}
+	return out
 }
 
 // Send schedules delivery of a message after the given latency. The link is
@@ -934,7 +1122,7 @@ func (nw *Network) Send(msg Message, latency time.Duration) error {
 		nw.mu.Unlock()
 		return fmt.Errorf("%w: %s %s", ErrRadioOff, msg.From, msg.Medium)
 	}
-	if !nw.linkedLocked(msg.From, msg.To, msg.Medium) {
+	if to := nw.nodes[msg.To]; to == nil || !nw.linkedLocked(from, to, msg.Medium) {
 		nw.mu.Unlock()
 		return fmt.Errorf("%w: %s→%s over %s", ErrNotLinked, msg.From, msg.To, msg.Medium)
 	}
@@ -963,8 +1151,8 @@ func (nw *Network) deliver(msg Message) {
 		return
 	}
 	nw.mu.Lock()
-	to := nw.nodes[msg.To]
-	linked := to != nil && nw.linkedLocked(msg.From, msg.To, msg.Medium)
+	from, to, linked := nw.pairLocked(msg.From, msg.To)
+	linked = linked && nw.linkedLocked(from, to, msg.Medium)
 	nw.mu.Unlock()
 	if !linked {
 		nw.countDrop(msg.Medium)
@@ -995,10 +1183,7 @@ func (nw *Network) Stats() (delivered, dropped int) {
 	return int(nw.delivers.Load()), int(nw.dropped.Load())
 }
 
-// StartMobility begins integrating node velocities every interval. Each
-// tick walks the sorted node list under one lock, skips stationary nodes,
-// and migrates only the grid cells that actually change — no per-tick
-// allocation and no full-grid rebuild.
+// StartMobility begins integrating node velocities every interval.
 func (nw *Network) StartMobility(interval time.Duration) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
@@ -1006,23 +1191,38 @@ func (nw *Network) StartMobility(interval time.Duration) {
 		return
 	}
 	dt := interval.Seconds()
-	nw.mobility = nw.clock.Every(interval, func() {
-		nw.mu.Lock()
-		for _, n := range nw.nodeList {
-			vx, vy := n.velocity()
-			if vx == 0 && vy == 0 {
-				continue
-			}
-			p := n.position()
-			p.X += vx * dt
-			p.Y += vy * dt
-			n.storePosition(p)
-			for _, g := range nw.grids {
-				g.move(n.id, p)
-			}
+	nw.mobility = nw.clock.Every(interval, func() { nw.integrate(dt) })
+}
+
+// integrate is one mobility tick: it advances every moving node by dt
+// seconds of its velocity. The tick walks the sorted node list under one
+// lock, skips stationary nodes and migrates only the grid cells that
+// actually change — no full-grid rebuild, and no allocation once the grids
+// are warm.
+func (nw *Network) integrate(dt float64) {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	for _, n := range nw.nodeList {
+		vx, vy := n.velocity()
+		if vx == 0 && vy == 0 {
+			continue
 		}
-		nw.mu.Unlock()
-	})
+		p := n.position()
+		p.X += vx * dt
+		p.Y += vy * dt
+		n.storePosition(p)
+		nw.moveLocked(n, p)
+	}
+}
+
+// moveLocked migrates n to the cell covering p in every active grid; nw.mu
+// must be held.
+func (nw *Network) moveLocked(n *Node, p Position) {
+	for m := range nw.media {
+		if g := nw.media[m].grid; g != nil {
+			g.move(n, p)
+		}
+	}
 }
 
 // StopMobility halts the mobility ticker.

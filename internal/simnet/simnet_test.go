@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -230,16 +231,24 @@ func TestNeighborsAndHopDistance(t *testing.T) {
 	if len(nbs) != 2 || nbs[0] != "a" || nbs[1] != "c" {
 		t.Fatalf("Neighbors(b) = %v", nbs)
 	}
-	h, err := nw.HopDistance("a", "c", radio.MediumWiFi)
-	if err != nil || h != 2 {
-		t.Fatalf("HopDistance(a,c) = %d, %v", h, err)
+	if next, h, ok := nw.Route("a", "c", radio.MediumWiFi, nil); !ok || h != 2 || next.ID() != "b" {
+		t.Fatalf("Route(a,c) = %v, %d, %v", next, h, ok)
 	}
-	h, err = nw.HopDistance("a", "a", radio.MediumWiFi)
-	if err != nil || h != 0 {
-		t.Fatalf("HopDistance(a,a) = %d, %v", h, err)
+	if next, h, ok := nw.Route("a", "a", radio.MediumWiFi, nil); !ok || h != 0 || next != nil {
+		t.Fatalf("Route(a,a) = %v, %d, %v", next, h, ok)
 	}
-	if _, err := nw.HopDistance("a", "c", radio.MediumBT); !errors.Is(err, ErrNoPath) {
-		t.Fatalf("BT path = %v, want ErrNoPath", err)
+	if _, _, ok := nw.Route("a", "c", radio.MediumBT, nil); ok {
+		t.Fatal("BT route found without BT links")
+	}
+	// A relay that refuses to forward cuts the line; an endpoint need not
+	// relay.
+	b := nw.Node("b").Index()
+	notB := func(i int32) bool { return i != b }
+	if _, _, ok := nw.Route("a", "c", radio.MediumWiFi, notB); ok {
+		t.Fatal("route through a non-relay")
+	}
+	if _, h, ok := nw.Route("a", "b", radio.MediumWiFi, notB); !ok || h != 1 {
+		t.Fatalf("Route(a,b) to a non-relay = %d, %v", h, ok)
 	}
 }
 
@@ -250,26 +259,23 @@ func TestShortestPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path, err := nw.ShortestPath("a", "d", radio.MediumWiFi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(path) != 1 || path[0] != "d" {
-		t.Fatalf("path = %v, want [d]", path)
+	if next, h, ok := nw.Route("a", "d", radio.MediumWiFi, nil); !ok || h != 1 || next.ID() != "d" {
+		t.Fatalf("Route(a,d) = %v, %d, %v, want d in 1 hop", next, h, ok)
 	}
 	nw.FailLink("a", "d", radio.MediumWiFi)
-	path, err = nw.ShortestPath("a", "d", radio.MediumWiFi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []NodeID{"b", "c", "d"}
-	if len(path) != 3 {
-		t.Fatalf("path = %v, want %v", path, want)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
+	// Walking the first hops from each node on the way is the path a
+	// forwarded message takes: b, c, d.
+	var path []NodeID
+	for at := NodeID("a"); at != "d"; {
+		next, h, ok := nw.Route(at, "d", radio.MediumWiFi, nil)
+		if !ok || h != 3-len(path) {
+			t.Fatalf("Route(%s,d) = %v, %d, %v after %v", at, next, h, ok, path)
 		}
+		at = next.ID()
+		path = append(path, at)
+	}
+	if want := []NodeID{"b", "c", "d"}; !slices.Equal(path, want) {
+		t.Fatalf("path = %v, want %v", path, want)
 	}
 }
 

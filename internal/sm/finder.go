@@ -3,7 +3,8 @@ package sm
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"contory/internal/energy"
@@ -188,41 +189,32 @@ func queryBytesOrDefault(b int) int {
 
 // discoverTargets simulates content-based routing state: participant nodes
 // exposing the desired tag within MaxHops of origin, nearest first, capped
-// at MaxNodes. One breadth-first sweep from the origin yields every
-// candidate's hop distance at once; a per-candidate path search would make
-// fleet-scale discovery cost quadratic in the population.
+// at MaxNodes. One sweep from the origin yields every candidate's hop
+// distance at once; a per-candidate path search would make fleet-scale
+// discovery cost quadratic in the population. The tag and region filters
+// run after the sweep has released the network's lock.
 func (p *Platform) discoverTargets(origin simnet.NodeID, spec FinderSpec) []simnet.NodeID {
-	dist := p.hopDistances(origin, spec.MaxHops)
-	type cand struct {
-		id   simnet.NodeID
-		dist int
-	}
-	// dist holds exactly the reachable participants (plus origin): the BFS
-	// only expands tagged nodes. Iterating it keeps discovery proportional
-	// to the reachable neighborhood instead of the whole participant set;
-	// the full (dist, id) sort below erases map iteration order.
-	cands := make([]cand, 0, len(dist))
-	for id, d := range dist {
-		if id == origin {
-			continue
-		}
-		rt := p.Runtime(id)
+	buf := reachBufs.Get().(*[]simnet.Reach)
+	defer reachBufs.Put(buf)
+	// The sweep reaches exactly the participants around the origin, so
+	// discovery stays proportional to the reachable neighbourhood.
+	reach := p.net.Within(origin, radio.MediumWiFi, spec.MaxHops, p.relays, (*buf)[:0])
+	cands := reach[:0]
+	for _, r := range reach {
+		rt := p.runtimes.at(r.Node.Index())
 		if rt == nil || !rt.Tags().Has(spec.TagName) {
 			continue
 		}
-		if spec.Region != nil {
-			node := p.net.Node(id)
-			if node == nil || !spec.Region.contains(node.Position()) {
-				continue
-			}
+		if spec.Region != nil && !spec.Region.contains(r.Node.Position()) {
+			continue
 		}
-		cands = append(cands, cand{id: id, dist: d})
+		cands = append(cands, r)
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].dist != cands[j].dist {
-			return cands[i].dist < cands[j].dist
+	slices.SortFunc(cands, func(a, b simnet.Reach) int {
+		if a.Hops != b.Hops {
+			return a.Hops - b.Hops
 		}
-		return cands[i].id < cands[j].id
+		return strings.Compare(string(a.Node.ID()), string(b.Node.ID()))
 	})
 	max := spec.MaxNodes
 	if max <= 0 || max > len(cands) {
@@ -230,77 +222,21 @@ func (p *Platform) discoverTargets(origin simnet.NodeID, spec FinderSpec) []simn
 	}
 	out := make([]simnet.NodeID, 0, max)
 	for _, c := range cands[:max] {
-		out = append(out, c.id)
+		out = append(out, c.Node.ID())
 	}
+	clear(reach) // the pool must not pin nodes
+	*buf = reach[:0]
 	return out
 }
 
-// hopDistances runs one BFS over participant-only WiFi links from origin and
-// returns the hop distance of every node reached, stopping at maxHops when
-// it is positive (0 = unbounded).
-func (p *Platform) hopDistances(origin simnet.NodeID, maxHops int) map[simnet.NodeID]int {
-	dist := map[simnet.NodeID]int{origin: 0}
-	frontier := []simnet.NodeID{origin}
-	for d := 1; len(frontier) > 0 && (maxHops <= 0 || d <= maxHops); d++ {
-		var next []simnet.NodeID
-		for _, cur := range frontier {
-			for _, nb := range p.net.Neighbors(cur, radio.MediumWiFi) {
-				if _, seen := dist[nb]; seen || (nb != origin && !p.participating(nb)) {
-					continue
-				}
-				dist[nb] = d
-				next = append(next, nb)
-			}
-		}
-		frontier = next
-	}
-	return dist
-}
+// reachBufs recycles discovery's sweep buffers.
+var reachBufs = sync.Pool{New: func() any { return new([]simnet.Reach) }}
 
-// hopDistance runs BFS over WiFi links restricted to participant nodes
+// route is the search every finder hop runs: the first hop and the hop
+// count of a minimum-hop WiFi path from a to b whose relays participate
 // (only nodes exposing the contory tag collaborate in forwarding, §5.2).
-func (p *Platform) hopDistance(a, b simnet.NodeID) (int, bool) {
-	path, ok := p.shortestPath(a, b)
-	if !ok {
-		return 0, false
-	}
-	return len(path), true
-}
-
-// shortestPath returns the participant-only path from a to b, excluding a
-// and including b.
-func (p *Platform) shortestPath(a, b simnet.NodeID) ([]simnet.NodeID, bool) {
-	if a == b {
-		return nil, true
-	}
-	prev := map[simnet.NodeID]simnet.NodeID{}
-	visited := map[simnet.NodeID]bool{a: true}
-	frontier := []simnet.NodeID{a}
-	for len(frontier) > 0 {
-		var next []simnet.NodeID
-		for _, cur := range frontier {
-			for _, nb := range p.net.Neighbors(cur, radio.MediumWiFi) {
-				if visited[nb] || (nb != a && nb != b && !p.participating(nb)) {
-					continue
-				}
-				visited[nb] = true
-				prev[nb] = cur
-				if nb == b {
-					var path []simnet.NodeID
-					for at := b; at != a; at = prev[at] {
-						path = append(path, at)
-					}
-					for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-						path[i], path[j] = path[j], path[i]
-					}
-					return path, true
-				}
-				next = append(next, nb)
-			}
-		}
-		frontier = next
-	}
-	return nil, false
+func (p *Platform) route(a, b simnet.NodeID) (next *simnet.Node, hops int, ok bool) {
+	return p.net.Route(a, b, radio.MediumWiFi, p.relays)
 }
 
 // finderStep is the SM-FINDER code brick body, executed each time the SM
@@ -328,7 +264,7 @@ func (p *Platform) finderStep(rt *Runtime, m *Message) {
 		if tag, err := rt.Tags().Read(st.spec.TagName); err == nil {
 			if st.spec.Filter == nil || st.spec.Filter(tag.Value) {
 				dist := 0
-				if d, ok := p.hopDistance(m.Origin, here); ok {
+				if _, d, ok := p.route(m.Origin, here); ok {
 					dist = d
 				}
 				st.results = append(st.results, Result{
@@ -356,11 +292,11 @@ func (p *Platform) finderStep(rt *Runtime, m *Message) {
 			p.routeHome(rt, m, st)
 			return
 		}
-		// The reachability test's path is the route: the search runs on the
-		// same topology in the same event, so a second one would find the
-		// same path.
-		if path, ok := p.shortestPath(here, st.remaining[0]); ok {
-			p.hopAlong(m, st, here, path)
+		// The reachability test's first hop is the route: the search runs
+		// on the same topology in the same event, so a second one would
+		// find the same hop.
+		if next, hops, ok := p.route(here, st.remaining[0]); ok {
+			p.hopAlong(m, st, here, next, hops)
 			return
 		}
 		// Unreachable (partition/mobility): skip it.
@@ -382,23 +318,23 @@ func (p *Platform) routeHome(rt *Runtime, m *Message, st *finderState) {
 		return
 	}
 	// Origin unreachable: the SM dies; the timeout cancels the query.
-	if path, ok := p.shortestPath(here, m.Origin); ok {
-		p.hopAlong(m, st, here, path)
+	if next, hops, ok := p.route(here, m.Origin); ok {
+		p.hopAlong(m, st, here, next, hops)
 	}
 }
 
-// hopAlong migrates the SM to the first node of path (which excludes here).
-// An empty path means the SM is already at its destination and stays.
-func (p *Platform) hopAlong(m *Message, st *finderState, here simnet.NodeID, path []simnet.NodeID) {
-	if len(path) == 0 {
+// hopAlong migrates the SM to next, the first hop of a route of the given
+// length. A route of 0 hops means the SM is already at its destination
+// and stays.
+func (p *Platform) hopAlong(m *Message, st *finderState, here simnet.NodeID, next *simnet.Node, hops int) {
+	if hops == 0 {
 		return
 	}
-	next := path[0]
 	departOrigin := !st.departed
 	st.departed = true
-	arriveOrigin := st.returning && next == m.Origin && len(path) == 1
+	arriveOrigin := st.returning && next.ID() == m.Origin && hops == 1
 	// A link that vanished between the search and the send lets the SM die.
-	_ = p.migrate(m, st.spec.Span, here, next, departOrigin, arriveOrigin)
+	_ = p.migrate(m, st.spec.Span, here, next.ID(), departOrigin, arriveOrigin)
 }
 
 // deliver hands results to the registered callback, applying the hopCnt

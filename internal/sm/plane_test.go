@@ -38,13 +38,21 @@ func TestLeaveJoinAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Fatalf("Leave+Join with %d installed nodes: %v allocations, want 0", n, got)
 	}
-	if !rt.Participating() || !p.participating("p02500") {
+	idx := rt.Node().Index()
+	if !rt.Participating() || !p.relays(idx) {
 		t.Fatal("node not participating after Join")
 	}
 	// Route searches ask this of every neighbour they expand.
 	var in bool
-	if got := testing.AllocsPerRun(100, func() { in = p.participating("p02500") }); got != 0 || !in {
-		t.Fatalf("participating lookup: %v allocations (result %v), want 0", got, in)
+	if got := testing.AllocsPerRun(100, func() { in = p.relays(idx) }); got != 0 || !in {
+		t.Fatalf("relay lookup: %v allocations (result %v), want 0", got, in)
+	}
+	// A route search through the platform's relay predicate allocates
+	// nothing either: three hops along the line of participants.
+	nw.SetRange(radio.MediumWiFi, 1.5)
+	var hops int
+	if got := testing.AllocsPerRun(100, func() { _, hops, _ = p.route("p02500", "p02503") }); got != 0 || hops != 3 {
+		t.Fatalf("route search: %v allocations (%d hops), want 0", got, hops)
 	}
 }
 
@@ -92,7 +100,7 @@ func TestPooledHopLatencyMatchesFresh(t *testing.T) {
 		}
 		depart, arrive, cached := rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0
 		got := p.hopLatency(m, depart, arrive, cached)
-		ref.wifi = radio.NewWiFi(int64(hashID(m.ID)) + int64(m.HopCnt))
+		ref.wifi = radio.NewWiFi(int64(simnet.HashID(m.ID)) + int64(m.HopCnt))
 		if want := ref.hopLatency(m, depart, arrive, cached); got != want {
 			t.Fatalf("draw %d (%s hop %d): pooled %v, fresh %v", i, m.ID, m.HopCnt, got, want)
 		}
@@ -154,6 +162,31 @@ func TestConcurrentRouteSearchAndHopLatency(t *testing.T) {
 	wg.Wait()
 }
 
+// shortestPath is the path a finder travels from a to b, excluding a and
+// including b: each hop is the first hop of a fresh route search from
+// where the SM then is. Every search must be one hop shorter than the one
+// before it.
+func (p *Platform) shortestPath(a, b simnet.NodeID) ([]simnet.NodeID, bool) {
+	var path []simnet.NodeID
+	want := -1
+	for at := a; at != b; want-- {
+		next, hops, ok := p.route(at, b)
+		if !ok || (want >= 0 && hops != want) {
+			return nil, false
+		}
+		want = hops
+		at = next.ID()
+		path = append(path, at)
+	}
+	return path, true
+}
+
+// hopDistances is discovery's sweep: every participant within maxHops of
+// origin (0 = unbounded), with its hop count.
+func (p *Platform) hopDistances(origin simnet.NodeID, maxHops int) []simnet.Reach {
+	return p.net.Within(origin, radio.MediumWiFi, maxHops, p.relays, nil)
+}
+
 // bruteDistances is the reference route search: BFS over the test's own
 // edge list, expanding only into nodes that read the participation tag
 // (plus the origin, and the destination when one is given), visiting
@@ -179,40 +212,126 @@ func bruteDistances(adj map[simnet.NodeID][]simnet.NodeID, tagged func(simnet.No
 	return dist, prev
 }
 
-// Property: after any sequence of Install, Leave and Join on a random
-// graph, the route searches agree with a brute-force BFS over the
-// participant set read from the tags, path for path.
+// wifiModel is the test's own statement of WiFi connectivity: two distinct
+// nodes link when both are up with their radio on, no partition separates
+// them, the link has not failed, and they are explicitly connected or
+// within range.
+type wifiModel struct {
+	rangeM   float64
+	pos      map[simnet.NodeID]simnet.Position
+	explicit map[[2]simnet.NodeID]bool
+	failed   map[[2]simnet.NodeID]bool
+	down     map[simnet.NodeID]bool
+	off      map[simnet.NodeID]bool
+	parts    []map[simnet.NodeID]bool
+}
+
+func undirected(a, b simnet.NodeID) [2]simnet.NodeID {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]simnet.NodeID{a, b}
+}
+
+func (w *wifiModel) linked(a, b simnet.NodeID) bool {
+	if a == b || w.down[a] || w.down[b] || w.off[a] || w.off[b] || w.failed[undirected(a, b)] {
+		return false
+	}
+	for _, part := range w.parts {
+		if part[a] != part[b] {
+			return false
+		}
+	}
+	return w.explicit[undirected(a, b)] || w.pos[a].Distance(w.pos[b]) <= w.rangeM
+}
+
+// Property: on a random network — nodes added out of ID order, range and
+// explicit links, failed links, partitions, down nodes and radios off —
+// after any sequence of Install, Leave and Join, the route search gives
+// the first hop and hop count, and the sweep the node set and distances,
+// of a brute-force BFS over the participant set read from the tags, for
+// every pair of nodes, participants or not.
 func TestRouteSearchMatchesBruteForce(t *testing.T) {
+	pool := []simnet.NodeID{"p00002", "infra", "boat-1", "p00001", "p00001-gps", "boat-10", "boat-2", "a", "z"}
+	for i := 0; i < 24; i++ {
+		pool = append(pool, simnet.NodeID(fmt.Sprintf("p%05d", 10+i)))
+	}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nw := simnet.New(vclock.NewSimulator())
 		p := NewPlatform(nw, radio.NewWiFi(seed))
+		w := &wifiModel{
+			rangeM:   20 + 40*rng.Float64(),
+			pos:      map[simnet.NodeID]simnet.Position{},
+			explicit: map[[2]simnet.NodeID]bool{},
+			failed:   map[[2]simnet.NodeID]bool{},
+			down:     map[simnet.NodeID]bool{},
+			off:      map[simnet.NodeID]bool{},
+		}
+		rangeFirst := rng.Intn(2) == 0 // grid present while nodes arrive
+		if rangeFirst {
+			nw.SetRange(radio.MediumWiFi, w.rangeM)
+		}
 		n := 4 + rng.Intn(20)
-		ids := make([]simnet.NodeID, n)
-		for i := range ids {
-			ids[i] = simnet.NodeID(fmt.Sprintf("n%02d", i))
-			if _, err := nw.AddNode(ids[i], simnet.Position{}); err != nil {
+		ids := slices.Clone(pool)
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		ids = ids[:n]
+		for _, id := range ids {
+			w.pos[id] = simnet.Position{X: 150 * rng.Float64(), Y: 150 * rng.Float64()}
+			if _, err := nw.AddNode(id, w.pos[id]); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if !rangeFirst {
+			nw.SetRange(radio.MediumWiFi, w.rangeM)
+		}
+		pick := func() simnet.NodeID { return ids[rng.Intn(n)] }
+		for e := rng.Intn(2 * n); e > 0; e-- {
+			if a, b := pick(), pick(); a != b {
+				if err := nw.Connect(a, b, radio.MediumWiFi); err != nil {
+					t.Fatal(err)
+				}
+				w.explicit[undirected(a, b)] = true
+			}
+		}
+		for e := rng.Intn(n); e > 0; e-- {
+			a, b := pick(), pick()
+			nw.FailLink(a, b, radio.MediumWiFi)
+			w.failed[undirected(a, b)] = true
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			part := map[simnet.NodeID]bool{}
+			var members []simnet.NodeID
+			for m := 1 + rng.Intn(n/2); m > 0; m-- {
+				id := pick()
+				part[id] = true
+				members = append(members, id)
+			}
+			nw.Partition(radio.MediumWiFi, members...)
+			w.parts = append(w.parts, part)
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			id := pick()
+			nw.Node(id).SetDown(true)
+			w.down[id] = true
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			id := pick()
+			nw.Node(id).SetRadio(radio.MediumWiFi, false)
+			w.off[id] = true
 		}
 		adj := map[simnet.NodeID][]simnet.NodeID{}
-		for e := rng.Intn(3 * n); e > 0; e-- {
-			a, b := ids[rng.Intn(n)], ids[rng.Intn(n)]
-			if a == b || slices.Contains(adj[a], b) {
-				continue
+		for _, a := range ids {
+			for _, b := range ids {
+				if w.linked(a, b) {
+					adj[a] = append(adj[a], b)
+				}
 			}
-			if err := nw.Connect(a, b, radio.MediumWiFi); err != nil {
-				t.Fatal(err)
-			}
-			adj[a] = append(adj[a], b)
-			adj[b] = append(adj[b], a)
-		}
-		for _, nbs := range adj {
-			slices.Sort(nbs)
+			slices.Sort(adj[a])
 		}
 		// Some nodes never get a runtime; the rest churn.
 		for op := rng.Intn(4 * n); op > 0; op-- {
-			id := ids[rng.Intn(n)]
+			id := pick()
 			rt := p.Runtime(id)
 			switch {
 			case rt == nil && rng.Intn(3) > 0:
@@ -238,33 +357,49 @@ func TestRouteSearchMatchesBruteForce(t *testing.T) {
 		for _, a := range ids {
 			maxHops := rng.Intn(4)
 			want, _ := bruteDistances(adj, tagged, a, "", maxHops)
-			if got := p.hopDistances(a, maxHops); !maps.Equal(got, want) {
-				t.Logf("seed %d: hopDistances(%s, %d) = %v, want %v", seed, a, maxHops, got, want)
+			delete(want, a)
+			got := map[simnet.NodeID]int{}
+			for _, r := range p.hopDistances(a, maxHops) {
+				got[r.Node.ID()] = r.Hops
+			}
+			if !maps.Equal(got, want) {
+				t.Logf("seed %d: sweep(%s, %d) = %v, want %v", seed, a, maxHops, got, want)
 				return false
 			}
 			for _, b := range ids {
-				path, ok := p.shortestPath(a, b)
+				next, hops, ok := p.route(a, b)
 				dist, prev := bruteDistances(adj, tagged, a, b, 0)
-				_, reach := dist[b]
-				if ok != reach {
-					t.Logf("seed %d: shortestPath(%s, %s) ok=%v, brute force %v", seed, a, b, ok, reach)
+				wantHops, reach := dist[b]
+				if ok != reach || hops != wantHops {
+					t.Logf("seed %d: route(%s, %s) = %d hops, ok=%v; brute force %d, %v", seed, a, b, hops, ok, wantHops, reach)
 					return false
 				}
-				var wantPath []simnet.NodeID
+				var wantNext simnet.NodeID
 				for at := b; reach && at != a; at = prev[at] {
-					wantPath = append([]simnet.NodeID{at}, wantPath...)
+					wantNext = at
 				}
-				if !slices.Equal(path, wantPath) {
-					t.Logf("seed %d: shortestPath(%s, %s) = %v, want %v", seed, a, b, path, wantPath)
+				if gotNext := nodeID(next); gotNext != wantNext {
+					t.Logf("seed %d: route(%s, %s) first hop %q, want %q", seed, a, b, gotNext, wantNext)
+					return false
+				}
+				if path, ok := p.shortestPath(a, b); ok != reach || len(path) != wantHops || (reach && a != b && path[0] != wantNext) {
+					t.Logf("seed %d: walk %s→%s = %v, ok=%v; want %d hops via %q", seed, a, b, path, ok, wantHops, wantNext)
 					return false
 				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func nodeID(n *simnet.Node) simnet.NodeID {
+	if n == nil {
+		return ""
+	}
+	return n.ID()
 }
 
 // BenchmarkFinderTour measures SM-FINDER rounds on a churning grid of 300

@@ -79,10 +79,10 @@ type Platform struct {
 	net  *simnet.Network
 	wifi *radio.WiFi
 
-	// runtimes maps node ID to *Runtime. Route searches look a runtime up
-	// for every neighbour they expand, possibly from many lanes at once,
-	// so reads take no lock.
-	runtimes sync.Map
+	// runtimes is the runtime index, addressed by simnet node index. Route
+	// searches ask it about every node they expand, possibly from many
+	// lanes at once, so reads take no lock.
+	runtimes runtimeTable
 
 	mu      sync.Mutex
 	nextID  int
@@ -148,26 +148,65 @@ func (p *Platform) Install(id simnet.NodeID, adm Admission) (*Runtime, error) {
 	}
 	rt.participating.Store(true)
 	node.Handle(msgKindSM, rt.onArrive)
-	p.runtimes.Store(id, rt)
+	p.mu.Lock()
+	p.runtimes.store(node.Index(), rt)
+	p.mu.Unlock()
 	return rt, nil
 }
 
 // Runtime returns the runtime installed on a node, or nil.
 func (p *Platform) Runtime(id simnet.NodeID) *Runtime {
-	if rt, ok := p.runtimes.Load(id); ok {
-		return rt.(*Runtime)
+	if n := p.net.Node(id); n != nil {
+		return p.runtimes.at(n.Index())
 	}
 	return nil
 }
 
-// participating reports whether a node runs an SM runtime that exposes
-// the participation tag — the one question route searches ask of every
-// node they expand. The flags change only during set-up and in scripted
-// churn, which runs as global barrier events, so no search on any lane
-// sees a flag change mid-walk.
-func (p *Platform) participating(id simnet.NodeID) bool {
-	rt := p.Runtime(id)
+// relays reports whether the node at a simnet index runs an SM runtime
+// that exposes the participation tag: only such nodes forward SMs (§5.2).
+// It is the Relay of every route search, which asks it of each node it
+// expands under the network's lock, so it reads the runtime table and the
+// flag and nothing else. The flags change only during set-up and in
+// scripted churn, which runs as global barrier events, so no search on any
+// lane sees a flag change mid-walk.
+func (p *Platform) relays(index int32) bool {
+	rt := p.runtimes.at(index)
 	return rt != nil && rt.participating.Load()
+}
+
+// runtimeTable maps simnet node indices to runtimes. Reads are lock-free:
+// slots are atomic, and a full table is replaced by one of twice the size,
+// never resized in place, so installs cost amortized O(1). Stores must be
+// serialised (Install holds p.mu).
+type runtimeTable struct {
+	slots atomic.Pointer[[]atomic.Pointer[Runtime]]
+}
+
+func (t *runtimeTable) at(index int32) *Runtime {
+	if s := t.slots.Load(); s != nil && int(index) < len(*s) {
+		return (*s)[index].Load()
+	}
+	return nil
+}
+
+func (t *runtimeTable) store(index int32, rt *Runtime) {
+	s := t.slots.Load()
+	if s == nil || int(index) >= len(*s) {
+		size := 64
+		if s != nil {
+			size = 2 * len(*s)
+		}
+		size = max(size, int(index)+1)
+		grown := make([]atomic.Pointer[Runtime], size)
+		if s != nil {
+			for i := range *s {
+				grown[i].Store((*s)[i].Load())
+			}
+		}
+		t.slots.Store(&grown)
+		s = &grown
+	}
+	(*s)[index].Store(rt)
 }
 
 // nextMsgID allocates a unique SM identifier ("to disambiguate between
@@ -308,7 +347,7 @@ func (p *Platform) hopLatency(m *Message, departOrigin, arriveOrigin, codeCached
 		// Reseeding a pooled model draws what a fresh one would.
 		w = hopSamplers.Get().(*radio.WiFi)
 		defer hopSamplers.Put(w)
-		w.Reseed(int64(hashID(m.ID)) + int64(m.HopCnt))
+		w.Reseed(int64(simnet.HashID(m.ID)) + int64(m.HopCnt))
 	}
 	half := w.PerHopLatency() / 2
 	d := w.HopLatency(false) / 2 // jittered per-hop half-cost
@@ -389,17 +428,6 @@ func (p *Platform) migrate(m *Message, span *tracing.Span, from, to simnet.NodeI
 		}
 	}
 	return nil
-}
-
-// hashID is 64-bit FNV-1a over an SM identifier, used to seed per-message
-// latency samplers in sharded mode.
-func hashID(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // smWireBytes estimates the serialized SM size: control state plus data
