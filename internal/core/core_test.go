@@ -74,7 +74,7 @@ func newBed(t *testing.T, opts ...Option) *bed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.plat = sm.NewPlatform(nw, radio.NewWiFi(200))
+	b.plat = sm.NewPlatform(nw, 200)
 	b.dev, err = NewDevice(DeviceConfig{
 		Network: nw, ID: "phone", SMPlatform: b.plat,
 		InfraServer: "infra", GPSDevice: "bt-gps-1", Seed: 1,

@@ -143,7 +143,7 @@ func TestLifecycleTranscript(t *testing.T) {
 				`+0s q-1 assigned intSensor ""`,
 				`+0s q-1 assigned adHocNetwork ""`,
 				`+20s q-1 delivered intSensor "temperature"`,
-				`+22.26325534s q-1 delivered intSensor "temperature"`,
+				`+22.245576197s q-1 delivered intSensor "temperature"`,
 				`+30s q-1 cancelled intSensor ""`,
 			},
 			counters: []string{
@@ -176,7 +176,7 @@ func TestLifecycleTranscript(t *testing.T) {
 				`+10s q-1 delivered cache "temperature"`,
 				`+20s q-1 delivered cache "temperature"`,
 				`+30s q-1 assigned adHocNetwork "promoted from cache: cache stale"`,
-				`+42.26325534s q-1 delivered adHocNetwork "temperature"`,
+				`+42.245576197s q-1 delivered adHocNetwork "temperature"`,
 				`+45s q-1 cancelled adHocNetwork ""`,
 			},
 			counters: []string{
@@ -206,8 +206,8 @@ func TestLifecycleTranscript(t *testing.T) {
 			events: []string{
 				`+0s q-1 submitted  "temperature"`,
 				`+0s q-1 assigned extInfra ""`,
-				`+1.808913798s q-1 delivered extInfra "temperature"`,
-				`+1.808913798s q-1 expired extInfra ""`,
+				`+1.627917872s q-1 delivered extInfra "temperature"`,
+				`+1.627917872s q-1 expired extInfra ""`,
 			},
 			counters: []string{
 				"core.query.assigned.extInfra=1",
@@ -238,10 +238,10 @@ func TestLifecycleTranscript(t *testing.T) {
 				`+0s q-2 submitted  "humidity"`,
 				`+0s q-2 assigned pending "deferred 1s"`,
 				`+1s q-2 assigned extInfra "released from qos queue"`,
-				`+1.808913798s q-1 delivered extInfra "temperature"`,
-				`+1.808913798s q-1 expired extInfra ""`,
-				`+2.853165225s q-2 delivered extInfra "humidity"`,
-				`+2.853165225s q-2 expired extInfra ""`,
+				`+1.627917872s q-1 delivered extInfra "temperature"`,
+				`+1.627917872s q-1 expired extInfra ""`,
+				`+3.555293597s q-2 delivered extInfra "humidity"`,
+				`+3.555293597s q-2 expired extInfra ""`,
 			},
 			counters: []string{
 				"core.query.assigned.extInfra=2",
@@ -282,11 +282,11 @@ func TestLifecycleTranscript(t *testing.T) {
 				`+30s q-3 assigned cache "degraded: queue pressure"`,
 				`+30s q-3 delivered cache "temperature"`,
 				`+30s q-3 expired cache ""`,
-				`+31.808913798s q-1 delivered extInfra "temperature"`,
-				`+31.808913798s q-1 expired extInfra ""`,
-				`+31.808913798s q-2 assigned extInfra "released from qos queue"`,
-				`+33.189079023s q-2 delivered extInfra "temperature"`,
-				`+33.189079023s q-2 expired extInfra ""`,
+				`+31.627917872s q-1 delivered extInfra "temperature"`,
+				`+31.627917872s q-1 expired extInfra ""`,
+				`+31.627917872s q-2 assigned extInfra "released from qos queue"`,
+				`+33.710211469s q-2 delivered extInfra "temperature"`,
+				`+33.710211469s q-2 expired extInfra ""`,
 			},
 			counters: []string{
 				"core.cache.hits=1",
@@ -328,11 +328,11 @@ func TestLifecycleTranscript(t *testing.T) {
 				`+0s q-2 submitted  "temperature"`,
 				`+0s q-2 assigned pending "deferred 1s"`,
 				`+0s q-3 submitted  "temperature"`,
-				`+1.808913798s q-1 delivered extInfra "temperature"`,
-				`+1.808913798s q-1 expired extInfra ""`,
-				`+1.808913798s q-2 assigned extInfra "released from qos queue"`,
-				`+3.189079023s q-2 delivered extInfra "temperature"`,
-				`+3.189079023s q-2 expired extInfra ""`,
+				`+1.627917872s q-1 delivered extInfra "temperature"`,
+				`+1.627917872s q-1 expired extInfra ""`,
+				`+1.627917872s q-2 assigned extInfra "released from qos queue"`,
+				`+3.710211469s q-2 delivered extInfra "temperature"`,
+				`+3.710211469s q-2 expired extInfra ""`,
 			},
 			counters: []string{
 				"core.query.assigned.extInfra=2",
@@ -513,8 +513,8 @@ func TestLifecycleTranscript(t *testing.T) {
 				`+0s q-1 assigned intSensor ""`,
 				`+20s q-1 delivered intSensor "location"`,
 				`+32.55s q-1 switched adHocNetwork "from intSensor: failure of bt-gps-1"`,
-				`+54.81325534s q-1 delivered adHocNetwork "location"`,
-				`+1m13.310531012s q-1 delivered adHocNetwork "location"`,
+				`+54.795576197s q-1 delivered adHocNetwork "location"`,
+				`+1m13.28830293s q-1 delivered adHocNetwork "location"`,
 				`+1m15s q-1 cancelled adHocNetwork ""`,
 			},
 			counters: []string{

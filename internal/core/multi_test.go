@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"contory/internal/audit"
 	"contory/internal/cxt"
 	"contory/internal/policy"
+	"contory/internal/qos"
 	"contory/internal/query"
 	"contory/internal/radio"
 	"contory/internal/refs"
@@ -347,5 +349,62 @@ func TestReducePowerSwitchesAdHocTransportToBT(t *testing.T) {
 	}
 	if cli.items[0].Source.Kind != cxt.SourceAdHocNode {
 		t.Fatalf("source = %+v", cli.items[0].Source)
+	}
+}
+
+// Neither submission path writes to the caller's query: fleets parse each
+// workload query once and submit the same *Query from many phones and
+// lanes, which is safe only because the factory clones what it keeps.
+func TestSubmissionLeavesCallerQueryUnchanged(t *testing.T) {
+	b := newBed(t, WithAnswerCache(true),
+		WithQoS(qos.Config{Enabled: true, Rate: 1, Burst: 1, QueueCap: 10, MaxActive: 2}))
+	b.seedRepoTemp(21.5, 0, cxt.Source{Kind: cxt.SourceAdHocNode, Address: "peer"})
+	b.publishPeerTemp(14.0)
+	b.storeInfra(cxt.TypeTemperature, 18)
+	texts := []string{
+		"SELECT temperature FROM intSensor DURATION 2 min EVERY 10 sec",
+		"SELECT temperature FROM intSensor DURATION 2 min EVENT temperature>25",
+		"SELECT temperature FROM adHocNetwork(all,1) DURATION 2 min EVERY 10 sec",
+		"SELECT temperature FROM extInfra FRESHNESS 1 min DURATION 30 sec",
+		"SELECT temperature FRESHNESS 1 min DURATION 10 min EVERY 10 sec",
+		"SELECT location DURATION 2 min EVERY 10 sec",
+	}
+	var subs []*Subscription
+	var submitted, wants []*query.Query
+	for _, text := range texts {
+		q := query.MustParse(text)
+		want := q.Clone()
+		submitted, wants = append(submitted, q), append(wants, want)
+		for _, multi := range []bool{false, true} {
+			var sub *Subscription
+			var err error
+			if multi {
+				sub, err = b.factory.ProcessCxtQueryMulti(q, &testClient{})
+			} else {
+				sub, err = b.factory.ProcessCxtQuery(q, &testClient{})
+			}
+			if err == nil {
+				subs = append(subs, sub)
+			}
+			if !reflect.DeepEqual(q, want) {
+				t.Fatalf("%q (multi=%v): submission changed the caller's query:\n%+v\nwant\n%+v", text, multi, q, want)
+			}
+		}
+		b.clk.Advance(20 * time.Second)
+		if !reflect.DeepEqual(q, want) {
+			t.Fatalf("%q: running the query changed the caller's copy", text)
+		}
+	}
+	if len(subs) == 0 {
+		t.Fatal("no submission succeeded")
+	}
+	for _, sub := range subs {
+		sub.Cancel()
+	}
+	b.clk.Advance(3 * time.Minute)
+	for i, q := range submitted {
+		if !reflect.DeepEqual(q, wants[i]) {
+			t.Errorf("%q: cancellation changed the caller's copy", texts[i])
+		}
 	}
 }

@@ -116,7 +116,7 @@ func measureChain(hops, rounds int, seed int64) (lat, en Stat, err error) {
 			return lat, en, err
 		}
 	}
-	p := sm.NewPlatform(nw, radio.NewWiFi(seed))
+	p := sm.NewPlatform(nw, seed)
 	for _, id := range ids {
 		if _, err := p.Install(id, sm.Admission{}); err != nil {
 			return lat, en, err

@@ -71,7 +71,7 @@ func NewTestbed(seed int64, opts ...core.Option) (*Testbed, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: gps: %w", err)
 	}
-	tb.Platform = sm.NewPlatform(nw, radio.NewWiFi(seed+80))
+	tb.Platform = sm.NewPlatform(nw, seed+80)
 
 	tb.Phone, err = core.NewDevice(core.DeviceConfig{
 		Network: nw, ID: "phone", SMPlatform: tb.Platform,

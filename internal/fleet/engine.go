@@ -149,7 +149,9 @@ func New(spec Spec) (*Engine, error) {
 	if err := e.buildPopulation(); err != nil {
 		return nil, err
 	}
-	e.scheduleWorkload()
+	if err := e.scheduleWorkload(); err != nil {
+		return nil, err
+	}
 	e.scheduleChurn()
 	e.installChaos()
 	if spec.MobilitySpeedMS > 0 {
@@ -326,8 +328,10 @@ func (e *Engine) buildPopulation() error {
 
 // scheduleWorkload installs each phone's query stream on its own lane
 // clock, staggered inside one workload period so the fleet does not fire
-// in lockstep.
-func (e *Engine) scheduleWorkload() {
+// in lockstep. Each role's query is parsed once and shared by every
+// submission: the factory clones what it keeps and leaves the caller's
+// query untouched.
+func (e *Engine) scheduleWorkload() error {
 	spec := e.spec
 	// Staggers come from their own stream so population layout draws and
 	// workload timing draws cannot interfere.
@@ -338,20 +342,29 @@ func (e *Engine) scheduleWorkload() {
 	if everySec < 1 {
 		everySec = 1
 	}
-	localPeriodicSrc := fmt.Sprintf(
+	var parseErr error
+	parse := func(format string, args ...any) *contory.Query {
+		src := fmt.Sprintf(format, args...)
+		q, err := contory.ParseQuery(src)
+		if err != nil && parseErr == nil {
+			parseErr = fmt.Errorf("fleet: workload query %q: %w", src, err)
+		}
+		return q
+	}
+	localPeriodicQ := parse(
 		"SELECT temperature FROM intSensor DURATION %d sec EVERY %d sec", durSec, everySec)
-	localEventSrc := fmt.Sprintf(
+	localEventQ := parse(
 		"SELECT temperature FROM intSensor DURATION %d sec EVENT temperature>25", durSec)
-	adhocSrc := fmt.Sprintf(
+	adhocQ := parse(
 		"SELECT temperature FROM adHocNetwork(all,1) DURATION %d sec EVERY %d sec", durSec, everySec)
-	infraSrc := fmt.Sprintf("SELECT temperature FROM extInfra DURATION %d sec", everySec)
+	infraQ := parse("SELECT temperature FROM extInfra DURATION %d sec", everySec)
 	// FRESHNESS spans two periods, so each round's duplicates — and the next
 	// round's whole burst — are satisfiable by the previous stored answer.
-	dupSrc := fmt.Sprintf(
+	dupQ := parse(
 		"SELECT temperature FROM extInfra FRESHNESS %d sec DURATION %d sec", 2*everySec, everySec)
 	// No FROM clause: the middleware selects the mechanism and may switch
 	// it when chaos faults hit the preferred one.
-	gpsSrc := fmt.Sprintf("SELECT location DURATION %d sec EVERY %d sec", durSec, everySec)
+	gpsQ := parse("SELECT location DURATION %d sec EVERY %d sec", durSec, everySec)
 	// Overload FRESHNESS sits between the tail of one round's serialized
 	// UMTS retrievals (~14 s behind the feed) and the age a stored answer
 	// reaches by the next round (one Period): live retrievals succeed, but
@@ -364,28 +377,36 @@ func (e *Engine) scheduleWorkload() {
 			overloadFreshSec = 1
 		}
 	}
+	overloadQs := make([]*contory.Query, len(overloadTypes))
+	for k, typ := range overloadTypes {
+		overloadQs[k] = parse(
+			"SELECT %s FROM extInfra FRESHNESS %d sec DURATION %d sec", typ, overloadFreshSec, everySec)
+	}
+	if parseErr != nil {
+		return parseErr
+	}
 
 	for i, p := range e.phones {
 		stagger := time.Duration(rng.Int63n(int64(period)))
 		ph := p
 		switch e.roles[i] {
 		case roleLocalPeriodic:
-			ph.Device.Clock.After(stagger, func() { e.submit(ph, localPeriodicSrc) })
+			ph.Device.Clock.After(stagger, func() { e.submit(ph, localPeriodicQ) })
 		case roleLocalEvent:
-			ph.Device.Clock.After(stagger, func() { e.submit(ph, localEventSrc) })
+			ph.Device.Clock.After(stagger, func() { e.submit(ph, localEventQ) })
 		case roleAdHoc:
-			ph.Device.Clock.After(stagger, func() { e.submit(ph, adhocSrc) })
+			ph.Device.Clock.After(stagger, func() { e.submit(ph, adhocQ) })
 		case roleInfraOneShot:
 			ph.Device.Clock.After(stagger, func() {
-				e.submit(ph, infraSrc)
-				ph.Device.Clock.Every(period, func() { e.submit(ph, infraSrc) })
+				e.submit(ph, infraQ)
+				ph.Device.Clock.Every(period, func() { e.submit(ph, infraQ) })
 			})
 		case roleGPSPeriodic:
-			ph.Device.Clock.After(stagger, func() { e.submit(ph, gpsSrc) })
+			ph.Device.Clock.After(stagger, func() { e.submit(ph, gpsQ) })
 		case roleDupHeavy:
 			burst := func() {
 				for k := 0; k < dupBurst; k++ {
-					e.submit(ph, dupSrc)
+					e.submit(ph, dupQ)
 				}
 			}
 			// The first burst waits out one period so the infrastructure's
@@ -403,11 +424,8 @@ func (e *Engine) scheduleWorkload() {
 			// even when admission lets only the head of each burst through.
 			round := 0
 			burst := func() {
-				for k := 0; k < len(overloadTypes); k++ {
-					typ := overloadTypes[(round+k)%len(overloadTypes)]
-					e.submit(ph, fmt.Sprintf(
-						"SELECT %s FROM extInfra FRESHNESS %d sec DURATION %d sec",
-						typ, overloadFreshSec, everySec))
+				for k := range overloadQs {
+					e.submit(ph, overloadQs[(round+k)%len(overloadQs)])
 				}
 				round++
 			}
@@ -430,18 +448,15 @@ func (e *Engine) scheduleWorkload() {
 			})
 		}
 	}
+	return nil
 }
 
-// submit parses and submits one query on a phone; failures surface in the
+// submit submits one workload query on a phone; failures surface in the
 // middleware's rejected counter, not as engine errors (a fleet member being
 // refused is a result, not a bug). During the audit drain window no new
 // queries enter the plane, so quiescence is reachable.
-func (e *Engine) submit(p *contory.Phone, src string) {
+func (e *Engine) submit(p *contory.Phone, q *contory.Query) {
 	if e.draining {
-		return
-	}
-	q, err := contory.ParseQuery(src)
-	if err != nil {
 		return
 	}
 	_, _ = p.Factory.ProcessCxtQuery(q, contory.ClientFuncs{})

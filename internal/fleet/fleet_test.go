@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"contory/internal/metrics"
 	"contory/internal/timeline"
 )
 
@@ -66,7 +67,9 @@ func runSpec(t *testing.T, spec Spec, workers int) (sum Summary, js, trace []byt
 //     byte-identical too;
 //   - an audited scenario made checks and found no violation;
 //   - a scenario with the flight recorder on recorded a window per
-//     interval, and at least one window saw queries.
+//     interval, and at least one window saw queries;
+//   - a traced or recorded scenario rerun with tracing and the recorder
+//     off models the same run: observers do not perturb the model.
 func TestScenarios(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join(scenarioDir, "*.json"))
 	if err != nil || len(paths) == 0 {
@@ -98,6 +101,16 @@ func TestScenarios(t *testing.T) {
 							t.Errorf("violation: %s", v)
 						}
 					}
+					if spec.Trace.Enabled || spec.Timeline.Enabled {
+						off := spec
+						off.Trace, off.Timeline = TraceSpec{}, TimelineSpec{}
+						bare, _, _ := runSpec(t, off, 1)
+						observed, unobserved := modelled(t, sum), modelled(t, bare)
+						if !bytes.Equal(observed, unobserved) {
+							t.Errorf("turning tracing and the recorder off changed the model:\n--- observed ---\n%s\n--- unobserved ---\n%s",
+								firstDiff(observed, unobserved), firstDiff(unobserved, observed))
+						}
+					}
 					if rep := sum.Timeline; rep != nil {
 						if want := int(spec.Duration / rep.Interval); rep.WindowsTotal < want {
 							t.Errorf("timeline recorded %d windows, want >= %d", rep.WindowsTotal, want)
@@ -114,6 +127,30 @@ func TestScenarios(t *testing.T) {
 			}
 		})
 	}
+}
+
+// modelled renders what an observer plane may not change: the summary
+// without the execution shape (span ends are scheduled events and recorder
+// ticks are barriers), the trace and timeline reports, the ring's event
+// total and its eviction count, which follows from the total (SLO alerts
+// are ring events), and the tracing counters.
+func modelled(t *testing.T, s Summary) []byte {
+	t.Helper()
+	s.Events, s.Batches, s.Groups, s.Barriers = 0, 0, 0, 0
+	s.Trace, s.Timeline = nil, nil
+	s.Snapshot.EventsTotal, s.Snapshot.EventsDropped = 0, 0
+	var counters []metrics.CounterPoint
+	for _, c := range s.Snapshot.Counters {
+		if !strings.HasPrefix(c.Name, "tracing.") {
+			counters = append(counters, c)
+		}
+	}
+	s.Snapshot.Counters = counters
+	js, err := s.JSON()
+	if err != nil {
+		t.Fatalf("JSON: %v", err)
+	}
+	return js
 }
 
 // firstDiff returns a short window around the first differing byte, to keep
@@ -351,7 +388,7 @@ func TestParseSpec(t *testing.T) {
 // must be refused by ParseSpec or New, or run audited to completion with
 // the same summary at one worker and four and no audit violation. The
 // seed corpus is the checked-in scenarios. Inputs too costly for one fuzz
-// iteration are skipped: over 40 phones or 2 minutes, a sub-second period,
+// iteration are skipped: over 60 phones or 3 minutes, a sub-second period,
 // tick or interval, or fault and link-failure rates that schedule events
 // by the million.
 func FuzzFleetSpec(f *testing.F) {
@@ -372,7 +409,7 @@ func FuzzFleetSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if spec.Phones > 40 || spec.Duration > 2*time.Minute ||
+		if spec.Phones > 60 || spec.Duration > 3*time.Minute ||
 			subSecond(spec.Workload.Period) || subSecond(spec.MobilityTick) ||
 			subSecond(spec.Timeline.Interval) ||
 			spec.Chaos.Rate > 10 || spec.Churn.LinkFailuresPerMin > 100 {

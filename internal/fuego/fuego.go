@@ -20,6 +20,7 @@ import (
 	"contory/internal/radio"
 	"contory/internal/simnet"
 	"contory/internal/tracing"
+	"contory/internal/vclock"
 )
 
 // Message kinds on the UMTS medium.
@@ -253,8 +254,15 @@ type Client struct {
 
 	mu      sync.Mutex
 	nextID  int
-	pending map[string]func(any, error)
+	pending map[string]*pendingReq
 	subs    map[string]func(Notification)
+}
+
+// pendingReq is one in-flight request: its completion callback and the
+// timeout that completes it when no reply does.
+type pendingReq struct {
+	done    func(any, error)
+	timeout *vclock.Timer
 }
 
 // NewClient installs the event client on the given node, pointed at the
@@ -269,7 +277,7 @@ func NewClient(nw *simnet.Network, id, server simnet.NodeID, umts *radio.UMTS) (
 		node:    node,
 		server:  server,
 		umts:    umts,
-		pending: make(map[string]func(any, error)),
+		pending: make(map[string]*pendingReq),
 		subs:    make(map[string]func(Notification)),
 	}
 	node.Handle(kindNotify, c.onNotify)
@@ -357,29 +365,19 @@ func (c *Client) Request(op string, payload any, timeout time.Duration, done fun
 // RequestTraced is Request carrying the caller's trace span; the server
 // parents a "fuego.handle" span under it (nil span = untraced).
 func (c *Client) RequestTraced(op string, payload any, timeout time.Duration, span *tracing.Span, done func(any, error)) error {
-	c.mu.Lock()
-	c.nextID++
-	id := fmt.Sprintf("%s-req-%d", c.node.ID(), c.nextID)
-	completed := false
-	finish := func(v any, err error) {
-		if completed {
-			return
-		}
-		completed = true
-		done(v, err)
-	}
-	c.pending[id] = finish
-	c.mu.Unlock()
-
 	if timeout <= 0 {
 		timeout = 2 * radio.UMTSGetLatencyMax
 	}
-	c.net.ClockFor(c.node.ID()).After(timeout, func() {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		finish(nil, ErrRequestTimeout)
+	c.mu.Lock()
+	c.nextID++
+	id := fmt.Sprintf("%s-req-%d", c.node.ID(), c.nextID)
+	timer := c.net.ClockFor(c.node.ID()).After(timeout, func() {
+		if req := c.take(id); req != nil {
+			req.done(nil, ErrRequestTimeout)
+		}
 	})
+	c.pending[id] = &pendingReq{done: done, timeout: timer}
+	c.mu.Unlock()
 
 	// Uplink: half a sampled round trip; the reply pays the other half.
 	d := c.umts.GetLatency() / 2
@@ -392,14 +390,28 @@ func (c *Client) RequestTraced(op string, payload any, timeout time.Duration, sp
 		Bytes:   radio.UMTSEventBytes,
 	}, d)
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		finish(nil, fmt.Errorf("%w: %v", ErrNoServer, err))
+		if req := c.take(id); req != nil {
+			req.done(nil, fmt.Errorf("%w: %v", ErrNoServer, err))
+		}
 		return nil
 	}
 	c.chargeConnection(2 * d)
 	return nil
+}
+
+// take removes and returns a pending request, stopping its timeout so an
+// answered request leaves nothing on the clock. Whoever takes the request
+// (the reply, a send failure or the timeout itself) owns its one
+// completion call.
+func (c *Client) take(id string) *pendingReq {
+	c.mu.Lock()
+	req := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	if req != nil {
+		req.timeout.Stop()
+	}
+	return req
 }
 
 func (c *Client) onNotify(m simnet.Message) {
@@ -424,18 +436,15 @@ func (c *Client) onReply(m simnet.Message) {
 	if !ok {
 		return
 	}
-	c.mu.Lock()
-	finish := c.pending[rep.ID]
-	delete(c.pending, rep.ID)
-	c.mu.Unlock()
-	if finish == nil {
+	req := c.take(rep.ID)
+	if req == nil {
 		return // late reply after timeout
 	}
 	if rep.Err != "" {
-		finish(nil, errors.New(rep.Err))
+		req.done(nil, errors.New(rep.Err))
 		return
 	}
-	finish(rep.Payload, nil)
+	req.done(rep.Payload, nil)
 }
 
 // Node returns the client's simnet node.

@@ -159,6 +159,37 @@ func TestRequestReply(t *testing.T) {
 	}
 }
 
+// A request completed by its reply or by a send failure stops its timeout:
+// nothing stays on the clock to fire later as a no-op, and the callback runs
+// once.
+func TestCompletedRequestLeavesNoTimer(t *testing.T) {
+	nw, clk, srv, cli := rig(t)
+	srv.HandleRequest("echo", func(r Request) (any, error) { return r.Payload, nil })
+	calls := 0
+	if err := cli.Request("echo", "x", 0, func(any, error) { calls++ }); err != nil {
+		t.Fatal(err)
+	}
+	// The reply lands within the worst-case round trip, well before the
+	// default timeout of twice that.
+	clk.Advance(radio.UMTSGetLatencyMax)
+	if calls != 1 {
+		t.Fatalf("answered request: %d callbacks, want 1", calls)
+	}
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("answered request left %d events on the clock, want 0", n)
+	}
+	nw.Disconnect("phone", "infra", radio.MediumUMTS)
+	if err := cli.Request("echo", "x", 0, func(any, error) { calls++ }); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 2 {
+		t.Fatalf("failed send: %d callbacks in all, want 2", calls)
+	}
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("failed send left %d events on the clock, want 0", n)
+	}
+}
+
 func TestRequestNoHandler(t *testing.T) {
 	_, clk, _, cli := rig(t)
 	var rerr error

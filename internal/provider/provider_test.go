@@ -74,7 +74,7 @@ func newWorld(t *testing.T) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := sm.NewPlatform(nw, radio.NewWiFi(3))
+	p := sm.NewPlatform(nw, 3)
 	w.wifiA, err = refs.NewWiFiReference(p, "a", radio.NewWiFi(4), w.mon)
 	if err != nil {
 		t.Fatal(err)

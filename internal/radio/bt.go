@@ -11,12 +11,12 @@ import (
 // Database, service-record registration for publishing, and RFCOMM-style
 // data exchanges with packet segmentation.
 type BT struct {
-	sampler *Sampler
+	sampler Sampler
 }
 
 // NewBT returns a Bluetooth model with a deterministic sampler.
 func NewBT(seed int64) *BT {
-	return &BT{sampler: NewSampler(seed)}
+	return &BT{sampler: keyedSampler(uint64(seed))}
 }
 
 // segments returns the number of BT payload segments a transfer needs.

@@ -9,9 +9,9 @@ package radio
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
+	"contory/internal/draw"
 	"contory/internal/energy"
 )
 
@@ -84,22 +84,29 @@ func TotalEnergy(ws []PowerWindow) energy.Joules {
 	return j
 }
 
-// Sampler draws jittered latencies deterministically.
+// Sampler draws jittered latencies deterministically from one draw
+// stream. A model owned by one lane-bound entity keeps its sampler across
+// operations (only that entity's lane draws from it); a draw one entity
+// makes for another uses a fresh Sampler value keyed on that identity.
 type Sampler struct {
-	rng *rand.Rand
+	s draw.Stream
 }
 
-// NewSampler returns a Sampler seeded for reproducibility.
+// NewSampler returns a Sampler over the draw stream keyed by seed.
 func NewSampler(seed int64) *Sampler {
-	return &Sampler{rng: rand.New(rand.NewSource(seed))}
+	s := keyedSampler(uint64(seed))
+	return &s
 }
+
+// keyedSampler returns a Sampler value over the draw stream of key.
+func keyedSampler(key uint64) Sampler { return Sampler{s: draw.New(key)} }
 
 // Jittered returns mean + N(0, sigma) where sigma is derived from the 90 %
 // confidence half-width ci of a mean over n≈10 runs (sigma ≈ ci·√n/1.645).
 // The result is clamped to be at least 10 % of the mean and nonnegative.
 func (s *Sampler) Jittered(mean, ci time.Duration) time.Duration {
 	sigma := float64(ci) * 1.92 // √10 / 1.645
-	d := time.Duration(float64(mean) + s.rng.NormFloat64()*sigma)
+	d := time.Duration(float64(mean) + s.s.NormFloat64()*sigma)
 	if minD := mean / 10; d < minD {
 		d = minD
 	}
@@ -126,7 +133,7 @@ func (s *Sampler) UniformDur(lo, hi time.Duration) time.Duration {
 	if hi <= lo {
 		return lo
 	}
-	return lo + time.Duration(s.rng.Int63n(int64(hi-lo)+1))
+	return lo + time.Duration(s.s.Int63n(int64(hi-lo)+1))
 }
 
 // UniformMW draws a power level uniformly from [lo, hi].
@@ -134,5 +141,5 @@ func (s *Sampler) UniformMW(lo, hi float64) energy.Milliwatts {
 	if hi <= lo {
 		return energy.Milliwatts(lo)
 	}
-	return energy.Milliwatts(lo + s.rng.Float64()*(hi-lo))
+	return energy.Milliwatts(lo + s.s.Float64()*(hi-lo))
 }

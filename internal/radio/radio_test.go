@@ -436,21 +436,36 @@ func TestWiFiAccessors(t *testing.T) {
 	}
 }
 
-// A reseeded model draws exactly what a fresh NewWiFi with that seed draws,
-// whatever the model drew before.
-func TestWiFiReseedMatchesFresh(t *testing.T) {
-	w := NewWiFi(99)
-	for seed := int64(0); seed < 50; seed++ {
-		for i := int64(0); i < seed%7; i++ {
-			w.HopLatency(false) // leave the source mid-stream
-		}
-		w.Reseed(seed)
-		fresh := NewWiFi(seed)
+// A keyed model value draws exactly what a NewWiFi of that key draws: the
+// SM plane's per-hop draws and a device's model share one sampler.
+func TestKeyedWiFiMatchesNewWiFi(t *testing.T) {
+	for key := uint64(0); key < 50; key++ {
+		w, fresh := KeyedWiFi(key), NewWiFi(int64(key))
 		for k := 0; k < 5; k++ {
 			if got, want := w.HopLatency(k == 0), fresh.HopLatency(k == 0); got != want {
-				t.Fatalf("seed %d draw %d: reseeded %v, fresh %v", seed, k, got, want)
+				t.Fatalf("key %d draw %d: keyed %v, NewWiFi %v", key, k, got, want)
 			}
 		}
+	}
+}
+
+// Jittered turns a 90 % confidence half-width ci over n≈10 runs into
+// mean + N(0, σ) with σ = ci·√10/1.645 ≈ 1.92·ci. With the mean far above
+// the 10 % floor no draw is clamped, so the sample spread is σ itself.
+func TestJitteredSigma(t *testing.T) {
+	s := NewSampler(5)
+	const n = 100000
+	mean, ci := 100*time.Second, time.Second
+	var sum, sq float64
+	for i := 0; i < n; i++ {
+		x := float64(s.Jittered(mean, ci)-mean) / float64(ci)
+		sum += x
+		sq += x * x
+	}
+	m := sum / n
+	sd := math.Sqrt(sq/n - m*m)
+	if math.Abs(m) > 0.03 || math.Abs(sd-1.92) > 0.02 {
+		t.Fatalf("Jittered: mean offset %.3f·ci, sd %.3f·ci; want 0 and 1.92", m, sd)
 	}
 }
 

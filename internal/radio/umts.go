@@ -10,12 +10,12 @@ import (
 // a transfer phase and a long radio tail — plus the periodic GSM idle
 // signalling peaks visible in Fig. 4.
 type UMTS struct {
-	sampler *Sampler
+	sampler Sampler
 }
 
 // NewUMTS returns a UMTS model with a deterministic sampler.
 func NewUMTS(seed int64) *UMTS {
-	return &UMTS{sampler: NewSampler(seed)}
+	return &UMTS{sampler: keyedSampler(uint64(seed))}
 }
 
 // PublishLatency samples the latency of pushing one event-encapsulated item

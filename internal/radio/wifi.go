@@ -10,18 +10,18 @@ import (
 // switching 12–14 %, transfer 51–54 %, SM overhead negligible) and the
 // 1190 mW connected-state power draw.
 type WiFi struct {
-	sampler *Sampler
+	sampler Sampler
 }
 
 // NewWiFi returns a WiFi model with a deterministic sampler.
 func NewWiFi(seed int64) *WiFi {
-	return &WiFi{sampler: NewSampler(seed)}
+	w := KeyedWiFi(uint64(seed))
+	return &w
 }
 
-// Reseed resets the model's sampler to the state NewWiFi(seed) starts in,
-// so a reused model draws exactly what a fresh one would, without
-// allocating a new source.
-func (w *WiFi) Reseed(seed int64) { w.sampler.rng.Seed(seed) }
+// KeyedWiFi returns a WiFi model value over the draw stream of key: the
+// model of one identity-keyed draw, which allocates nothing.
+func KeyedWiFi(key uint64) WiFi { return WiFi{sampler: keyedSampler(key)} }
 
 // Breakdown is the per-component split of a multi-hop SM latency.
 type Breakdown struct {

@@ -291,7 +291,7 @@ func wifiRig(t *testing.T) (*vclock.Simulator, *simnet.Network, *sm.Platform, *W
 			t.Fatal(err)
 		}
 	}
-	p := sm.NewPlatform(nw, radio.NewWiFi(3))
+	p := sm.NewPlatform(nw, 3)
 	wa, err := NewWiFiReference(p, "a", radio.NewWiFi(4), monitor.New(clk))
 	if err != nil {
 		t.Fatal(err)

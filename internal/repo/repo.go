@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"contory/internal/cxt"
+	"contory/internal/draw"
 	"contory/internal/vclock"
 )
 
@@ -60,12 +61,12 @@ type Repository struct {
 
 	// Answer-cache state: per-type TTLs bound how long an item is servable
 	// from the cache. observed lifetimes tighten the TTL (admission driven
-	// by item lifetimes); the eviction stream is a seeded xorshift whose
-	// draws depend only on (seed, eviction count), never wall time — so
+	// by item lifetimes); the eviction stream is keyed by the device seed,
+	// so its draws depend only on (seed, eviction count), never wall time —
 	// cache contents are vclock-deterministic.
 	ttl        map[cxt.Type]time.Duration
 	defaultTTL time.Duration
-	evictState uint64
+	evict      draw.Stream
 	evictions  int
 }
 
@@ -78,11 +79,10 @@ func New(clock vclock.Clock, cap int) *Repository {
 		cap = DefaultLocalCap
 	}
 	return &Repository{
-		clock:      clock,
-		cap:        cap,
-		byType:     make(map[cxt.Type][]cxt.Item),
-		ttl:        make(map[cxt.Type]time.Duration),
-		evictState: 0x9e3779b97f4a7c15,
+		clock:  clock,
+		cap:    cap,
+		byType: make(map[cxt.Type][]cxt.Item),
+		ttl:    make(map[cxt.Type]time.Duration),
 	}
 }
 
@@ -99,10 +99,7 @@ func (r *Repository) SetRemote(remote Remote) {
 func (r *Repository) SetEvictionSeed(seed int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.evictState = uint64(seed) ^ 0x9e3779b97f4a7c15
-	if r.evictState == 0 {
-		r.evictState = 0x9e3779b97f4a7c15
-	}
+	r.evict = draw.New(uint64(seed))
 }
 
 // SetDefaultTTL sets the fallback servable window for types without an
@@ -149,16 +146,6 @@ func (r *Repository) servableLocked(it cxt.Item, now time.Time) bool {
 	return true
 }
 
-// xorshift advances the eviction stream one draw.
-func (r *Repository) xorshift() uint64 {
-	x := r.evictState
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	r.evictState = x
-	return x
-}
-
 // Store keeps the item locally. Admission is driven by item lifetimes: an
 // item that is already expired (or past its type's TTL) at store time is
 // not admitted — it could never be served. Items whose lifetimes are
@@ -199,7 +186,7 @@ func (r *Repository) Store(item cxt.Item) {
 		if half < 1 {
 			half = 1
 		}
-		idx := int(r.xorshift() % uint64(half))
+		idx := r.evict.Intn(half)
 		items = append(items[:idx], items[idx+1:]...)
 		r.evictions++
 	}

@@ -326,9 +326,9 @@ func TestClockForUnsharded(t *testing.T) {
 	}
 }
 
-// Sharded-mode loss decisions are a keyed hash, independent of delivery
-// interleaving: the same directed link's k-th delivery always gets the same
-// verdict for a given seed.
+// Loss decisions are keyed draws, independent of delivery interleaving:
+// the same directed link's k-th delivery always gets the same verdict for a
+// given seed.
 func TestShardedLossDeterministic(t *testing.T) {
 	run := func() []bool {
 		clk := vclock.NewSimulator()
@@ -362,5 +362,54 @@ func TestShardedLossDeterministic(t *testing.T) {
 	}
 	if drops == 0 || drops == len(r1) {
 		t.Fatalf("hash loss degenerate: %d/%d drops at p=0.5", drops, len(r1))
+	}
+}
+
+// A serial and a sharded network with the same seed make the same loss
+// decisions on every directed link, whatever order the links' deliveries
+// interleave in.
+func TestLossDecisionsIgnoreSharding(t *testing.T) {
+	type link struct{ from, to NodeID }
+	links := []link{{"a", "b"}, {"b", "a"}, {"a", "c"}, {"c", "d"}, {"d", "c"}}
+	const per = 200
+	decide := func(lanes int, order func(step int) int) map[link][]bool {
+		nw := New(vclock.NewSimulator())
+		if lanes > 0 {
+			if err := nw.EnableSharding(lanes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nw.Seed(20061127)
+		for i, id := range []NodeID{"a", "b", "c", "d"} {
+			if _, err := nw.AddNode(id, Position{X: float64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nw.SetLoss("a", "b", radio.MediumWiFi, 0.4)
+		nw.SetLoss("a", "c", radio.MediumWiFi, 0.2)
+		nw.SetNodeLoss("d", radio.MediumWiFi, 0.5)
+		out := make(map[link][]bool)
+		for step := 0; step < per*len(links); step++ {
+			l := links[order(step)]
+			out[l] = append(out[l], nw.lossDrop(l.from, l.to, radio.MediumWiFi))
+		}
+		return out
+	}
+	// Round-robin over the links, against one link at a time in reverse.
+	serial := decide(0, func(step int) int { return step % len(links) })
+	sharded := decide(4, func(step int) int { return len(links) - 1 - step/per })
+	for _, l := range links {
+		drops := 0
+		for k := 0; k < per; k++ {
+			if serial[l][k] != sharded[l][k] {
+				t.Fatalf("%s→%s delivery %d: serial drop=%v, sharded drop=%v", l.from, l.to, k, serial[l][k], sharded[l][k])
+			}
+			if serial[l][k] {
+				drops++
+			}
+		}
+		if drops == 0 || drops == per {
+			t.Errorf("%s→%s: %d/%d drops, want a lossy mix", l.from, l.to, drops, per)
+		}
 	}
 }

@@ -14,13 +14,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"contory/internal/draw"
 	"contory/internal/energy"
 	"contory/internal/metrics"
 	"contory/internal/radio"
@@ -236,7 +236,7 @@ type frameCounters struct {
 	lost  map[radio.Medium]*metrics.Counter
 }
 
-// dirLink is a directed link, the key of the sharded-mode loss sequence.
+// dirLink is a directed link, the key of its loss-decision stream.
 type dirLink struct {
 	from, to NodeID
 	medium   radio.Medium
@@ -292,8 +292,7 @@ type Network struct {
 	nodeList []*Node // in ID order (nodeList[n.rank] == n); maintained by AddNode
 	media    [maxMedium]medium
 	loss     map[linkKey]float64 // per-link drop probability
-	rng      *rand.Rand
-	seed     int64
+	seed     uint64
 
 	// Fault-injection state (internal/chaos): partitions live in media;
 	// per-node drop probability (degraded RSSI, provider hang at p=1) and
@@ -311,11 +310,10 @@ type Network struct {
 	// search is the route-search and neighbour-query scratch (guarded by mu).
 	search search
 
-	// lossSeq counts deliveries per directed link in sharded mode; the
-	// hash-based loss decision is keyed on it instead of a shared rand
-	// stream, whose draw order would depend on cross-lane scheduling.
-	lossMu  sync.Mutex
-	lossSeq map[dirLink]uint64
+	// lossDraws holds each directed link's loss-decision stream, keyed on
+	// (seed, link) and advanced once per lossy delivery on that link.
+	lossMu    sync.Mutex
+	lossDraws map[dirLink]draw.Stream
 
 	dropped  atomic.Int64
 	delivers atomic.Int64
@@ -332,11 +330,10 @@ func New(clock *vclock.Simulator) *Network {
 		clock:     clock,
 		nodes:     make(map[NodeID]*Node),
 		loss:      make(map[linkKey]float64),
-		rng:       rand.New(rand.NewSource(1)),
 		seed:      1,
 		nodeLoss:  make(map[nodeMedium]float64),
 		nodeDelay: make(map[nodeMedium]time.Duration),
-		lossSeq:   make(map[dirLink]uint64),
+		lossDraws: make(map[dirLink]draw.Stream),
 	}
 }
 
@@ -370,7 +367,7 @@ func (nw *Network) LaneOf(id NodeID) int32 {
 	if nw.lanes <= 0 {
 		return vclock.GlobalLane
 	}
-	return int32(HashID(string(id)) % uint64(nw.lanes))
+	return int32(draw.HashID(string(id)) % uint64(nw.lanes))
 }
 
 // ClockFor returns the Clock a node's components must schedule through: the
@@ -381,26 +378,6 @@ func (nw *Network) ClockFor(id NodeID) vclock.Clock {
 		return nw.clock
 	}
 	return nw.clock.Lane(int(nw.LaneOf(id)))
-}
-
-// HashID is the 64-bit FNV-1a hash of an identifier: the stable key of lane
-// assignment, of sharded loss decisions and of the SM plane's per-message
-// latency samplers.
-func HashID(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// splitmix64 is a strong 64-bit mixer used for keyed loss decisions.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // SetMetrics attaches a metrics registry: frames sent, delivered and
@@ -427,12 +404,15 @@ func (nw *Network) SetMetrics(reg *metrics.Registry) {
 	}
 }
 
-// Seed re-seeds the network's loss model for deterministic runs.
+// Seed re-seeds the network's loss model for deterministic runs: every
+// directed link's decision stream restarts under the new seed.
 func (nw *Network) Seed(seed int64) {
 	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	nw.rng = rand.New(rand.NewSource(seed))
-	nw.seed = seed
+	nw.seed = uint64(seed)
+	nw.mu.Unlock()
+	nw.lossMu.Lock()
+	clear(nw.lossDraws)
+	nw.lossMu.Unlock()
 }
 
 // SetLoss makes the link between a and b on m lossy: each delivery is
@@ -464,13 +444,11 @@ func (nw *Network) SetLoss(a, b NodeID, m radio.Medium, p float64) {
 
 // lossDrop reports whether a delivery on the link should be lost. When no
 // loss fault is installed anywhere (the common case) it returns immediately
-// without locking. In serial mode decisions come from the shared rand
-// stream (draw order is the event order, which is deterministic). In
-// sharded mode the shared stream's draw order would depend on cross-lane
-// interleaving, so the decision is instead a keyed hash of (seed, directed
-// link, per-link delivery count): each directed link's deliveries execute
-// sequentially in the receiver's lane, making the count — and hence every
-// decision — schedule-independent.
+// without locking. Otherwise the decision is the next value of the directed
+// link's stream, keyed on (seed, from, to, medium): a directed link's
+// deliveries run one after another in the receiver's lane, so its n-th
+// lossy delivery gets the same verdict in a serial and a sharded run,
+// however other links' deliveries interleave.
 func (nw *Network) lossDrop(a, b NodeID, m radio.Medium) bool {
 	if nw.faultLoss.Load() == 0 {
 		return false
@@ -490,18 +468,16 @@ func (nw *Network) lossDrop(a, b NodeID, m radio.Medium) bool {
 	if !lossy {
 		return false
 	}
-	if nw.lanes <= 0 {
-		nw.mu.Lock()
-		defer nw.mu.Unlock()
-		return nw.rng.Float64() < p
-	}
 	dk := dirLink{from: a, to: b, medium: m}
 	nw.lossMu.Lock()
-	seq := nw.lossSeq[dk]
-	nw.lossSeq[dk] = seq + 1
+	s, ok := nw.lossDraws[dk]
+	if !ok {
+		s = draw.New(draw.Key(seed, draw.HashID(string(a)), draw.HashID(string(b)), uint64(m)))
+	}
+	u := s.Float64()
+	nw.lossDraws[dk] = s
 	nw.lossMu.Unlock()
-	h := splitmix64(uint64(seed) ^ HashID(string(a)+"\x00"+string(b)+"\x00"+m.String()) ^ splitmix64(seq))
-	return float64(h>>11)/(1<<53) < p
+	return u < p
 }
 
 // Clock returns the network's simulator.

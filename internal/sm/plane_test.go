@@ -20,7 +20,7 @@ import (
 func TestLeaveJoinAllocs(t *testing.T) {
 	clk := vclock.NewSimulator()
 	nw := simnet.New(clk)
-	p := NewPlatform(nw, radio.NewWiFi(1))
+	p := NewPlatform(nw, 1)
 	const n = 5000
 	for i := 0; i < n; i++ {
 		id := simnet.NodeID(fmt.Sprintf("p%05d", i))
@@ -57,22 +57,19 @@ func TestLeaveJoinAllocs(t *testing.T) {
 }
 
 // shardedPlatform returns a platform over a lane-sharded network, the mode
-// fleet runs use, where every hop draws from a sampler keyed on the SM.
+// fleet runs use.
 func shardedPlatform(t testing.TB) *Platform {
 	t.Helper()
 	nw := simnet.New(vclock.NewSimulator())
 	if err := nw.EnableSharding(4); err != nil {
 		t.Fatal(err)
 	}
-	return NewPlatform(nw, radio.NewWiFi(1))
+	return NewPlatform(nw, 1)
 }
 
 var sinkLatency time.Duration
 
 func TestShardedHopLatencyAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items at random")
-	}
 	p := shardedPlatform(t)
 	m := &Message{ID: "sm-p00042-7", HopCnt: 3}
 	if got := testing.AllocsPerRun(100, func() {
@@ -82,34 +79,37 @@ func TestShardedHopLatencyAllocs(t *testing.T) {
 	}
 }
 
-// A pooled, reseeded sampler draws exactly what a fresh sampler keyed on
-// (message, hop) draws, whatever the pooled one drew before: the
-// interleaved keys make each Get return a sampler left mid-stream by
-// another SM.
-func TestPooledHopLatencyMatchesFresh(t *testing.T) {
-	p := shardedPlatform(t)
-	// The unsharded reference draws from its shared sampler, which is set
-	// to a fresh NewWiFi of the hop's key before every draw — the
-	// allocate-per-hop sampler the pool replaced.
-	ref := NewPlatform(simnet.New(vclock.NewSimulator()), nil)
+// A hop's latency is a function of (platform seed, message, hop) alone: a
+// sharded and a serial platform with the same seed draw the same latency
+// for it, whatever either drew before, and another seed draws another.
+func TestHopLatencyIgnoresSharding(t *testing.T) {
+	sharded := shardedPlatform(t)
+	serial := NewPlatform(simnet.New(vclock.NewSimulator()), 1)
+	other := NewPlatform(simnet.New(vclock.NewSimulator()), 2)
 	rng := rand.New(rand.NewSource(3))
+	moved := 0
 	for i := 0; i < 1500; i++ {
 		m := &Message{
 			ID:     fmt.Sprintf("sm-p%05d-%d", rng.Intn(40), rng.Intn(5)),
 			HopCnt: rng.Intn(8),
 		}
 		depart, arrive, cached := rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0
-		got := p.hopLatency(m, depart, arrive, cached)
-		ref.wifi = radio.NewWiFi(int64(simnet.HashID(m.ID)) + int64(m.HopCnt))
-		if want := ref.hopLatency(m, depart, arrive, cached); got != want {
-			t.Fatalf("draw %d (%s hop %d): pooled %v, fresh %v", i, m.ID, m.HopCnt, got, want)
+		got := sharded.hopLatency(m, depart, arrive, cached)
+		if want := serial.hopLatency(m, depart, arrive, cached); got != want {
+			t.Fatalf("draw %d (%s hop %d): sharded %v, serial %v", i, m.ID, m.HopCnt, got, want)
 		}
+		if other.hopLatency(m, depart, arrive, cached) != got {
+			moved++
+		}
+	}
+	if moved < 1400 {
+		t.Fatalf("another seed changed only %d of 1500 hop latencies", moved)
 	}
 }
 
 // Lanes search routes and draw hop latencies at once: the lock-free runtime
-// lookups and the shared sampler pool must give every goroutine what a
-// serial run gives.
+// lookups and the keyed draws must give every goroutine what a serial run
+// gives.
 func TestConcurrentRouteSearchAndHopLatency(t *testing.T) {
 	p := shardedPlatform(t)
 	const n = 64
@@ -259,7 +259,7 @@ func TestRouteSearchMatchesBruteForce(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nw := simnet.New(vclock.NewSimulator())
-		p := NewPlatform(nw, radio.NewWiFi(seed))
+		p := NewPlatform(nw, seed)
 		w := &wifiModel{
 			rangeM:   20 + 40*rng.Float64(),
 			pos:      map[simnet.NodeID]simnet.Position{},
@@ -414,7 +414,7 @@ func BenchmarkFinderTour(b *testing.B) {
 		b.Fatal(err)
 	}
 	nw.SetRange(radio.MediumWiFi, 50) // four grid neighbours each
-	p := NewPlatform(nw, radio.NewWiFi(1))
+	p := NewPlatform(nw, 1)
 	var rts []*Runtime
 	for i := 0; i < cols*rows; i++ {
 		id := simnet.NodeID(fmt.Sprintf("g%03d", i))

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"contory/internal/audit"
+	"contory/internal/draw"
 	"contory/internal/energy"
 	"contory/internal/radio"
 	"contory/internal/simnet"
@@ -73,11 +74,11 @@ type Result struct {
 	At time.Time
 }
 
-// Platform owns the SM runtimes of all participating nodes and the WiFi
-// latency model they share. One Platform per simulated testbed.
+// Platform owns the SM runtimes of all participating nodes and keys their
+// migration latencies. One Platform per simulated testbed.
 type Platform struct {
 	net  *simnet.Network
-	wifi *radio.WiFi
+	seed uint64 // keys every hop-latency draw
 
 	// runtimes is the runtime index, addressed by simnet node index. Route
 	// searches ask it about every node they expand, possibly from many
@@ -85,8 +86,7 @@ type Platform struct {
 	runtimes runtimeTable
 
 	mu      sync.Mutex
-	nextID  int
-	perNode map[simnet.NodeID]int // sharded mode: per-origin SM counters
+	perNode map[simnet.NodeID]int // per-origin SM counters
 	code    map[string]CodeBrick
 	finders map[string]func([]Result, error)
 
@@ -97,12 +97,13 @@ type Platform struct {
 }
 
 // NewPlatform returns an SM platform over the given network with the
-// built-in SM-FINDER code brick registered.
-func NewPlatform(nw *simnet.Network, wifi *radio.WiFi) *Platform {
+// built-in SM-FINDER code brick registered; seed keys its hop latencies.
+func NewPlatform(nw *simnet.Network, seed int64) *Platform {
 	p := &Platform{
-		net:  nw,
-		wifi: wifi,
-		code: make(map[string]CodeBrick),
+		net:     nw,
+		seed:    uint64(seed),
+		perNode: make(map[simnet.NodeID]int),
+		code:    make(map[string]CodeBrick),
 	}
 	p.code[finderCodeID] = func(rt *Runtime, m *Message) { p.finderStep(rt, m) }
 	return p
@@ -211,21 +212,14 @@ func (t *runtimeTable) store(index int32, rt *Runtime) {
 
 // nextMsgID allocates a unique SM identifier ("to disambiguate between
 // multiple messages, a unique identifier is associated with each query and
-// with each result"). In sharded mode IDs are per-origin counters — the
-// global counter's allocation order would depend on cross-lane scheduling,
-// and IDs seed per-message latency samplers, so they must be deterministic.
+// with each result"). IDs are per-origin counters: only the origin's lane
+// launches its SMs, so an ID never depends on cross-lane scheduling, and
+// IDs key the hop-latency draws.
 func (p *Platform) nextMsgID(origin simnet.NodeID) string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.net.Sharded() {
-		if p.perNode == nil {
-			p.perNode = make(map[simnet.NodeID]int)
-		}
-		p.perNode[origin]++
-		return fmt.Sprintf("sm-%s-%d", origin, p.perNode[origin])
-	}
-	p.nextID++
-	return fmt.Sprintf("sm-%d", p.nextID)
+	p.perNode[origin]++
+	return fmt.Sprintf("sm-%s-%d", origin, p.perNode[origin])
 }
 
 // Runtime is the per-node SM runtime system: tag space, admission manager,
@@ -338,17 +332,11 @@ func (rt *Runtime) onArrive(msg simnet.Message) {
 // The steady state assumes the receiver's code cache holds the (frequently
 // executed) finder code brick; a cache miss must additionally transfer and
 // deserialize the code, adding a share of the serialization component.
+//
+// The draw is keyed on (platform seed, message ID, hop count), so a hop's
+// latency is a pure function of the SM's identity, whichever lane draws it.
 func (p *Platform) hopLatency(m *Message, departOrigin, arriveOrigin, codeCached bool) time.Duration {
-	w := p.wifi
-	if p.net.Sharded() {
-		// The shared sampler's draw order depends on cross-lane scheduling;
-		// key a private sampler on (message, hop) instead so every hop's
-		// latency is a pure function of the SM's deterministic identity.
-		// Reseeding a pooled model draws what a fresh one would.
-		w = hopSamplers.Get().(*radio.WiFi)
-		defer hopSamplers.Put(w)
-		w.Reseed(int64(simnet.HashID(m.ID)) + int64(m.HopCnt))
-	}
+	w := radio.KeyedWiFi(draw.Key(p.seed, draw.HashID(m.ID), uint64(m.HopCnt)))
 	half := w.PerHopLatency() / 2
 	d := w.HopLatency(false) / 2 // jittered per-hop half-cost
 	if d <= 0 {
@@ -367,9 +355,6 @@ func (p *Platform) hopLatency(m *Message, departOrigin, arriveOrigin, codeCached
 	}
 	return d
 }
-
-// hopSamplers recycles the private per-hop samplers of sharded runs.
-var hopSamplers = sync.Pool{New: func() any { return radio.NewWiFi(0) }}
 
 // migrate ships an SM one hop and accounts WiFi power on both endpoints for
 // the transfer duration. When span is non-nil an "sm.hop" child covers the

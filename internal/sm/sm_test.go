@@ -100,7 +100,7 @@ func line(t *testing.T) (*Platform, *vclock.Simulator, *simnet.Network) {
 			t.Fatal(err)
 		}
 	}
-	p := NewPlatform(nw, radio.NewWiFi(1))
+	p := NewPlatform(nw, 1)
 	for _, id := range []simnet.NodeID{"origin", "relay", "far"} {
 		if _, err := p.Install(id, Admission{}); err != nil {
 			t.Fatal(err)
@@ -112,7 +112,7 @@ func line(t *testing.T) (*Platform, *vclock.Simulator, *simnet.Network) {
 func TestInstallUnknownNode(t *testing.T) {
 	clk := vclock.NewSimulator()
 	nw := simnet.New(clk)
-	p := NewPlatform(nw, radio.NewWiFi(1))
+	p := NewPlatform(nw, 1)
 	if _, err := p.Install("ghost", Admission{}); err == nil {
 		t.Fatal("Install(ghost) succeeded")
 	}
@@ -389,7 +389,7 @@ func TestAdmissionHopCap(t *testing.T) {
 	if _, err := nw.AddNode("n", simnet.Position{}); err != nil {
 		t.Fatal(err)
 	}
-	p := NewPlatform(nw, radio.NewWiFi(1))
+	p := NewPlatform(nw, 1)
 	rt, err := p.Install("n", Admission{MaxHopCnt: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +412,7 @@ func TestAdmissionResidentCap(t *testing.T) {
 	if _, err := nw.AddNode("n", simnet.Position{}); err != nil {
 		t.Fatal(err)
 	}
-	p := NewPlatform(nw, radio.NewWiFi(1))
+	p := NewPlatform(nw, 1)
 	rt, err := p.Install("n", Admission{MaxResident: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -524,7 +524,7 @@ func TestFinderHopBoundProperty(t *testing.T) {
 				_ = nw.Connect(a, b, radio.MediumWiFi)
 			}
 		}
-		p := NewPlatform(nw, radio.NewWiFi(seed))
+		p := NewPlatform(nw, seed)
 		for _, id := range ids {
 			if _, err := p.Install(id, Admission{}); err != nil {
 				return false

@@ -115,7 +115,7 @@ func NewWorldConfig(cfg WorldConfig) (*World, error) {
 	return &World{
 		clock:    clk,
 		net:      nw,
-		platform: sm.NewPlatform(nw, radio.NewWiFi(seed+2)),
+		platform: sm.NewPlatform(nw, seed+2),
 		infraSrv: inf,
 		seed:     seed,
 		nextSeed: seed + 100,
