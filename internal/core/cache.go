@@ -17,7 +17,10 @@ import (
 // transparently promoted to a live provisioning mechanism when it goes
 // stale. The cache is opt-in (WithAnswerCache); staleness is always bounded
 // by the query's FRESHNESS clause or the repository's per-type TTL — a
-// query with neither bound never hits the cache.
+// query with neither bound never hits the cache. Degraded answers (the QoS
+// plane's stale-cache service) waive FRESHNESS and are bounded by the
+// type's TTL alone, so a type without a TTL has no degraded answer and its
+// queries are never degraded.
 
 // cacheEligible reports whether the query may be served from the answer
 // cache at all: the cache must be on, and event queries need live
@@ -53,17 +56,23 @@ func cacheSourceCompatible(q *query.Query, it cxt.Item) bool {
 
 // cacheLookup returns the newest repository item satisfying the query's
 // type, FROM and WHERE clauses among those the repository may serve:
-// unexpired, within the type's TTL and at most maxAge old. Live lookups
-// pass the FRESHNESS clause; the QoS plane passes 0, bounding staleness by
-// the TTL alone, to serve degraded queries stale answers a strict lookup
-// would refuse.
+// unexpired, within the type's TTL and at most maxAge old (0 = TTL only).
+// Live lookups pass the FRESHNESS clause; degraded ones go through
+// degradedLookup.
 func (f *Factory) cacheLookup(q *query.Query, maxAge time.Duration) (cxt.Item, bool) {
-	for _, it := range f.dev.Repo.Servable(q.Select, maxAge) {
-		if cacheSourceCompatible(q, it) && query.EvalWhere(q.Where, it.Meta) {
-			return it, true
-		}
+	return f.dev.Repo.FirstServable(q.Select, maxAge, func(it cxt.Item) bool {
+		return cacheSourceCompatible(q, it) && query.EvalWhere(q.Where, it.Meta)
+	})
+}
+
+// degradedLookup is the QoS plane's stale-cache lookup: FRESHNESS is
+// waived and staleness is bounded by the type's TTL alone, so a type
+// without a TTL has no degraded answer.
+func (f *Factory) degradedLookup(q *query.Query) (cxt.Item, bool) {
+	if f.dev.Repo.TTLFor(q.Select) <= 0 {
+		return cxt.Item{}, false
 	}
-	return cxt.Item{}, false
+	return f.cacheLookup(q, 0)
 }
 
 // tryServeFromCache attempts to register aq as cache-served. It runs after
@@ -107,13 +116,15 @@ func (f *Factory) cacheDeliver(queryID string, first bool) {
 	degraded := aq.degraded
 	f.mu.Unlock()
 
-	maxAge := q.Freshness
+	var it cxt.Item
+	var hit bool
 	if degraded {
 		// Degraded queries accept staleness up to the type's TTL: that is
 		// the point of degrading.
-		maxAge = 0
+		it, hit = f.degradedLookup(q)
+	} else {
+		it, hit = f.cacheLookup(q, q.Freshness)
 	}
-	it, hit := f.cacheLookup(q, maxAge)
 	if !hit {
 		if degraded {
 			// A degraded query never promotes back to live provisioning —

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -64,10 +65,59 @@ type providerMaker func(id string, q *query.Query, sink provider.Sink, onDone pr
 // managed is one running provider together with the original queries whose
 // results are post-extracted from its stream.
 type managed struct {
-	prov      provider.Provider
-	merged    *query.Query
-	originals map[string]*query.Query // queryID → original query
-	span      *tracing.Span           // "assign": spans the provider's lifetime
+	prov   provider.Provider
+	merged *query.Query
+	// subs are the original queries, ordered by query ID byte-wise (as
+	// sort.Strings orders them: q-10 before q-2), which is the order the
+	// stream delivers to them. The slice is copy-on-write: attach and
+	// detach build a new one, so a delivery reads a snapshot without
+	// holding the facade lock.
+	subs []subscriber
+	span *tracing.Span // "assign": spans the provider's lifetime
+}
+
+// subscriber is one original query post-extracted from a provider stream.
+// Its query is the factory's copy, shared read-only (see query.Query).
+type subscriber struct {
+	id string
+	q  *query.Query
+}
+
+// find returns the position of queryID in subs, or where it would be
+// inserted, and whether it is there.
+func (m *managed) find(queryID string) (int, bool) {
+	i := sort.Search(len(m.subs), func(i int) bool { return m.subs[i].id >= queryID })
+	return i, i < len(m.subs) && m.subs[i].id == queryID
+}
+
+// attach adds (or replaces) a subscriber, keeping subs in ID order.
+func (m *managed) attach(queryID string, q *query.Query) {
+	i, ok := m.find(queryID)
+	subs := slices.Clone(m.subs)
+	if ok {
+		subs[i].q = q
+	} else {
+		subs = slices.Insert(subs, i, subscriber{id: queryID, q: q})
+	}
+	m.subs = subs
+}
+
+// detach removes a subscriber; it reports false when queryID is not one.
+func (m *managed) detach(queryID string) bool {
+	i, ok := m.find(queryID)
+	if ok {
+		m.subs = slices.Delete(slices.Clone(m.subs), i, i+1)
+	}
+	return ok
+}
+
+// ids returns the subscribers' query IDs in delivery order.
+func (m *managed) ids() []string {
+	out := make([]string, len(m.subs))
+	for i, s := range m.subs {
+		out[i] = s.id
+	}
+	return out
 }
 
 // Facade offers a unified interface for managing CxtProviders of one
@@ -214,10 +264,10 @@ func (f *Facade) submit(queryID string, q *query.Query, mergeEnabled bool, paren
 				continue
 			}
 			m.merged = mergedQ
-			m.originals[queryID] = q.Clone()
+			m.attach(queryID, q)
 			m.prov.UpdateQuery(mergedQ)
 			f.merges++
-			subs := len(m.originals)
+			subs := len(m.subs)
 			owner := m.span
 			f.mu.Unlock()
 			f.mMerges.Inc()
@@ -248,10 +298,12 @@ func (f *Facade) submit(queryID string, q *query.Query, mergeEnabled bool, paren
 	span := parent.Child("assign")
 	span.SetAttr("mech", f.mechanism.String())
 	span.SetAttr("provider", provID)
+	// The facade and the provider keep the factory's copy of q: nothing
+	// writes a query after submission (see query.Query).
 	m := &managed{
-		merged:    q.Clone(),
-		originals: map[string]*query.Query{queryID: q.Clone()},
-		span:      span,
+		merged: q,
+		subs:   []subscriber{{id: queryID, q: q}},
+		span:   span,
 	}
 	f.managed[provID] = m
 	f.creates++
@@ -293,7 +345,7 @@ func (f *Facade) removeFailed(provID string) {
 	m, ok := f.managed[provID]
 	var subs int
 	if ok {
-		subs = len(m.originals)
+		subs = len(m.subs)
 		delete(f.managed, provID)
 	}
 	f.mu.Unlock()
@@ -304,7 +356,9 @@ func (f *Facade) removeFailed(provID string) {
 
 // sinkFor returns the provider sink performing post-extraction: received
 // results for the merged query are matched against each original query and
-// delivered upward per query id.
+// delivered upward per query id, in subscriber order. The subscribers are
+// those attached when the item arrived: one that a delivery's callback
+// cancels still receives the item, one it attaches does not.
 func (f *Facade) sinkFor(provID string) provider.Sink {
 	return func(it cxt.Item) {
 		now := f.clock.Now()
@@ -314,15 +368,12 @@ func (f *Facade) sinkFor(provID string) provider.Sink {
 			f.mu.Unlock()
 			return
 		}
-		var targets []string
-		for _, id := range sortedKeys(m.originals) {
-			if m.originals[id].Matches(it, now) {
-				targets = append(targets, id)
-			}
-		}
+		subs := m.subs
 		f.mu.Unlock()
-		for _, id := range targets {
-			f.deliver(id, it)
+		for _, s := range subs {
+			if s.q.Matches(it, now) {
+				f.deliver(s.id, it)
+			}
 		}
 	}
 }
@@ -338,7 +389,7 @@ func (f *Facade) doneFor(provID string) provider.DoneFunc {
 			return
 		}
 		delete(f.managed, provID)
-		ids := sortedKeys(m.originals)
+		ids := m.ids()
 		f.mu.Unlock()
 		m.span.End()
 		f.released(1, len(ids))
@@ -356,7 +407,7 @@ func (f *Facade) Cancel(queryID string) bool {
 	var found *managed
 	var provID string
 	for id, m := range f.managed {
-		if _, ok := m.originals[queryID]; ok {
+		if m.detach(queryID) {
 			found, provID = m, id
 			break
 		}
@@ -365,8 +416,7 @@ func (f *Facade) Cancel(queryID string) bool {
 		f.mu.Unlock()
 		return false
 	}
-	delete(found.originals, queryID)
-	if len(found.originals) == 0 {
+	if len(found.subs) == 0 {
 		delete(f.managed, provID)
 		prov := found.prov
 		f.mu.Unlock()
@@ -377,9 +427,9 @@ func (f *Facade) Cancel(queryID string) bool {
 		}
 		return true
 	}
-	rest := make([]*query.Query, 0, len(found.originals))
-	for _, id := range sortedKeys(found.originals) {
-		rest = append(rest, found.originals[id])
+	rest := make([]*query.Query, len(found.subs))
+	for i, sub := range found.subs {
+		rest[i] = sub.q
 	}
 	if narrowed, err := query.MergeAll(rest); err == nil {
 		found.merged = narrowed
@@ -401,8 +451,8 @@ func (f *Facade) StreamInfo(queryID string) (streamID string, subscribers int, o
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for id, m := range f.managed {
-		if _, has := m.originals[queryID]; has {
-			return id, len(m.originals), true
+		if _, has := m.find(queryID); has {
+			return id, len(m.subs), true
 		}
 	}
 	return "", 0, false
@@ -414,8 +464,8 @@ func (f *Facade) Queries() []string {
 	defer f.mu.Unlock()
 	var out []string
 	for _, m := range f.managed {
-		for id := range m.originals {
-			out = append(out, id)
+		for _, sub := range m.subs {
+			out = append(out, sub.id)
 		}
 	}
 	sort.Strings(out)
@@ -431,7 +481,7 @@ func (f *Facade) StopAll() {
 	subs := 0
 	for _, m := range f.managed {
 		ms = append(ms, m)
-		subs += len(m.originals)
+		subs += len(m.subs)
 	}
 	f.managed = make(map[string]*managed)
 	f.mu.Unlock()

@@ -60,6 +60,7 @@ type facadeRig struct {
 	fac       *Facade
 	providers []*fakeProvider
 	delivered map[string][]cxt.Item
+	order     []string // query ids in delivery order
 	expired   []string
 	makeErr   error
 }
@@ -79,7 +80,10 @@ func newFacadeRig(t *testing.T) *facadeRig {
 			r.providers = append(r.providers, p)
 			return p, nil
 		},
-		func(qid string, it cxt.Item) { r.delivered[qid] = append(r.delivered[qid], it) },
+		func(qid string, it cxt.Item) {
+			r.delivered[qid] = append(r.delivered[qid], it)
+			r.order = append(r.order, qid)
+		},
 		func(ids []string) { r.expired = append(r.expired, ids...) },
 		metrics.NewRegistry(), "rig", nil,
 	)

@@ -123,7 +123,7 @@ func (f *Factory) canDegradeToCache(q *query.Query) bool {
 	if !f.cacheEligible(q) {
 		return false
 	}
-	_, ok := f.cacheLookup(q, 0)
+	_, ok := f.degradedLookup(q)
 	return ok
 }
 

@@ -207,3 +207,57 @@ func TestQoSShedOnLowPower(t *testing.T) {
 		t.Fatalf("remaining queries %v, want [q-3 q-4]", remaining)
 	}
 }
+
+// A degraded answer waives FRESHNESS, so its staleness must be bounded by
+// the type's TTL: with none, a stored item never qualifies, however old.
+func TestDegradeNeedsTTLBound(t *testing.T) {
+	b := newBed(t, WithAnswerCache(true))
+	b.dev.Repo.Store(cxt.Item{Type: cxt.TypeTemperature, Value: 19.5,
+		Timestamp: b.clk.Now(), Source: cxt.Source{Kind: cxt.SourceInfrastructure, Address: "infra"}})
+	b.clk.Advance(6 * time.Hour)
+	q := query.MustParse("SELECT temperature FROM extInfra FRESHNESS 20 sec DURATION 1 min")
+	if b.factory.canDegradeToCache(q) {
+		t.Fatal("a 6 h old answer qualifies for degradation with no TTL bound")
+	}
+	b.dev.Repo.SetTTL(cxt.TypeTemperature, 7*time.Hour)
+	if !b.factory.canDegradeToCache(q) {
+		t.Fatal("an answer inside the type's TTL does not qualify for degradation")
+	}
+}
+
+// A degraded query whose type loses its TTL has no bounded answer left: its
+// next refresh ends it instead of serving an unbounded stale item.
+func TestDegradedRefreshNeedsTTLBound(t *testing.T) {
+	b := newBed(t,
+		WithAnswerCache(true),
+		WithQoS(qos.Config{Enabled: true, Rate: 1, Burst: 1, QueueCap: 2, MaxActive: 1}))
+	b.dev.Repo.SetTTL(cxt.TypeTemperature, 10*time.Minute)
+	b.dev.Repo.Store(cxt.Item{Type: cxt.TypeTemperature, Value: 19.5,
+		Timestamp: b.clk.Now(), Source: cxt.Source{Kind: cxt.SourceInfrastructure, Address: "infra"}})
+	b.clk.Advance(30 * time.Second)
+
+	q := "SELECT temperature FROM extInfra FRESHNESS 5 sec DURATION 5 min EVERY 10 sec"
+	for i := 0; i < 2; i++ {
+		if _, err := b.factory.ProcessCxtQuery(query.MustParse(q), &testClient{decision: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c3 := &testClient{decision: true}
+	sub3, err := b.factory.ProcessCxtQuery(query.MustParse(q), c3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sub3.Stats().CacheServed {
+		t.Fatal("overloaded submission not degraded to cache service")
+	}
+	b.clk.Advance(10 * time.Millisecond)
+	if len(c3.items) != 1 {
+		t.Fatalf("degraded query items = %v, want the stale answer", c3.items)
+	}
+	b.dev.Repo.SetTTL(cxt.TypeTemperature, 0)
+	b.clk.Advance(10 * time.Second)
+	if len(c3.items) != 1 || sub3.Active() || len(c3.errs) != 1 {
+		t.Fatalf("after the TTL went: items %v, active %v, errors %v; want the query ended",
+			c3.items, sub3.Active(), c3.errs)
+	}
+}

@@ -50,8 +50,12 @@ type Infrastructure struct {
 	clock  vclock.Clock
 	server *fuego.Server
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// items is the archived log, a ring of capacity entries: it grows by
+	// append until full, then each store overwrites the oldest entry, at
+	// head, and advances head.
 	items    []stored
+	head     int
 	byEntity map[string]cxt.Fix // entity (node id) → last known position
 	capacity int
 	regatta  *Regatta
@@ -64,7 +68,8 @@ type Config struct {
 	NodeID  simnet.NodeID
 	// UMTS is the radio model used for downlink latencies.
 	UMTS *radio.UMTS
-	// Capacity bounds the archived log (0 = 4096 items).
+	// Capacity bounds the archived log (0 = 4096 items). The log is a ring
+	// of Capacity entries: once full, each store overwrites the oldest.
 	Capacity int
 }
 
@@ -131,9 +136,11 @@ func (inf *Infrastructure) handleStore(from simnet.NodeID, payload any) {
 		// reported position (how WeatherWatcher scopes observations).
 		entry.pos, entry.hasPo = pos, true
 	}
-	inf.items = append(inf.items, entry)
-	if len(inf.items) > inf.capacity {
-		inf.items = inf.items[len(inf.items)-inf.capacity:]
+	if len(inf.items) < inf.capacity {
+		inf.items = append(inf.items, entry)
+	} else {
+		inf.items[inf.head] = entry
+		inf.head = (inf.head + 1) % inf.capacity
 	}
 	regatta := inf.regatta
 	inf.mu.Unlock()
@@ -175,8 +182,9 @@ func (inf *Infrastructure) handleGet(r fuego.Request) (any, error) {
 	inf.mu.Lock()
 	defer inf.mu.Unlock()
 	var out []cxt.Item
-	for i := len(inf.items) - 1; i >= 0 && len(out) < max; i-- {
-		s := inf.items[i]
+	n := len(inf.items)
+	for k := n - 1; k >= 0 && len(out) < max; k-- {
+		s := &inf.items[(inf.head+k)%n]
 		if s.item.Type != iq.Select {
 			continue
 		}

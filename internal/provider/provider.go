@@ -79,8 +79,10 @@ type base struct {
 	doneFired bool
 }
 
+// newBase keeps q without copying it: queries are shared read-only (see
+// query.Query).
 func newBase(id string, clock vclock.Clock, q *query.Query, sink Sink, onDone DoneFunc) base {
-	return base{id: id, clock: clock, q: q.Clone(), sink: sink, onDone: onDone}
+	return base{id: id, clock: clock, q: q, sink: sink, onDone: onDone}
 }
 
 // ID implements Provider.
@@ -95,8 +97,8 @@ func (b *base) Query() *query.Query {
 
 // liveQuery returns the stored query without cloning it, for the
 // provider's own per-round reads. setQuery replaces the stored query
-// wholesale and nothing mutates it in place, so callers may read the
-// result freely but must never modify it.
+// wholesale and nothing mutates it in place (see query.Query), so callers
+// may read the result freely but must never modify it.
 func (b *base) liveQuery() *query.Query {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -110,11 +112,12 @@ func (b *base) Delivered() int {
 	return b.delivered
 }
 
-// setQuery stores a cloned replacement query.
+// setQuery stores a replacement query, shared read-only like the one
+// newBase keeps.
 func (b *base) setQuery(q *query.Query) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.q = q.Clone()
+	b.q = q
 }
 
 // track registers a timer for cleanup on Stop.

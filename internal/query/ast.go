@@ -355,6 +355,13 @@ func (m Mode) String() string {
 }
 
 // Query is a parsed context query.
+//
+// Ownership: the middleware copies a submitted query once, when the
+// factory opens it and assigns its ID. From then on no code writes that
+// copy or any query derived from it: Merge and MergeAll build new values,
+// and the facade's tables and every provider share the copy read-only.
+// Callers keep ownership of the query they submitted, and Provider.Query
+// hands out a clone.
 type Query struct {
 	// ID uniquely identifies the query within a factory; assigned by the
 	// middleware, not the parser.

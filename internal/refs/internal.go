@@ -74,34 +74,50 @@ type InternalReference struct {
 	mon   *monitor.Monitor
 
 	mu      sync.Mutex
-	sensors map[string]Sensor
+	sensors []namedSensor // sorted by name; Register keeps the order
+}
+
+// namedSensor is a registered sensor under the name it was registered by.
+type namedSensor struct {
+	name string
+	s    Sensor
 }
 
 // NewInternalReference returns an InternalReference with no sensors.
 func NewInternalReference(clock vclock.Clock, mon *monitor.Monitor) *InternalReference {
-	return &InternalReference{
-		clock:   clock,
-		mon:     mon,
-		sensors: make(map[string]Sensor),
-	}
+	return &InternalReference{clock: clock, mon: mon}
+}
+
+// find returns the position of name in the sorted sensor list, or where it
+// would be inserted, and whether it is there. The caller holds r.mu.
+func (r *InternalReference) find(name string) (int, bool) {
+	i := sort.Search(len(r.sensors), func(i int) bool { return r.sensors[i].name >= name })
+	return i, i < len(r.sensors) && r.sensors[i].name == name
 }
 
 // Register adds (or replaces) an integrated sensor.
 func (r *InternalReference) Register(s Sensor) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.sensors[s.Name()] = s
+	e := namedSensor{name: s.Name(), s: s}
+	i, ok := r.find(e.name)
+	if ok {
+		r.sensors[i] = e
+		return
+	}
+	r.sensors = append(r.sensors, namedSensor{})
+	copy(r.sensors[i+1:], r.sensors[i:])
+	r.sensors[i] = e
 }
 
 // Sensors returns the registered sensor names, sorted.
 func (r *InternalReference) Sensors() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.sensors))
-	for n := range r.sensors {
-		out = append(out, n)
+	out := make([]string, len(r.sensors))
+	for i, e := range r.sensors {
+		out[i] = e.name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -110,14 +126,9 @@ func (r *InternalReference) Sensors() []string {
 func (r *InternalReference) ByType(t cxt.Type) (Sensor, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.sensors))
-	for n := range r.sensors {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if r.sensors[n].Type() == t {
-			return r.sensors[n], true
+	for _, e := range r.sensors {
+		if e.s.Type() == t {
+			return e.s, true
 		}
 	}
 	return nil, false
@@ -127,9 +138,12 @@ func (r *InternalReference) ByType(t cxt.Type) (Sensor, bool) {
 // an integrated sensor is a local operation comparable to createCxtItem.
 func (r *InternalReference) Read(name string) (cxt.Item, error) {
 	r.mu.Lock()
-	s, ok := r.sensors[name]
+	var s Sensor
+	if i, ok := r.find(name); ok {
+		s = r.sensors[i].s
+	}
 	r.mu.Unlock()
-	if !ok {
+	if s == nil {
 		return cxt.Item{}, fmt.Errorf("%w: %s", ErrNoSensor, name)
 	}
 	it, err := s.Read(r.clock.Now())

@@ -3,6 +3,7 @@ package refs
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -243,6 +244,37 @@ func TestInternalReference(t *testing.T) {
 	}
 	if _, ok := ir.ByType(cxt.TypeWind); ok {
 		t.Fatal("ByType(wind) found a sensor")
+	}
+}
+
+// Sensors stay in name order whatever the registration order, the first
+// by name wins ByType, re-registering a name replaces that sensor, and
+// ByType allocates nothing.
+func TestInternalReferenceSortedLookup(t *testing.T) {
+	clk := vclock.NewSimulator()
+	ir := NewInternalReference(clk, nil)
+	sensor := func(name string, typ cxt.Type) FuncSensor {
+		return FuncSensor{SensorName: name, CxtType: typ}
+	}
+	ir.Register(sensor("thermo-c", cxt.TypeTemperature))
+	ir.Register(sensor("thermo-a", cxt.TypeTemperature))
+	ir.Register(sensor("anemo", cxt.TypeWind))
+	ir.Register(sensor("thermo-b", cxt.TypeTemperature))
+	if s, ok := ir.ByType(cxt.TypeTemperature); !ok || s.Name() != "thermo-a" {
+		t.Fatalf("ByType(temperature) = %v, %v, want thermo-a", s, ok)
+	}
+	ir.Register(sensor("thermo-a", cxt.TypeHumidity))
+	if got, want := ir.Sensors(), []string{"anemo", "thermo-a", "thermo-b", "thermo-c"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Sensors = %v, want %v", got, want)
+	}
+	if s, ok := ir.ByType(cxt.TypeTemperature); !ok || s.Name() != "thermo-b" {
+		t.Fatalf("ByType(temperature) after replace = %v, %v, want thermo-b", s, ok)
+	}
+	if s, ok := ir.ByType(cxt.TypeHumidity); !ok || s.Name() != "thermo-a" {
+		t.Fatalf("ByType(humidity) = %v, %v, want the replaced thermo-a", s, ok)
+	}
+	if got := testing.AllocsPerRun(200, func() { ir.ByType(cxt.TypeTemperature) }); got != 0 {
+		t.Fatalf("ByType allocates %v times, want 0", got)
 	}
 }
 

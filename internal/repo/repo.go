@@ -137,13 +137,15 @@ func (r *Repository) ttlForLocked(t cxt.Type) time.Duration {
 // expired, and no older than its type's TTL (item lifetimes shorter than
 // the TTL tighten the bound per item via Expired).
 func (r *Repository) servableLocked(it cxt.Item, now time.Time) bool {
+	return servable(&it, now, r.ttlForLocked(it.Type))
+}
+
+// servable is servableLocked for an item whose type's TTL is ttl.
+func servable(it *cxt.Item, now time.Time, ttl time.Duration) bool {
 	if it.Expired(now) {
 		return false
 	}
-	if d := r.ttlForLocked(it.Type); d > 0 && now.Sub(it.Timestamp) >= d {
-		return false
-	}
-	return true
+	return ttl <= 0 || now.Sub(it.Timestamp) < ttl
 }
 
 // Store keeps the item locally. Admission is driven by item lifetimes: an
@@ -265,25 +267,24 @@ func (r *Repository) Fresh(t cxt.Type, maxAge time.Duration) []cxt.Item {
 	return out
 }
 
-// Servable returns items of the given type that the answer cache may serve
-// at the query instant: not expired, within the type's TTL, and within
-// maxAge (0 = TTL only), newest first.
-func (r *Repository) Servable(t cxt.Type, maxAge time.Duration) []cxt.Item {
+// FirstServable returns the newest item of the given type that the answer
+// cache may serve at the query instant — not expired, within the type's
+// TTL, and within maxAge (0 = TTL only) — and that match accepts. match
+// runs under the repository lock, so it must not call back into the
+// repository.
+func (r *Repository) FirstServable(t cxt.Type, maxAge time.Duration, match func(cxt.Item) bool) (cxt.Item, bool) {
 	now := r.clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []cxt.Item
 	items := r.byType[t]
+	ttl := r.ttlForLocked(t)
 	for i := len(items) - 1; i >= 0; i-- {
-		if !r.servableLocked(items[i], now) {
-			continue
+		it := &items[i]
+		if servable(it, now, ttl) && it.FreshEnough(now, maxAge) && match(*it) {
+			return *it, true
 		}
-		if !items[i].FreshEnough(now, maxAge) {
-			continue
-		}
-		out = append(out, items[i])
 	}
-	return out
+	return cxt.Item{}, false
 }
 
 // Types returns the context types with stored items, sorted.

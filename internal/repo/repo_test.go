@@ -129,7 +129,9 @@ func TestAdmissionAndTTLLearning(t *testing.T) {
 	}
 }
 
-// Servable honours the per-type TTL: items older than the TTL are not
+func matchAll(cxt.Item) bool { return true }
+
+// FirstServable honours the per-type TTL: items older than the TTL are not
 // offered to the answer cache even when their own lifetime is unbounded.
 func TestServableHonoursTTL(t *testing.T) {
 	clk := vclock.NewSimulator()
@@ -139,24 +141,29 @@ func TestServableHonoursTTL(t *testing.T) {
 	clk.Advance(2 * time.Second)
 	r.Store(item(cxt.TypeWind, 2, clk.Now()))
 	clk.Advance(4 * time.Second)
-	got := r.Servable(cxt.TypeWind, 0)
-	if len(got) != 1 || got[0].Value != 2.0 {
-		t.Fatalf("Servable = %+v, want only the 4s-old item", got)
+	got, ok := r.FirstServable(cxt.TypeWind, 0, matchAll)
+	if !ok || got.Value != 2.0 {
+		t.Fatalf("FirstServable = %+v, %v, want the 4s-old item", got, ok)
+	}
+	// The 6s-old item is past the TTL, so a match refusing the newest
+	// finds nothing.
+	if got, ok := r.FirstServable(cxt.TypeWind, 0, func(it cxt.Item) bool { return it.Value != 2.0 }); ok {
+		t.Fatalf("FirstServable past the newest = %+v, want none", got)
 	}
 	// The FRESHNESS bound narrows further.
-	if got := r.Servable(cxt.TypeWind, 3*time.Second); len(got) != 0 {
-		t.Fatalf("Servable with 3s freshness = %+v, want none", got)
+	if got, ok := r.FirstServable(cxt.TypeWind, 3*time.Second, matchAll); ok {
+		t.Fatalf("FirstServable with 3s freshness = %+v, want none", got)
 	}
 	// TTL boundary is closed: exactly TTL-old is no longer servable.
 	clk.Advance(time.Second)
-	if got := r.Servable(cxt.TypeWind, 0); len(got) != 0 {
-		t.Fatalf("Servable at exactly TTL = %+v, want none", got)
+	if got, ok := r.FirstServable(cxt.TypeWind, 0, matchAll); ok {
+		t.Fatalf("FirstServable at exactly TTL = %+v, want none", got)
 	}
 }
 
 // Regression for the closed expiry boundary: an item whose lifetime elapses
 // exactly at the query instant must not be served by Latest, Fresh, or
-// Servable.
+// FirstServable.
 func TestExpiryBoundaryTick(t *testing.T) {
 	const life = 10 * time.Second
 	cases := []struct {
@@ -182,8 +189,8 @@ func TestExpiryBoundaryTick(t *testing.T) {
 			if got := len(r.Fresh(cxt.TypeHumidity, time.Hour)) > 0; got != tc.served {
 				t.Errorf("Fresh served=%v, want %v", got, tc.served)
 			}
-			if got := len(r.Servable(cxt.TypeHumidity, 0)) > 0; got != tc.served {
-				t.Errorf("Servable served=%v, want %v", got, tc.served)
+			if _, got := r.FirstServable(cxt.TypeHumidity, 0, matchAll); got != tc.served {
+				t.Errorf("FirstServable served=%v, want %v", got, tc.served)
 			}
 		})
 	}
