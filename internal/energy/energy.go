@@ -278,6 +278,11 @@ type edge struct {
 	delta int64
 }
 
+// edgeScratch recycles the edge slices of integrals too long for
+// energyBetweenLocked's stack buffer: the end-of-run summary, the audit's
+// energy check and every traced span integrate a whole phone history.
+var edgeScratch = sync.Pool{New: func() any { return new([]edge) }}
+
 // EnergyBetween integrates power over [t0, t1] and returns Joules. The
 // integral is exact because the timeline is piecewise constant. After
 // Compact, only spans at or after the compaction cutoff are meaningful.
@@ -305,8 +310,11 @@ func (tl *Timeline) energyBetweenLocked(t0, t1 time.Time) Joules {
 	var buf [64]edge
 	level, n := tl.edgesLocked(lo, hi, buf[:])
 	cuts := buf[:min(n, len(buf))]
+	var scratch *[]edge
 	if n > len(buf) {
-		cuts = make([]edge, n)
+		scratch = edgeScratch.Get().(*[]edge)
+		*scratch = slices.Grow((*scratch)[:0], n)
+		cuts = (*scratch)[:n]
 		tl.edgesLocked(lo, hi, cuts)
 	}
 	slices.SortFunc(cuts, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
@@ -328,6 +336,9 @@ func (tl *Timeline) energyBetweenLocked(t0, t1 time.Time) Joules {
 	}
 	if level != 0 {
 		joules += joulesOver(levelMW(level), hi-from)
+	}
+	if scratch != nil {
+		edgeScratch.Put(scratch)
 	}
 	return joules
 }

@@ -290,11 +290,15 @@ func BenchmarkEnergyBetween(b *testing.B) {
 
 var benchJoules Joules
 
+// TestEnergyBetweenAllocs: once the scratch pool is warm, an integral
+// allocates nothing, whether its edges fit the stack buffer or not. Under
+// the race detector the pool drops a quarter of its puts, which costs two
+// allocations each; over 100 runs that averages below one per run.
 func TestEnergyBetweenAllocs(t *testing.T) {
 	for _, n := range []int{16, 4096} {
 		tl, t0, t1 := sweepBench(n)
-		if got := testing.AllocsPerRun(20, func() { benchJoules = tl.EnergyBetween(t0, t1) }); got > 1 {
-			t.Errorf("EnergyBetween over %d windows: %v allocations, want at most 1", n, got)
+		if got := testing.AllocsPerRun(100, func() { benchJoules = tl.EnergyBetween(t0, t1) }); got > 0 {
+			t.Errorf("EnergyBetween over %d windows: %v allocations, want 0", n, got)
 		}
 	}
 }

@@ -232,12 +232,13 @@ func measureGPSPeriodic(seed int64) (Stat, error) {
 		return Stat{}, err
 	}
 	samples := 0
-	if err := tb.Phone.BT.ConnectGPS("bt-gps-1", func(cxt.Fix) { samples++ }, nil); err != nil {
+	disconnect, err := tb.Phone.BT.ConnectGPS("bt-gps-1", func(cxt.Fix) { samples++ }, nil)
+	if err != nil {
 		return Stat{}, err
 	}
 	tl := tb.Phone.Node.Timeline()
 	tb.Clock.Advance(10 * time.Minute)
-	tb.Phone.BT.DisconnectGPS("bt-gps-1")
+	disconnect()
 	if samples == 0 {
 		return Stat{}, fmt.Errorf("experiments: gps stream produced nothing")
 	}

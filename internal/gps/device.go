@@ -31,9 +31,12 @@ type Device struct {
 	node *simnet.Node
 	net  *simnet.Network
 
-	mu     sync.Mutex
-	fix    cxt.Fix
-	subs   map[simnet.NodeID]bool
+	mu  sync.Mutex
+	fix cxt.Fix
+	// subs is the subscribers in ID order. Subscribing and unsubscribing
+	// build a new slice, so a tick sends from its snapshot without copying
+	// or sorting.
+	subs   []simnet.NodeID
 	failed bool
 	ticker interface{ Stop() bool }
 }
@@ -48,17 +51,20 @@ func NewDevice(nw *simnet.Network, id simnet.NodeID, initial cxt.Fix) (*Device, 
 		node: node,
 		net:  nw,
 		fix:  initial,
-		subs: make(map[simnet.NodeID]bool),
 	}
 	node.Handle(KindSubscribe, func(m simnet.Message) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		d.subs[m.From] = true
+		if i, found := slices.BinarySearch(d.subs, m.From); !found {
+			d.subs = slices.Insert(slices.Clone(d.subs), i, m.From)
+		}
 	})
 	node.Handle(KindUnsubscribe, func(m simnet.Message) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		delete(d.subs, m.From)
+		if i, found := slices.BinarySearch(d.subs, m.From); found {
+			d.subs = slices.Delete(slices.Clone(d.subs), i, i+1)
+		}
 	})
 	d.ticker = nw.ClockFor(id).Every(SampleInterval, d.tick)
 	return d, nil
@@ -119,15 +125,11 @@ func (d *Device) tick() {
 		d.mu.Unlock()
 		return
 	}
-	fix := d.fix
-	subs := make([]simnet.NodeID, 0, len(d.subs))
-	for id := range d.subs {
-		subs = append(subs, id)
-	}
+	fix, subs := d.fix, d.subs
 	d.mu.Unlock()
-	slices.Sort(subs)
 
-	burst := Burst(fix, d.net.Clock().Now())
+	// One interface box per burst, shared by every subscriber's frame.
+	var burst any = Burst(fix, d.net.Clock().Now())
 	for _, to := range subs {
 		msg := simnet.Message{
 			From:    d.node.ID(),

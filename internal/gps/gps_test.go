@@ -311,3 +311,49 @@ func TestDeviceSendsInNodeIDOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestDeviceTickAllocs: a tick renders its burst and boxes it once,
+// however many phones subscribe: two allocations per tick with one
+// subscriber or four. Unsubscribing one keeps the rest in NodeID order.
+func TestDeviceTickAllocs(t *testing.T) {
+	clk := vclock.NewSimulator()
+	nw := simnet.New(clk)
+	dev, err := NewDevice(nw, "bt-gps-1", cxt.Fix{Lat: 60.16, Lon: 24.93})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	var got []simnet.NodeID
+	subscribe := func(id simnet.NodeID, kind string) {
+		if err := nw.Send(simnet.Message{From: id, To: dev.ID(), Medium: radio.MediumBT, Kind: kind}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, id := range []simnet.NodeID{"phone-d", "phone-a", "phone-c", "phone-b"} {
+		phone, err := nw.AddNode(id, simnet.Position{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.Connect(id, dev.ID(), radio.MediumBT); err != nil {
+			t.Fatal(err)
+		}
+		phone.Handle(KindNMEA, func(m simnet.Message) {
+			// Record only once got has room: measured ticks append nothing.
+			if len(got) < cap(got) {
+				got = append(got, m.To)
+			}
+		})
+		subscribe(id, KindSubscribe)
+		clk.Advance(time.Second)
+		if n := testing.AllocsPerRun(20, func() { clk.Advance(time.Second) }); n != 2 {
+			t.Errorf("tick with %d subscribers: %v allocations, want 2", i+1, n)
+		}
+	}
+	subscribe("phone-b", KindUnsubscribe)
+	clk.Advance(500 * time.Millisecond)
+	got = make([]simnet.NodeID, 0, 3)
+	clk.Advance(time.Second)
+	if want := []simnet.NodeID{"phone-a", "phone-c", "phone-d"}; !slices.Equal(got, want) {
+		t.Fatalf("after unsubscribing phone-b: delivery order %v, want %v", got, want)
+	}
+}

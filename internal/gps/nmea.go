@@ -172,14 +172,23 @@ func appendZeroPadded(b []byte, v float64, width, prec int) []byte {
 const BurstBytes = 340
 
 // ParseRMC parses a $GPRMC sentence back into a fix, verifying the
-// checksum.
+// checksum. Fields are scanned in place, with the semantics of splitting
+// the body on ',': a sentence needs at least ten fields, and the fields
+// after the ninth (the date onwards) are not read.
 func ParseRMC(sentence string) (cxt.Fix, error) {
 	body, err := checkFrame(sentence)
 	if err != nil {
 		return cxt.Fix{}, err
 	}
-	fields := strings.Split(body, ",")
-	if len(fields) < 10 || fields[0] != "GPRMC" {
+	var fields [9]string
+	n, rest := 0, body
+	for ; n < len(fields); n++ {
+		var more bool
+		if fields[n], rest, more = strings.Cut(rest, ","); !more {
+			break // n commas: n+1 fields
+		}
+	}
+	if n < len(fields) || fields[0] != "GPRMC" {
 		return cxt.Fix{}, fmt.Errorf("%w: not a GPRMC sentence", ErrBadSentence)
 	}
 	if fields[2] != "A" {
@@ -204,12 +213,19 @@ func ParseRMC(sentence string) (cxt.Fix, error) {
 	return cxt.Fix{Lat: lat, Lon: lon, SpeedKn: speed, Course: course}, nil
 }
 
-// ParseBurst extracts the fix from a burst (its RMC sentence).
+// ParseBurst extracts the fix from the burst's first line that starts with
+// $GPRMC. Lines end at "\r\n" (any text after the last one is a line too)
+// and are scanned in place.
 func ParseBurst(burst string) (cxt.Fix, error) {
-	for _, line := range strings.Split(burst, "\r\n") {
+	for rest := burst; ; {
+		line, tail, more := strings.Cut(rest, "\r\n")
 		if strings.HasPrefix(line, "$GPRMC") {
 			return ParseRMC(line)
 		}
+		if !more {
+			break
+		}
+		rest = tail
 	}
 	return cxt.Fix{}, fmt.Errorf("%w: burst has no GPRMC sentence", ErrBadSentence)
 }

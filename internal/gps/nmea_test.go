@@ -1,11 +1,14 @@
 package gps
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"contory/internal/cxt"
@@ -150,3 +153,196 @@ func BenchmarkBurst(b *testing.B) {
 		benchBurst = Burst(fix, testTime.Add(time.Duration(i)*time.Second))
 	}
 }
+
+// splitParseRMC and splitParseBurst are the strings.Split-based parsers the
+// in-place ones replaced, kept as the oracle they must agree with.
+func splitParseRMC(sentence string) (cxt.Fix, error) {
+	body, err := checkFrame(sentence)
+	if err != nil {
+		return cxt.Fix{}, err
+	}
+	fields := strings.Split(body, ",")
+	if len(fields) < 10 || fields[0] != "GPRMC" {
+		return cxt.Fix{}, fmt.Errorf("%w: not a GPRMC sentence", ErrBadSentence)
+	}
+	if fields[2] != "A" {
+		return cxt.Fix{}, fmt.Errorf("%w: fix not valid (status %q)", ErrBadSentence, fields[2])
+	}
+	lat, err := parseCoord(fields[3], fields[4], 2)
+	if err != nil {
+		return cxt.Fix{}, err
+	}
+	lon, err := parseCoord(fields[5], fields[6], 3)
+	if err != nil {
+		return cxt.Fix{}, err
+	}
+	speed, err := strconv.ParseFloat(fields[7], 64)
+	if err != nil {
+		return cxt.Fix{}, fmt.Errorf("%w: speed: %v", ErrBadSentence, err)
+	}
+	course, err := strconv.ParseFloat(fields[8], 64)
+	if err != nil {
+		return cxt.Fix{}, fmt.Errorf("%w: course: %v", ErrBadSentence, err)
+	}
+	return cxt.Fix{Lat: lat, Lon: lon, SpeedKn: speed, Course: course}, nil
+}
+
+func splitParseBurst(burst string) (cxt.Fix, error) {
+	for _, line := range strings.Split(burst, "\r\n") {
+		if strings.HasPrefix(line, "$GPRMC") {
+			return splitParseRMC(line)
+		}
+	}
+	return cxt.Fix{}, fmt.Errorf("%w: burst has no GPRMC sentence", ErrBadSentence)
+}
+
+// sameParse reports whether two parse results agree: the same fix, bit for
+// bit (a NaN field parses too), or errors with the same text, both
+// ErrBadSentence.
+func sameParse(got cxt.Fix, gotErr error, want cxt.Fix, wantErr error) bool {
+	if wantErr != nil || gotErr != nil {
+		return gotErr != nil && wantErr != nil && errors.Is(gotErr, ErrBadSentence) &&
+			errors.Is(wantErr, ErrBadSentence) && gotErr.Error() == wantErr.Error()
+	}
+	bits := func(f cxt.Fix) [4]uint64 {
+		return [4]uint64{math.Float64bits(f.Lat), math.Float64bits(f.Lon),
+			math.Float64bits(f.SpeedKn), math.Float64bits(f.Course)}
+	}
+	return bits(got) == bits(want)
+}
+
+// checkParse compares ParseBurst on burst, and ParseRMC on each of its
+// lines, with the oracle.
+func checkParse(t *testing.T, burst string) {
+	t.Helper()
+	got, gotErr := ParseBurst(burst)
+	want, wantErr := splitParseBurst(burst)
+	if !sameParse(got, gotErr, want, wantErr) {
+		t.Fatalf("ParseBurst(%q) = %+v, %v; oracle %+v, %v", burst, got, gotErr, want, wantErr)
+	}
+	for _, line := range strings.Split(burst, "\r\n") {
+		got, gotErr := ParseRMC(line)
+		want, wantErr := splitParseRMC(line)
+		if !sameParse(got, gotErr, want, wantErr) {
+			t.Fatalf("ParseRMC(%q) = %+v, %v; oracle %+v, %v", line, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+// randomBurst renders a burst at a random fix and time.
+func randomBurst(rng *rand.Rand) string {
+	fix := cxt.Fix{
+		Lat:     rng.Float64()*180 - 90,
+		Lon:     rng.Float64()*360 - 180,
+		SpeedKn: rng.Float64()*60 - 10,
+		Course:  rng.Float64()*720 - 360,
+	}
+	return Burst(fix, time.Unix(rng.Int63n(4_102_444_800), 0).UTC())
+}
+
+// mutateBurst applies one random damage to a burst: a truncation, a field
+// separator added or removed, a checksum or body character changed, a
+// line end reduced to a lone "\n", an empty line, or a field emptied.
+// Separator edits re-sign the sentence, so the field count (not the
+// checksum) decides the outcome.
+func mutateBurst(rng *rand.Rand, b string) string {
+	rmcEnd := strings.Index(b, "\r\n")
+	if rmcEnd < 0 {
+		rmcEnd = len(b)
+	}
+	resign := func(s string) string {
+		body, _, _ := strings.Cut(strings.TrimPrefix(s, "$"), "*")
+		return "$" + body + "*" + strings.ToUpper(hex2(Checksum(body)))
+	}
+	rmc, rest := b[:rmcEnd], b[rmcEnd:]
+	if len(rmc) < 2 { // too short to edit: truncate or add an empty line
+		if rng.Intn(2) == 0 {
+			return b[:rng.Intn(len(b)+1)]
+		}
+		return "\r\n" + b
+	}
+	switch rng.Intn(8) {
+	case 0: // truncated anywhere
+		return b[:rng.Intn(len(b)+1)]
+	case 1: // a field added
+		i := 1 + rng.Intn(len(rmc)-1)
+		return resign(rmc[:i]+","+rmc[i:]) + rest
+	case 2: // a field removed
+		commas := strings.Count(rmc, ",")
+		if commas == 0 {
+			return b
+		}
+		k := rng.Intn(commas)
+		i := 0
+		for n := 0; ; i++ {
+			if rmc[i] == ',' {
+				if n == k {
+					break
+				}
+				n++
+			}
+		}
+		return resign(rmc[:i]+rmc[i+1:]) + rest
+	case 3: // a bad checksum
+		star := strings.LastIndexByte(rmc, '*')
+		if star < 0 || star+2 > len(rmc) {
+			return rmc + "*G0" + rest
+		}
+		return rmc[:star+1] + "G" + rmc[star+2:] + rest
+	case 4: // a changed body character
+		i := 1 + rng.Intn(len(rmc)-1)
+		return rmc[:i] + string(rune('!'+rng.Intn(90))) + rmc[i+1:] + rest
+	case 5: // a lone "\n" ends the RMC line
+		if rest == "" {
+			return b
+		}
+		return rmc + rest[1:]
+	case 6: // empty lines before and between sentences
+		return "\r\n" + rmc + "\r\n" + rest
+	default: // one field emptied
+		fields := strings.Split(rmc, ",")
+		fields[rng.Intn(len(fields))] = ""
+		return resign(strings.Join(fields, ",")) + rest
+	}
+}
+
+// TestParseMatchesSplitOracle: on valid bursts at random fixes and times,
+// and on bursts damaged once or twice, the in-place parsers return the
+// oracle's fix, or fail exactly when it fails with the same ErrBadSentence
+// error.
+func TestParseMatchesSplitOracle(t *testing.T) {
+	prop := func(seed int64, damage uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		b := randomBurst(rng)
+		for i := 0; i < int(damage%3); i++ {
+			b = mutateBurst(rng, b)
+		}
+		checkParse(t, b)
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []string{"", "\r\n", "\n", "$GPRMC", "$GPRMC*00", "$GPRMC,,,,,,,,,*2D", "$GPRMC,,A,,,,,,,*6C"} {
+		checkParse(t, b)
+	}
+}
+
+func FuzzParseBurst(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 16; i++ {
+		b := randomBurst(rng)
+		f.Add(b)
+		f.Add(mutateBurst(rng, b))
+	}
+	f.Fuzz(func(t *testing.T, burst string) { checkParse(t, burst) })
+}
+
+func TestParseBurstAllocs(t *testing.T) {
+	b := Burst(cxt.Fix{Lat: 60.16, Lon: 24.9333, SpeedKn: 3.1, Course: 90}, testTime)
+	if got := testing.AllocsPerRun(100, func() { benchFix, _ = ParseBurst(b) }); got != 0 {
+		t.Fatalf("ParseBurst: %v allocations, want 0", got)
+	}
+}
+
+var benchFix cxt.Fix

@@ -22,8 +22,14 @@ type LocalCxtProvider struct {
 	bt       *refs.BTReference
 	gpsDev   simnet.NodeID // non-empty when the source is a BT-GPS stream
 
-	window      *query.EventWindow
-	lastFix     *cxt.Item
+	window *query.EventWindow
+	// gpsOff detaches the provider from the GPS stream; nil until
+	// startGPS connects.
+	gpsOff func()
+	// lastFix is the latest GPS fix and lastFixAt its arrival time. The
+	// fix is kept by value: its item is built only when it is emitted.
+	lastFix     cxt.Fix
+	lastFixAt   time.Time
 	lastEmitted time.Time
 }
 
@@ -112,13 +118,16 @@ func (p *LocalCxtProvider) usesGPS(q *query.Query) bool {
 func (p *LocalCxtProvider) startGPS(q *query.Query) error {
 	connect := p.span.Child("gps.connect")
 	connect.SetAttr("device", string(p.gpsDev))
-	err := p.bt.ConnectGPS(p.gpsDev, p.onFix, nil)
+	off, err := p.bt.ConnectGPS(p.gpsDev, p.onFix, nil)
 	if err != nil {
 		connect.SetAttr("error", err.Error())
 		connect.End()
 		return fmt.Errorf("provider: local gps: %w", err)
 	}
 	connect.End()
+	p.mu.Lock()
+	p.gpsOff = off
+	p.mu.Unlock()
 	stream := p.span.Child("gps.stream")
 	stream.SetAttr("device", string(p.gpsDev))
 	p.trackSpan(stream)
@@ -135,8 +144,12 @@ func (p *LocalCxtProvider) startGPS(q *query.Query) error {
 
 // Stop implements Provider, also detaching from the GPS stream.
 func (p *LocalCxtProvider) Stop() {
-	if p.bt != nil && p.gpsDev != "" {
-		p.bt.DisconnectGPS(p.gpsDev)
+	p.mu.Lock()
+	off := p.gpsOff
+	p.gpsOff = nil
+	p.mu.Unlock()
+	if off != nil {
+		off()
 	}
 	p.base.Stop()
 }
@@ -145,30 +158,23 @@ func (p *LocalCxtProvider) onFix(fix cxt.Fix) {
 	if p.isStopped() {
 		return
 	}
-	q := p.liveQuery()
-	it := cxt.Item{
-		Type:      cxt.TypeLocation,
-		Value:     fix,
-		Timestamp: p.clock.Now(),
-		Source:    cxt.Source{Kind: cxt.SourceSensor, Address: string(p.gpsDev)},
-		Meta:      cxt.Metadata{Accuracy: 5, Correctness: 0.98, Completeness: 1},
-	}
-	if q.Select == cxt.TypeSpeed {
-		it.Type = cxt.TypeSpeed
-		it.Value = fix.SpeedKn
-	}
+	at := p.clock.Now()
 	p.mu.Lock()
-	p.lastFix = &it
+	q := p.q
+	p.lastFix, p.lastFixAt = fix, at
 	p.mu.Unlock()
 	switch q.Mode() {
 	case query.ModeOnDemand:
-		if p.accepts(it) {
+		if it := p.fixItem(q.Select, fix, at); p.accepts(it) {
 			p.emit(it)
 			p.finish()
 		}
 	case query.ModeEvent:
 		p.window.Observe(fix.SpeedKn)
-		if query.EvalEvent(q.Event, p.window) && p.accepts(it) {
+		if !query.EvalEvent(q.Event, p.window) {
+			return
+		}
+		if it := p.fixItem(q.Select, fix, at); p.accepts(it) {
 			p.emit(it)
 		}
 	case query.ModePeriodic:
@@ -176,20 +182,40 @@ func (p *LocalCxtProvider) onFix(fix cxt.Fix) {
 	}
 }
 
+// fixItem is the item a fix that arrived at `at` is emitted as: its
+// location, or its speed when the query selects speed.
+func (p *LocalCxtProvider) fixItem(sel cxt.Type, fix cxt.Fix, at time.Time) cxt.Item {
+	it := cxt.Item{
+		Type:      cxt.TypeLocation,
+		Value:     fix,
+		Timestamp: at,
+		Source:    cxt.Source{Kind: cxt.SourceSensor, Address: string(p.gpsDev)},
+		Meta:      cxt.Metadata{Accuracy: 5, Correctness: 0.98, Completeness: 1},
+	}
+	if sel == cxt.TypeSpeed {
+		it.Type = cxt.TypeSpeed
+		it.Value = fix.SpeedKn
+	}
+	return it
+}
+
 // emitLastFix re-emits the most recent fix at the query's rate. A fix is
 // emitted at most once: if the GPS stream stalls, no fresh samples arrive
 // and the provider goes quiet (rather than replaying stale positions).
+// Merging never changes SELECT, so the query in force now gives the item
+// the type it would have had when the fix arrived.
 func (p *LocalCxtProvider) emitLastFix() {
 	p.mu.Lock()
-	it := p.lastFix
-	if it == nil || !it.Timestamp.After(p.lastEmitted) {
+	fix, at := p.lastFix, p.lastFixAt
+	if !at.After(p.lastEmitted) {
 		p.mu.Unlock()
-		return
+		return // no fix since the last emission (or none yet)
 	}
-	p.lastEmitted = it.Timestamp
+	p.lastEmitted = at
+	sel := p.q.Select
 	p.mu.Unlock()
-	if p.accepts(*it) {
-		p.emit(*it)
+	if it := p.fixItem(sel, fix, at); p.accepts(it) {
+		p.emit(it)
 	}
 }
 

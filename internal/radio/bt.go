@@ -75,13 +75,18 @@ func (b *BT) Provide(bytes int) (time.Duration, []PowerWindow) {
 // GPSSample returns the cost of receiving one 340-byte GPS-NMEA sample over
 // an established BT link: the larger payload and BT packet segmentation keep
 // the radio active longer than a plain context item (0.422 J vs 0.099 J,
-// Table 2).
+// Table 2). The returned windows are shared: callers must not write them.
 func (b *BT) GPSSample() (time.Duration, []PowerWindow) {
 	segs := segments(GPSNMEABytes)
 	mean := BTGetLatency + time.Duration(segs-1)*(BTGetLatency/2)
 	d := b.sampler.Jittered(mean, BTGetJitter)
-	return d, []PowerWindow{{Label: "bt-gps-sample", MW: BTActivePower, Dur: BTGPSSampleWindow}}
+	return d, gpsSampleWindows
 }
+
+// gpsSampleWindows is the one power window of a GPS sample. It is all
+// constants, so every GPSSample call (one per fix) returns this slice; it
+// is read-only, and callers must not write it.
+var gpsSampleWindows = []PowerWindow{{Label: "bt-gps-sample", MW: BTActivePower, Dur: BTGPSSampleWindow}}
 
 // ScanPower is the continuous page/inquiry-scan state draw (2.72 mW over
 // base idle) a device pays while its BT radio is discoverable.

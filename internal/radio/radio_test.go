@@ -122,6 +122,19 @@ func TestBTEnergyCalibration(t *testing.T) {
 	}
 }
 
+// TestGPSSampleAllocs: a GPS sample's cost allocates nothing: its one
+// window is shared, and the latency draw is keyed.
+func TestGPSSampleAllocs(t *testing.T) {
+	bt := NewBT(4)
+	var ws []PowerWindow
+	if got := testing.AllocsPerRun(100, func() { _, ws = bt.GPSSample() }); got != 0 {
+		t.Fatalf("GPSSample: %v allocations, want 0", got)
+	}
+	if len(ws) != 1 || ws[0] != (PowerWindow{Label: "bt-gps-sample", MW: BTActivePower, Dur: BTGPSSampleWindow}) {
+		t.Fatalf("windows = %+v", ws)
+	}
+}
+
 func TestBTSegmentation(t *testing.T) {
 	tests := []struct {
 		bytes int

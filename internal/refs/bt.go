@@ -3,6 +3,7 @@ package refs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -56,7 +57,7 @@ type BTReference struct {
 	pending    map[string]*pendingReq // request id → in-flight request
 	nextID     int
 	reqTimeout time.Duration // 0 = btRequestTimeout
-	gpsWatch   map[simnet.NodeID]*gpsWatch
+	gps        map[simnet.NodeID]*gpsStream
 
 	mInquiries  *metrics.Counter
 	mSDPQueries *metrics.Counter
@@ -70,11 +71,23 @@ type BTReference struct {
 	auditOwner string
 }
 
-type gpsWatch struct {
+// gpsStream is the phone's subscription to one GPS device's NMEA stream,
+// shared by every consumer of that device: the first consumer to connect
+// subscribes, the last to disconnect unsubscribes, and one watchdog guards
+// the stream for all of them.
+type gpsStream struct {
+	dev simnet.NodeID
+	// consumers is in connection order. Connect and disconnect build a new
+	// slice, so a fix is dispatched from a snapshot.
+	consumers []*gpsConsumer
+	watchdog  *vclock.Timer
+	lost      func() // the watchdog callback, bound once per stream
+	failed    bool
+}
+
+type gpsConsumer struct {
 	onFix     func(cxt.Fix)
 	onFailure func()
-	watchdog  *vclock.Timer
-	failed    bool
 }
 
 // pendingReq is one in-flight SDP or get exchange: the completion callback
@@ -92,14 +105,14 @@ func NewBTReference(nw *simnet.Network, id simnet.NodeID, bt *radio.BT, mon *mon
 		return nil, fmt.Errorf("refs: bt: %w: %s", simnet.ErrUnknownNode, id)
 	}
 	r := &BTReference{
-		clock:    nw.ClockFor(id),
-		net:      nw,
-		node:     node,
-		bt:       bt,
-		mon:      mon,
-		sddb:     make(map[string]ServiceRecord),
-		pending:  make(map[string]*pendingReq),
-		gpsWatch: make(map[simnet.NodeID]*gpsWatch),
+		clock:   nw.ClockFor(id),
+		net:     nw,
+		node:    node,
+		bt:      bt,
+		mon:     mon,
+		sddb:    make(map[string]ServiceRecord),
+		pending: make(map[string]*pendingReq),
+		gps:     make(map[simnet.NodeID]*gpsStream),
 	}
 	node.Handle(kindSDPQuery, r.onSDPQuery)
 	node.Handle(kindSDPReply, r.onReply)
@@ -139,12 +152,11 @@ func (r *BTReference) Close() {
 	r.node.Timeline().SetState("bt-scan", 0)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, w := range r.gpsWatch {
-		if w.watchdog != nil {
-			w.watchdog.Stop()
-		}
+	for _, s := range r.gps {
+		s.watchdog.Stop()
+		s.consumers = nil // a later disconnect is a no-op
 	}
-	r.gpsWatch = make(map[simnet.NodeID]*gpsWatch)
+	clear(r.gps)
 }
 
 // Discover runs a BT inquiry (≈ 13 s) and reports the discoverable BT
@@ -421,60 +433,81 @@ func (r *BTReference) onReply(m simnet.Message) {
 const gpsWatchdogGrace = 3500 * time.Millisecond
 
 // ConnectGPS subscribes to a BT-GPS device's NMEA stream. onFix receives
-// each parsed fix (paying the 0.422 J per-sample cost of Table 2); if the
-// stream stalls, the failure is reported to the monitor and onFailure
-// fires once.
-func (r *BTReference) ConnectGPS(dev simnet.NodeID, onFix func(cxt.Fix), onFailure func()) error {
-	err := r.net.Send(simnet.Message{
-		From:   r.node.ID(),
-		To:     dev,
-		Medium: radio.MediumBT,
-		Kind:   gps.KindSubscribe,
-		Bytes:  32,
-	}, 50*time.Millisecond)
-	if err != nil {
-		return fmt.Errorf("refs: connect gps %s: %w", dev, err)
-	}
+// each parsed fix; if the stream stalls, the failure is reported to the
+// monitor and onFailure fires once. The phone pays the 0.422 J per-sample
+// cost of Table 2 once per burst, however many consumers it has. The
+// consumers of one device share one stream and get its fixes in connection
+// order: the first subscribes to the device, and a later one joins the
+// stream when the device is still linked. The returned disconnect detaches
+// this consumer (calling it again does nothing); the last consumer to
+// detach unsubscribes from the device.
+func (r *BTReference) ConnectGPS(dev simnet.NodeID, onFix func(cxt.Fix), onFailure func()) (disconnect func(), err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	w := &gpsWatch{onFix: onFix, onFailure: onFailure}
-	r.gpsWatch[dev] = w
-	w.watchdog = r.clock.After(gpsWatchdogGrace, func() { r.gpsLost(dev) })
-	return nil
+	s := r.gps[dev]
+	if s == nil {
+		err := r.net.Send(simnet.Message{
+			From:   r.node.ID(),
+			To:     dev,
+			Medium: radio.MediumBT,
+			Kind:   gps.KindSubscribe,
+			Bytes:  32,
+		}, 50*time.Millisecond)
+		if err != nil {
+			return nil, fmt.Errorf("refs: connect gps %s: %w", dev, err)
+		}
+		s = &gpsStream{dev: dev}
+		s.lost = func() { r.gpsLost(s) }
+		s.watchdog = r.clock.After(gpsWatchdogGrace, s.lost)
+		r.gps[dev] = s
+	} else if !r.net.Linked(r.node.ID(), dev, radio.MediumBT) {
+		return nil, fmt.Errorf("refs: connect gps %s: %w", dev, simnet.ErrNotLinked)
+	}
+	c := &gpsConsumer{onFix: onFix, onFailure: onFailure}
+	s.consumers = append(slices.Clip(s.consumers), c)
+	return func() { r.disconnectGPS(s, c) }, nil
 }
 
-// DisconnectGPS stops watching the device's stream.
-func (r *BTReference) DisconnectGPS(dev simnet.NodeID) {
+// disconnectGPS detaches one consumer from its stream, and unsubscribes
+// from the device and stops the watchdog when it was the last.
+func (r *BTReference) disconnectGPS(s *gpsStream, c *gpsConsumer) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i := slices.Index(s.consumers, c)
+	if i < 0 {
+		return
+	}
+	s.consumers = slices.Delete(slices.Clone(s.consumers), i, i+1)
+	if len(s.consumers) > 0 {
+		return
+	}
 	_ = r.net.Send(simnet.Message{
 		From:   r.node.ID(),
-		To:     dev,
+		To:     s.dev,
 		Medium: radio.MediumBT,
 		Kind:   gps.KindUnsubscribe,
 		Bytes:  32,
 	}, 50*time.Millisecond)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w := r.gpsWatch[dev]; w != nil && w.watchdog != nil {
-		w.watchdog.Stop()
-	}
-	delete(r.gpsWatch, dev)
+	s.watchdog.Stop()
+	delete(r.gps, s.dev)
 }
 
-func (r *BTReference) gpsLost(dev simnet.NodeID) {
+func (r *BTReference) gpsLost(s *gpsStream) {
 	r.mu.Lock()
-	w := r.gpsWatch[dev]
-	if w == nil || w.failed {
+	if r.gps[s.dev] != s || s.failed {
 		r.mu.Unlock()
 		return
 	}
-	w.failed = true
-	onFailure := w.onFailure
+	s.failed = true
+	consumers := s.consumers
 	r.mu.Unlock()
 	if r.mon != nil {
-		r.mon.ReportFailure(string(dev), ErrGPSNoSignal.Error())
+		r.mon.ReportFailure(string(s.dev), ErrGPSNoSignal.Error())
 	}
-	if onFailure != nil {
-		onFailure()
+	for _, c := range consumers {
+		if c.onFailure != nil {
+			c.onFailure()
+		}
 	}
 }
 
@@ -484,25 +517,22 @@ func (r *BTReference) onNMEA(m simnet.Message) {
 		return
 	}
 	r.mu.Lock()
-	w := r.gpsWatch[m.From]
-	if w == nil {
+	s := r.gps[m.From]
+	if s == nil {
 		r.mu.Unlock()
 		return
 	}
 	// Stream alive: rewind the watchdog; a recovered stream clears the
 	// failure.
-	if w.watchdog != nil {
-		w.watchdog.Stop()
-	}
-	wasFailed := w.failed
-	w.failed = false
-	dev := m.From
-	w.watchdog = r.clock.After(gpsWatchdogGrace, func() { r.gpsLost(dev) })
-	onFix := w.onFix
+	s.watchdog.Stop()
+	wasFailed := s.failed
+	s.failed = false
+	s.watchdog = r.clock.After(gpsWatchdogGrace, s.lost)
+	consumers := s.consumers
 	r.mu.Unlock()
 
 	if wasFailed && r.mon != nil {
-		r.mon.ReportRecovery(string(dev))
+		r.mon.ReportRecovery(string(s.dev))
 	}
 	// Per-sample energy: 340-byte NMEA burst with BT segmentation.
 	r.mGPSFixes.Inc()
@@ -512,8 +542,10 @@ func (r *BTReference) onNMEA(m simnet.Message) {
 	if err != nil {
 		return
 	}
-	if onFix != nil {
-		onFix(fix)
+	for _, c := range consumers {
+		if c.onFix != nil {
+			c.onFix(fix)
+		}
 	}
 }
 

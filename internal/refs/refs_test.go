@@ -156,7 +156,7 @@ func TestGPSStreamAndWatchdog(t *testing.T) {
 	r := newRig(t)
 	var fixes []cxt.Fix
 	failures := 0
-	err := r.btA.ConnectGPS("bt-gps-1", func(f cxt.Fix) { fixes = append(fixes, f) }, func() { failures++ })
+	disconnect, err := r.btA.ConnectGPS("bt-gps-1", func(f cxt.Fix) { fixes = append(fixes, f) }, func() { failures++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestGPSStreamAndWatchdog(t *testing.T) {
 	if r.mon["a"].Failed("bt-gps-1") {
 		t.Fatal("monitor failure not cleared on recovery")
 	}
-	r.btA.DisconnectGPS("bt-gps-1")
+	disconnect()
 	r.clk.Advance(time.Second)
 	after := len(fixes)
 	r.clk.Advance(5 * time.Second)
@@ -195,10 +195,87 @@ func TestGPSStreamAndWatchdog(t *testing.T) {
 	}
 }
 
+// TestGPSConsumersShareStream: two consumers of one GPS device share the
+// phone's stream. Both get every fix, in connection order, and the phone
+// pays each burst's energy once. Detaching one (twice) leaves the other
+// streaming with no false failure; a stall fails both once; the last
+// detach stops the device's stream. A consumer cannot join a stream whose
+// device is no longer linked.
+func TestGPSConsumersShareStream(t *testing.T) {
+	r := newRig(t)
+	var order []string
+	var first, second []cxt.Fix
+	var failures [2]int
+	off1, err := r.btA.ConnectGPS("bt-gps-1", func(f cxt.Fix) {
+		first = append(first, f)
+		order = append(order, "first")
+	}, func() { failures[0]++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	off2, err := r.btA.ConnectGPS("bt-gps-1", func(f cxt.Fix) {
+		second = append(second, f)
+		order = append(order, "second")
+	}, func() { failures[1]++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.clk.Advance(5 * time.Second)
+	if len(first) < 4 || !reflect.DeepEqual(first, second) {
+		t.Fatalf("fixes: first %d, second %d, want the same ≈ 5", len(first), len(second))
+	}
+	for i := 0; i < len(order); i += 2 {
+		if order[i] != "first" || order[i+1] != "second" {
+			t.Fatalf("dispatch order %v, want connection order", order)
+		}
+	}
+	perBurst := float64(r.btA.Node().Timeline().WindowEnergy("bt-gps-sample")) / float64(len(first))
+	if perBurst < 0.40 || perBurst > 0.45 {
+		t.Fatalf("energy per burst = %v J, want ≈ 0.422 J once, not per consumer", perBurst)
+	}
+
+	off1()
+	off1()
+	before := len(second)
+	r.clk.Advance(10 * time.Second)
+	if len(second) < before+9 {
+		t.Fatalf("remaining consumer got %d fixes in 10 s after the other detached", len(second)-before)
+	}
+	if failures != [2]int{} || r.mon["a"].Failed("bt-gps-1") {
+		t.Fatalf("healthy stream reported a failure: %v", failures)
+	}
+
+	r.gpsDev.SetFailed(true)
+	r.clk.Advance(5 * time.Second)
+	if failures != [2]int{0, 1} || !r.mon["a"].Failed("bt-gps-1") {
+		t.Fatalf("failures = %v after a stall, want [0 1] and a monitor report", failures)
+	}
+	if _, err := r.btA.ConnectGPS("bt-gps-1", nil, nil); !errors.Is(err, simnet.ErrNotLinked) {
+		t.Fatalf("joining a stream of a dead device: %v, want ErrNotLinked", err)
+	}
+	r.gpsDev.SetFailed(false)
+	r.clk.Advance(2 * time.Second)
+	if r.mon["a"].Failed("bt-gps-1") {
+		t.Fatal("recovered stream still reported failed")
+	}
+
+	off2()
+	r.clk.Advance(time.Second)
+	delivered, _ := r.nw.Stats()
+	after := len(second)
+	r.clk.Advance(5 * time.Second)
+	if len(second) != after {
+		t.Fatal("fixes after the last consumer detached")
+	}
+	if now, _ := r.nw.Stats(); now != delivered {
+		t.Fatalf("device still streaming after the last detach: %d frames", now-delivered)
+	}
+}
+
 func TestGPSPerSampleEnergy(t *testing.T) {
 	r := newRig(t)
 	samples := 0
-	if err := r.btA.ConnectGPS("bt-gps-1", func(cxt.Fix) { samples++ }, nil); err != nil {
+	if _, err := r.btA.ConnectGPS("bt-gps-1", func(cxt.Fix) { samples++ }, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.clk.Advance(10 * time.Second)

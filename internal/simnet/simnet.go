@@ -120,6 +120,9 @@ type Node struct {
 	// smaller ID is added later.
 	index int32
 	rank  int32
+	// lane is the vclock lane the node's events run on (GlobalLane when the
+	// network is not sharded), fixed at AddNode.
+	lane int32
 
 	posX, posY atomic.Uint64 // math.Float64bits
 	velX, velY atomic.Uint64 // metres/second, applied by mobility ticks
@@ -229,11 +232,25 @@ func (n *Node) handler(kind string) (Handler, bool) {
 }
 
 // frameCounters is the per-medium frame accounting, swapped atomically so
-// hot send/deliver paths never take the network mutex to count.
+// hot send/deliver paths never take the network mutex to count. The arrays
+// are indexed by medium; Send has already rejected any medium no radio can
+// be on for.
 type frameCounters struct {
-	sent  map[radio.Medium]*metrics.Counter
-	recvd map[radio.Medium]*metrics.Counter
-	lost  map[radio.Medium]*metrics.Counter
+	sent  [maxMedium]*metrics.Counter
+	recvd [maxMedium]*metrics.Counter
+	lost  [maxMedium]*metrics.Counter
+}
+
+// frame is one message in flight. Send takes it from the network's free
+// list, fills it and schedules its run callback; the scheduler owns it
+// until run fires; deliver copies the message out and returns the frame
+// before the handler runs. run is bound once, when the frame is made, so
+// a send allocates no closure.
+type frame struct {
+	nw       *Network
+	msg      Message
+	from, to *Node
+	run      func()
 }
 
 // dirLink is a directed link, the key of its loss-decision stream.
@@ -291,6 +308,7 @@ type Network struct {
 	nodes    map[NodeID]*Node
 	nodeList []*Node // in ID order (nodeList[n.rank] == n); maintained by AddNode
 	media    [maxMedium]medium
+	spare    []*frame            // free in-flight frames, capped at maxSpareFrames
 	loss     map[linkKey]float64 // per-link drop probability
 	seed     uint64
 
@@ -388,11 +406,7 @@ func (nw *Network) SetMetrics(reg *metrics.Registry) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	nw.metrics = reg
-	fc := &frameCounters{
-		sent:  make(map[radio.Medium]*metrics.Counter),
-		recvd: make(map[radio.Medium]*metrics.Counter),
-		lost:  make(map[radio.Medium]*metrics.Counter),
-	}
+	fc := &frameCounters{}
 	for _, m := range []radio.Medium{radio.MediumInternal, radio.MediumBT, radio.MediumWiFi, radio.MediumUMTS} {
 		fc.sent[m] = reg.Counter("simnet.frames.sent." + m.String())
 		fc.recvd[m] = reg.Counter("simnet.frames.delivered." + m.String())
@@ -499,6 +513,7 @@ func (nw *Network) AddNode(id NodeID, pos Position) (*Node, error) {
 		id:       id,
 		net:      nw,
 		index:    int32(len(nw.nodeList)),
+		lane:     nw.LaneOf(id),
 		timeline: energy.NewTimeline(clk),
 		battery:  energy.NewBattery(clk, energy.BatteryConfig{}),
 	}
@@ -1078,7 +1093,11 @@ func (nw *Network) Within(origin NodeID, m radio.Medium, maxHops int, relay Rela
 // Send schedules delivery of a message after the given latency. The link is
 // checked both at send time and at delivery time; a link or node failure in
 // between drops the message silently (as radio losses do), incrementing the
-// drop counter. Send-time validation runs in one critical section.
+// drop counter. Send-time validation runs in one critical section. The
+// delivery's ordering key comes from the sender's lane (whose sequential
+// code makes it deterministic) and it executes in the receiver's lane
+// (whose state the handler touches); on an unsharded network both are
+// GlobalLane.
 func (nw *Network) Send(msg Message, latency time.Duration) error {
 	nw.mu.Lock()
 	from := nw.nodes[msg.From]
@@ -1098,37 +1117,58 @@ func (nw *Network) Send(msg Message, latency time.Duration) error {
 		nw.mu.Unlock()
 		return fmt.Errorf("%w: %s %s", ErrRadioOff, msg.From, msg.Medium)
 	}
-	if to := nw.nodes[msg.To]; to == nil || !nw.linkedLocked(from, to, msg.Medium) {
+	to := nw.nodes[msg.To]
+	if to == nil || !nw.linkedLocked(from, to, msg.Medium) {
 		nw.mu.Unlock()
 		return fmt.Errorf("%w: %s→%s over %s", ErrNotLinked, msg.From, msg.To, msg.Medium)
 	}
 	if nw.faultDelay.Load() > 0 {
 		latency += nw.extraDelayLocked(msg.From, msg.To, msg.Medium)
 	}
+	f := nw.frameLocked()
 	nw.mu.Unlock()
-	msg.SentAt = nw.clock.Now()
+	f.msg = msg
+	f.msg.SentAt = nw.clock.Now()
+	f.from, f.to = from, to
 	if fc := nw.frames.Load(); fc != nil {
 		fc.sent[msg.Medium].Inc()
 	}
-	if nw.lanes > 0 {
-		// Ordering key from the sender's lane (whose sequential code makes
-		// it deterministic), execution in the receiver's lane (whose state
-		// the handler touches).
-		nw.clock.AfterFrom(nw.LaneOf(msg.From), nw.LaneOf(msg.To), latency, func() { nw.deliver(msg) })
-	} else {
-		nw.clock.After(latency, func() { nw.deliver(msg) })
-	}
+	nw.clock.AfterFrom(from.lane, to.lane, latency, f.run)
 	return nil
 }
 
-func (nw *Network) deliver(msg Message) {
-	if nw.lossDrop(msg.From, msg.To, msg.Medium) {
-		nw.countDrop(msg.Medium)
-		return
+// maxSpareFrames caps the frame free list, as the scheduler caps its event
+// free list, so a burst of sends cannot pin unbounded memory.
+const maxSpareFrames = 1 << 15
+
+// frameLocked takes a frame from the free list or makes one; nw.mu must be
+// held.
+func (nw *Network) frameLocked() *frame {
+	if n := len(nw.spare); n > 0 {
+		f := nw.spare[n-1]
+		nw.spare[n-1] = nil
+		nw.spare = nw.spare[:n-1]
+		return f
 	}
+	f := &frame{nw: nw}
+	f.run = f.deliver
+	return f
+}
+
+// deliver is a frame's run callback. It copies the message and endpoints
+// out, then re-checks the link and returns the frame to the free list in
+// one critical section, so the handler runs on its own copy while the
+// frame may already carry another send. Nodes are never removed, so the
+// endpoints Send resolved are still the nodes the IDs name.
+func (f *frame) deliver() {
+	nw, msg, from, to := f.nw, f.msg, f.from, f.to
+	lost := nw.lossDrop(msg.From, msg.To, msg.Medium)
 	nw.mu.Lock()
-	from, to, linked := nw.pairLocked(msg.From, msg.To)
-	linked = linked && nw.linkedLocked(from, to, msg.Medium)
+	linked := !lost && nw.linkedLocked(from, to, msg.Medium)
+	f.msg, f.from, f.to = Message{}, nil, nil // the free list must not pin payloads
+	if len(nw.spare) < maxSpareFrames {
+		nw.spare = append(nw.spare, f)
+	}
 	nw.mu.Unlock()
 	if !linked {
 		nw.countDrop(msg.Medium)

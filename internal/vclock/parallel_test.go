@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -157,6 +158,24 @@ func TestAfterFromExecutesInTargetLane(t *testing.T) {
 	s.RunParallelUntil(s.Now().Add(3*time.Second), 4)
 	if len(got) != 2 {
 		t.Fatalf("ran %d events, want 2: %v", len(got), got)
+	}
+}
+
+// AfterFrom on the global lane orders exactly like After: same-time
+// events run in scheduling order, whichever call scheduled them.
+func TestAfterFromGlobalOrdersLikeAfter(t *testing.T) {
+	s := NewSimulator()
+	var got []int
+	for i := 0; i < 6; i++ {
+		if i%2 == 0 {
+			s.After(time.Second, func() { got = append(got, i) })
+		} else {
+			s.AfterFrom(GlobalLane, GlobalLane, time.Second, func() { got = append(got, i) })
+		}
+	}
+	s.Run(0)
+	if !slices.Equal(got, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("order %v, want scheduling order", got)
 	}
 }
 

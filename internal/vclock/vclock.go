@@ -257,15 +257,23 @@ func (s *Simulator) afterIn(origin, lane int32, d time.Duration, fn func()) *Tim
 // scheduling primitive: a message send executes sender-side (origin = the
 // sender's lane, whose sequential code makes the ordering key
 // deterministic) but must be delivered receiver-side (exec = the receiver's
-// lane, so receiver state is only touched from its own shard).
-func (s *Simulator) AfterFrom(origin, exec int32, d time.Duration, fn func()) *Timer {
+// lane, so receiver state is only touched from its own shard). With both
+// lanes GlobalLane it orders exactly like After. The event has no Timer and
+// cannot be stopped, so scheduling it allocates nothing once the event free
+// list is warm.
+func (s *Simulator) AfterFrom(origin, exec int32, d time.Duration, fn func()) {
 	if origin < 0 {
 		origin = GlobalLane
 	}
 	if exec < 0 {
 		exec = GlobalLane
 	}
-	return s.afterIn(origin, exec, d, fn)
+	if d < 0 {
+		d = 0
+	}
+	s.mu.Lock()
+	s.pushLocked(s.nowNanos.Load()+int64(d), fn, nil, origin, exec, 0)
+	s.mu.Unlock()
 }
 
 // Every implements Clock. If d <= 0 the timer never fires and is returned

@@ -69,6 +69,60 @@ func TestWorldGPSPhone(t *testing.T) {
 	}
 }
 
+// TestWorldTwoGPSQueriesShareStream: a second GPS-backed query on a phone
+// joins the first one's stream instead of taking it over. The location
+// query gets as many items beside a speed query as it gets alone, the
+// speed query gets its own, and the healthy stream reports no GPS
+// failure, not even after the speed query ends.
+func TestWorldTwoGPSQueriesShareStream(t *testing.T) {
+	run := func(withSpeed bool) (locations, speeds int, gpsFailures []string) {
+		w, err := NewWorld(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boat, err := w.AddPhone(PhoneConfig{ID: "boat", GPS: &Fix{Lat: 60.1, Lon: 24.9, SpeedKn: 6}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		submit := func(src string, n *int, want Type) {
+			cli := ClientFuncs{OnItem: func(it Item) {
+				if it.Type != want {
+					t.Errorf("%q delivered a %s item", src, it.Type)
+				}
+				*n++
+			}}
+			if _, err := boat.Factory.ProcessCxtQuery(MustParseQuery(src), cli); err != nil {
+				t.Fatal(err)
+			}
+		}
+		submit("SELECT location FROM intSensor DURATION 2 min EVERY 5 sec", &locations, TypeLocation)
+		if withSpeed {
+			submit("SELECT speed FROM intSensor DURATION 30 sec EVERY 5 sec", &speeds, TypeSpeed)
+		}
+		w.Run(90 * time.Second)
+		for _, ev := range boat.Device.Monitor.Events() {
+			if ev.Resource == "boat-gps" {
+				gpsFailures = append(gpsFailures, ev.Kind.String()+" at "+ev.At.Format("15:04:05.000"))
+			}
+		}
+		return locations, speeds, gpsFailures
+	}
+	alone, _, _ := run(false)
+	if alone < 17 {
+		t.Fatalf("location query alone: %d items in 90 s, want about 18", alone)
+	}
+	locations, speeds, events := run(true)
+	if locations != alone {
+		t.Errorf("location query beside a speed query: %d items, alone %d", locations, alone)
+	}
+	if speeds < 5 {
+		t.Errorf("speed query: %d items in its 30 s, want about 6", speeds)
+	}
+	if len(events) != 0 {
+		t.Errorf("healthy GPS stream reported %v", events)
+	}
+}
+
 func TestWorldInfraPath(t *testing.T) {
 	w, err := NewWorld(9)
 	if err != nil {
