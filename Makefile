@@ -48,12 +48,13 @@ load-smoke:
 	$(GO) run -race ./cmd/contory-load -spec testdata/scenarios/load.json -workers 4 -stats-out BENCH_fleet_smoke.json
 
 # perf-smoke compiles and runs the scheduler, spatial-index, frame
-# send-deliver, energy-integration, NMEA-burst, GPS-fix, SM-finder-tour,
-# answer-cache-lookup, facade-fan-out and infrastructure-archive
+# send-deliver, energy-integration, power-window-append, NMEA-burst,
+# GPS-fix, SM-finder-tour, answer-cache-lookup, facade-fan-out,
+# infrastructure-archive, repository-store and event-window-observe
 # microbenchmarks once each, so a broken hot path fails the gate without
 # paying for full measurement.
 perf-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/vclock ./internal/simnet ./internal/energy ./internal/gps ./internal/provider ./internal/sm ./internal/core ./internal/infra
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/vclock ./internal/simnet ./internal/energy ./internal/gps ./internal/provider ./internal/sm ./internal/core ./internal/infra ./internal/repo ./internal/query
 
 # fleetbench-check builds, vets and tests the fleet benchmark, a nested
 # module that the root build, vet and test skip, so an internal API change

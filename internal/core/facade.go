@@ -379,7 +379,13 @@ func (f *Facade) sinkFor(provID string) provider.Sink {
 }
 
 // doneFor returns the provider-completion callback: the merged query's
-// lifetime elapsed, so every remaining original expires.
+// lifetime elapsed, so every remaining original expires. The finished
+// provider is stopped outside the facade lock, as Cancel stops one, so
+// its teardown runs: a GPS-backed provider detaches from the stream, an
+// event query drops its infrastructure subscription. The callback may run
+// inside the provider's own source callback (an on-demand GPS query
+// finishes on the fix that answers it); sources call their consumers
+// outside their own locks, so the detach is safe there.
 func (f *Facade) doneFor(provID string) provider.DoneFunc {
 	return func() {
 		f.mu.Lock()
@@ -390,9 +396,13 @@ func (f *Facade) doneFor(provID string) provider.DoneFunc {
 		}
 		delete(f.managed, provID)
 		ids := m.ids()
+		prov := m.prov
 		f.mu.Unlock()
 		m.span.End()
 		f.released(1, len(ids))
+		if prov != nil {
+			prov.Stop()
+		}
 		if f.onExpire != nil {
 			f.onExpire(ids)
 		}

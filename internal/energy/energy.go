@@ -71,6 +71,43 @@ type window struct {
 	label      int32
 }
 
+// windowLog holds a timeline's transient power windows in the order they
+// were added, in segments that are never re-grown: the first holds
+// firstSegment windows, each next one twice as many up to maxSegment. A
+// full log gains a segment instead of copying itself into a larger array,
+// so a window costs no allocation unless it opens a segment. The segment
+// directory, one slice header per segment, grows by append. Compact
+// refills the segments from the front and keeps the emptied ones for
+// reuse. Readers walk segs in order, then each segment in order: the order
+// windows were added, as one append-grown slice would hold them.
+type windowLog struct {
+	segs [][]window // full up to segs[fill], empty after it
+	fill int        // the segment the next window goes to
+}
+
+const (
+	firstSegment = 4
+	maxSegment   = 64
+)
+
+// segmentSize is the capacity of the log's i-th segment.
+func segmentSize(i int) int {
+	if i >= 4 { // firstSegment << 4 == maxSegment
+		return maxSegment
+	}
+	return firstSegment << i
+}
+
+func (l *windowLog) push(w window) {
+	for l.fill < len(l.segs) && len(l.segs[l.fill]) == cap(l.segs[l.fill]) {
+		l.fill++
+	}
+	if l.fill == len(l.segs) {
+		l.segs = append(l.segs, make([]window, 0, segmentSize(len(l.segs))))
+	}
+	l.segs[l.fill] = append(l.segs[l.fill], w)
+}
+
 // windowLabel is what a timeline keeps per window label, besides its name.
 type windowLabel struct {
 	// folded is the energy of this label's windows before the compaction
@@ -89,7 +126,7 @@ type Timeline struct {
 
 	mu        sync.Mutex
 	states    map[string][]changePoint
-	windows   []window
+	windows   windowLog
 	labels    []windowLabel
 	labelIdx  map[string]int32 // label name → index into labels
 	compacted time.Time
@@ -183,7 +220,7 @@ func (tl *Timeline) addWindowLocked(label string, mw Milliwatts, start time.Time
 		tl.labelIdx[label] = i
 	}
 	s := unixNano(start)
-	tl.windows = append(tl.windows, window{start: s, end: s + int64(d), mw: mw, label: i})
+	tl.windows.push(window{start: s, end: s + int64(d), mw: mw, label: i})
 	if tl.metrics == nil {
 		return
 	}
@@ -215,9 +252,11 @@ func (tl *Timeline) powerAtLocked(t int64) Milliwatts {
 	for _, pts := range tl.states {
 		total += fixedMW(stateAt(pts, t))
 	}
-	for _, w := range tl.windows {
-		if w.start <= t && t < w.end {
-			total += fixedMW(w.mw)
+	for _, seg := range tl.windows.segs {
+		for _, w := range seg {
+			if w.start <= t && t < w.end {
+				total += fixedMW(w.mw)
+			}
 		}
 	}
 	return levelMW(total)
@@ -367,18 +406,20 @@ func (tl *Timeline) edgesLocked(lo, hi int64, dst []edge) (level int64, n int) {
 			prev = v
 		}
 	}
-	for _, w := range tl.windows {
-		if w.end <= lo || w.start >= hi {
-			continue
-		}
-		v := fixedMW(w.mw)
-		if w.start <= lo {
-			level += v
-		} else {
-			put(w.start, v)
-		}
-		if w.end < hi {
-			put(w.end, -v)
+	for _, seg := range tl.windows.segs {
+		for _, w := range seg {
+			if w.end <= lo || w.start >= hi {
+				continue
+			}
+			v := fixedMW(w.mw)
+			if w.start <= lo {
+				level += v
+			} else {
+				put(w.start, v)
+			}
+			if w.end < hi {
+				put(w.end, -v)
+			}
 		}
 	}
 	return level, n
@@ -408,9 +449,11 @@ func (tl *Timeline) WindowEnergy(label string) Joules {
 		return 0
 	}
 	joules := tl.labels[i].folded
-	for _, w := range tl.windows {
-		if w.label == i {
-			joules += joulesOver(w.mw, w.end-w.start)
+	for _, seg := range tl.windows.segs {
+		for _, w := range seg {
+			if w.label == i {
+				joules += joulesOver(w.mw, w.end-w.start)
+			}
 		}
 	}
 	return joules
@@ -444,19 +487,34 @@ func (tl *Timeline) Compact(cutoff time.Time) {
 		tl.states[name] = pts[:n]
 	}
 	// Windows: drop those fully before the cutoff; trim those straddling
-	// it. Their pre-cutoff share moves to the label's folded energy.
-	kept := tl.windows[:0]
-	for _, w := range tl.windows {
-		if w.start < c {
-			tl.labels[w.label].folded += joulesOver(w.mw, min(w.end, c)-w.start)
-			if w.end <= c {
-				continue
+	// it. Their pre-cutoff share moves to the label's folded energy. Kept
+	// windows move forward in place, in order: the write position (ws, wi)
+	// never passes the one being read.
+	log := &tl.windows
+	ws, wi := 0, 0
+	for _, seg := range log.segs {
+		for _, w := range seg {
+			if w.start < c {
+				tl.labels[w.label].folded += joulesOver(w.mw, min(w.end, c)-w.start)
+				if w.end <= c {
+					continue
+				}
+				w.start = c
 			}
-			w.start = c
+			if wi == cap(log.segs[ws]) {
+				ws, wi = ws+1, 0
+			}
+			log.segs[ws] = append(log.segs[ws][:wi], w)
+			wi++
 		}
-		kept = append(kept, w)
 	}
-	tl.windows = kept
+	for i := ws + 1; i < len(log.segs); i++ {
+		log.segs[i] = log.segs[i][:0]
+	}
+	if len(log.segs) > 0 {
+		log.segs[ws] = log.segs[ws][:wi]
+	}
+	log.fill = ws
 	tl.compacted = cutoff
 }
 
@@ -479,7 +537,11 @@ func (tl *Timeline) FoldedEnergy() Joules {
 func (tl *Timeline) WindowCount() int {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	return len(tl.windows)
+	n := 0
+	for _, seg := range tl.windows.segs {
+		n += len(seg)
+	}
+	return n
 }
 
 // Sample is one multimeter reading.

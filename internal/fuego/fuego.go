@@ -12,6 +12,7 @@ package fuego
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -255,8 +256,14 @@ type Client struct {
 	mu      sync.Mutex
 	nextID  int
 	pending map[string]*pendingReq
-	subs    map[string]func(Notification)
+	// subs holds each channel's registrations in registration order.
+	// Subscribe and cancel build a new slice, so a notification walks a
+	// snapshot without the lock.
+	subs map[string][]*subscription
 }
+
+// subscription is one registration of a channel handler.
+type subscription struct{ h func(Notification) }
 
 // pendingReq is one in-flight request: its completion callback and the
 // timeout that completes it when no reply does.
@@ -278,7 +285,7 @@ func NewClient(nw *simnet.Network, id, server simnet.NodeID, umts *radio.UMTS) (
 		server:  server,
 		umts:    umts,
 		pending: make(map[string]*pendingReq),
-		subs:    make(map[string]func(Notification)),
+		subs:    make(map[string][]*subscription),
 	}
 	node.Handle(kindNotify, c.onNotify)
 	node.Handle(kindReply, c.onReply)
@@ -315,32 +322,61 @@ func (c *Client) Publish(channel string, payload any) (time.Duration, error) {
 	return d, nil
 }
 
-// Subscribe registers for a channel's notifications.
-func (c *Client) Subscribe(channel string, h func(Notification)) error {
+// Subscribe registers h for a channel's notifications and returns the
+// function that cancels this registration. Every handler registered on a
+// channel receives each notification, in registration order. The first
+// registration subscribes the phone at the server, which keeps one
+// subscription per phone and channel; cancelling the last one
+// unsubscribes it. Cancelling twice is a no-op.
+func (c *Client) Subscribe(channel string, h func(Notification)) (unsubscribe func() error, err error) {
+	s := &subscription{h: h}
 	c.mu.Lock()
-	c.subs[channel] = h
+	first := len(c.subs[channel]) == 0
+	c.subs[channel] = append(slices.Clip(c.subs[channel]), s)
 	c.mu.Unlock()
-	d := c.umts.PublishLatency()
-	err := c.net.Send(simnet.Message{
-		From:    c.node.ID(),
-		To:      c.server,
-		Medium:  radio.MediumUMTS,
-		Kind:    kindSubscribe,
-		Payload: channel,
-		Bytes:   radio.QueryBytes,
-	}, d)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNoServer, err)
+	if first {
+		d := c.umts.PublishLatency()
+		err := c.net.Send(simnet.Message{
+			From:    c.node.ID(),
+			To:      c.server,
+			Medium:  radio.MediumUMTS,
+			Kind:    kindSubscribe,
+			Payload: channel,
+			Bytes:   radio.QueryBytes,
+		}, d)
+		if err != nil {
+			c.drop(channel, s)
+			return nil, fmt.Errorf("%w: %v", ErrNoServer, err)
+		}
+		c.chargeConnection(d)
 	}
-	c.chargeConnection(d)
-	return nil
+	return func() error { return c.unsubscribe(channel, s) }, nil
 }
 
-// Unsubscribe cancels a channel subscription.
-func (c *Client) Unsubscribe(channel string) error {
+// drop removes one registration and reports whether it was the channel's
+// last.
+func (c *Client) drop(channel string, s *subscription) (last bool) {
 	c.mu.Lock()
-	delete(c.subs, channel)
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	subs := c.subs[channel]
+	i := slices.Index(subs, s)
+	if i < 0 {
+		return false
+	}
+	if len(subs) == 1 {
+		delete(c.subs, channel)
+		return true
+	}
+	c.subs[channel] = slices.Delete(slices.Clone(subs), i, i+1)
+	return false
+}
+
+// unsubscribe cancels one registration, and the phone's subscription at
+// the server when it was the channel's last.
+func (c *Client) unsubscribe(channel string, s *subscription) error {
+	if !c.drop(channel, s) {
+		return nil
+	}
 	err := c.net.Send(simnet.Message{
 		From:    c.node.ID(),
 		To:      c.server,
@@ -421,13 +457,17 @@ func (c *Client) onNotify(m simnet.Message) {
 	}
 	n.At = c.net.Clock().Now()
 	c.mu.Lock()
-	h := c.subs[n.Channel]
+	subs := c.subs[n.Channel]
 	c.mu.Unlock()
-	if h != nil {
-		// Receiving a notification wakes the radio briefly.
-		c.node.Timeline().AddWindow("umts-notify",
-			energy.Milliwatts(radio.UMTSTransferPower), 500*time.Millisecond)
-		h(n)
+	if len(subs) == 0 {
+		return
+	}
+	// Receiving a notification wakes the radio briefly, once whatever the
+	// number of handlers.
+	c.node.Timeline().AddWindow("umts-notify",
+		energy.Milliwatts(radio.UMTSTransferPower), 500*time.Millisecond)
+	for _, s := range subs {
+		s.h(n)
 	}
 }
 

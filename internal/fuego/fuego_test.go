@@ -61,7 +61,7 @@ func TestSubscribePublishNotify(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Notification
-	if err := cli2.Subscribe("weather", func(n Notification) { got = append(got, n) }); err != nil {
+	if _, err := cli2.Subscribe("weather", func(n Notification) { got = append(got, n) }); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second) // let the subscription reach the server
@@ -89,7 +89,7 @@ func TestSubscribePublishNotify(t *testing.T) {
 func TestPublisherDoesNotSelfNotify(t *testing.T) {
 	_, clk, _, cli := rig(t)
 	notified := 0
-	if err := cli.Subscribe("ch", func(Notification) { notified++ }); err != nil {
+	if _, err := cli.Subscribe("ch", func(Notification) { notified++ }); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second)
@@ -115,11 +115,12 @@ func TestUnsubscribeStopsNotifications(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := cli2.Subscribe("ch", func(Notification) { count++ }); err != nil {
+	unsubscribe, err := cli2.Subscribe("ch", func(Notification) { count++ })
+	if err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second)
-	if err := cli2.Unsubscribe("ch"); err != nil {
+	if err := unsubscribe(); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second)
@@ -129,6 +130,79 @@ func TestUnsubscribeStopsNotifications(t *testing.T) {
 	clk.Advance(10 * time.Second)
 	if count != 0 {
 		t.Fatalf("received %d notifications after unsubscribe", count)
+	}
+}
+
+// TestSharedChannelSubscriptions: two handlers registered on one channel
+// of one phone share its subscription. Both receive every notification,
+// in registration order, and the radio wakes once per notification.
+// Cancelling the first keeps the phone subscribed for the second;
+// cancelling the last unsubscribes it, and a second cancel is a no-op.
+func TestSharedChannelSubscriptions(t *testing.T) {
+	nw, clk, srv, cli := rig(t)
+	if _, err := nw.AddNode("phone2", simnet.Position{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Connect("phone2", "infra", radio.MediumUMTS); err != nil {
+		t.Fatal(err)
+	}
+	cli2, err := NewClient(nw, "phone2", "infra", radio.NewUMTS(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	first, err := cli2.Subscribe("ch", func(n Notification) { got = append(got, "first:"+n.Payload.(string)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := cli2.Subscribe("ch", func(n Notification) { got = append(got, "second:"+n.Payload.(string)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(5 * time.Second)
+	if subs := srv.Subscribers("ch"); len(subs) != 1 || subs[0] != "phone2" {
+		t.Fatalf("Subscribers = %v", subs)
+	}
+	publish := func(v string) {
+		t.Helper()
+		if _, err := cli.Publish("ch", v); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(10 * time.Second)
+	}
+	publish("a")
+	if want := []string{"first:a", "second:a"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("notifications = %v, want %v", got, want)
+	}
+	if n := nw.Node("phone2").Timeline().WindowEnergy("umts-notify"); n <= 0 {
+		t.Fatal("notification charged no radio wake-up")
+	} else if wake := float64(radio.UMTSTransferPower) / 1000 * 0.5; float64(n) != wake {
+		t.Fatalf("umts-notify energy %v J, want one wake-up, %v J", n, wake)
+	}
+	if err := first(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(5 * time.Second)
+	if subs := srv.Subscribers("ch"); len(subs) != 1 {
+		t.Fatalf("Subscribers after cancelling one of two = %v", subs)
+	}
+	publish("b")
+	if want := "first:a,second:a,second:b"; strings.Join(got, ",") != want {
+		t.Fatalf("notifications = %v, want %v", got, want)
+	}
+	if err := second(); err != nil {
+		t.Fatal(err)
+	}
+	if err := second(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(5 * time.Second)
+	if subs := srv.Subscribers("ch"); len(subs) != 0 {
+		t.Fatalf("Subscribers after cancelling both = %v", subs)
+	}
+	publish("c")
+	if len(got) != 3 {
+		t.Fatalf("notifications after cancelling both: %v", got)
 	}
 }
 

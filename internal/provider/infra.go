@@ -37,6 +37,9 @@ type InfraCxtProvider struct {
 	base
 	umts   *refs.UMTSReference
 	window *query.EventWindow
+	// unsubscribe cancels the EVENT subscription; nil until Start
+	// subscribes and after Stop.
+	unsubscribe func() error
 }
 
 // InfraConfig configures an InfraCxtProvider.
@@ -91,21 +94,31 @@ func (p *InfraCxtProvider) Start() error {
 		// predicate on arriving updates.
 		sub := p.span.Child("umts.subscribe")
 		sub.SetAttr("channel", string(q.Select))
-		if err := p.umts.Subscribe(string(q.Select), p.onNotification); err != nil {
+		unsubscribe, err := p.umts.Subscribe(string(q.Select), p.onNotification)
+		if err != nil {
 			sub.SetAttr("error", err.Error())
 			sub.End()
 			return err
 		}
 		sub.End()
+		p.mu.Lock()
+		p.unsubscribe = unsubscribe
+		p.mu.Unlock()
 	}
 	return nil
 }
 
-// Stop implements Provider, dropping the event subscription if any.
+// Stop implements Provider, dropping the event subscription if any. Other
+// queries' registrations on the same channel keep the phone subscribed.
 func (p *InfraCxtProvider) Stop() {
-	q := p.liveQuery()
-	if q.Mode() == query.ModeEvent {
-		_ = p.umts.Unsubscribe(string(q.Select))
+	p.mu.Lock()
+	unsubscribe := p.unsubscribe
+	p.unsubscribe = nil
+	p.mu.Unlock()
+	if unsubscribe != nil {
+		// A failed send leaves only the server's entry behind: the
+		// handler is gone, so no notification reaches this provider.
+		_ = unsubscribe()
 	}
 	p.base.Stop()
 }

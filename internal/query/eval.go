@@ -32,10 +32,14 @@ func EvalWhere(p *Predicate, meta cxt.Metadata) bool {
 
 // EventWindow is the sliding window of recent numeric observations an
 // event-based provider keeps per context type to evaluate aggregate
-// conditions (e.g. AVG(temperature)>25).
+// conditions (e.g. AVG(temperature)>25). The observations sit in a ring
+// of size slots that the first Observe allocates: once the ring is full,
+// each observation overwrites the oldest, so observing allocates nothing
+// after the first call. Aggregates read the values oldest to newest.
 type EventWindow struct {
-	size   int
-	values []float64
+	size int
+	ring []float64 // grows to size; once full, ring[head] is the oldest
+	head int
 }
 
 // NewEventWindow returns a window keeping the last size observations
@@ -49,62 +53,85 @@ func NewEventWindow(size int) *EventWindow {
 
 // Observe appends a value, evicting the oldest when full.
 func (w *EventWindow) Observe(v float64) {
-	w.values = append(w.values, v)
-	if len(w.values) > w.size {
-		w.values = w.values[len(w.values)-w.size:]
+	if len(w.ring) < w.size {
+		if w.ring == nil {
+			w.ring = make([]float64, 0, w.size)
+		}
+		w.ring = append(w.ring, v)
+		return
+	}
+	w.ring[w.head] = v
+	w.head++
+	if w.head == w.size {
+		w.head = 0
 	}
 }
 
 // Len returns the number of buffered observations.
-func (w *EventWindow) Len() int { return len(w.values) }
+func (w *EventWindow) Len() int { return len(w.ring) }
 
-// Values returns a copy of the buffered observations.
+// runs returns the buffered observations oldest first, as two runs: the
+// older one is empty only when the window is.
+func (w *EventWindow) runs() (older, newer []float64) {
+	return w.ring[w.head:], w.ring[:w.head]
+}
+
+// Values returns a copy of the buffered observations, oldest first.
 func (w *EventWindow) Values() []float64 {
-	out := make([]float64, len(w.values))
-	copy(out, w.values)
+	older, newer := w.runs()
+	out := make([]float64, len(w.ring))
+	copy(out[copy(out, older):], newer)
 	return out
 }
 
 // aggregate computes the aggregate over the window; ok=false when the
-// window is empty (except COUNT, which is always defined).
+// window is empty (except COUNT, which is always defined). Sums add the
+// values oldest to newest, and MIN and MAX scan them in that order.
 func (w *EventWindow) aggregate(a Agg) (float64, bool) {
 	if a == AggCount {
-		return float64(len(w.values)), true
+		return float64(len(w.ring)), true
 	}
-	if len(w.values) == 0 {
+	if len(w.ring) == 0 {
 		return 0, false
 	}
+	older, newer := w.runs()
 	switch a {
-	case AggAvg:
+	case AggAvg, AggSum:
 		var sum float64
-		for _, v := range w.values {
-			sum += v
+		for _, run := range [2][]float64{older, newer} {
+			for _, v := range run {
+				sum += v
+			}
 		}
-		return sum / float64(len(w.values)), true
+		if a == AggAvg {
+			return sum / float64(len(w.ring)), true
+		}
+		return sum, true
 	case AggMin:
-		m := w.values[0]
-		for _, v := range w.values[1:] {
-			if v < m {
-				m = v
+		m := older[0]
+		for _, run := range [2][]float64{older[1:], newer} {
+			for _, v := range run {
+				if v < m {
+					m = v
+				}
 			}
 		}
 		return m, true
 	case AggMax:
-		m := w.values[0]
-		for _, v := range w.values[1:] {
-			if v > m {
-				m = v
+		m := older[0]
+		for _, run := range [2][]float64{older[1:], newer} {
+			for _, v := range run {
+				if v > m {
+					m = v
+				}
 			}
 		}
 		return m, true
-	case AggSum:
-		var sum float64
-		for _, v := range w.values {
-			sum += v
-		}
-		return sum, true
 	default: // AggNone: the latest observation
-		return w.values[len(w.values)-1], true
+		if len(newer) > 0 {
+			return newer[len(newer)-1], true
+		}
+		return older[len(older)-1], true
 	}
 }
 

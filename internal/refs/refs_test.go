@@ -561,14 +561,15 @@ func TestUMTSPublishSubscribe(t *testing.T) {
 	if srv.Events() != 1 {
 		t.Fatalf("server events = %d", srv.Events())
 	}
-	if err := ref.Subscribe("alerts", func(fuego.Notification) {}); err != nil {
+	unsubscribe, err := ref.Subscribe("alerts", func(fuego.Notification) {})
+	if err != nil {
 		t.Fatal(err)
 	}
 	clk.Run(0)
 	if subs := srv.Subscribers("alerts"); len(subs) != 1 {
 		t.Fatalf("subscribers = %v", subs)
 	}
-	if err := ref.Unsubscribe("alerts"); err != nil {
+	if err := unsubscribe(); err != nil {
 		t.Fatal(err)
 	}
 	clk.Run(0)

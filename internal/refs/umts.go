@@ -186,22 +186,20 @@ func (r *UMTSReference) Publish(channel string, payload any) (time.Duration, err
 	return d, nil
 }
 
-// Subscribe registers for infrastructure notifications on a channel.
-func (r *UMTSReference) Subscribe(channel string, h func(fuego.Notification)) error {
+// Subscribe registers h for infrastructure notifications on a channel and
+// returns the function that cancels this registration; handlers on one
+// channel share the phone's subscription (see fuego.Client.Subscribe).
+func (r *UMTSReference) Subscribe(channel string, h func(fuego.Notification)) (unsubscribe func() error, err error) {
 	r.mSubscribes.Inc()
-	if err := r.client.Subscribe(channel, h); err != nil {
+	unsubscribe, err = r.client.Subscribe(channel, h)
+	if err != nil {
 		r.mFailures.Inc()
 		if r.mon != nil {
 			r.mon.ReportFailure("umts", err.Error())
 		}
-		return err
+		return nil, err
 	}
-	return nil
-}
-
-// Unsubscribe cancels a channel subscription.
-func (r *UMTSReference) Unsubscribe(channel string) error {
-	return r.client.Unsubscribe(channel)
+	return unsubscribe, nil
 }
 
 // Request performs an on-demand infrastructure operation.

@@ -11,6 +11,12 @@ import (
 	"contory/internal/vclock"
 )
 
+// servableLocked is the former per-item servability test: one TTL lookup
+// per item.
+func (r *Repository) servableLocked(it cxt.Item, now time.Time) bool {
+	return servable(&it, now, r.ttlForLocked(it.Type))
+}
+
 // servableOracle is the former Repository.Servable, kept as the reference
 // FirstServable is checked against: every item of the type the answer cache
 // may serve at the query instant, newest first.

@@ -55,9 +55,10 @@ type Repository struct {
 
 	mu     sync.Mutex
 	cap    int
-	byType map[cxt.Type][]cxt.Item // newest last
+	byType map[cxt.Type][]cxt.Item // newest last, at most cap items each
 	remote Remote
 	stored int
+	bytes  int // wire size of every stored item, kept by Store and Clear
 
 	// Answer-cache state: per-type TTLs bound how long an item is servable
 	// from the cache. observed lifetimes tighten the TTL (admission driven
@@ -133,14 +134,9 @@ func (r *Repository) ttlForLocked(t cxt.Type) time.Duration {
 	return r.defaultTTL
 }
 
-// servableLocked reports whether an item may still be served at now: not
-// expired, and no older than its type's TTL (item lifetimes shorter than
-// the TTL tighten the bound per item via Expired).
-func (r *Repository) servableLocked(it cxt.Item, now time.Time) bool {
-	return servable(&it, now, r.ttlForLocked(it.Type))
-}
-
-// servable is servableLocked for an item whose type's TTL is ttl.
+// servable reports whether an item whose type's TTL is ttl may still be
+// served at now: not expired, and no older than the TTL (item lifetimes
+// shorter than the TTL tighten the bound per item via Expired).
 func servable(it *cxt.Item, now time.Time, ttl time.Duration) bool {
 	if it.Expired(now) {
 		return false
@@ -153,46 +149,67 @@ func servable(it *cxt.Item, now time.Time, ttl time.Duration) bool {
 // not admitted — it could never be served. Items whose lifetimes are
 // shorter than the type's learned TTL tighten it, so short-lived types
 // never serve past their producers' declared validity. When the per-type
-// capacity is exceeded, already-unservable items are dropped first; if the
-// type is still over capacity one item is evicted by the seeded
-// deterministic policy (a draw over the older half, never the newest item).
+// capacity would be exceeded, already-unservable items are dropped first;
+// if the type is still full one item is evicted by the seeded
+// deterministic policy (a draw over the older half of the stored items
+// and the incoming one, never the incoming item itself). Room is made
+// before the item is appended and in place, so a full type never re-grows
+// its slice past cap and a store allocates nothing in steady state.
 func (r *Repository) Store(item cxt.Item) {
 	now := r.clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.servableLocked(item, now) {
+	cur, pinned := r.ttl[item.Type]
+	ttl := r.defaultTTL
+	if pinned {
+		ttl = cur
+	}
+	if !servable(&item, now, ttl) {
 		return
 	}
 	// Lifetime-driven TTL learning: the shortest bounded lifetime seen for
 	// a type caps its TTL, so a type whose producers declare validity never
-	// serves past it (learned lifetimes tighten any configured TTL).
-	if item.Lifetime > 0 {
-		if cur, ok := r.ttl[item.Type]; !ok || item.Lifetime < cur {
-			r.ttl[item.Type] = item.Lifetime
-		}
+	// serves past it (learned lifetimes tighten any configured TTL). The
+	// incoming item stays servable under the learned TTL: it is not
+	// expired, so it is younger than its own lifetime.
+	if item.Lifetime > 0 && (!pinned || item.Lifetime < cur) {
+		r.ttl[item.Type] = item.Lifetime
+		ttl = item.Lifetime
 	}
-	items := append(r.byType[item.Type], item)
-	if len(items) > r.cap {
+	size := item.WireSize() // every item of a type has the type's size
+	items := r.byType[item.Type]
+	if len(items) >= r.cap {
 		// Drop unservable items first (expired or past TTL).
-		kept := items[:0]
-		for _, it := range items {
-			if r.servableLocked(it, now) {
-				kept = append(kept, it)
+		kept := 0
+		for i := range items {
+			if !servable(&items[i], now, ttl) {
+				continue
 			}
+			if kept != i {
+				items[kept] = items[i]
+			}
+			kept++
 		}
-		items = kept
+		r.bytes -= (len(items) - kept) * size
+		items = items[:kept]
 	}
-	for len(items) > r.cap {
-		// Seeded eviction over the older half; the newest item is immune.
-		half := len(items) / 2
-		if half < 1 {
-			half = 1
-		}
-		idx := r.evict.Intn(half)
+	for len(items) >= r.cap {
+		// Seeded eviction over the older half; the incoming item, the
+		// newest, is immune.
+		idx := r.evict.Intn((len(items) + 1) / 2)
 		items = append(items[:idx], items[idx+1:]...)
 		r.evictions++
+		r.bytes -= size
 	}
-	r.byType[item.Type] = items
+	if len(items) == cap(items) {
+		// Start at a quarter of cap and double, never past cap: append
+		// would start at one item, and a full type's last doubling would
+		// overshoot cap.
+		n := min(max(2*cap(items), r.cap/4, 1), r.cap)
+		items = append(make([]cxt.Item, 0, n), items...)
+	}
+	r.byType[item.Type] = append(items, item)
+	r.bytes += size
 	r.stored++
 }
 
@@ -318,17 +335,12 @@ func (r *Repository) TotalStored() int {
 }
 
 // MemoryBytes estimates the current local memory footprint using item wire
-// sizes, for the ResourcesMonitor.
+// sizes, for the ResourcesMonitor. It reads the running total Store and
+// Clear keep, so it is O(1) and may run after every store.
 func (r *Repository) MemoryBytes() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	total := 0
-	for _, items := range r.byType {
-		for _, it := range items {
-			total += it.WireSize()
-		}
-	}
-	return total
+	return r.bytes
 }
 
 // Clear drops all locally stored items (the reduceMemory action).
@@ -336,4 +348,5 @@ func (r *Repository) Clear() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.byType = make(map[cxt.Type][]cxt.Item)
+	r.bytes = 0
 }

@@ -123,6 +123,118 @@ func TestWorldTwoGPSQueriesShareStream(t *testing.T) {
 	}
 }
 
+// TestWorldGPSQueryEndDetachesStream: a GPS-backed query that ends, by
+// its DURATION or by the fix that answers it on demand, detaches from the
+// BT-GPS stream, so the phone stops paying for per-second bursts. The
+// on-demand query detaches from inside the stream's own fix callback.
+func TestWorldGPSQueryEndDetachesStream(t *testing.T) {
+	for _, tc := range []struct {
+		src   string
+		items int
+	}{
+		{"SELECT location FROM intSensor DURATION 30 sec EVERY 5 sec", 5},
+		{"SELECT location FROM intSensor DURATION 1 min", 1},
+	} {
+		t.Run(tc.src, func(t *testing.T) {
+			w, err := NewWorld(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boat, err := w.AddPhone(PhoneConfig{ID: "boat", GPS: &Fix{Lat: 60.1, Lon: 24.9, SpeedKn: 6}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			items := 0
+			cli := ClientFuncs{OnItem: func(Item) { items++ }}
+			if _, err := boat.Factory.ProcessCxtQuery(MustParseQuery(tc.src), cli); err != nil {
+				t.Fatal(err)
+			}
+			gpsJoules := func() float64 {
+				return float64(boat.Device.Node.Timeline().WindowEnergy("bt-gps-sample"))
+			}
+			w.Run(40 * time.Second)
+			atEnd := gpsJoules()
+			if items != tc.items || atEnd <= 0 {
+				t.Fatalf("%d items, %.2f J of GPS samples in 40 s; want %d items and some energy", items, atEnd, tc.items)
+			}
+			w.Run(60 * time.Second)
+			if after := gpsJoules(); after != atEnd {
+				t.Fatalf("GPS sample energy %.2f J at 40 s, %.2f J at 100 s: the ended query still holds the stream", atEnd, after)
+			}
+		})
+	}
+}
+
+// TestWorldInfraEventQueryEndUnsubscribes: an extInfra EVENT query holds a
+// Fuego subscription on its SELECT type while it runs and drops it when
+// its DURATION elapses.
+func TestWorldInfraEventQueryEndUnsubscribes(t *testing.T) {
+	w, err := NewWorld(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asker, err := w.AddPhone(PhoneConfig{ID: "asker"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustParseQuery("SELECT temperature FROM extInfra DURATION 30 sec EVENT temperature>10")
+	if _, err := asker.Factory.ProcessCxtQuery(q, ClientFuncs{}); err != nil {
+		t.Fatal(err)
+	}
+	srv := w.Infrastructure().Server()
+	w.Run(10 * time.Second)
+	if subs := srv.Subscribers("temperature"); len(subs) != 1 || string(subs[0]) != asker.ID() {
+		t.Fatalf("subscribers while the query runs = %v, want [%s]", subs, asker.ID())
+	}
+	w.Run(30 * time.Second)
+	if subs := srv.Subscribers("temperature"); len(subs) != 0 {
+		t.Fatalf("subscribers after the query's DURATION = %v, want none", subs)
+	}
+}
+
+// TestWorldInfraEventQueriesShareChannel: two extInfra EVENT queries on
+// one phone that cannot merge (one ends by time, one by sample count) both
+// receive the events of their SELECT type, and the first one's expiry
+// leaves the second subscribed.
+func TestWorldInfraEventQueriesShareChannel(t *testing.T) {
+	w, err := NewWorld(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asker, err := w.AddPhone(PhoneConfig{ID: "asker"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reporter, err := w.AddPhone(PhoneConfig{ID: "reporter"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var timed, counted int
+	for _, sub := range []struct {
+		src string
+		n   *int
+	}{
+		{"SELECT temperature FROM extInfra DURATION 20 sec EVENT temperature>10", &timed},
+		{"SELECT temperature FROM extInfra DURATION 100 samples EVENT temperature>10", &counted},
+	} {
+		n := sub.n
+		if _, err := asker.Factory.ProcessCxtQuery(MustParseQuery(sub.src), ClientFuncs{OnItem: func(Item) { *n++ }}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const publishes = 12 // one every 5 s; the first three land inside 20 s
+	for i := 0; i < publishes; i++ {
+		w.Run(5 * time.Second)
+		if _, err := reporter.Device.UMTS.Publish("temperature", Item{Type: TypeTemperature, Value: 20.0, Timestamp: w.Now()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Run(5 * time.Second)
+	if timed != 3 || counted != publishes {
+		t.Fatalf("20 s query got %d items, want 3; sample-limited query got %d, want %d", timed, counted, publishes)
+	}
+}
+
 func TestWorldInfraPath(t *testing.T) {
 	w, err := NewWorld(9)
 	if err != nil {
