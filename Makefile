@@ -50,9 +50,9 @@ load-smoke:
 # perf-smoke compiles and runs the scheduler, spatial-index, frame
 # send-deliver, energy-integration, power-window-append, NMEA-burst,
 # GPS-fix, SM-finder-tour, answer-cache-lookup, facade-fan-out,
-# infrastructure-archive, repository-store and event-window-observe
-# microbenchmarks once each, so a broken hot path fails the gate without
-# paying for full measurement.
+# query-submission, infrastructure-archive, repository-store and
+# event-window-observe microbenchmarks once each, so a broken hot path
+# fails the gate without paying for full measurement.
 perf-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/vclock ./internal/simnet ./internal/energy ./internal/gps ./internal/provider ./internal/sm ./internal/core ./internal/infra ./internal/repo ./internal/query
 

@@ -92,13 +92,14 @@ func (f *Factory) tryServeFromCache(aq *activeQuery) bool {
 		f.instr.cacheMisses.Inc()
 		return false
 	}
-	hit := aq.span.Child("cache.hit")
-	hit.SetAttr("age", it.Age(f.clock.Now()).String())
-	hit.End()
+	if hit := aq.span.Child("cache.hit"); hit != nil {
+		hit.SetAttr("age", it.Age(f.clock.Now()).String())
+		hit.End()
+	}
 	f.register(aq, MechanismCache, "")
 	// The first answer is delivered asynchronously, like a provider's, so
 	// the Subscription handle exists before the client callback runs.
-	f.clock.After(0, func() { f.cacheDeliver(aq.id, true) })
+	f.clock.Post(0, func() { f.cacheDeliver(aq.id, true) })
 	return true
 }
 

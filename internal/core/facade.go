@@ -18,7 +18,7 @@ import (
 
 // Mechanism identifies one of the three provisioning mechanisms, each
 // fronted by its own Facade module.
-type Mechanism int
+type Mechanism uint8
 
 // Mechanisms.
 const (
@@ -65,15 +65,18 @@ type providerMaker func(id string, q *query.Query, sink provider.Sink, onDone pr
 // managed is one running provider together with the original queries whose
 // results are post-extracted from its stream.
 type managed struct {
+	id     string // the provider id
 	prov   provider.Provider
 	merged *query.Query
 	// subs are the original queries, ordered by query ID byte-wise (as
 	// sort.Strings orders them: q-10 before q-2), which is the order the
 	// stream delivers to them. The slice is copy-on-write: attach and
 	// detach build a new one, so a delivery reads a snapshot without
-	// holding the facade lock.
-	subs []subscriber
-	span *tracing.Span // "assign": spans the provider's lifetime
+	// holding the facade lock. A new provider's slice is first, the
+	// entry's own one-element array.
+	subs  []subscriber
+	first [1]subscriber
+	span  *tracing.Span // "assign": spans the provider's lifetime
 }
 
 // subscriber is one original query post-extracted from a provider stream.
@@ -111,15 +114,6 @@ func (m *managed) detach(queryID string) bool {
 	return ok
 }
 
-// ids returns the subscribers' query IDs in delivery order.
-func (m *managed) ids() []string {
-	out := make([]string, len(m.subs))
-	for i, s := range m.subs {
-		out[i] = s.id
-	}
-	return out
-}
-
 // Facade offers a unified interface for managing CxtProviders of one
 // provisioning mechanism (the Facade design pattern of §4.3). It performs
 // query aggregation — merging a newly submitted query with an active one
@@ -127,17 +121,21 @@ func (m *managed) ids() []string {
 // number of active providers stays minimal.
 type Facade struct {
 	mechanism Mechanism
+	idPrefix  string // provider ids are idPrefix and a number: "extInfra-3"
 	clock     vclock.Clock
 	make      providerMaker
 	deliver   func(queryID string, it cxt.Item)
-	onExpire  func(queryIDs []string)
+	onExpire  func(queryID string)
 
-	mu       sync.Mutex
-	nextID   int
-	managed  map[string]*managed // provider id → managed
-	merges   int                 // successful merges (for the ablation bench)
-	creates  int                 // providers created
-	disabled bool                // reducePower can suspend a whole facade
+	mu     sync.Mutex
+	nextID int
+	// managed holds the running providers in provider-id order, byte-wise
+	// (extInfra-10 before extInfra-2), the order the merge scan tries
+	// them in.
+	managed  []*managed
+	merges   int  // successful merges (for the ablation bench)
+	creates  int  // providers created
+	disabled bool // reducePower can suspend a whole facade
 
 	mMerges  *metrics.Counter
 	mCreates *metrics.Counter
@@ -163,15 +161,15 @@ type Facade struct {
 
 // newFacade returns a Facade for one mechanism.
 func newFacade(m Mechanism, clock vclock.Clock, mk providerMaker,
-	deliver func(string, cxt.Item), onExpire func([]string), reg *metrics.Registry,
+	deliver func(string, cxt.Item), onExpire func(string), reg *metrics.Registry,
 	owner string, aud *audit.Auditor) *Facade {
 	return &Facade{
 		mechanism:    m,
+		idPrefix:     m.String() + "-",
 		clock:        clock,
 		make:         mk,
 		deliver:      deliver,
 		onExpire:     onExpire,
-		managed:      make(map[string]*managed),
 		mMerges:      reg.Counter("core.facade.merges." + m.String()),
 		mCreates:     reg.Counter("core.facade.providers_created." + m.String()),
 		mActive:      reg.Gauge("core.facade.active_providers." + m.String()),
@@ -197,15 +195,32 @@ func (f *Facade) released(providers, subs int) {
 	f.auditAdd(f.balSubs, -int64(subs))
 }
 
-// sortedKeys returns a map's keys in ascending order, for deterministic
-// scans.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// findManaged returns the position of provID in f.managed, or where it
+// would be inserted, and whether it is there. f.mu must be held.
+func (f *Facade) findManaged(provID string) (int, bool) {
+	i := sort.Search(len(f.managed), func(i int) bool { return f.managed[i].id >= provID })
+	return i, i < len(f.managed) && f.managed[i].id == provID
+}
+
+// lookup returns the running provider entry provID, or nil once it is
+// gone. f.mu must be held.
+func (f *Facade) lookup(provID string) *managed {
+	if i, ok := f.findManaged(provID); ok {
+		return f.managed[i]
 	}
-	sort.Strings(keys)
-	return keys
+	return nil
+}
+
+// remove drops the entry provID and reports it, or nil when it is already
+// gone. f.mu must be held.
+func (f *Facade) remove(provID string) *managed {
+	i, ok := f.findManaged(provID)
+	if !ok {
+		return nil
+	}
+	m := f.managed[i]
+	f.managed = slices.Delete(f.managed, i, i+1)
+	return m
 }
 
 // Mechanism returns the facade's provisioning mechanism.
@@ -254,8 +269,7 @@ func (f *Facade) submit(queryID string, q *query.Query, mergeEnabled bool, paren
 		return fmt.Errorf("core: %s %s: %w", f.mechanism, queryID, ErrFacadeDisabled)
 	}
 	if mergeEnabled {
-		for _, id := range sortedKeys(f.managed) {
-			m := f.managed[id]
+		for _, m := range f.managed {
 			if !query.SameCluster(m.merged, q) {
 				continue
 			}
@@ -280,13 +294,14 @@ func (f *Facade) submit(queryID string, q *query.Query, mergeEnabled bool, paren
 			}
 			// The subscriber joins the owning stream's trace: the attach is
 			// recorded under the provider's lifetime span.
-			at := owner.Child("mux.attach")
-			at.SetAttr("subscriber", queryID)
-			at.SetAttr("subscribers", strconv.Itoa(subs))
-			at.End()
+			if at := owner.Child("mux.attach"); at != nil {
+				at.SetAttr("subscriber", queryID)
+				at.SetAttr("subscribers", strconv.Itoa(subs))
+				at.End()
+			}
 			sp := parent.Child("assign")
 			sp.SetAttr("mech", f.mechanism.String())
-			sp.SetAttr("provider", id)
+			sp.SetAttr("provider", m.id)
 			sp.SetAttr("merged", "true")
 			sp.SetAttr("multiplexed", "true")
 			sp.End()
@@ -294,18 +309,21 @@ func (f *Facade) submit(queryID string, q *query.Query, mergeEnabled bool, paren
 		}
 	}
 	f.nextID++
-	provID := f.mechanism.String() + "-" + strconv.Itoa(f.nextID)
+	provID := numberedID(f.idPrefix, f.nextID)
 	span := parent.Child("assign")
 	span.SetAttr("mech", f.mechanism.String())
 	span.SetAttr("provider", provID)
 	// The facade and the provider keep the factory's copy of q: nothing
 	// writes a query after submission (see query.Query).
 	m := &managed{
+		id:     provID,
 		merged: q,
-		subs:   []subscriber{{id: queryID, q: q}},
+		first:  [1]subscriber{{id: queryID, q: q}},
 		span:   span,
 	}
-	f.managed[provID] = m
+	m.subs = m.first[:]
+	i, _ := f.findManaged(provID)
+	f.managed = slices.Insert(f.managed, i, m)
 	f.creates++
 	f.mu.Unlock()
 	f.mCreates.Inc()
@@ -321,7 +339,7 @@ func (f *Facade) submit(queryID string, q *query.Query, mergeEnabled bool, paren
 		return fmt.Errorf("core: %s facade: %w", f.mechanism, err)
 	}
 	f.mu.Lock()
-	if cur, ok := f.managed[provID]; ok {
+	if cur := f.lookup(provID); cur != nil {
 		cur.prov = prov
 	}
 	f.mu.Unlock()
@@ -342,15 +360,10 @@ func (f *Facade) submit(queryID string, q *query.Query, mergeEnabled bool, paren
 // removed instead of decrementing blindly.
 func (f *Facade) removeFailed(provID string) {
 	f.mu.Lock()
-	m, ok := f.managed[provID]
-	var subs int
-	if ok {
-		subs = len(m.subs)
-		delete(f.managed, provID)
-	}
+	m := f.remove(provID)
 	f.mu.Unlock()
-	if ok {
-		f.released(1, subs)
+	if m != nil {
+		f.released(1, len(m.subs))
 	}
 }
 
@@ -363,7 +376,7 @@ func (f *Facade) sinkFor(provID string) provider.Sink {
 	return func(it cxt.Item) {
 		now := f.clock.Now()
 		f.mu.Lock()
-		m := f.managed[provID]
+		m := f.lookup(provID)
 		if m == nil {
 			f.mu.Unlock()
 			return
@@ -385,26 +398,26 @@ func (f *Facade) sinkFor(provID string) provider.Sink {
 // event query drops its infrastructure subscription. The callback may run
 // inside the provider's own source callback (an on-demand GPS query
 // finishes on the fix that answers it); sources call their consumers
-// outside their own locks, so the detach is safe there.
+// outside their own locks, so the detach is safe there. Once the entry is
+// removed nothing attaches to or detaches from it, so its subscriber
+// snapshot is final and expires as it stands.
 func (f *Facade) doneFor(provID string) provider.DoneFunc {
 	return func() {
 		f.mu.Lock()
-		m := f.managed[provID]
+		m := f.remove(provID)
+		f.mu.Unlock()
 		if m == nil {
-			f.mu.Unlock()
 			return
 		}
-		delete(f.managed, provID)
-		ids := m.ids()
-		prov := m.prov
-		f.mu.Unlock()
 		m.span.End()
-		f.released(1, len(ids))
-		if prov != nil {
-			prov.Stop()
+		f.released(1, len(m.subs))
+		if m.prov != nil {
+			m.prov.Stop()
 		}
 		if f.onExpire != nil {
-			f.onExpire(ids)
+			for _, s := range m.subs {
+				f.onExpire(s.id)
+			}
 		}
 	}
 }
@@ -415,10 +428,9 @@ func (f *Facade) doneFor(provID string) provider.DoneFunc {
 func (f *Facade) Cancel(queryID string) bool {
 	f.mu.Lock()
 	var found *managed
-	var provID string
-	for id, m := range f.managed {
+	for _, m := range f.managed {
 		if m.detach(queryID) {
-			found, provID = m, id
+			found = m
 			break
 		}
 	}
@@ -427,7 +439,7 @@ func (f *Facade) Cancel(queryID string) bool {
 		return false
 	}
 	if len(found.subs) == 0 {
-		delete(f.managed, provID)
+		f.remove(found.id)
 		prov := found.prov
 		f.mu.Unlock()
 		found.span.End()
@@ -460,9 +472,9 @@ func (f *Facade) Cancel(queryID string) bool {
 func (f *Facade) StreamInfo(queryID string) (streamID string, subscribers int, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for id, m := range f.managed {
+	for _, m := range f.managed {
 		if _, has := m.find(queryID); has {
-			return id, len(m.subs), true
+			return m.id, len(m.subs), true
 		}
 	}
 	return "", 0, false
@@ -487,13 +499,12 @@ func (f *Facade) Queries() []string {
 // refcounts and mux subscriber counts must both return to zero here.
 func (f *Facade) StopAll() {
 	f.mu.Lock()
-	ms := make([]*managed, 0, len(f.managed))
+	ms := f.managed
 	subs := 0
-	for _, m := range f.managed {
-		ms = append(ms, m)
+	for _, m := range ms {
 		subs += len(m.subs)
 	}
-	f.managed = make(map[string]*managed)
+	f.managed = nil
 	f.mu.Unlock()
 	f.released(len(ms), subs)
 	for _, m := range ms {

@@ -84,7 +84,7 @@ func newFacadeRig(t *testing.T) *facadeRig {
 			r.delivered[qid] = append(r.delivered[qid], it)
 			r.order = append(r.order, qid)
 		},
-		func(ids []string) { r.expired = append(r.expired, ids...) },
+		func(id string) { r.expired = append(r.expired, id) },
 		metrics.NewRegistry(), "rig", nil,
 	)
 	return r
@@ -291,5 +291,27 @@ func TestSmallAccessors(t *testing.T) {
 	r := newFacadeRig(t)
 	if r.fac.Mechanism() != MechanismAdHoc {
 		t.Fatalf("Mechanism = %v", r.fac.Mechanism())
+	}
+}
+
+// The merge scan tries running providers in provider-id order, byte-wise
+// as the ids compare (adHocNetwork-10 before adHocNetwork-2), so a query
+// mergeable into several joins the first of them in that order.
+func TestFacadeMergeTargetOrder(t *testing.T) {
+	r := newFacadeRig(t)
+	for i := 1; i <= 12; i++ {
+		if err := r.fac.Submit(fmt.Sprintf("q-%d", i), tempQuery(10), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.fac.Cancel("q-1") // stops adHocNetwork-1, the byte-wise first
+	if err := r.fac.Submit("q-new", tempQuery(10), true); err != nil {
+		t.Fatal(err)
+	}
+	if stream, subs, ok := r.fac.StreamInfo("q-new"); !ok || stream != "adHocNetwork-10" || subs != 2 {
+		t.Fatalf("q-new joined %q (%d subscribers, %v), want adHocNetwork-10", stream, subs, ok)
+	}
+	if got := r.fac.ActiveProviders(); got != 11 {
+		t.Fatalf("%d providers running, want 11", got)
 	}
 }

@@ -59,30 +59,48 @@ type SwitchEvent struct {
 // persist complete logs remotely.
 const InfraOpStoreItem = "storeCxtItem"
 
-// activeQuery is the QueryManager's record of one submitted query.
+// activeQuery is the QueryManager's record of one submitted query. It
+// embeds the Subscription handed to the caller (the query's id and
+// factory), so a submission allocates the record and the handle as one
+// object. The record fits the 128-byte size class: the counters are
+// narrow, the preferences and flags are inline, and a Multi query's
+// further mechanisms live in Factory.multi.
 type activeQuery struct {
-	id     string
-	q      *query.Query
-	client Client
-	// mech is the (primary) serving mechanism; extra lists additional
-	// facades the query is simultaneously assigned to (§4.3 permits
-	// CxtProviders of different Facades on the same query).
-	mech      Mechanism
-	extra     []Mechanism
-	prefs     []Mechanism
-	delivered int
-	cacheHits int           // answers served from the answer cache
+	Subscription
+	q         *query.Query
+	client    Client
+	span      *tracing.Span // root span of the query's trace (nil = untraced)
+	expiry    *vclock.Timer
+	probe     *vclock.Timer
 	cacheTick *vclock.Timer // EVERY-period refresh while cache-served
+	submitted time.Time
+	delivered int32
+	cacheHits int32 // answers served from the answer cache
+	// mech is the (primary) serving mechanism.
+	mech  Mechanism
+	prefs mechList
 	// qosLive marks a query occupying a QoS live-provisioning slot;
 	// degraded marks one the QoS plane downgraded to stale-cache service
 	// (cache lookups then relax the FRESHNESS bound to the type's TTL).
-	qosLive   bool
-	degraded  bool
-	expiry    *vclock.Timer
-	probe     *vclock.Timer
-	submitted time.Time
-	span      *tracing.Span // root span of the query's trace (nil = untraced)
+	qosLive  bool
+	degraded bool
 }
+
+// mechList is a query's eligible mechanisms, most preferred first. There
+// are at most the three facades, so the list is held inline.
+type mechList struct {
+	m [3]Mechanism
+	n uint8
+}
+
+// add appends a mechanism to the list.
+func (l *mechList) add(m Mechanism) {
+	l.m[l.n] = m
+	l.n++
+}
+
+// all returns the listed mechanisms, in preference order.
+func (l *mechList) all() []Mechanism { return l.m[:l.n] }
 
 // Factory is the ContextFactory (§4.3): the core component instantiated on
 // each device and made accessible to multiple applications. It offers the
@@ -100,6 +118,10 @@ type Factory struct {
 	publishers map[Client]bool
 	cxtPub     *provider.CxtPublisher
 	switches   []SwitchEvent
+	// multi holds each live Multi query's further mechanisms, after its
+	// primary one (§4.3 permits CxtProviders of different Facades on the
+	// same query); nil until the first Multi submission.
+	multi map[string][]Mechanism
 
 	mergeEnabled    bool
 	failoverEnabled bool
@@ -264,16 +286,18 @@ func (f *Factory) ProcessCxtQuery(q *query.Query, client Client) (*Subscription,
 		return nil, err
 	}
 	prefs := f.preferences(q)
-	if len(prefs) == 0 {
+	if prefs.n == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoMechanism, q.From.Kind)
 	}
 	aq := f.openQuery(q, client, prefs)
-	aq.span.SetAttr("duration", aq.q.Duration.String())
+	if aq.span != nil {
+		aq.span.SetAttr("duration", aq.q.Duration.String())
+	}
 
 	// Answer cache: when stored context satisfies the query, serve it with
 	// zero provider work instead of assigning a mechanism.
 	if f.tryServeFromCache(aq) {
-		return &Subscription{f: f, id: aq.id}, nil
+		return &aq.Subscription, nil
 	}
 
 	// QoS plane: cache misses pass admission control before provisioning
@@ -289,7 +313,7 @@ func (f *Factory) ProcessCxtQuery(q *query.Query, client Client) (*Subscription,
 	mech, err := f.submitFirst(aq)
 	if err == nil {
 		f.register(aq, mech, "")
-		return &Subscription{f: f, id: aq.id}, nil
+		return &aq.Subscription, nil
 	}
 	if aq.qosLive {
 		// Admission succeeded but no mechanism could serve: hand the live
@@ -327,7 +351,7 @@ func (f *Factory) ProcessCxtQueryMulti(q *query.Query, client Client, mechs ...M
 			}
 		}
 	}
-	aq := f.openQuery(q, client, nil)
+	aq := f.openQuery(q, client, mechList{})
 	aq.span.SetAttr("multi", "true")
 
 	var assigned []Mechanism
@@ -343,12 +367,20 @@ func (f *Factory) ProcessCxtQueryMulti(q *query.Query, client Client, mechs ...M
 		f.reject(aq, lastErr)
 		return nil, fmt.Errorf("core: assign multi query: %w", lastErr)
 	}
-	aq.extra = assigned[1:]
+	extra := assigned[1:]
+	if len(extra) > 0 {
+		f.mu.Lock()
+		if f.multi == nil {
+			f.multi = make(map[string][]Mechanism)
+		}
+		f.multi[aq.id] = extra
+		f.mu.Unlock()
+	}
 	f.register(aq, assigned[0], "")
-	for _, mech := range aq.extra {
+	for _, mech := range extra {
 		f.reportAssigned(aq.id, mech, "")
 	}
-	return &Subscription{f: f, id: aq.id}, nil
+	return &aq.Subscription, nil
 }
 
 // checkSubmission refuses what no query path can serve: a nil client or an
@@ -361,19 +393,32 @@ func checkSubmission(op string, q *query.Query, client Client) error {
 }
 
 // openQuery is the submission prologue: it numbers the query, counts and
-// ring-logs the submission, and opens the query's root span.
-func (f *Factory) openQuery(q *query.Query, client Client, prefs []Mechanism) *activeQuery {
+// ring-logs the submission, and opens the query's root span when tracing
+// is on.
+func (f *Factory) openQuery(q *query.Query, client Client, prefs mechList) *activeQuery {
 	f.mu.Lock()
 	f.nextID++
-	id := "q-" + strconv.Itoa(f.nextID)
+	id := numberedID("q-", f.nextID)
 	f.mu.Unlock()
-	aq := &activeQuery{id: id, q: q.Clone(), client: client, prefs: prefs, submitted: f.clock.Now()}
+	aq := &activeQuery{
+		Subscription: Subscription{f: f, id: id},
+		q:            q.Clone(), client: client, prefs: prefs, submitted: f.clock.Now(),
+	}
 	aq.q.ID = id
 	f.instr.submitted.Inc()
 	f.instr.event(aq.submitted, id, metrics.EventSubmitted, "", string(aq.q.Select))
-	aq.span = f.tracer.StartRoot(string(f.dev.ID)+"/"+id, string(f.dev.ID), f.dev.Node.Timeline())
-	aq.span.SetAttr("select", string(aq.q.Select))
+	if f.tracer != nil {
+		aq.span = f.tracer.StartRoot(string(f.dev.ID)+"/"+id, string(f.dev.ID), f.dev.Node.Timeline())
+		aq.span.SetAttr("select", string(aq.q.Select))
+	}
 	return aq
+}
+
+// numberedID returns prefix followed by n in decimal, built with the one
+// allocation of the string itself.
+func numberedID(prefix string, n int) string {
+	var buf [32]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(n), 10))
 }
 
 // trySubmit hands the query to one mechanism's facade if the mechanism is
@@ -389,7 +434,7 @@ func (f *Factory) trySubmit(aq *activeQuery, mech Mechanism) error {
 // first that accepts it. It returns the last refusal when none does.
 func (f *Factory) submitFirst(aq *activeQuery) (Mechanism, error) {
 	err := ErrNoMechanism
-	for _, mech := range aq.prefs {
+	for _, mech := range aq.prefs.all() {
 		if err = f.trySubmit(aq, mech); err == nil {
 			return mech, nil
 		}
@@ -461,7 +506,7 @@ func (f *Factory) QueryMechanisms(queryID string) ([]Mechanism, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownQuery, queryID)
 	}
-	out := append([]Mechanism{aq.mech}, aq.extra...)
+	out := append([]Mechanism{aq.mech}, f.multi[queryID]...)
 	return out, nil
 }
 
@@ -480,6 +525,7 @@ func (f *Factory) finishQuery(queryID string, kind metrics.EventKind) {
 		return
 	}
 	delete(f.queries, queryID)
+	delete(f.multi, queryID)
 	f.stopTimer(queryID, &aq.expiry, "expiry")
 	f.stopTimer(queryID, &aq.probe, "probe")
 	f.stopTimer(queryID, &aq.cacheTick, "cacheTick")
@@ -500,7 +546,7 @@ func (f *Factory) finishQuery(queryID string, kind metrics.EventKind) {
 	aq.span.SetAttr("outcome", string(kind))
 	aq.span.End()
 	f.audit.QueryFinished(f.clock.Now(), string(f.dev.ID), queryID, string(kind),
-		aq.delivered, aq.cacheHits)
+		int(aq.delivered), int(aq.cacheHits))
 	if f.qos != nil {
 		f.qosEnterUnstable()
 		defer f.qosExitUnstable()
@@ -537,12 +583,10 @@ func (f *Factory) cancelEverywhere(queryID string) {
 	}
 }
 
-// onExpire handles facade notifications that a provider's merged query
-// lifetime elapsed.
-func (f *Factory) onExpire(queryIDs []string) {
-	for _, id := range queryIDs {
-		f.finishQuery(id, metrics.EventExpired)
-	}
+// onExpire handles a facade's notification that a provider's merged
+// query lifetime elapsed for one of its original queries.
+func (f *Factory) onExpire(queryID string) {
+	f.finishQuery(queryID, metrics.EventExpired)
 }
 
 // deliver routes a post-extracted item to its query's client, stores it in
@@ -589,7 +633,7 @@ func (f *Factory) deliver(queryID string, it cxt.Item) {
 // held.
 func (aq *activeQuery) countDelivery() (first, exhausted bool) {
 	aq.delivered++
-	return aq.delivered == 1, aq.q.Duration.IsSamples() && aq.delivered >= aq.q.Duration.Samples
+	return aq.delivered == 1, aq.q.Duration.IsSamples() && int(aq.delivered) >= aq.q.Duration.Samples
 }
 
 // reportDelivered counts, audits and ring-logs one item handed to the
@@ -633,8 +677,8 @@ func (f *Factory) QueryStats(queryID string) SubscriptionStats {
 		return SubscriptionStats{}
 	}
 	st := SubscriptionStats{
-		Delivered:   aq.delivered,
-		CacheHits:   aq.cacheHits,
+		Delivered:   int(aq.delivered),
+		CacheHits:   int(aq.cacheHits),
 		CacheServed: aq.mech == MechanismCache,
 	}
 	mech := aq.mech
@@ -657,11 +701,11 @@ func (f *Factory) Repository() repo.Reader { return f.dev.Repo }
 // first, then the ad hoc network, then the infrastructure. Explicit FROM
 // pins the mechanism; entity/region queries prefer the ad hoc network and
 // fall back to the infrastructure (the WeatherWatcher pattern).
-func (f *Factory) preferences(q *query.Query) []Mechanism {
-	var prefs []Mechanism
+func (f *Factory) preferences(q *query.Query) mechList {
+	var prefs mechList
 	add := func(m Mechanism) {
 		if f.mechanismSupported(m, q) {
-			prefs = append(prefs, m)
+			prefs.add(m)
 		}
 	}
 	switch q.From.Kind {
@@ -837,7 +881,7 @@ func (f *Factory) reassignAffected(resource, reason string) {
 	}
 	var affected []*activeQuery
 	for _, aq := range f.queries {
-		if len(aq.prefs) < 2 {
+		if len(aq.prefs.all()) < 2 {
 			continue
 		}
 		if f.mechResource(aq.mech, aq.q) == resource {
@@ -871,10 +915,11 @@ func (f *Factory) restorePreferred(resource string) {
 	f.mu.Lock()
 	var candidates []*activeQuery
 	for _, aq := range f.queries {
-		if len(aq.prefs) < 2 || aq.mech == aq.prefs[0] {
+		prefs := aq.prefs.all()
+		if len(prefs) < 2 || aq.mech == prefs[0] {
 			continue
 		}
-		for _, m := range aq.prefs {
+		for _, m := range prefs {
 			if m == aq.mech {
 				break // current mechanism reached before the recovered one
 			}
@@ -908,7 +953,7 @@ func (f *Factory) switchQuery(queryID, reason string) {
 	}
 	from := aq.mech
 	var to Mechanism
-	for _, m := range aq.prefs {
+	for _, m := range aq.prefs.all() {
 		if f.mechanismHealthy(m, aq.q) {
 			to = m
 			break
@@ -971,10 +1016,11 @@ func (f *Factory) switchQuery(queryID, reason string) {
 	// A query forced below its preferred mechanism probes for that
 	// mechanism's return (the Fig. 5 recovery path); arriving back at the
 	// preferred mechanism stops the probe.
-	if aq.probe == nil && to != aq.prefs[0] {
+	preferred := aq.prefs.all()[0]
+	if aq.probe == nil && to != preferred {
 		f.startRecoveryProbeLocked(aq)
 	}
-	if to == aq.prefs[0] {
+	if to == preferred {
 		f.stopTimer(queryID, &aq.probe, "probe")
 	}
 	f.mu.Unlock()
@@ -990,7 +1036,7 @@ func (f *Factory) switchQuery(queryID, reason string) {
 // UMTS operation (e.g. a publish) reports it. f.mu must be held.
 func (f *Factory) startRecoveryProbeLocked(aq *activeQuery) {
 	queryID := aq.id
-	switch aq.prefs[0] {
+	switch aq.prefs.all()[0] {
 	case MechanismLocal:
 		if f.localUsesGPS(aq.q) && f.dev.BT != nil {
 			aq.probe = f.clock.Every(recoveryProbeInterval, func() { f.probeGPS(queryID) })
@@ -1103,7 +1149,7 @@ func (f *Factory) enforceReducePower(ruleName string) {
 	sort.Slice(onInfra, func(i, j int) bool { return onInfra[i].id < onInfra[j].id })
 	f.mu.Unlock()
 	for _, aq := range onInfra {
-		if len(aq.prefs) > 1 {
+		if len(aq.prefs.all()) > 1 {
 			f.switchQuery(aq.id, "reducePower ("+ruleName+")")
 			continue
 		}

@@ -1,17 +1,23 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"contory/internal/cxt"
+	"contory/internal/fuego"
 	"contory/internal/metrics"
 	"contory/internal/provider"
+	"contory/internal/qos"
 	"contory/internal/query"
+	"contory/internal/radio"
 	"contory/internal/repo"
+	"contory/internal/simnet"
 	"contory/internal/tracing"
 	"contory/internal/vclock"
 )
@@ -172,5 +178,155 @@ func BenchmarkFacadeFanout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.emit(it)
+	}
+}
+
+// countingClient counts what it receives, allocating nothing.
+type countingClient struct{ items, errs int }
+
+func (c *countingClient) ReceiveCxtItem(cxt.Item)  { c.items++ }
+func (c *countingClient) InformError(string)       { c.errs++ }
+func (c *countingClient) MakeDecision(string) bool { return true }
+
+// submitFixture is a factory with the answer cache and QoS on whose phone
+// reaches an infrastructure server over UMTS. The server answers every
+// temperature request with one item stamped at the request, so the first
+// answer is fresh, and its FRESHNESS bound has lapsed by the next
+// submission: every submission misses the cache, passes admission and
+// provisions live.
+type submitFixture struct {
+	clk *vclock.Simulator
+	f   *Factory
+	q   *query.Query
+	cli *countingClient
+}
+
+func newSubmitFixture(tb testing.TB) *submitFixture {
+	tb.Helper()
+	clk := vclock.NewSimulator()
+	nw := simnet.New(clk)
+	if _, err := nw.AddNode("infra", simnet.Position{}); err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := fuego.NewServer(nw, "infra", radio.NewUMTS(100))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// The reply is boxed once and restamped in place, so the server side
+	// allocates nothing of its own.
+	items := []cxt.Item{{Type: cxt.TypeTemperature, Value: 12.0}}
+	var reply any = items
+	srv.HandleRequest(provider.InfraOpGetItem, func(fuego.Request) (any, error) {
+		items[0].Timestamp = clk.Now()
+		return reply, nil
+	})
+	dev, err := NewDevice(DeviceConfig{Network: nw, ID: "phone", InfraServer: "infra", Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := nw.Connect("phone", "infra", radio.MediumUMTS); err != nil {
+		tb.Fatal(err)
+	}
+	fx := &submitFixture{
+		clk: clk,
+		f: NewFactory(dev, WithAnswerCache(true),
+			WithQoS(qos.Config{Enabled: true, Rate: 1, Burst: 2, QueueCap: 4, MaxActive: 4})),
+		q:   query.MustParse("SELECT temperature FROM extInfra FRESHNESS 2 sec DURATION 1 min"),
+		cli: &countingClient{},
+	}
+	// Warm the maps, rings, free lists and buffers the lifecycle reuses.
+	for i := 0; i < 200; i++ {
+		fx.submit(tb)
+	}
+	return fx
+}
+
+// submit runs one query through its whole lifecycle: submission, cache
+// miss, admission, provider start, one UMTS request and its answer, and
+// the provider's completion, which expires the query.
+func (fx *submitFixture) submit(tb testing.TB) {
+	items := fx.cli.items
+	in := fx.f.instr
+	misses, admitted, expired := in.cacheMisses.Value(), in.qosAdmitted.Value(), in.expired.Value()
+	if _, err := fx.f.ProcessCxtQuery(fx.q, fx.cli); err != nil {
+		tb.Fatal(err)
+	}
+	fx.clk.Advance(5 * time.Second)
+	if fx.cli.items != items+1 || fx.cli.errs != 0 || len(fx.f.queries) != 0 ||
+		in.cacheMisses.Value() != misses+1 || in.qosAdmitted.Value() != admitted+1 ||
+		in.expired.Value() != expired+1 {
+		tb.Fatalf("a submission took another path: %d items (want %d), %d errors, %d queries live, "+
+			"%d cache misses, %d admissions, %d expiries (want one each)",
+			fx.cli.items, items+1, fx.cli.errs, len(fx.f.queries),
+			in.cacheMisses.Value()-misses, in.qosAdmitted.Value()-admitted, in.expired.Value()-expired)
+	}
+}
+
+// submitAllocs is what one query's lifecycle allocates: only the records
+// the query, its provider and its request keep.
+//
+//   - the query record (which embeds the caller's Subscription), its id
+//     string and the query copy: 3;
+//   - the DURATION expiry timer and its callback: 2;
+//   - the managed entry, the provider id string, and the entry's sink
+//     and done callbacks: 4;
+//   - the provider, its DURATION timer and bound finish, and its
+//     on-demand round's timer and callback: 5;
+//   - the UMTS request: its wire query and answer callback, the
+//     envelope that goes out and comes back, and the timeout's timer and
+//     callback (the pending entry is held by value in the client's map):
+//     5.
+const submitAllocs = 3 + 2 + 4 + 5 + 5
+
+// A warmed factory with the answer cache and QoS on runs one extInfra
+// query through submission, cache miss, admission, provider start, one
+// UMTS request and expiry, allocating only the kept records. One and a
+// hundred submissions per run allocate the same count per submission; the
+// phone's GSM idle signalling and its power-window log allocate on their
+// own cadence, below one allocation per submission, which the integer
+// count drops.
+func TestSubmitAllocs(t *testing.T) {
+	fx := newSubmitFixture(t)
+	one := testing.AllocsPerRun(100, func() { fx.submit(t) })
+	hundred := testing.AllocsPerRun(3, func() {
+		for i := 0; i < 100; i++ {
+			fx.submit(t)
+		}
+	})
+	if one > submitAllocs {
+		t.Errorf("one submission allocates %v times, want at most %d", one, submitAllocs)
+	}
+	if perSub := math.Floor(hundred / 100); perSub != one {
+		t.Errorf("100 submissions allocate %v per submission, one allocates %v", perSub, one)
+	}
+}
+
+// The query record, with the caller's handle embedded, fits the 128-byte
+// size class.
+func TestQueryRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(activeQuery{}); got > 128 {
+		t.Fatalf("activeQuery is %d bytes, want at most 128", got)
+	}
+}
+
+// Stamping a lifecycle event allocates nothing: the owner travels beside
+// the query id instead of being joined into a label.
+func TestEventAllocs(t *testing.T) {
+	in := newInstruments(metrics.NewRegistry(), "boat-1")
+	at := vclock.Epoch
+	if got := testing.AllocsPerRun(2*metrics.DefaultRingCapacity, func() {
+		in.event(at, "q-12", metrics.EventDelivered, "extInfra", "temperature")
+	}); got != 0 {
+		t.Fatalf("instruments.event allocates %v times, want 0", got)
+	}
+}
+
+// BenchmarkProcessCxtQuery runs one query's lifecycle per iteration.
+func BenchmarkProcessCxtQuery(b *testing.B) {
+	fx := newSubmitFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fx.submit(b)
 	}
 }

@@ -10,9 +10,10 @@ import (
 // delivering and switching never pay a registry map lookup.
 type instruments struct {
 	reg *metrics.Registry
-	// owner prefixes lifecycle-event query ids ("boat-1/q-3"): factories
-	// number queries locally, so a shared world registry needs the device
-	// id to keep event streams unambiguous.
+	// owner is the device id lifecycle events carry beside the query id;
+	// the ring joins them on read ("boat-1/q-3"): factories number queries
+	// locally, so a shared world registry needs the device id to keep
+	// event streams unambiguous.
 	owner string
 
 	submitted *metrics.Counter
@@ -92,11 +93,8 @@ func (in *instruments) observeServedAge(age time.Duration) {
 
 // event stamps one lifecycle transition into the registry's bounded ring.
 func (in *instruments) event(at time.Time, queryID string, kind metrics.EventKind, mech, detail string) {
-	if in.owner != "" {
-		queryID = in.owner + "/" + queryID
-	}
 	in.reg.Record(metrics.Event{
-		At: at, Query: queryID, Kind: kind, Mechanism: mech, Detail: detail,
+		At: at, Owner: in.owner, Query: queryID, Kind: kind, Mechanism: mech, Detail: detail,
 	})
 }
 

@@ -69,17 +69,18 @@ func (f *Factory) qosGate(aq *activeQuery) (sub *Subscription, err error, handle
 		CanDegrade: canDegrade,
 		Lifetime:   aq.q.Duration.Time,
 	})
-	sp := aq.span.Child("qos.admit")
-	sp.SetAttr("verdict", d.Verdict.String())
-	sp.SetAttr("class", cls.String())
-	sp.SetAttr("client", client)
-	if d.Reason != "" {
-		sp.SetAttr("reason", d.Reason)
+	if sp := aq.span.Child("qos.admit"); sp != nil {
+		sp.SetAttr("verdict", d.Verdict.String())
+		sp.SetAttr("class", cls.String())
+		sp.SetAttr("client", client)
+		if d.Reason != "" {
+			sp.SetAttr("reason", d.Reason)
+		}
+		if d.Wait > 0 {
+			sp.SetAttr("wait", d.Wait.String())
+		}
+		sp.End()
 	}
-	if d.Wait > 0 {
-		sp.SetAttr("wait", d.Wait.String())
-	}
-	sp.End()
 
 	switch d.Verdict {
 	case qos.VerdictAdmit:
@@ -97,8 +98,8 @@ func (f *Factory) qosGate(aq *activeQuery) (sub *Subscription, err error, handle
 		dg.End()
 		f.register(aq, MechanismCache, "degraded: "+d.Reason)
 		f.instr.qosDegraded.Inc()
-		f.clock.After(0, func() { f.cacheDeliver(aq.id, true) })
-		return &Subscription{f: f, id: aq.id}, nil, true
+		f.clock.Post(0, func() { f.cacheDeliver(aq.id, true) })
+		return &aq.Subscription, nil, true
 	case qos.VerdictDefer:
 		f.register(aq, MechanismPending, "deferred "+d.Wait.String())
 		f.instr.qosDeferred.Inc()
@@ -106,8 +107,8 @@ func (f *Factory) qosGate(aq *activeQuery) (sub *Subscription, err error, handle
 		f.audit.Add(f.clock.Now(), string(f.dev.ID), balQoSPending, 1)
 		// The token is earned at Wait; a dispatch then releases this (or a
 		// higher-priority) entry if a provisioning slot is free.
-		f.clock.After(d.Wait, func() { f.qosDispatch() })
-		return &Subscription{f: f, id: aq.id}, nil, true
+		f.clock.Post(d.Wait, f.qosDispatch)
+		return &aq.Subscription, nil, true
 	default: // qos.VerdictReject
 		f.instr.qosRejected.Inc()
 		rejErr := fmt.Errorf("core: query %s (%s class, %s): %w", aq.id, cls, d.Reason, qos.ErrRejected)
@@ -325,6 +326,6 @@ func (f *Factory) degradeToCache(queryID, reason string) bool {
 	sp.SetAttr("reason", reason)
 	sp.End()
 	f.reportAssigned(queryID, MechanismCache, "degraded from "+from.String()+": "+reason)
-	f.clock.After(0, func() { f.cacheDeliver(queryID, true) })
+	f.clock.Post(0, func() { f.cacheDeliver(queryID, true) })
 	return true
 }

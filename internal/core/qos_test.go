@@ -47,7 +47,7 @@ func TestShedVictimSelection(t *testing.T) {
 			b.clk.Advance(10 * time.Second)
 			b.factory.mu.Lock()
 			for i, d := range c.delivered {
-				b.factory.queries["q-"+strconv.Itoa(i+1)].delivered = d
+				b.factory.queries["q-"+strconv.Itoa(i+1)].delivered = int32(d)
 			}
 			b.factory.mu.Unlock()
 

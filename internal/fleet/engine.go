@@ -45,6 +45,11 @@ var overloadTypes = []cxt.Type{
 	cxt.TypeLight, cxt.TypeNoise, cxt.TypeWeather, cxt.TypeActivity,
 }
 
+// workloadClient is the client of every workload query: it ignores items
+// and errors and grants every decision. It is boxed into the Client
+// interface once, not on every submission.
+var workloadClient contory.Client = contory.ClientFuncs{}
+
 func (r role) String() string {
 	switch r {
 	case roleLocalPeriodic:
@@ -459,7 +464,7 @@ func (e *Engine) submit(p *contory.Phone, q *contory.Query) {
 	if e.draining {
 		return
 	}
-	_, _ = p.Factory.ProcessCxtQuery(q, contory.ClientFuncs{})
+	_, _ = p.Factory.ProcessCxtQuery(q, workloadClient)
 }
 
 // scheduleChurn precomputes the whole churn script from the seed and

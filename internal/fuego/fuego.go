@@ -54,7 +54,9 @@ func (n Notification) WireSize() int { return radio.UMTSEventBytes }
 
 // Request is an on-demand query sent to the infrastructure.
 type Request struct {
-	ID      string
+	// ID numbers the request within its client (From): the reply echoes
+	// it back to the client that sent it.
+	ID      uint64
 	From    simnet.NodeID
 	Op      string // operation name, dispatched by the server's handler
 	Payload any
@@ -200,18 +202,22 @@ func (s *Server) onPublish(m simnet.Message) {
 	}
 }
 
-// replyEnvelope carries a request's answer back to the client.
-type replyEnvelope struct {
-	ID      string
-	Payload any
-	Err     string
+// exchange is one request's envelope on the wire: the client sends it,
+// and the server writes the answer into it and sends the same envelope
+// back, so a round trip allocates one.
+type exchange struct {
+	Request
+	// Reply is the handler's answer; Err its error text ("" = success).
+	Reply any
+	Err   string
 }
 
 func (s *Server) onRequest(m simnet.Message) {
-	req, ok := m.Payload.(Request)
+	ex, ok := m.Payload.(*exchange)
 	if !ok {
 		return
 	}
+	req := ex.Request
 	s.mu.Lock()
 	h := s.handlers[req.Op]
 	s.events++
@@ -221,19 +227,18 @@ func (s *Server) onRequest(m simnet.Message) {
 	// span records which infrastructure node served the request.
 	sp := req.Span.ChildAt("fuego.handle", string(s.node.ID()), s.node.Timeline())
 	sp.SetAttr("op", req.Op)
-	rep := replyEnvelope{ID: req.ID}
 	if h == nil {
-		rep.Err = ErrNoHandler.Error() + ": " + req.Op
+		ex.Err = ErrNoHandler.Error() + ": " + req.Op
 	} else {
 		out, err := h(req)
 		if err != nil {
-			rep.Err = err.Error()
+			ex.Err = err.Error()
 		} else {
-			rep.Payload = out
+			ex.Reply = out
 		}
 	}
-	if rep.Err != "" {
-		sp.SetAttr("error", rep.Err)
+	if ex.Err != "" {
+		sp.SetAttr("error", ex.Err)
 	}
 	sp.End()
 	_ = s.net.Send(simnet.Message{
@@ -241,7 +246,7 @@ func (s *Server) onRequest(m simnet.Message) {
 		To:      req.From,
 		Medium:  radio.MediumUMTS,
 		Kind:    kindReply,
-		Payload: rep,
+		Payload: ex,
 		Bytes:   radio.UMTSEventBytes,
 	}, s.umts.GetLatency()/2)
 }
@@ -250,16 +255,19 @@ func (s *Server) onRequest(m simnet.Message) {
 type Client struct {
 	net    *simnet.Network
 	node   *simnet.Node
+	clock  vclock.Clock // the node's clock, which request timeouts run on
 	server simnet.NodeID
 	umts   *radio.UMTS
 
 	mu      sync.Mutex
-	nextID  int
-	pending map[string]*pendingReq
+	nextID  uint64
+	pending map[uint64]pendingReq
 	// subs holds each channel's registrations in registration order.
 	// Subscribe and cancel build a new slice, so a notification walks a
 	// snapshot without the lock.
 	subs map[string][]*subscription
+	// observe, when set, sees every request's outcome (ObserveRequests).
+	observe func(err error)
 }
 
 // subscription is one registration of a channel handler.
@@ -282,14 +290,29 @@ func NewClient(nw *simnet.Network, id, server simnet.NodeID, umts *radio.UMTS) (
 	c := &Client{
 		net:     nw,
 		node:    node,
+		clock:   nw.ClockFor(id),
 		server:  server,
 		umts:    umts,
-		pending: make(map[string]*pendingReq),
+		pending: make(map[uint64]pendingReq),
 		subs:    make(map[string][]*subscription),
 	}
 	node.Handle(kindNotify, c.onNotify)
 	node.Handle(kindReply, c.onReply)
 	return c, nil
+}
+
+// ObserveRequests installs fn to see the outcome of every request the
+// client completes (answered, failed or timed out) just before the
+// request's own callback runs, so a caller accounts for outcomes once
+// instead of wrapping each callback. Install it before the first request.
+func (c *Client) ObserveRequests(fn func(err error)) { c.observe = fn }
+
+// complete hands a taken request its outcome.
+func (c *Client) complete(req pendingReq, v any, err error) {
+	if c.observe != nil {
+		c.observe(err)
+	}
+	req.done(v, err)
 }
 
 // chargeConnection applies one UMTS connection power cycle (connection-open
@@ -406,13 +429,13 @@ func (c *Client) RequestTraced(op string, payload any, timeout time.Duration, sp
 	}
 	c.mu.Lock()
 	c.nextID++
-	id := fmt.Sprintf("%s-req-%d", c.node.ID(), c.nextID)
-	timer := c.net.ClockFor(c.node.ID()).After(timeout, func() {
-		if req := c.take(id); req != nil {
-			req.done(nil, ErrRequestTimeout)
+	id := c.nextID
+	timer := c.clock.After(timeout, func() {
+		if req, ok := c.take(id); ok {
+			c.complete(req, nil, ErrRequestTimeout)
 		}
 	})
-	c.pending[id] = &pendingReq{done: done, timeout: timer}
+	c.pending[id] = pendingReq{done: done, timeout: timer}
 	c.mu.Unlock()
 
 	// Uplink: half a sampled round trip; the reply pays the other half.
@@ -422,12 +445,12 @@ func (c *Client) RequestTraced(op string, payload any, timeout time.Duration, sp
 		To:      c.server,
 		Medium:  radio.MediumUMTS,
 		Kind:    kindRequest,
-		Payload: Request{ID: id, From: c.node.ID(), Op: op, Payload: payload, Span: span},
+		Payload: &exchange{Request: Request{ID: id, From: c.node.ID(), Op: op, Payload: payload, Span: span}},
 		Bytes:   radio.UMTSEventBytes,
 	}, d)
 	if err != nil {
-		if req := c.take(id); req != nil {
-			req.done(nil, fmt.Errorf("%w: %v", ErrNoServer, err))
+		if req, ok := c.take(id); ok {
+			c.complete(req, nil, fmt.Errorf("%w: %v", ErrNoServer, err))
 		}
 		return nil
 	}
@@ -436,18 +459,18 @@ func (c *Client) RequestTraced(op string, payload any, timeout time.Duration, sp
 }
 
 // take removes and returns a pending request, stopping its timeout so an
-// answered request leaves nothing on the clock. Whoever takes the request
-// (the reply, a send failure or the timeout itself) owns its one
-// completion call.
-func (c *Client) take(id string) *pendingReq {
+// answered request leaves nothing on the clock; ok is false when the
+// request is no longer pending. Whoever takes the request (the reply, a
+// send failure or the timeout itself) owns its one completion call.
+func (c *Client) take(id uint64) (req pendingReq, ok bool) {
 	c.mu.Lock()
-	req := c.pending[id]
+	req, ok = c.pending[id]
 	delete(c.pending, id)
 	c.mu.Unlock()
-	if req != nil {
+	if ok {
 		req.timeout.Stop()
 	}
-	return req
+	return req, ok
 }
 
 func (c *Client) onNotify(m simnet.Message) {
@@ -472,19 +495,19 @@ func (c *Client) onNotify(m simnet.Message) {
 }
 
 func (c *Client) onReply(m simnet.Message) {
-	rep, ok := m.Payload.(replyEnvelope)
+	ex, ok := m.Payload.(*exchange)
 	if !ok {
 		return
 	}
-	req := c.take(rep.ID)
-	if req == nil {
+	req, ok := c.take(ex.ID)
+	if !ok {
 		return // late reply after timeout
 	}
-	if rep.Err != "" {
-		req.done(nil, errors.New(rep.Err))
+	if ex.Err != "" {
+		c.complete(req, nil, errors.New(ex.Err))
 		return
 	}
-	req.done(rep.Payload, nil)
+	c.complete(req, ex.Reply, nil)
 }
 
 // Node returns the client's simnet node.

@@ -320,8 +320,14 @@ const (
 
 // Event is one stamped query-lifecycle transition. At is virtual-clock
 // time, so identically-seeded runs produce identical events.
+//
+// Owner is the device that numbered the query, kept apart from Query so
+// recording builds no label: the ring keeps only its newest events, and
+// Ring.Events joins the two as "owner/query" for every reader, leaving
+// Owner empty in what it returns.
 type Event struct {
 	At        time.Time `json:"at"`
+	Owner     string    `json:"-"`
 	Query     string    `json:"query"`
 	Kind      EventKind `json:"kind"`
 	Mechanism string    `json:"mechanism,omitempty"`
@@ -366,7 +372,8 @@ func (r *Ring) Record(ev Event) {
 	r.dropped++
 }
 
-// Events returns the retained events, oldest first. Nil-safe.
+// Events returns the retained events, oldest first, each event's owner
+// joined into its query label ("owner/query"). Nil-safe.
 func (r *Ring) Events() []Event {
 	if r == nil {
 		return nil
@@ -375,7 +382,12 @@ func (r *Ring) Events() []Event {
 	defer r.mu.Unlock()
 	out := make([]Event, 0, r.n)
 	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.start+i)%len(r.buf)])
+		ev := r.buf[(r.start+i)%len(r.buf)]
+		if ev.Owner != "" {
+			ev.Query = ev.Owner + "/" + ev.Query
+			ev.Owner = ""
+		}
+		out = append(out, ev)
 	}
 	return out
 }

@@ -1,9 +1,12 @@
 package metrics
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestRingDroppedAccounting pins the ring's overflow accounting: Total
@@ -101,4 +104,97 @@ func TestRingDroppedAccounting(t *testing.T) {
 				s.EventsDropped, s.EventsTotal, s.EventsCap, cap+7, cap)
 		}
 	})
+}
+
+// labelEvents is a mixed stream: query events from two owners, owner-less
+// events (a fault and an SLO alert, as chaos and timeline record them),
+// and a query event without an owner (a solo factory's).
+func labelEvents(n int) []Event {
+	at := time.Date(2005, time.June, 10, 12, 0, 0, 0, time.UTC)
+	var out []Event
+	for i := 0; len(out) < n; i++ {
+		q := fmt.Sprintf("q-%d", i)
+		out = append(out,
+			Event{At: at, Owner: "boat-1", Query: q, Kind: EventSubmitted, Detail: "temperature"},
+			Event{At: at, Owner: "boat-10", Query: q, Kind: EventAssigned, Mechanism: "extInfra"},
+			Event{At: at, Query: "fault-" + q, Kind: EventFaultInjected, Mechanism: "gps-off"},
+			Event{At: at, Query: q, Kind: EventExpired, Mechanism: "cache"},
+		)
+		at = at.Add(time.Second)
+	}
+	return out[:n]
+}
+
+// joined is the event as every reader saw it when the owner was joined
+// into the label at record time.
+func joined(ev Event) Event {
+	if ev.Owner != "" {
+		ev.Query = ev.Owner + "/" + ev.Query
+		ev.Owner = ""
+	}
+	return ev
+}
+
+// Events carry their owner apart from the query id and are joined on
+// read: the ring, the registry snapshot and its JSON and text exposition
+// show "owner/q-N" exactly as when the label was built at record time,
+// before and after the ring wraps, for owned and owner-less events alike.
+func TestRingLabelsJoinOnRead(t *testing.T) {
+	for _, n := range []int{6, DefaultRingCapacity, DefaultRingCapacity + 7} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			evs := labelEvents(n)
+			split, glued := NewRegistry(), NewRegistry()
+			for _, ev := range evs {
+				split.Record(ev)
+				glued.Record(joined(ev))
+			}
+			got, want := split.Events().Events(), glued.Events().Events()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("ring events differ from record-time labels")
+			}
+			// The labels themselves: retained event k is input event
+			// first+k, whose label its position in the stream fixes.
+			first := n - len(got)
+			for k, ev := range got {
+				j := first + k
+				wantQ := fmt.Sprintf([]string{"boat-1/q-%d", "boat-10/q-%d", "fault-q-%d", "q-%d"}[j%4], j/4)
+				if ev.Query != wantQ || ev.Owner != "" {
+					t.Fatalf("event %d reads %q (owner %q), want %q", j, ev.Query, ev.Owner, wantQ)
+				}
+			}
+			if n > DefaultRingCapacity && split.Events().Dropped() == 0 {
+				t.Fatal("ring did not wrap")
+			}
+			gs, ws := split.Snapshot(), glued.Snapshot()
+			if !reflect.DeepEqual(gs, ws) {
+				t.Fatal("snapshots differ")
+			}
+			gj, err := gs.MarshalJSONIndent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wj, err := ws.MarshalJSONIndent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gj, wj) {
+				t.Fatalf("JSON exposition differs:\n%s\nwant\n%s", gj, wj)
+			}
+			if bytes.Contains(gj, []byte("Owner")) || bytes.Contains(gj, []byte(`"owner"`)) {
+				t.Fatal("JSON exposition shows the owner field")
+			}
+			if gs.String() != ws.String() {
+				t.Fatalf("text exposition differs:\n%s\nwant\n%s", gs, ws)
+			}
+		})
+	}
+}
+
+// Recording an event allocates nothing: the ring copies it into a slot.
+func TestRecordAllocs(t *testing.T) {
+	reg := NewRegistry()
+	ev := Event{At: time.Unix(0, 0), Owner: "boat-1", Query: "q-1", Kind: EventDelivered, Mechanism: "extInfra"}
+	if got := testing.AllocsPerRun(2*DefaultRingCapacity, func() { reg.Record(ev) }); got != 0 {
+		t.Fatalf("Registry.Record allocates %v times, want 0", got)
+	}
 }

@@ -9,6 +9,8 @@
 package monitor
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -65,12 +67,22 @@ const (
 // Listener receives monitor events.
 type Listener func(Event)
 
+// listener is one registration.
+type listener struct {
+	id int
+	fn Listener
+}
+
 // Monitor tracks resource health and coarse power/memory levels.
 type Monitor struct {
 	clock vclock.Clock
 
-	mu          sync.Mutex
-	listeners   map[int]Listener
+	mu sync.Mutex
+	// listeners are the registered listeners in registration order, which
+	// is id order since ids only grow. The slice is copy-on-write: OnEvent
+	// appends past every snapshot's end and cancel builds a new slice, so
+	// emit fans out over a snapshot without copying it.
+	listeners   []listener
 	nextID      int
 	failed      map[string]string // resource → reason
 	battery     float64           // remaining fraction 0..1
@@ -84,7 +96,6 @@ type Monitor struct {
 func New(clock vclock.Clock) *Monitor {
 	return &Monitor{
 		clock:       clock,
-		listeners:   make(map[int]Listener),
 		failed:      make(map[string]string),
 		battery:     1.0,
 		memoryTotal: 9 << 20,
@@ -99,12 +110,15 @@ func (m *Monitor) OnEvent(l Listener) (cancel func()) {
 	m.mu.Lock()
 	id := m.nextID
 	m.nextID++
-	m.listeners[id] = l
+	m.listeners = append(m.listeners, listener{id: id, fn: l})
 	m.mu.Unlock()
 	return func() {
 		m.mu.Lock()
-		delete(m.listeners, id)
-		m.mu.Unlock()
+		defer m.mu.Unlock()
+		i, found := slices.BinarySearchFunc(m.listeners, id, func(l listener, id int) int { return cmp.Compare(l.id, id) })
+		if found {
+			m.listeners = slices.Delete(slices.Clone(m.listeners), i, i+1)
+		}
 	}
 }
 
@@ -113,19 +127,13 @@ func (m *Monitor) emit(ev Event) {
 	m.mu.Lock()
 	m.events = append(m.events, ev)
 	// Fan out in registration order so multi-listener reactions (factory
-	// policy enforcement, fleet collectors) are deterministic.
-	ids := make([]int, 0, len(m.listeners))
-	for id := range m.listeners {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	ls := make([]Listener, len(ids))
-	for i, id := range ids {
-		ls[i] = m.listeners[id]
-	}
+	// policy enforcement, fleet collectors) are deterministic. A listener
+	// cancelled during the fan-out still gets this event: ls is the
+	// snapshot taken here.
+	ls := m.listeners
 	m.mu.Unlock()
 	for _, l := range ls {
-		l(ev)
+		l.fn(ev)
 	}
 }
 

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -242,5 +243,36 @@ func TestFanOutUnderChurn(t *testing.T) {
 	// have caught fan-outs snapshotted while registered.
 	if got := churned.Load(); got > int64(churners*200*2*rounds) {
 		t.Fatalf("churned listeners saw %d events", got)
+	}
+}
+
+// A fan-out walks the listeners registered when it started: a listener
+// cancelled by an earlier one during an emit still gets that event, one
+// registered during it does not, and after the middle listener's cancel
+// the rest keep firing in registration order.
+func TestFanOutSnapshotAcrossCancel(t *testing.T) {
+	clk := vclock.NewSimulator()
+	m := New(clk)
+	var order []string
+	var cancelMiddle func()
+	m.OnEvent(func(Event) {
+		order = append(order, "first")
+		if cancelMiddle != nil {
+			cancelMiddle()
+			cancelMiddle = nil
+			m.OnEvent(func(Event) { order = append(order, "late") })
+		}
+	})
+	cancelMiddle = m.OnEvent(func(Event) { order = append(order, "middle") })
+	m.OnEvent(func(Event) { order = append(order, "last") })
+
+	m.ReportFailure("x", "")
+	if want := []string{"first", "middle", "last"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("emit during the cancel fanned out to %v, want %v", order, want)
+	}
+	order = nil
+	m.ReportFailure("y", "")
+	if want := []string{"first", "last", "late"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("emit after the cancel fanned out to %v, want %v", order, want)
 	}
 }

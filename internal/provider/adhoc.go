@@ -46,7 +46,7 @@ type AdHocCxtProvider struct {
 	// lists pre-known devices that skip inquiry.
 	btDevices []simnet.NodeID
 	known     []simnet.NodeID
-	window    *query.EventWindow
+	window    query.EventWindow
 }
 
 // AdHocConfig configures an AdHocCxtProvider.
@@ -96,7 +96,7 @@ func NewAdHoc(cfg AdHocConfig) (*AdHocCxtProvider, error) {
 		bt:        cfg.BT,
 		wifi:      cfg.WiFi,
 		known:     known,
-		window:    query.NewEventWindow(defaultEventWindow),
+		window:    *query.NewEventWindow(defaultEventWindow),
 	}
 	p.base.span = cfg.Span
 	return p, nil
@@ -337,7 +337,7 @@ func (p *AdHocCxtProvider) deliverItem(it cxt.Item, deliver bool) {
 	if v, numeric := it.NumericValue(); numeric {
 		p.window.Observe(v)
 	}
-	if !deliver && !query.EvalEvent(q.Event, p.window) {
+	if !deliver && !query.EvalEvent(q.Event, &p.window) {
 		return
 	}
 	if it.Source.Kind == 0 {

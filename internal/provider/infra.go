@@ -36,7 +36,7 @@ type InfraQuery struct {
 type InfraCxtProvider struct {
 	base
 	umts   *refs.UMTSReference
-	window *query.EventWindow
+	window query.EventWindow
 	// unsubscribe cancels the EVENT subscription; nil until Start
 	// subscribes and after Stop.
 	unsubscribe func() error
@@ -66,7 +66,7 @@ func NewInfra(cfg InfraConfig) (*InfraCxtProvider, error) {
 	p := &InfraCxtProvider{
 		base:   newBase(cfg.ID, cfg.Clock, cfg.Query, cfg.Sink, cfg.OnDone),
 		umts:   cfg.UMTS,
-		window: query.NewEventWindow(defaultEventWindow),
+		window: *query.NewEventWindow(defaultEventWindow),
 	}
 	p.base.span = cfg.Span
 	return p, nil
@@ -185,7 +185,7 @@ func (p *InfraCxtProvider) onNotification(n fuego.Notification) {
 	if v, numeric := it.NumericValue(); numeric {
 		p.window.Observe(v)
 	}
-	if q.Event != nil && !query.EvalEvent(q.Event, p.window) {
+	if q.Event != nil && !query.EvalEvent(q.Event, &p.window) {
 		return
 	}
 	p.deliverItem(it, true)

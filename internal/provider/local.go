@@ -22,7 +22,7 @@ type LocalCxtProvider struct {
 	bt       *refs.BTReference
 	gpsDev   simnet.NodeID // non-empty when the source is a BT-GPS stream
 
-	window *query.EventWindow
+	window query.EventWindow
 	// gpsOff detaches the provider from the GPS stream; nil until
 	// startGPS connects.
 	gpsOff func()
@@ -65,7 +65,7 @@ func NewLocal(cfg LocalConfig) (*LocalCxtProvider, error) {
 		internal: cfg.Internal,
 		bt:       cfg.BT,
 		gpsDev:   cfg.GPSDevice,
-		window:   query.NewEventWindow(defaultEventWindow),
+		window:   *query.NewEventWindow(defaultEventWindow),
 	}
 	p.base.span = cfg.Span
 	return p, nil
@@ -171,7 +171,7 @@ func (p *LocalCxtProvider) onFix(fix cxt.Fix) {
 		}
 	case query.ModeEvent:
 		p.window.Observe(fix.SpeedKn)
-		if !query.EvalEvent(q.Event, p.window) {
+		if !query.EvalEvent(q.Event, &p.window) {
 			return
 		}
 		if it := p.fixItem(q.Select, fix, at); p.accepts(it) {
@@ -244,7 +244,7 @@ func (p *LocalCxtProvider) sample(deliver bool) {
 		p.window.Observe(v)
 	}
 	if !deliver {
-		if !query.EvalEvent(q.Event, p.window) {
+		if !query.EvalEvent(q.Event, &p.window) {
 			return
 		}
 	}

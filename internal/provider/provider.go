@@ -72,11 +72,14 @@ type base struct {
 	sink      Sink
 	onDone    DoneFunc
 	stopped   bool
-	started   bool
-	delivered int
-	timers    []*vclock.Timer
-	spans     []*tracing.Span // long-lived operation spans, ended on stop
 	doneFired bool
+	delivered int32
+	// timers are the armed timers Stop cancels. A provider arms one or
+	// two (its DURATION and its round), so the slice starts on the
+	// inline two-slot array and only a third timer moves it to the heap.
+	timers   []*vclock.Timer
+	timerBuf [2]*vclock.Timer
+	spans    []*tracing.Span // long-lived operation spans, ended on stop
 }
 
 // newBase keeps q without copying it: queries are shared read-only (see
@@ -109,7 +112,7 @@ func (b *base) liveQuery() *query.Query {
 func (b *base) Delivered() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.delivered
+	return int(b.delivered)
 }
 
 // setQuery stores a replacement query, shared read-only like the one
@@ -127,6 +130,9 @@ func (b *base) track(t *vclock.Timer) {
 	if b.stopped {
 		t.Stop()
 		return
+	}
+	if b.timers == nil {
+		b.timers = b.timerBuf[:0]
 	}
 	b.timers = append(b.timers, t)
 }
@@ -163,6 +169,7 @@ func (b *base) stopLocked() {
 		t.Stop()
 	}
 	b.timers = nil
+	b.timerBuf = [2]*vclock.Timer{}
 	for _, sp := range b.spans {
 		sp.End()
 	}
@@ -215,7 +222,7 @@ func (b *base) emit(it cxt.Item) {
 	if b.q.Duration.IsSamples() {
 		budget = b.q.Duration.Samples
 	}
-	exhausted := budget > 0 && b.delivered >= budget
+	exhausted := budget > 0 && int(b.delivered) >= budget
 	sink := b.sink
 	b.mu.Unlock()
 	if sink != nil {

@@ -10,6 +10,7 @@ package qos
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -350,7 +351,7 @@ func (c *Controller) Admit(client string, cls Class, req Request) Decision {
 	if c.pending == 0 {
 		// New busy period: reset the weighted-fair accounting so an idle
 		// stretch does not carry stale service debt into the next burst.
-		c.served = make(map[Class]int)
+		clear(c.served)
 	}
 	c.consumeLocked(client, now)
 	c.lanes[cls] = append(c.lanes[cls], entry{id: req.ID, eligibleAt: now.Add(wait)})
@@ -387,8 +388,11 @@ func (c *Controller) Next() (string, bool) {
 	if !found {
 		return "", false
 	}
-	e := c.lanes[best][0]
-	c.lanes[best] = c.lanes[best][1:]
+	// Pop in place: the lane keeps its backing array, so later defers
+	// append into it instead of re-allocating.
+	lane := c.lanes[best]
+	e := lane[0]
+	c.lanes[best] = slices.Delete(lane, 0, 1)
 	c.pending--
 	c.served[best]++
 	c.active++
@@ -426,7 +430,7 @@ func (c *Controller) Remove(id string) bool {
 	for cls, lane := range c.lanes {
 		for i, e := range lane {
 			if e.id == id {
-				c.lanes[cls] = append(lane[:i:i], lane[i+1:]...)
+				c.lanes[cls] = slices.Delete(lane, i, i+1)
 				c.pending--
 				return true
 			}

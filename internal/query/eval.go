@@ -37,9 +37,9 @@ func EvalWhere(p *Predicate, meta cxt.Metadata) bool {
 // each observation overwrites the oldest, so observing allocates nothing
 // after the first call. Aggregates read the values oldest to newest.
 type EventWindow struct {
-	size int
 	ring []float64 // grows to size; once full, ring[head] is the oldest
-	head int
+	size int32
+	head int32
 }
 
 // NewEventWindow returns a window keeping the last size observations
@@ -48,12 +48,12 @@ func NewEventWindow(size int) *EventWindow {
 	if size < 1 {
 		size = 1
 	}
-	return &EventWindow{size: size}
+	return &EventWindow{size: int32(size)}
 }
 
 // Observe appends a value, evicting the oldest when full.
 func (w *EventWindow) Observe(v float64) {
-	if len(w.ring) < w.size {
+	if len(w.ring) < int(w.size) {
 		if w.ring == nil {
 			w.ring = make([]float64, 0, w.size)
 		}

@@ -759,3 +759,49 @@ func TestUMTSRequestSerialization(t *testing.T) {
 		t.Fatalf("refs.umts.queued after idle request = %d, want still 2", q)
 	}
 }
+
+// Requests queued behind a busy channel go out in issue order, each with
+// its own payload and callback, and every outcome is accounted once: the
+// reference observes each completion before its callback runs.
+func TestUMTSQueuedRequestsKeepTheirOwn(t *testing.T) {
+	clk, nw, srv, ref, mon := umtsRig(t)
+	reg := metrics.NewRegistry()
+	ref.SetMetrics(reg)
+	srv.HandleRequest("echo", func(r fuego.Request) (any, error) { return r.Payload, nil })
+	var got []any
+	for i := 0; i < 4; i++ {
+		want := i
+		ref.Request("echo", want, 0, func(v any, err error) {
+			if err != nil || v != want {
+				t.Errorf("request %d answered %v, %v", want, v, err)
+			}
+			got = append(got, v)
+		})
+	}
+	clk.Run(0)
+	if want := []any{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("answers %v, want %v", got, want)
+	}
+	if q := reg.Counter("refs.umts.queued").Value(); q != 3 {
+		t.Fatalf("refs.umts.queued = %d, want 3", q)
+	}
+	// Two failing requests, one queued behind the other: each is counted
+	// and reported before its callback sees the error.
+	nw.Disconnect("phone", "infra", radio.MediumUMTS)
+	failed := 0
+	for i := 0; i < 2; i++ {
+		ref.Request("echo", i, time.Second, func(_ any, err error) {
+			if err == nil || !mon.Failed("umts") {
+				t.Errorf("failed request: err %v, umts failed %v", err, mon.Failed("umts"))
+			}
+			failed++
+		})
+	}
+	clk.Run(0)
+	if failed != 2 {
+		t.Fatalf("%d failing requests completed, want 2", failed)
+	}
+	if n := reg.Counter("refs.umts.failures").Value(); n != 2 {
+		t.Fatalf("refs.umts.failures = %d, want 2", n)
+	}
+}

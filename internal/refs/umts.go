@@ -36,6 +36,12 @@ type UMTSReference struct {
 	// the channel frees. Unlike busyUntil it excludes the radio tail —
 	// the tail burns energy but does not occupy the channel.
 	reqBusyUntil time.Time
+	// queued holds the requests waiting for the data channel, in issue
+	// order. Each waits on one Post of issueQueued, the reference's bound
+	// issueNext: queued requests start in issue order, so each firing
+	// issues the head.
+	queued      []queuedRequest
+	issueQueued func()
 	// twoGOnly pins the radio to 2G. The field trials found that a 2G/3G
 	// handover during an active UMTS connection switched the phone off —
 	// unless it was set to operate only in 2G mode (§3).
@@ -120,13 +126,25 @@ func NewUMTSReference(nw *simnet.Network, id, server simnet.NodeID, umts *radio.
 	if err != nil {
 		return nil, fmt.Errorf("refs: umts: %w", err)
 	}
-	return &UMTSReference{
+	r := &UMTSReference{
 		clock:  nw.ClockFor(id),
 		client: client,
 		node:   client.Node(),
 		umts:   umts,
 		mon:    mon,
-	}, nil
+	}
+	r.issueQueued = r.issueNext
+	client.ObserveRequests(r.observeRequest)
+	return r, nil
+}
+
+// queuedRequest is one request waiting for the data channel.
+type queuedRequest struct {
+	op      string
+	payload any
+	timeout time.Duration
+	span    *tracing.Span
+	done    func(any, error)
 }
 
 // SetGSMRadio powers the cellular radio on or off. While on, GSM idle
@@ -224,29 +242,45 @@ func (r *UMTSReference) RequestTraced(op string, payload any, timeout time.Durat
 	r.markBusyAt(start, radio.UMTSGetLatency)
 	if wait := start.Sub(now); wait > 0 {
 		r.mQueued.Inc()
-		r.clock.After(wait, func() { r.issueRequest(op, payload, timeout, span, done) })
+		r.queued = append(r.queued, queuedRequest{op, payload, timeout, span, done})
+		r.clock.Post(wait, r.issueQueued)
 		return
 	}
 	r.issueRequest(op, payload, timeout, span, done)
 }
 
+// issueNext issues the longest-waiting queued request, popping it in place
+// so the queue keeps its backing array.
+func (r *UMTSReference) issueNext() {
+	q := r.queued[0]
+	n := copy(r.queued, r.queued[1:])
+	r.queued[n] = queuedRequest{}
+	r.queued = r.queued[:n]
+	r.issueRequest(q.op, q.payload, q.timeout, q.span, q.done)
+}
+
 // issueRequest performs the actual infrastructure round-trip.
 func (r *UMTSReference) issueRequest(op string, payload any, timeout time.Duration, span *tracing.Span, done func(any, error)) {
-	err := r.client.RequestTraced(op, payload, timeout, span, func(v any, err error) {
-		if err != nil {
-			r.mFailures.Inc()
-		}
-		if err != nil && r.mon != nil {
-			r.mon.ReportFailure("umts", err.Error())
-		}
-		if err == nil && r.mon != nil {
-			r.mon.ReportRecovery("umts")
-		}
-		done(v, err)
-	})
-	if err != nil {
+	if err := r.client.RequestTraced(op, payload, timeout, span, done); err != nil {
 		done(nil, err)
 	}
+}
+
+// observeRequest accounts for one completed request, before its callback
+// runs: a failure is counted and reported to the monitor, a success
+// reports the infrastructure reachable.
+func (r *UMTSReference) observeRequest(err error) {
+	if err != nil {
+		r.mFailures.Inc()
+	}
+	if r.mon == nil {
+		return
+	}
+	if err != nil {
+		r.mon.ReportFailure("umts", err.Error())
+		return
+	}
+	r.mon.ReportRecovery("umts")
 }
 
 // Node returns the underlying simnet node.

@@ -69,6 +69,13 @@ type Repository struct {
 	defaultTTL time.Duration
 	evict      draw.Stream
 	evictions  int
+	// due holds, for each type that has filled up, a lower bound on the
+	// instant its first stored item stops being servable. Until then a
+	// store on the full type skips the walk that drops unservable items:
+	// it would drop none. A missing bound forces the next full store to
+	// walk, which sets it. SetTTL, SetDefaultTTL, TTL learning and Clear
+	// drop bounds; a bound that is too low only costs an early walk.
+	due map[cxt.Type]time.Time
 }
 
 var _ Reader = (*Repository)(nil)
@@ -84,6 +91,7 @@ func New(clock vclock.Clock, cap int) *Repository {
 		cap:    cap,
 		byType: make(map[cxt.Type][]cxt.Item),
 		ttl:    make(map[cxt.Type]time.Duration),
+		due:    make(map[cxt.Type]time.Time),
 	}
 }
 
@@ -109,6 +117,7 @@ func (r *Repository) SetDefaultTTL(d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.defaultTTL = d
+	clear(r.due)
 }
 
 // SetTTL pins the servable window for one context type.
@@ -116,6 +125,7 @@ func (r *Repository) SetTTL(t cxt.Type, d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.ttl[t] = d
+	delete(r.due, t)
 }
 
 // TTLFor reports the effective servable window for a type: an explicit
@@ -142,6 +152,26 @@ func servable(it *cxt.Item, now time.Time, ttl time.Duration) bool {
 		return false
 	}
 	return ttl <= 0 || now.Sub(it.Timestamp) < ttl
+}
+
+// forever stands for "never unservable" in the walk bounds; any instant
+// later than every real bound works, since a bound too low is harmless.
+var forever = time.Date(9999, time.January, 1, 0, 0, 0, 0, time.UTC)
+
+// unservableFrom is the instant from which servable reports false for it
+// under ttl: the end of its lifetime or of its type's TTL, whichever comes
+// first, or forever when neither bounds it.
+func unservableFrom(it *cxt.Item, ttl time.Duration) time.Time {
+	end := forever
+	if it.Lifetime > 0 {
+		end = it.Timestamp.Add(it.Lifetime)
+	}
+	if ttl > 0 {
+		if t := it.Timestamp.Add(ttl); t.Before(end) {
+			end = t
+		}
+	}
+	return end
 }
 
 // Store keeps the item locally. Admission is driven by item lifetimes: an
@@ -175,15 +205,22 @@ func (r *Repository) Store(item cxt.Item) {
 	if item.Lifetime > 0 && (!pinned || item.Lifetime < cur) {
 		r.ttl[item.Type] = item.Lifetime
 		ttl = item.Lifetime
+		delete(r.due, item.Type)
 	}
 	size := item.WireSize() // every item of a type has the type's size
 	items := r.byType[item.Type]
-	if len(items) >= r.cap {
-		// Drop unservable items first (expired or past TTL).
+	due, bounded := r.due[item.Type]
+	if len(items) >= r.cap && (!bounded || !now.Before(due)) {
+		// Drop unservable items first (expired or past TTL), and bound
+		// when the first kept one stops being servable.
+		due, bounded = forever, true
 		kept := 0
 		for i := range items {
 			if !servable(&items[i], now, ttl) {
 				continue
+			}
+			if u := unservableFrom(&items[i], ttl); u.Before(due) {
+				due = u
 			}
 			if kept != i {
 				items[kept] = items[i]
@@ -192,6 +229,14 @@ func (r *Repository) Store(item cxt.Item) {
 		}
 		r.bytes -= (len(items) - kept) * size
 		items = items[:kept]
+	}
+	// Only a type that has filled up carries a bound; it takes in the
+	// incoming item.
+	if bounded {
+		if u := unservableFrom(&item, ttl); u.Before(due) {
+			due = u
+		}
+		r.due[item.Type] = due
 	}
 	for len(items) >= r.cap {
 		// Seeded eviction over the older half; the incoming item, the
@@ -349,4 +394,5 @@ func (r *Repository) Clear() {
 	defer r.mu.Unlock()
 	r.byType = make(map[cxt.Type][]cxt.Item)
 	r.bytes = 0
+	clear(r.due)
 }

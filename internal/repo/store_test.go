@@ -264,3 +264,63 @@ func BenchmarkRepoStore(b *testing.B) {
 		benchBytes = r.MemoryBytes()
 	}
 }
+
+// A full type's store skips the unservable walk only while no stored item
+// can have become unservable. When the type's TTL shrinks, by SetTTL,
+// SetDefaultTTL or a learned item lifetime, the very next store still
+// drops the items that just became unservable, keeping what the former
+// store keeps.
+func TestStoreAfterTTLShrink(t *testing.T) {
+	const longTTL, shrunk = time.Hour, 4 * time.Second
+	shrinks := map[string]func(r *Repository, o *storeOracle, it cxt.Item) cxt.Item{
+		"SetTTL": func(r *Repository, o *storeOracle, it cxt.Item) cxt.Item {
+			r.SetTTL(cxt.TypeLocation, shrunk)
+			o.ttl[cxt.TypeLocation] = shrunk
+			return it
+		},
+		"SetDefaultTTL": func(r *Repository, o *storeOracle, it cxt.Item) cxt.Item {
+			r.SetDefaultTTL(shrunk)
+			o.defaultTTL = shrunk
+			return it
+		},
+		"learned lifetime": func(_ *Repository, _ *storeOracle, it cxt.Item) cxt.Item {
+			it.Lifetime = shrunk
+			return it
+		},
+	}
+	for name, shrink := range shrinks {
+		t.Run(name, func(t *testing.T) {
+			clk := vclock.NewSimulator()
+			r := New(clk, DefaultLocalCap)
+			r.SetEvictionSeed(7)
+			r.SetDefaultTTL(longTTL)
+			o := newStoreOracle(clk, DefaultLocalCap, 7, longTTL)
+			store := func(it cxt.Item) {
+				r.Store(it)
+				o.Store(it)
+			}
+			// Fill the type one second apart, then store past full so the
+			// walk bound is known and the next walk would be an hour away.
+			for i := 0; i < DefaultLocalCap+3; i++ {
+				store(item(cxt.TypeLocation, float64(i), clk.Now()))
+				clk.Advance(time.Second)
+			}
+			evictions := r.Evictions()
+			store(shrink(r, o, item(cxt.TypeLocation, -1, clk.Now())))
+			// Items stamped 4 s or more before now are past the shrunk TTL:
+			// only the three younger ones and the incoming item remain.
+			if got := r.Len(cxt.TypeLocation); got != 4 {
+				t.Fatalf("Len after the shrink = %d, want 4", got)
+			}
+			if r.Evictions() != evictions {
+				t.Fatalf("the shrink's store evicted %d items, want none", r.Evictions()-evictions)
+			}
+			if got, want := r.Recent(cxt.TypeLocation, 0), o.Recent(cxt.TypeLocation); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Recent = %v, oracle %v", got, want)
+			}
+			if r.MemoryBytes() != o.MemoryBytes() {
+				t.Fatalf("MemoryBytes = %d, oracle %d", r.MemoryBytes(), o.MemoryBytes())
+			}
+		})
+	}
+}

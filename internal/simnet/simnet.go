@@ -301,8 +301,10 @@ type Network struct {
 	clock *vclock.Simulator
 
 	// lanes > 0 shards nodes across that many vclock lanes (set once by
-	// EnableSharding before any node exists, read-only afterwards).
-	lanes int
+	// EnableSharding before any node exists, read-only afterwards), and
+	// laneClocks holds each lane's Clock handle, made there too.
+	lanes      int
+	laneClocks []*vclock.Lane
 
 	mu       sync.Mutex
 	nodes    map[NodeID]*Node
@@ -369,6 +371,10 @@ func (nw *Network) EnableSharding(n int) error {
 		return fmt.Errorf("simnet: sharding must be enabled before nodes are added (%d exist)", len(nw.nodes))
 	}
 	nw.lanes = n
+	nw.laneClocks = make([]*vclock.Lane, n)
+	for i := range nw.laneClocks {
+		nw.laneClocks[i] = nw.clock.Lane(i)
+	}
 	return nil
 }
 
@@ -395,7 +401,7 @@ func (nw *Network) ClockFor(id NodeID) vclock.Clock {
 	if nw.lanes <= 0 {
 		return nw.clock
 	}
-	return nw.clock.Lane(int(nw.LaneOf(id)))
+	return nw.laneClocks[nw.LaneOf(id)]
 }
 
 // SetMetrics attaches a metrics registry: frames sent, delivered and

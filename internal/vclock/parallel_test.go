@@ -279,3 +279,78 @@ func TestRunParallelAdvancesClockToDeadline(t *testing.T) {
 		t.Fatalf("SinceEpoch() = %v after empty parallel run, want 1m", got)
 	}
 }
+
+// Post draws the ordering key After would: a script that schedules through
+// After and one that swaps a varying share of those calls for Post run
+// each lane's callbacks in the same order at the same times, on the global
+// lane and on lane handles, serially and in parallel.
+func TestPostOrdersLikeAfter(t *testing.T) {
+	type rec struct {
+		id int
+		at time.Duration
+	}
+	// run returns each clock's callbacks in execution order: a clock's
+	// events run on its own lane, so each list has one writer.
+	run := func(post func(i int) bool, parallel bool) [4][]rec {
+		s := NewSimulator()
+		var got [4][]rec
+		clocks := [4]Clock{s, s.Lane(0), s.Lane(1), s.Lane(2)}
+		var schedule func(i, depth int)
+		schedule = func(i, depth int) {
+			k := i % len(clocks)
+			d := time.Duration(i%3) * time.Second // ties across lanes and calls
+			fn := func() {
+				got[k] = append(got[k], rec{i, s.SinceEpoch()})
+				if depth < 2 {
+					schedule(i*7+depth+1, depth+1)
+				}
+			}
+			if post(i) {
+				clocks[k].Post(d, fn)
+			} else {
+				clocks[k].After(d, fn)
+			}
+		}
+		for i := 0; i < 40; i++ {
+			schedule(i, 0)
+		}
+		if parallel {
+			s.RunParallelUntil(s.Now().Add(10*time.Second), 4)
+		} else {
+			s.Advance(10 * time.Second)
+		}
+		return got
+	}
+	for _, parallel := range []bool{false, true} {
+		want := run(func(int) bool { return false }, parallel)
+		for name, post := range map[string]func(int) bool{
+			"all":  func(int) bool { return true },
+			"odd":  func(i int) bool { return i%2 == 1 },
+			"some": func(i int) bool { return i%5 < 2 },
+		} {
+			got := run(post, parallel)
+			for k := range got {
+				if !slices.Equal(got[k], want[k]) {
+					t.Fatalf("parallel=%v, Post for %s ids, clock %d: order %v, After order %v",
+						parallel, name, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
+// Scheduling with Post allocates nothing once the event free list is
+// warm: it makes no Timer.
+func TestPostAllocs(t *testing.T) {
+	s := NewSimulator()
+	lane := s.Lane(3)
+	noop := func() {}
+	round := func() {
+		s.Post(time.Millisecond, noop)
+		lane.Post(time.Millisecond, noop)
+		s.Advance(time.Millisecond)
+	}
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Fatalf("Post allocates %v times per round, want 0", got)
+	}
+}

@@ -64,6 +64,12 @@ type Clock interface {
 	// Every schedules fn to run every d, first firing d from Now, until the
 	// returned Timer is stopped. d must be > 0.
 	Every(d time.Duration, fn func()) *Timer
+	// Post schedules fn to run once d after Now, like After, but returns
+	// no Timer: the event cannot be stopped, and scheduling it allocates
+	// nothing once the event free list is warm. It draws the same
+	// ordering key After would, so an After whose Timer nobody keeps can
+	// become a Post without moving any event. d < 0 is treated as 0.
+	Post(d time.Duration, fn func())
 }
 
 // GlobalLane is the lane of events not bound to any device shard. In
@@ -252,6 +258,11 @@ func (s *Simulator) afterIn(origin, lane int32, d time.Duration, fn func()) *Tim
 	return t
 }
 
+// Post implements Clock; the event is scheduled on the global lane.
+func (s *Simulator) Post(d time.Duration, fn func()) {
+	s.AfterFrom(GlobalLane, GlobalLane, d, fn)
+}
+
 // AfterFrom schedules fn to run in execution lane exec, d from now, with the
 // deterministic ordering key taken from lane origin. It is the cross-lane
 // scheduling primitive: a message send executes sender-side (origin = the
@@ -325,6 +336,11 @@ func (l *Lane) Now() time.Time { return l.s.Now() }
 // After implements Clock on the lane's shard.
 func (l *Lane) After(d time.Duration, fn func()) *Timer {
 	return l.s.afterIn(l.id, l.id, d, fn)
+}
+
+// Post implements Clock on the lane's shard.
+func (l *Lane) Post(d time.Duration, fn func()) {
+	l.s.AfterFrom(l.id, l.id, d, fn)
 }
 
 // Every implements Clock on the lane's shard.
