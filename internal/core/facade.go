@@ -60,7 +60,7 @@ func (m Mechanism) String() string {
 // by the ContextFactory so the Facade stays mechanism-agnostic. span is the
 // provider's "assign" span (nil when tracing is off), under which the
 // provider opens its radio-operation child spans.
-type providerMaker func(id string, q *query.Query, sink provider.Sink, onDone provider.DoneFunc, span *tracing.Span) (provider.Provider, error)
+type providerMaker func(q *query.Query, sink provider.Sink, onDone provider.DoneFunc, span *tracing.Span) (provider.Provider, error)
 
 // managed is one running provider together with the original queries whose
 // results are post-extracted from its stream.
@@ -331,7 +331,7 @@ func (f *Facade) submit(queryID string, q *query.Query, mergeEnabled bool, paren
 	f.auditAdd(f.balProviders, 1)
 	f.auditAdd(f.balSubs, 1)
 
-	prov, err := f.make(provID, q, f.sinkFor(provID), f.doneFor(provID), span)
+	prov, err := f.make(q, f.sinkFor(provID), f.doneFor(provID), span)
 	if err != nil {
 		f.removeFailed(provID)
 		span.SetAttr("error", err.Error())
@@ -391,16 +391,11 @@ func (f *Facade) sinkFor(provID string) provider.Sink {
 	}
 }
 
-// doneFor returns the provider-completion callback: the merged query's
-// lifetime elapsed, so every remaining original expires. The finished
-// provider is stopped outside the facade lock, as Cancel stops one, so
-// its teardown runs: a GPS-backed provider detaches from the stream, an
-// event query drops its infrastructure subscription. The callback may run
-// inside the provider's own source callback (an on-demand GPS query
-// finishes on the fix that answers it); sources call their consumers
-// outside their own locks, so the detach is safe there. Once the entry is
-// removed nothing attaches to or detaches from it, so its subscriber
-// snapshot is final and expires as it stands.
+// doneFor returns the provider-completion callback: the provider's
+// on-demand round completed, so every remaining original expires. The
+// provider has already stopped itself, releasing what it held. Once the
+// entry is removed nothing attaches to or detaches from it, so its
+// subscriber snapshot is final and expires as it stands.
 func (f *Facade) doneFor(provID string) provider.DoneFunc {
 	return func() {
 		f.mu.Lock()
@@ -411,9 +406,6 @@ func (f *Facade) doneFor(provID string) provider.DoneFunc {
 		}
 		m.span.End()
 		f.released(1, len(m.subs))
-		if m.prov != nil {
-			m.prov.Stop()
-		}
 		if f.onExpire != nil {
 			for _, s := range m.subs {
 				f.onExpire(s.id)

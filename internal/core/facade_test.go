@@ -18,7 +18,6 @@ import (
 // fakeProvider is a controllable Provider for facade unit tests.
 type fakeProvider struct {
 	mu      sync.Mutex
-	id      string
 	q       *query.Query
 	started bool
 	stopped bool
@@ -27,7 +26,6 @@ type fakeProvider struct {
 	onDone  provider.DoneFunc
 }
 
-func (p *fakeProvider) ID() string { return p.id }
 func (p *fakeProvider) Query() *query.Query {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -50,8 +48,6 @@ func (p *fakeProvider) Stop() {
 	defer p.mu.Unlock()
 	p.stopped = true
 }
-func (p *fakeProvider) Delivered() int { return 0 }
-
 func (p *fakeProvider) emit(it cxt.Item) { p.sink(it) }
 
 // facadeRig builds a Facade with fake providers and recording callbacks.
@@ -72,11 +68,11 @@ func newFacadeRig(t *testing.T) *facadeRig {
 		delivered: make(map[string][]cxt.Item),
 	}
 	r.fac = newFacade(MechanismAdHoc, r.clk,
-		func(id string, q *query.Query, sink provider.Sink, onDone provider.DoneFunc, span *tracing.Span) (provider.Provider, error) {
+		func(q *query.Query, sink provider.Sink, onDone provider.DoneFunc, span *tracing.Span) (provider.Provider, error) {
 			if r.makeErr != nil {
 				return nil, r.makeErr
 			}
-			p := &fakeProvider{id: id, q: q.Clone(), sink: sink, onDone: onDone}
+			p := &fakeProvider{q: q.Clone(), sink: sink, onDone: onDone}
 			r.providers = append(r.providers, p)
 			return p, nil
 		},

@@ -583,8 +583,8 @@ func (f *Factory) cancelEverywhere(queryID string) {
 	}
 }
 
-// onExpire handles a facade's notification that a provider's merged
-// query lifetime elapsed for one of its original queries.
+// onExpire handles a facade's notification that a provider's on-demand
+// round completed for one of its original queries.
 func (f *Factory) onExpire(queryID string) {
 	f.finishQuery(queryID, metrics.EventExpired)
 }
@@ -781,9 +781,9 @@ func (f *Factory) localUsesGPS(q *query.Query) bool {
 }
 
 // makeLocal is the LocalFacade's provider maker.
-func (f *Factory) makeLocal(id string, q *query.Query, sink provider.Sink, onDone provider.DoneFunc, span *tracing.Span) (provider.Provider, error) {
+func (f *Factory) makeLocal(q *query.Query, sink provider.Sink, onDone provider.DoneFunc, span *tracing.Span) (provider.Provider, error) {
 	cfg := provider.LocalConfig{
-		ID: id, Clock: f.clock, Query: q, Sink: sink, OnDone: onDone,
+		Clock: f.clock, Query: q, Sink: sink, OnDone: onDone,
 		Internal: f.dev.Internal, Span: span,
 	}
 	if f.localUsesGPS(q) {
@@ -796,7 +796,7 @@ func (f *Factory) makeLocal(id string, q *query.Query, sink provider.Sink, onDon
 // makeAdHoc is the AdHocFacade's provider maker: WiFi for multi-hop, and
 // for one-hop queries WiFi by default (no 13-s inquiry) unless the
 // reducePower policy or missing hardware selects BT.
-func (f *Factory) makeAdHoc(id string, q *query.Query, sink provider.Sink, onDone provider.DoneFunc, span *tracing.Span) (provider.Provider, error) {
+func (f *Factory) makeAdHoc(q *query.Query, sink provider.Sink, onDone provider.DoneFunc, span *tracing.Span) (provider.Provider, error) {
 	f.mu.Lock()
 	preferBT := f.preferBTOneHop
 	f.mu.Unlock()
@@ -811,15 +811,15 @@ func (f *Factory) makeAdHoc(id string, q *query.Query, sink provider.Sink, onDon
 		return nil, fmt.Errorf("%w: no wifi reference for multi-hop ad hoc", provider.ErrNoSource)
 	}
 	return provider.NewAdHoc(provider.AdHocConfig{
-		ID: id, Clock: f.clock, Query: q, Sink: sink, OnDone: onDone,
+		Clock: f.clock, Query: q, Sink: sink, OnDone: onDone,
 		Transport: transport, BT: f.dev.BT, WiFi: f.dev.WiFi, Span: span,
 	})
 }
 
 // makeInfra is the InfraFacade's provider maker.
-func (f *Factory) makeInfra(id string, q *query.Query, sink provider.Sink, onDone provider.DoneFunc, span *tracing.Span) (provider.Provider, error) {
+func (f *Factory) makeInfra(q *query.Query, sink provider.Sink, onDone provider.DoneFunc, span *tracing.Span) (provider.Provider, error) {
 	return provider.NewInfra(provider.InfraConfig{
-		ID: id, Clock: f.clock, Query: q, Sink: sink, OnDone: onDone,
+		Clock: f.clock, Query: q, Sink: sink, OnDone: onDone,
 		UMTS: f.dev.UMTS, Span: span,
 	})
 }

@@ -78,8 +78,8 @@ func fanoutFixture(tb testing.TB, ids ...string) (fac *Facade, p *fakeProvider, 
 	clk := vclock.NewSimulator()
 	delivered = new(int)
 	fac = newFacade(MechanismAdHoc, clk,
-		func(id string, q *query.Query, sink provider.Sink, onDone provider.DoneFunc, span *tracing.Span) (provider.Provider, error) {
-			p = &fakeProvider{id: id, q: q, sink: sink, onDone: onDone}
+		func(q *query.Query, sink provider.Sink, onDone provider.DoneFunc, span *tracing.Span) (provider.Provider, error) {
+			p = &fakeProvider{q: q, sink: sink, onDone: onDone}
 			return p, nil
 		},
 		func(string, cxt.Item) { *delivered++ },
@@ -270,13 +270,12 @@ func (fx *submitFixture) submit(tb testing.TB) {
 //   - the DURATION expiry timer and its callback: 2;
 //   - the managed entry, the provider id string, and the entry's sink
 //     and done callbacks: 4;
-//   - the provider, its DURATION timer and bound finish, and its
-//     on-demand round's timer and callback: 5;
+//   - the provider and its on-demand round's timer and callback: 3;
 //   - the UMTS request: its wire query and answer callback, the
 //     envelope that goes out and comes back, and the timeout's timer and
 //     callback (the pending entry is held by value in the client's map):
 //     5.
-const submitAllocs = 3 + 2 + 4 + 5 + 5
+const submitAllocs = 3 + 2 + 4 + 3 + 5
 
 // A warmed factory with the answer cache and QoS on runs one extInfra
 // query through submission, cache miss, admission, provider start, one

@@ -10,8 +10,9 @@ import (
 )
 
 // sharedQueries returns every query the factory holds for its live
-// queries: the factory's own copies, each facade stream's merged query and
-// subscribers, and each provider's Query().
+// queries: the factory's own copies, and each facade stream's merged query
+// (the one its provider holds: the facade hands it over at creation and on
+// every UpdateQuery) and subscribers.
 func sharedQueries(f *Factory) []*query.Query {
 	var out []*query.Query
 	f.mu.Lock()
@@ -26,9 +27,6 @@ func sharedQueries(f *Factory) []*query.Query {
 			out = append(out, mg.merged)
 			for _, s := range mg.subs {
 				out = append(out, s.q)
-			}
-			if mg.prov != nil {
-				out = append(out, mg.prov.Query())
 			}
 		}
 		fac.mu.Unlock()

@@ -51,10 +51,11 @@ type AdHocCxtProvider struct {
 
 // AdHocConfig configures an AdHocCxtProvider.
 type AdHocConfig struct {
-	ID        string
-	Clock     vclock.Clock
-	Query     *query.Query
-	Sink      Sink
+	Clock vclock.Clock
+	Query *query.Query
+	Sink  Sink
+	// OnDone fires when an on-demand query's one collection round
+	// completes.
 	OnDone    DoneFunc
 	Transport Transport
 	BT        *refs.BTReference   // required for TransportBT
@@ -90,30 +91,24 @@ func NewAdHoc(cfg AdHocConfig) (*AdHocCxtProvider, error) {
 	}
 	known := make([]simnet.NodeID, len(cfg.KnownDevices))
 	copy(known, cfg.KnownDevices)
-	p := &AdHocCxtProvider{
-		base:      newBase(cfg.ID, cfg.Clock, cfg.Query, cfg.Sink, cfg.OnDone),
+	return &AdHocCxtProvider{
+		base:      newBase(cfg.Clock, cfg.Query, cfg.Sink, cfg.OnDone, cfg.Span),
 		transport: cfg.Transport,
 		bt:        cfg.BT,
 		wifi:      cfg.WiFi,
 		known:     known,
 		window:    *query.NewEventWindow(defaultEventWindow),
-	}
-	p.base.span = cfg.Span
-	return p, nil
+	}, nil
 }
 
 // Transport returns the provider's transport.
 func (p *AdHocCxtProvider) Transport() Transport { return p.transport }
-
-// UpdateQuery implements Provider.
-func (p *AdHocCxtProvider) UpdateQuery(q *query.Query) { p.setQuery(q) }
 
 // Start implements Provider.
 func (p *AdHocCxtProvider) Start() error {
 	if p.isStopped() {
 		return ErrStopped
 	}
-	p.armDuration()
 	if p.transport == TransportBT {
 		if len(p.known) > 0 {
 			// Pre-known device list: skip the ≈13-s inquiry.
@@ -140,11 +135,15 @@ func (p *AdHocCxtProvider) onBTDevices(devs []simnet.NodeID) {
 	if p.isStopped() {
 		return
 	}
+	if len(devs) == 0 {
+		p.scheduleBT() // no devices found: on-demand will finish empty
+		return
+	}
 	q := p.liveQuery()
-	pendingSDP := 0
+	// Every exchange is counted before the first is sent, so one that
+	// fails synchronously cannot schedule the collection early, or twice.
+	pendingSDP := len(devs)
 	for _, dev := range devs {
-		dev := dev
-		pendingSDP++
 		sdp := p.span.Child("bt.sdp")
 		sdp.SetAttr("device", string(dev))
 		p.bt.DiscoverServices(dev, func(names []string, err error) {
@@ -168,9 +167,6 @@ func (p *AdHocCxtProvider) onBTDevices(devs []simnet.NodeID) {
 			}
 		})
 	}
-	if pendingSDP == 0 {
-		p.scheduleBT() // no devices found: on-demand will finish empty
-	}
 }
 
 func (p *AdHocCxtProvider) scheduleBT() {
@@ -182,9 +178,9 @@ func (p *AdHocCxtProvider) scheduleBT() {
 	case query.ModeOnDemand:
 		p.collectBT(true)
 	case query.ModePeriodic:
-		p.track(p.clock.Every(q.Every, func() { p.collectBT(true) }))
+		p.armEvery(func() { p.collectBT(true) })
 	case query.ModeEvent:
-		p.track(p.clock.Every(defaultSensorPoll, func() { p.collectBT(false) }))
+		p.arm(p.clock.Every(defaultSensorPoll, func() { p.collectBT(false) }))
 	}
 }
 
@@ -219,7 +215,7 @@ func (p *AdHocCxtProvider) collectBT(deliver bool) {
 	}
 	if q.Mode() == query.ModeOnDemand {
 		// One round only; completion after the round's replies drain.
-		p.track(p.clock.After(btRoundGrace, p.finish))
+		p.arm(p.clock.After(btRoundGrace, p.finish))
 	}
 }
 
@@ -235,14 +231,14 @@ func (p *AdHocCxtProvider) scheduleWiFi() {
 	q := p.liveQuery()
 	switch q.Mode() {
 	case query.ModeOnDemand:
-		p.track(p.clock.After(0, func() { p.collectWiFi(true, true) }))
+		p.arm(p.clock.After(0, func() { p.collectWiFi(true, true) }))
 	case query.ModePeriodic:
-		p.track(p.clock.Every(q.Every, func() { p.collectWiFi(true, false) }))
+		p.armEvery(func() { p.collectWiFi(true, false) })
 	case query.ModeEvent:
 		// Event queries ship the EVENT predicate with the SM-FINDER so it
 		// is evaluated at the provider's node (§5.2); each round that
 		// fires returns the triggering values.
-		p.track(p.clock.Every(defaultSensorPoll, func() { p.collectWiFi(false, false) }))
+		p.arm(p.clock.Every(defaultSensorPoll, func() { p.collectWiFi(false, false) }))
 	}
 }
 

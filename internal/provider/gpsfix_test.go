@@ -41,7 +41,7 @@ func newGPSFixRig(tb testing.TB) *gpsFixRig {
 	}
 	r := &gpsFixRig{clk: clk}
 	p, err := NewLocal(LocalConfig{
-		ID: "p1", Clock: clk,
+		Clock:     clk,
 		Query:     query.MustParse("SELECT location FROM intSensor DURATION 2 hour EVERY 1 hour"),
 		Sink:      func(it cxt.Item) { r.items = append(r.items, it) },
 		BT:        bt,

@@ -37,17 +37,15 @@ type InfraCxtProvider struct {
 	base
 	umts   *refs.UMTSReference
 	window query.EventWindow
-	// unsubscribe cancels the EVENT subscription; nil until Start
-	// subscribes and after Stop.
-	unsubscribe func() error
 }
 
 // InfraConfig configures an InfraCxtProvider.
 type InfraConfig struct {
-	ID     string
-	Clock  vclock.Clock
-	Query  *query.Query
-	Sink   Sink
+	Clock vclock.Clock
+	Query *query.Query
+	Sink  Sink
+	// OnDone fires when an on-demand query's one request is answered or
+	// fails.
 	OnDone DoneFunc
 	UMTS   *refs.UMTSReference
 	// Span is the provider's trace span; UMTS request rounds open child
@@ -63,17 +61,12 @@ func NewInfra(cfg InfraConfig) (*InfraCxtProvider, error) {
 	if cfg.UMTS == nil {
 		return nil, fmt.Errorf("%w: infra provider needs a UMTSReference", ErrNoSource)
 	}
-	p := &InfraCxtProvider{
-		base:   newBase(cfg.ID, cfg.Clock, cfg.Query, cfg.Sink, cfg.OnDone),
+	return &InfraCxtProvider{
+		base:   newBase(cfg.Clock, cfg.Query, cfg.Sink, cfg.OnDone, cfg.Span),
 		umts:   cfg.UMTS,
 		window: *query.NewEventWindow(defaultEventWindow),
-	}
-	p.base.span = cfg.Span
-	return p, nil
+	}, nil
 }
-
-// UpdateQuery implements Provider.
-func (p *InfraCxtProvider) UpdateQuery(q *query.Query) { p.setQuery(q) }
 
 // Start implements Provider. The GSM radio must be on to use the
 // infrastructure; the provider switches it on.
@@ -82,13 +75,12 @@ func (p *InfraCxtProvider) Start() error {
 		return ErrStopped
 	}
 	p.umts.SetGSMRadio(true)
-	p.armDuration()
 	q := p.liveQuery()
 	switch q.Mode() {
 	case query.ModeOnDemand:
-		p.track(p.clock.After(0, func() { p.request(true, true) }))
+		p.arm(p.clock.After(0, func() { p.request(true, true) }))
 	case query.ModePeriodic:
-		p.track(p.clock.Every(q.Every, func() { p.request(true, false) }))
+		p.armEvery(func() { p.request(true, false) })
 	case query.ModeEvent:
 		// Subscribe to the context type's channel; evaluate the EVENT
 		// predicate on arriving updates.
@@ -101,26 +93,13 @@ func (p *InfraCxtProvider) Start() error {
 			return err
 		}
 		sub.End()
-		p.mu.Lock()
-		p.unsubscribe = unsubscribe
-		p.mu.Unlock()
+		// Stopping drops the subscription. Other queries' registrations
+		// on the same channel keep the phone subscribed. A failed send
+		// leaves only the server's entry behind: the handler is gone, so
+		// no notification reaches this provider.
+		p.onRelease(func() { _ = unsubscribe() })
 	}
 	return nil
-}
-
-// Stop implements Provider, dropping the event subscription if any. Other
-// queries' registrations on the same channel keep the phone subscribed.
-func (p *InfraCxtProvider) Stop() {
-	p.mu.Lock()
-	unsubscribe := p.unsubscribe
-	p.unsubscribe = nil
-	p.mu.Unlock()
-	if unsubscribe != nil {
-		// A failed send leaves only the server's entry behind: the
-		// handler is gone, so no notification reaches this provider.
-		_ = unsubscribe()
-	}
-	p.base.Stop()
 }
 
 // infraQueryFrom converts the provider's query into its wire form.

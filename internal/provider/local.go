@@ -23,9 +23,6 @@ type LocalCxtProvider struct {
 	gpsDev   simnet.NodeID // non-empty when the source is a BT-GPS stream
 
 	window query.EventWindow
-	// gpsOff detaches the provider from the GPS stream; nil until
-	// startGPS connects.
-	gpsOff func()
 	// lastFix is the latest GPS fix and lastFixAt its arrival time. The
 	// fix is kept by value: its item is built only when it is emitted.
 	lastFix     cxt.Fix
@@ -35,11 +32,10 @@ type LocalCxtProvider struct {
 
 // LocalConfig configures a LocalCxtProvider.
 type LocalConfig struct {
-	ID    string
 	Clock vclock.Clock
 	Query *query.Query
 	Sink  Sink
-	// OnDone fires when the query lifetime elapses.
+	// OnDone fires when an on-demand query's one reading is delivered.
 	OnDone DoneFunc
 	// Internal provides integrated sensors (optional).
 	Internal *refs.InternalReference
@@ -60,29 +56,23 @@ func NewLocal(cfg LocalConfig) (*LocalCxtProvider, error) {
 	if cfg.Internal == nil && cfg.BT == nil {
 		return nil, fmt.Errorf("%w: local provider needs a sensor reference", ErrNoSource)
 	}
-	p := &LocalCxtProvider{
-		base:     newBase(cfg.ID, cfg.Clock, cfg.Query, cfg.Sink, cfg.OnDone),
+	return &LocalCxtProvider{
+		base:     newBase(cfg.Clock, cfg.Query, cfg.Sink, cfg.OnDone, cfg.Span),
 		internal: cfg.Internal,
 		bt:       cfg.BT,
 		gpsDev:   cfg.GPSDevice,
 		window:   *query.NewEventWindow(defaultEventWindow),
-	}
-	p.base.span = cfg.Span
-	return p, nil
+	}, nil
 }
 
 // defaultEventWindow is the sliding-window size for EVENT aggregates.
 const defaultEventWindow = 16
-
-// UpdateQuery implements Provider.
-func (p *LocalCxtProvider) UpdateQuery(q *query.Query) { p.setQuery(q) }
 
 // Start implements Provider.
 func (p *LocalCxtProvider) Start() error {
 	if p.isStopped() {
 		return ErrStopped
 	}
-	p.armDuration()
 	q := p.liveQuery()
 
 	if p.usesGPS(q) {
@@ -90,13 +80,13 @@ func (p *LocalCxtProvider) Start() error {
 	}
 	switch q.Mode() {
 	case query.ModeOnDemand:
-		p.track(p.clock.After(0, func() { p.sample(true) }))
+		p.arm(p.clock.After(0, func() { p.sample(true) }))
 	case query.ModePeriodic:
-		p.track(p.clock.Every(q.Every, func() { p.sample(true) }))
+		p.armEvery(func() { p.sample(true) })
 	case query.ModeEvent:
 		// Sample at the sensor's natural rate; deliver when the event
 		// condition holds.
-		p.track(p.clock.Every(defaultSensorPoll, func() { p.sample(false) }))
+		p.arm(p.clock.Every(defaultSensorPoll, func() { p.sample(false) }))
 	}
 	return nil
 }
@@ -125,33 +115,24 @@ func (p *LocalCxtProvider) startGPS(q *query.Query) error {
 		return fmt.Errorf("provider: local gps: %w", err)
 	}
 	connect.End()
-	p.mu.Lock()
-	p.gpsOff = off
-	p.mu.Unlock()
 	stream := p.span.Child("gps.stream")
 	stream.SetAttr("device", string(p.gpsDev))
-	p.trackSpan(stream)
+	// Whichever path stops the provider detaches it from the stream. An
+	// on-demand query's finish runs the detach inside the stream's own fix
+	// callback, which the reference calls outside its lock.
+	p.onRelease(func() {
+		off()
+		stream.End()
+	})
 	switch q.Mode() {
 	case query.ModeOnDemand:
 		// Deliver the first fix that arrives; onFix handles it.
 	case query.ModePeriodic:
-		p.track(p.clock.Every(q.Every, p.emitLastFix))
+		p.armEvery(p.emitLastFix)
 	case query.ModeEvent:
 		// onFix evaluates the event window per sample.
 	}
 	return nil
-}
-
-// Stop implements Provider, also detaching from the GPS stream.
-func (p *LocalCxtProvider) Stop() {
-	p.mu.Lock()
-	off := p.gpsOff
-	p.gpsOff = nil
-	p.mu.Unlock()
-	if off != nil {
-		off()
-	}
-	p.base.Stop()
 }
 
 func (p *LocalCxtProvider) onFix(fix cxt.Fix) {

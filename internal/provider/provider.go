@@ -37,69 +37,56 @@ var (
 // Sink receives the items a provider collects.
 type Sink func(cxt.Item)
 
-// DoneFunc is invoked once when a provider's query lifetime (DURATION)
-// elapses or its sample budget is exhausted.
+// DoneFunc is invoked once when a provider's on-demand round completes: its
+// one retrieval was answered, failed or timed out. A query's DURATION and
+// SAMPLES budget are the ContextFactory's to enforce; a periodic or
+// event-based provider streams until it is stopped.
 type DoneFunc func()
 
 // Provider is a running context provisioning worker. Each CxtProvider is
 // assigned to exactly one (single or merged) query at a time.
 type Provider interface {
-	// ID identifies the provider within its facade.
-	ID() string
-	// Query returns the provider's current (possibly merged) query.
-	Query() *query.Query
-	// UpdateQuery replaces the provider's query after a merge; the
-	// provider adapts its rate and filters without restarting.
-	UpdateQuery(q *query.Query)
 	// Start begins provisioning.
 	Start() error
 	// Stop halts provisioning; idempotent.
 	Stop()
-	// Delivered returns how many items the provider has emitted.
-	Delivered() int
+	// UpdateQuery replaces the provider's query after a merge or a
+	// re-narrowing; the provider adapts its filters and, when the EVERY
+	// changed, its periodic round without restarting.
+	UpdateQuery(q *query.Query)
 }
 
-// base carries the lifecycle shared by all providers: query storage,
-// duration/sample accounting, timers, the sink, and the provider's trace
-// span (nil when tracing is off; every span operation is nil-safe).
+// base carries what all providers share: the stored query, the sink, the
+// one armed round, the release hook, and the provider's trace span (nil
+// when tracing is off; every span operation is nil-safe).
 type base struct {
-	id    string
 	clock vclock.Clock
 	span  *tracing.Span // the facade's "assign" span for this provider
 
-	mu        sync.Mutex
-	q         *query.Query
-	sink      Sink
-	onDone    DoneFunc
-	stopped   bool
-	doneFired bool
-	delivered int32
-	// timers are the armed timers Stop cancels. A provider arms one or
-	// two (its DURATION and its round), so the slice starts on the
-	// inline two-slot array and only a third timer moves it to the heap.
-	timers   []*vclock.Timer
-	timerBuf [2]*vclock.Timer
-	spans    []*tracing.Span // long-lived operation spans, ended on stop
+	mu      sync.Mutex
+	q       *query.Query
+	sink    Sink
+	onDone  DoneFunc
+	stopped bool
+	// round is the provider's one armed timer: its on-demand round or its
+	// periodic or event-poll tick. tick is the periodic round's callback,
+	// kept so UpdateQuery can re-arm it at a new EVERY; nil for other
+	// rounds.
+	round *vclock.Timer
+	tick  func()
+	// release frees what Start acquired beyond the round (a GPS stream, a
+	// Fuego subscription); stop runs it once, whichever path stops.
+	release func()
 }
 
 // newBase keeps q without copying it: queries are shared read-only (see
 // query.Query).
-func newBase(id string, clock vclock.Clock, q *query.Query, sink Sink, onDone DoneFunc) base {
-	return base{id: id, clock: clock, q: q, sink: sink, onDone: onDone}
-}
-
-// ID implements Provider.
-func (b *base) ID() string { return b.id }
-
-// Query implements Provider.
-func (b *base) Query() *query.Query {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.q.Clone()
+func newBase(clock vclock.Clock, q *query.Query, sink Sink, onDone DoneFunc, span *tracing.Span) base {
+	return base{clock: clock, span: span, q: q, sink: sink, onDone: onDone}
 }
 
 // liveQuery returns the stored query without cloning it, for the
-// provider's own per-round reads. setQuery replaces the stored query
+// provider's own per-round reads. UpdateQuery replaces the stored query
 // wholesale and nothing mutates it in place (see query.Query), so callers
 // may read the result freely but must never modify it.
 func (b *base) liveQuery() *query.Query {
@@ -108,72 +95,77 @@ func (b *base) liveQuery() *query.Query {
 	return b.q
 }
 
-// Delivered implements Provider.
-func (b *base) Delivered() int {
+// UpdateQuery implements Provider. The query is shared read-only like the
+// one newBase keeps. A periodic round whose EVERY changed is re-armed at
+// the new period: its first tick fires one new period after the update.
+func (b *base) UpdateQuery(q *query.Query) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return int(b.delivered)
-}
-
-// setQuery stores a replacement query, shared read-only like the one
-// newBase keeps.
-func (b *base) setQuery(q *query.Query) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	rearm := b.tick != nil && q.Every != b.q.Every
 	b.q = q
+	if rearm {
+		b.round.Stop()
+		b.round = b.clock.Every(q.Every, b.tick)
+	}
 }
 
-// track registers a timer for cleanup on Stop.
-func (b *base) track(t *vclock.Timer) {
+// arm makes t the provider's round, or stops it when the provider has
+// already stopped.
+func (b *base) arm(t *vclock.Timer) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.stopped {
 		t.Stop()
 		return
 	}
-	if b.timers == nil {
-		b.timers = b.timerBuf[:0]
-	}
-	b.timers = append(b.timers, t)
+	b.round = t
 }
 
-// trackSpan registers a long-lived operation span (a GPS stream, a BT link)
-// so it is closed when the provider stops, whichever path stops it.
-func (b *base) trackSpan(sp *tracing.Span) {
-	if sp == nil {
-		return
-	}
+// armEvery arms the periodic round: fn runs every EVERY of the query in
+// force, following UpdateQuery.
+func (b *base) armEvery(fn func()) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.stopped {
-		b.mu.Unlock()
-		sp.End()
 		return
 	}
-	b.spans = append(b.spans, sp)
+	b.round, b.tick = b.clock.Every(b.q.Every, fn), fn
+}
+
+// onRelease sets the hook the provider's stop runs, or runs it now when
+// the provider has already stopped.
+func (b *base) onRelease(fn func()) {
+	b.mu.Lock()
+	if !b.stopped {
+		b.release = fn
+		b.mu.Unlock()
+		return
+	}
 	b.mu.Unlock()
+	fn()
 }
 
 // Stop implements Provider.
-func (b *base) Stop() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.stopLocked()
-}
+func (b *base) Stop() { b.stop() }
 
-func (b *base) stopLocked() {
+// stop halts the provider: it stops the round and runs the release hook
+// outside b.mu. Only the first call does so; stop reports whether this
+// call was it.
+func (b *base) stop() bool {
+	b.mu.Lock()
 	if b.stopped {
-		return
+		b.mu.Unlock()
+		return false
 	}
 	b.stopped = true
-	for _, t := range b.timers {
-		t.Stop()
+	b.round.Stop()
+	release := b.release
+	b.round, b.tick, b.release = nil, nil, nil
+	b.mu.Unlock()
+	if release != nil {
+		release()
 	}
-	b.timers = nil
-	b.timerBuf = [2]*vclock.Timer{}
-	for _, sp := range b.spans {
-		sp.End()
-	}
-	b.spans = nil
+	return true
 }
 
 // isStopped reports the provider's lifecycle state.
@@ -183,53 +175,19 @@ func (b *base) isStopped() bool {
 	return b.stopped
 }
 
-// armDuration schedules the DURATION-based shutdown for time-limited
-// queries; sample-limited queries finish via emit's accounting.
-func (b *base) armDuration() {
-	q := b.liveQuery()
-	if q.Duration.IsSamples() || q.Duration.Time <= 0 {
-		return
-	}
-	b.track(b.clock.After(q.Duration.Time, b.finish))
-}
-
-// finish stops the provider and fires the completion callback once.
+// finish ends an on-demand round: the provider stops and, unless another
+// path stopped it first, fires the completion callback.
 func (b *base) finish() {
-	b.mu.Lock()
-	if b.doneFired {
-		b.mu.Unlock()
-		return
-	}
-	b.doneFired = true
-	b.stopLocked()
-	onDone := b.onDone
-	b.mu.Unlock()
-	if onDone != nil {
-		onDone()
+	if b.stop() && b.onDone != nil {
+		b.onDone()
 	}
 }
 
 // emit delivers an item that already passed the provider-side filters,
-// handling sample-budget accounting.
+// unless the provider has stopped.
 func (b *base) emit(it cxt.Item) {
-	b.mu.Lock()
-	if b.stopped {
-		b.mu.Unlock()
-		return
-	}
-	b.delivered++
-	budget := 0
-	if b.q.Duration.IsSamples() {
-		budget = b.q.Duration.Samples
-	}
-	exhausted := budget > 0 && int(b.delivered) >= budget
-	sink := b.sink
-	b.mu.Unlock()
-	if sink != nil {
-		sink(it)
-	}
-	if exhausted {
-		b.finish()
+	if !b.isStopped() && b.sink != nil {
+		b.sink(it)
 	}
 }
 

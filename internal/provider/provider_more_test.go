@@ -20,27 +20,27 @@ func TestTransportString(t *testing.T) {
 func TestNewAdHocValidation(t *testing.T) {
 	w := newWorld(t)
 	q := query.MustParse("SELECT temperature FROM adHocNetwork(all,1) DURATION 1 min")
-	if _, err := NewAdHoc(AdHocConfig{ID: "p", Clock: w.clk, Transport: TransportBT}); err == nil {
+	if _, err := NewAdHoc(AdHocConfig{Clock: w.clk, Transport: TransportBT}); err == nil {
 		t.Error("nil query accepted")
 	}
-	if _, err := NewAdHoc(AdHocConfig{ID: "p", Clock: w.clk, Query: q, Transport: TransportBT}); !errors.Is(err, ErrNoSource) {
+	if _, err := NewAdHoc(AdHocConfig{Clock: w.clk, Query: q, Transport: TransportBT}); !errors.Is(err, ErrNoSource) {
 		t.Errorf("BT without reference = %v", err)
 	}
-	if _, err := NewAdHoc(AdHocConfig{ID: "p", Clock: w.clk, Query: q, Transport: TransportWiFi}); !errors.Is(err, ErrNoSource) {
+	if _, err := NewAdHoc(AdHocConfig{Clock: w.clk, Query: q, Transport: TransportWiFi}); !errors.Is(err, ErrNoSource) {
 		t.Errorf("WiFi without reference = %v", err)
 	}
-	if _, err := NewAdHoc(AdHocConfig{ID: "p", Clock: w.clk, Query: q, Transport: Transport(9), WiFi: w.wifiA}); err == nil {
+	if _, err := NewAdHoc(AdHocConfig{Clock: w.clk, Query: q, Transport: Transport(9), WiFi: w.wifiA}); err == nil {
 		t.Error("unknown transport accepted")
 	}
-	p, err := NewAdHoc(AdHocConfig{ID: "p", Clock: w.clk, Query: q, Transport: TransportBT, BT: w.btA})
+	p, err := NewAdHoc(AdHocConfig{Clock: w.clk, Query: q, Transport: TransportBT, BT: w.btA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Transport() != TransportBT || p.ID() != "p" {
-		t.Errorf("provider = %s/%s", p.Transport(), p.ID())
+	if p.Transport() != TransportBT {
+		t.Errorf("transport = %s", p.Transport())
 	}
 	p.UpdateQuery(query.MustParse("SELECT temperature FROM adHocNetwork(all,1) DURATION 2 min"))
-	if p.Query().Duration.Time != 2*time.Minute {
+	if p.liveQuery().Duration.Time != 2*time.Minute {
 		t.Error("UpdateQuery ignored")
 	}
 }
@@ -48,18 +48,18 @@ func TestNewAdHocValidation(t *testing.T) {
 func TestNewInfraValidation(t *testing.T) {
 	w := newWorld(t)
 	q := query.MustParse("SELECT weather FROM extInfra DURATION 1 min")
-	if _, err := NewInfra(InfraConfig{ID: "p", Clock: w.clk}); err == nil {
+	if _, err := NewInfra(InfraConfig{Clock: w.clk}); err == nil {
 		t.Error("nil query accepted")
 	}
-	if _, err := NewInfra(InfraConfig{ID: "p", Clock: w.clk, Query: q}); !errors.Is(err, ErrNoSource) {
+	if _, err := NewInfra(InfraConfig{Clock: w.clk, Query: q}); !errors.Is(err, ErrNoSource) {
 		t.Errorf("infra without reference = %v", err)
 	}
-	p, err := NewInfra(InfraConfig{ID: "p", Clock: w.clk, Query: q, UMTS: w.umtsA})
+	p, err := NewInfra(InfraConfig{Clock: w.clk, Query: q, UMTS: w.umtsA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.UpdateQuery(query.MustParse("SELECT weather FROM extInfra DURATION 5 min"))
-	if p.Query().Duration.Time != 5*time.Minute {
+	if p.liveQuery().Duration.Time != 5*time.Minute {
 		t.Error("UpdateQuery ignored")
 	}
 }
@@ -90,7 +90,7 @@ func TestAdHocBTEventQuery(t *testing.T) {
 	}, nil)
 	var got []cxt.Item
 	p, err := NewAdHoc(AdHocConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:     w.clk,
 		Query:     query.MustParse("SELECT temperature FROM adHocNetwork(all,1) DURATION 5 min EVENT temperature>25"),
 		Sink:      func(it cxt.Item) { got = append(got, it) },
 		Transport: TransportBT,
@@ -129,7 +129,7 @@ func TestAdHocWiFiEventQuery(t *testing.T) {
 	}, 0)
 	var got []cxt.Item
 	p, err := NewAdHoc(AdHocConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:     w.clk,
 		Query:     query.MustParse("SELECT temperature FROM adHocNetwork(all,1) DURATION 5 min EVENT temperature>25"),
 		Sink:      func(it cxt.Item) { got = append(got, it) },
 		Transport: TransportWiFi,
@@ -153,7 +153,7 @@ func TestLocalGPSEventQuery(t *testing.T) {
 	// GPS speed 4.5 kn; event fires when speed exceeds 4.
 	var got []cxt.Item
 	p, err := NewLocal(LocalConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:     w.clk,
 		Query:     query.MustParse("SELECT location FROM intSensor DURATION 5 min EVENT speed>4"),
 		Sink:      func(it cxt.Item) { got = append(got, it) },
 		BT:        w.btA,
@@ -177,7 +177,7 @@ func TestLocalGPSOnDemand(t *testing.T) {
 	var got []cxt.Item
 	done := false
 	p, err := NewLocal(LocalConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:     w.clk,
 		Query:     query.MustParse("SELECT location FROM intSensor DURATION 1 samples"),
 		Sink:      func(it cxt.Item) { got = append(got, it) },
 		OnDone:    func() { done = true },
@@ -200,7 +200,7 @@ func TestLocalSpeedQueryFromGPS(t *testing.T) {
 	w := newWorld(t)
 	var got []cxt.Item
 	p, err := NewLocal(LocalConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:     w.clk,
 		Query:     query.MustParse("SELECT speed FROM intSensor DURATION 1 min EVERY 5 sec"),
 		Sink:      func(it cxt.Item) { got = append(got, it) },
 		BT:        w.btA,
@@ -222,12 +222,14 @@ func TestLocalSpeedQueryFromGPS(t *testing.T) {
 	p.Stop()
 }
 
-func TestTrackAfterStop(t *testing.T) {
+// A round armed after Stop is cancelled at once, a periodic one is never
+// armed, and a release hook set after Stop runs at once.
+func TestRoundAfterStop(t *testing.T) {
 	w := newWorld(t)
 	temp := 20.0
 	w.thermometer(&temp)
 	p, err := NewLocal(LocalConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:    w.clk,
 		Query:    query.MustParse("SELECT temperature FROM intSensor DURATION 1 min EVERY 5 sec"),
 		Internal: w.internal,
 	})
@@ -235,12 +237,17 @@ func TestTrackAfterStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Stop()
-	// Timers registered after Stop are immediately cancelled.
-	fired := false
-	p.track(w.clk.After(time.Second, func() { fired = true }))
+	pending := w.clk.Pending()
+	fired, released := 0, 0
+	p.arm(w.clk.After(time.Second, func() { fired++ }))
+	p.armEvery(func() { fired++ })
+	p.onRelease(func() { released++ })
+	if got := w.clk.Pending(); got != pending {
+		t.Fatalf("%d timers pending after arming a stopped provider, want %d", got, pending)
+	}
 	w.clk.Advance(time.Minute)
-	if fired {
-		t.Fatal("timer tracked after Stop still fired")
+	if fired != 0 || released != 1 {
+		t.Fatalf("rounds fired %d times and the release ran %d times after Stop, want 0 and 1", fired, released)
 	}
 }
 
@@ -256,7 +263,7 @@ func TestAdHocEntityAddressedQuery(t *testing.T) {
 	}, 0)
 	var got []cxt.Item
 	p, err := NewAdHoc(AdHocConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:     w.clk,
 		Query:     query.MustParse("SELECT location FROM entity(c) DURATION 1 min"),
 		Sink:      func(it cxt.Item) { got = append(got, it) },
 		Transport: TransportWiFi,
@@ -294,7 +301,7 @@ func TestAdHocRegionScopedQuery(t *testing.T) {
 	}, 0)
 	var got []cxt.Item
 	p, err := NewAdHoc(AdHocConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:     w.clk,
 		Query:     query.MustParse("SELECT temperature FROM region(100,100,200) DURATION 1 min"),
 		Sink:      func(it cxt.Item) { got = append(got, it) },
 		Transport: TransportWiFi,
@@ -321,7 +328,7 @@ func TestAdHocBTKnownDevicesSkipDiscovery(t *testing.T) {
 	w.clk.Advance(time.Second)
 	var got []cxt.Item
 	p, err := NewAdHoc(AdHocConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:        w.clk,
 		Query:        query.MustParse("SELECT temperature FROM adHocNetwork(all,1) DURATION 2 min EVERY 10 sec"),
 		Sink:         func(it cxt.Item) { got = append(got, it) },
 		Transport:    TransportBT,
@@ -345,4 +352,32 @@ func TestAdHocBTKnownDevicesSkipDiscovery(t *testing.T) {
 		t.Fatalf("inquiry energy = %v J, want 0", e)
 	}
 	p.Stop()
+}
+
+// A pre-known device the phone cannot reach fails its SDP exchange at
+// once. The collection is still scheduled once, after every exchange is
+// done: the provider arms one periodic round, and Stop leaves no timer.
+func TestAdHocBTUnreachableKnownDevice(t *testing.T) {
+	w := newWorld(t)
+	p, err := NewAdHoc(AdHocConfig{
+		Clock:        w.clk,
+		Query:        query.MustParse("SELECT temperature FROM adHocNetwork(all,1) DURATION 2 min EVERY 10 sec"),
+		Transport:    TransportBT,
+		BT:           w.btA,
+		KnownDevices: []simnet.NodeID{"c"}, // no BT link a—c
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := w.clk.Pending()
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.clk.Pending() - before; got != 1 {
+		t.Fatalf("Start armed %d timers, want the one periodic round", got)
+	}
+	p.Stop()
+	if got := w.clk.Pending(); got != before {
+		t.Fatalf("%d timers pending after Stop, %d before Start", got, before)
+	}
 }

@@ -2,6 +2,7 @@ package provider
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -113,15 +114,35 @@ func (w *world) thermometer(temp *float64) {
 	})
 }
 
+// stopsOnce checks a provider's one teardown: after Stop, a second Stop
+// and a late finish, no item arrives, the completion callback stays
+// silent and the release hook has run once. *done counts completions.
+func stopsOnce(t *testing.T, w *world, b *base, got *[]cxt.Item, done *int) {
+	t.Helper()
+	released := 0
+	b.onRelease(func() { released++ })
+	n, finished := len(*got), *done
+	b.Stop()
+	b.Stop()
+	b.finish()
+	w.clk.Advance(time.Minute)
+	if len(*got) != n || *done != finished || released != 1 {
+		t.Fatalf("after Stop: %d more items, %d completions, release ran %d times; want 0, 0, 1",
+			len(*got)-n, *done-finished, released)
+	}
+}
+
 func TestLocalPeriodic(t *testing.T) {
 	w := newWorld(t)
 	temp := 21.0
 	w.thermometer(&temp)
 	var got []cxt.Item
+	done := 0
 	p, err := NewLocal(LocalConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:    w.clk,
 		Query:    query.MustParse("SELECT temperature FROM intSensor DURATION 1 min EVERY 10 sec"),
 		Sink:     func(it cxt.Item) { got = append(got, it) },
+		OnDone:   func() { done++ },
 		Internal: w.internal,
 	})
 	if err != nil {
@@ -137,14 +158,13 @@ func TestLocalPeriodic(t *testing.T) {
 	if got[0].Value != 21.0 || got[0].Type != cxt.TypeTemperature {
 		t.Fatalf("item = %+v", got[0])
 	}
-	// DURATION 1 min: provisioning stops after the lifetime.
-	w.clk.Advance(2 * time.Minute)
-	if len(got) > 6 {
-		t.Fatalf("items = %d after duration elapsed", len(got))
+	// The DURATION is the factory's to enforce: the provider streams past
+	// it until it is stopped.
+	w.clk.Advance(time.Minute)
+	if len(got) != 9 || done != 0 {
+		t.Fatalf("items = %d, completions = %d at 95 s, want 9 and 0", len(got), done)
 	}
-	if p.Delivered() != len(got) {
-		t.Fatalf("Delivered = %d, want %d", p.Delivered(), len(got))
-	}
+	stopsOnce(t, w, &p.base, &got, &done)
 }
 
 func TestLocalOnDemand(t *testing.T) {
@@ -154,7 +174,7 @@ func TestLocalOnDemand(t *testing.T) {
 	var got []cxt.Item
 	doneCount := 0
 	p, err := NewLocal(LocalConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:    w.clk,
 		Query:    query.MustParse("SELECT temperature FROM intSensor DURATION 1 samples"),
 		Sink:     func(it cxt.Item) { got = append(got, it) },
 		OnDone:   func() { doneCount++ },
@@ -178,7 +198,7 @@ func TestLocalWhereFilter(t *testing.T) {
 	w.thermometer(&temp)
 	var got []cxt.Item
 	p, err := NewLocal(LocalConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:    w.clk,
 		Query:    query.MustParse("SELECT temperature FROM intSensor WHERE accuracy<=0.1 DURATION 1 min EVERY 5 sec"),
 		Sink:     func(it cxt.Item) { got = append(got, it) },
 		Internal: w.internal,
@@ -201,7 +221,7 @@ func TestLocalEventQuery(t *testing.T) {
 	w.thermometer(&temp)
 	var got []cxt.Item
 	p, err := NewLocal(LocalConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:    w.clk,
 		Query:    query.MustParse("SELECT temperature FROM intSensor DURATION 10 min EVENT AVG(temperature)>25"),
 		Sink:     func(it cxt.Item) { got = append(got, it) },
 		Internal: w.internal,
@@ -224,17 +244,19 @@ func TestLocalEventQuery(t *testing.T) {
 	p.Stop()
 }
 
+// The SAMPLES budget is the factory's to count, per original query: a
+// provider keeps streaming past it until it is stopped.
 func TestLocalSamplesBudget(t *testing.T) {
 	w := newWorld(t)
 	temp := 21.0
 	w.thermometer(&temp)
 	var got []cxt.Item
-	done := false
+	done := 0
 	p, err := NewLocal(LocalConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:    w.clk,
 		Query:    query.MustParse("SELECT temperature FROM intSensor DURATION 5 samples EVERY 2 sec"),
 		Sink:     func(it cxt.Item) { got = append(got, it) },
-		OnDone:   func() { done = true },
+		OnDone:   func() { done++ },
 		Internal: w.internal,
 	})
 	if err != nil {
@@ -244,16 +266,17 @@ func TestLocalSamplesBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.clk.Advance(time.Minute)
-	if len(got) != 5 || !done {
-		t.Fatalf("items=%d done=%v, want exactly 5 samples", len(got), done)
+	if len(got) != 30 || done != 0 {
+		t.Fatalf("items = %d, completions = %d in 1 min, want 30 and 0", len(got), done)
 	}
+	stopsOnce(t, w, &p.base, &got, &done)
 }
 
 func TestLocalGPSPeriodic(t *testing.T) {
 	w := newWorld(t)
 	var got []cxt.Item
 	p, err := NewLocal(LocalConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:     w.clk,
 		Query:     query.MustParse("SELECT location FROM intSensor DURATION 1 min EVERY 5 sec"),
 		Sink:      func(it cxt.Item) { got = append(got, it) },
 		BT:        w.btA,
@@ -279,7 +302,7 @@ func TestLocalGPSPeriodic(t *testing.T) {
 func TestLocalNeedsSource(t *testing.T) {
 	w := newWorld(t)
 	_, err := NewLocal(LocalConfig{
-		ID: "p1", Clock: w.clk,
+		Clock: w.clk,
 		Query: query.MustParse("SELECT temperature DURATION 1 min"),
 	})
 	if !errors.Is(err, ErrNoSource) {
@@ -296,7 +319,7 @@ func TestAdHocWiFiPeriodic(t *testing.T) {
 	}, 0)
 	var got []cxt.Item
 	p, err := NewAdHoc(AdHocConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:     w.clk,
 		Query:     query.MustParse("SELECT temperature FROM adHocNetwork(all,2) DURATION 2 min EVERY 20 sec"),
 		Sink:      func(it cxt.Item) { got = append(got, it) },
 		Transport: TransportWiFi,
@@ -326,7 +349,7 @@ func TestAdHocWiFiOnDemandFinishes(t *testing.T) {
 	var got []cxt.Item
 	done := false
 	p, err := NewAdHoc(AdHocConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:     w.clk,
 		Query:     query.MustParse("SELECT temperature FROM adHocNetwork(all,1) DURATION 1 min"),
 		Sink:      func(it cxt.Item) { got = append(got, it) },
 		OnDone:    func() { done = true },
@@ -354,7 +377,7 @@ func TestAdHocBTPeriodic(t *testing.T) {
 	}, nil)
 	var got []cxt.Item
 	p, err := NewAdHoc(AdHocConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:     w.clk,
 		Query:     query.MustParse("SELECT temperature FROM adHocNetwork(all,1) DURATION 2 min EVERY 10 sec"),
 		Sink:      func(it cxt.Item) { got = append(got, it) },
 		Transport: TransportBT,
@@ -384,7 +407,7 @@ func TestAdHocBTPeriodic(t *testing.T) {
 func TestAdHocBTRejectsMultiHop(t *testing.T) {
 	w := newWorld(t)
 	_, err := NewAdHoc(AdHocConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:     w.clk,
 		Query:     query.MustParse("SELECT temperature FROM adHocNetwork(all,3) DURATION 1 min"),
 		Transport: TransportBT,
 		BT:        w.btA,
@@ -400,7 +423,7 @@ func TestAdHocNumNodesLimit(t *testing.T) {
 	w.wifiC.PublishTag("temperature", cxt.Item{Type: cxt.TypeTemperature, Value: 2.0, Timestamp: w.clk.Now()}, 0)
 	var got []cxt.Item
 	p, err := NewAdHoc(AdHocConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:     w.clk,
 		Query:     query.MustParse("SELECT temperature FROM adHocNetwork(1,2) DURATION 1 min"),
 		Sink:      func(it cxt.Item) { got = append(got, it) },
 		Transport: TransportWiFi,
@@ -437,7 +460,7 @@ func TestInfraOnDemand(t *testing.T) {
 	var got []cxt.Item
 	done := false
 	p, err := NewInfra(InfraConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:  w.clk,
 		Query:  query.MustParse("SELECT weather FROM extInfra DURATION 1 min"),
 		Sink:   func(it cxt.Item) { got = append(got, it) },
 		OnDone: func() { done = true },
@@ -470,7 +493,7 @@ func TestInfraPeriodic(t *testing.T) {
 	})
 	var got []cxt.Item
 	p, err := NewInfra(InfraConfig{
-		ID: "p1", Clock: w.clk,
+		Clock: w.clk,
 		Query: query.MustParse("SELECT weather FROM extInfra DURATION 10 min EVERY 1 min"),
 		Sink:  func(it cxt.Item) { got = append(got, it) },
 		UMTS:  w.umtsA,
@@ -492,7 +515,7 @@ func TestInfraEventSubscription(t *testing.T) {
 	w := newWorld(t)
 	var got []cxt.Item
 	p, err := NewInfra(InfraConfig{
-		ID: "p1", Clock: w.clk,
+		Clock: w.clk,
 		Query: query.MustParse("SELECT temperature FROM extInfra DURATION 1 hour EVENT temperature>25"),
 		Sink:  func(it cxt.Item) { got = append(got, it) },
 		UMTS:  w.umtsA,
@@ -670,7 +693,7 @@ func TestProviderStartAfterStop(t *testing.T) {
 	temp := 20.0
 	w.thermometer(&temp)
 	p, err := NewLocal(LocalConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:    w.clk,
 		Query:    query.MustParse("SELECT temperature FROM intSensor DURATION 1 min EVERY 5 sec"),
 		Internal: w.internal,
 	})
@@ -689,7 +712,7 @@ func TestUpdateQueryChangesFilter(t *testing.T) {
 	w.thermometer(&temp)
 	var got []cxt.Item
 	p, err := NewLocal(LocalConfig{
-		ID: "p1", Clock: w.clk,
+		Clock:    w.clk,
 		Query:    query.MustParse("SELECT temperature FROM intSensor DURATION 10 min EVERY 5 sec"),
 		Sink:     func(it cxt.Item) { got = append(got, it) },
 		Internal: w.internal,
@@ -711,4 +734,41 @@ func TestUpdateQueryChangesFilter(t *testing.T) {
 	if len(got) != before {
 		t.Fatalf("items kept flowing after filter tightened: %d → %d", before, len(got))
 	}
+}
+
+// UpdateQuery re-arms a periodic round whose EVERY changed, so its first
+// tick fires one new period after the update, and leaves a round whose
+// EVERY held alone.
+func TestUpdateQueryFollowsEvery(t *testing.T) {
+	w := newWorld(t)
+	temp := 21.0
+	w.thermometer(&temp)
+	var at []time.Duration
+	p, err := NewLocal(LocalConfig{
+		Clock:    w.clk,
+		Query:    query.MustParse("SELECT temperature FROM intSensor DURATION 10 min EVERY 30 sec"),
+		Sink:     func(cxt.Item) { at = append(at, w.clk.Now().Sub(vclock.Epoch)) },
+		Internal: w.internal,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	w.clk.Advance(time.Second)
+	p.UpdateQuery(query.MustParse("SELECT temperature FROM intSensor DURATION 10 min EVERY 10 sec"))
+	w.clk.Advance(40 * time.Second)
+	p.UpdateQuery(query.MustParse("SELECT temperature FROM intSensor WHERE accuracy<=0.5 DURATION 10 min EVERY 10 sec"))
+	w.clk.Advance(15 * time.Second)
+	p.UpdateQuery(query.MustParse("SELECT temperature FROM intSensor DURATION 10 min EVERY 30 sec"))
+	w.clk.Advance(time.Minute)
+	want := []time.Duration{11, 21, 31, 41, 51, 86, 116}
+	for i := range want {
+		want[i] *= time.Second
+	}
+	if !reflect.DeepEqual(at, want) {
+		t.Fatalf("items at %v, want %v", at, want)
+	}
+	p.Stop()
 }

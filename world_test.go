@@ -124,16 +124,28 @@ func TestWorldTwoGPSQueriesShareStream(t *testing.T) {
 }
 
 // TestWorldGPSQueryEndDetachesStream: a GPS-backed query that ends, by
-// its DURATION or by the fix that answers it on demand, detaches from the
-// BT-GPS stream, so the phone stops paying for per-second bursts. The
-// on-demand query detaches from inside the stream's own fix callback.
+// its DURATION, by the fix that answers it on demand, by its sample
+// budget or by a cancel, detaches from the BT-GPS stream, so the phone
+// stops paying for per-second bursts. The on-demand query detaches from
+// inside the stream's own fix callback. A query merged into the stream
+// keeps it running after the stream's first owner ends, on its own
+// DURATION, and detaches it when it ends.
 func TestWorldGPSQueryEndDetachesStream(t *testing.T) {
 	for _, tc := range []struct {
-		src   string
-		items int
+		src      string
+		also     string        // a longer query merged into src's stream
+		cancelAt time.Duration // when src is cancelled (0: never)
+		items    int           // delivered to src and also by 40 s
 	}{
-		{"SELECT location FROM intSensor DURATION 30 sec EVERY 5 sec", 5},
-		{"SELECT location FROM intSensor DURATION 1 min", 1},
+		{src: "SELECT location FROM intSensor DURATION 30 sec EVERY 5 sec", items: 5},
+		{src: "SELECT location FROM intSensor DURATION 1 min", items: 1},
+		{src: "SELECT location FROM intSensor DURATION 3 samples EVERY 5 sec", items: 3},
+		{src: "SELECT location FROM intSensor DURATION 10 min EVERY 5 sec", cancelAt: 22 * time.Second, items: 4},
+		{
+			src:   "SELECT location FROM intSensor DURATION 15 sec EVERY 5 sec",
+			also:  "SELECT location FROM intSensor DURATION 30 sec EVERY 5 sec",
+			items: 2 + 5,
+		},
 	} {
 		t.Run(tc.src, func(t *testing.T) {
 			w, err := NewWorld(7)
@@ -146,13 +158,26 @@ func TestWorldGPSQueryEndDetachesStream(t *testing.T) {
 			}
 			items := 0
 			cli := ClientFuncs{OnItem: func(Item) { items++ }}
-			if _, err := boat.Factory.ProcessCxtQuery(MustParseQuery(tc.src), cli); err != nil {
+			sub, err := boat.Factory.ProcessCxtQuery(MustParseQuery(tc.src), cli)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.also != "" {
+				if _, err := boat.Factory.ProcessCxtQuery(MustParseQuery(tc.also), cli); err != nil {
+					t.Fatal(err)
+				}
+				if _, merged := boat.Factory.Facade(MechanismLocal).Stats(); merged != 1 {
+					t.Fatalf("%d merges, want the second query on the first one's stream", merged)
+				}
 			}
 			gpsJoules := func() float64 {
 				return float64(boat.Device.Node.Timeline().WindowEnergy("bt-gps-sample"))
 			}
-			w.Run(40 * time.Second)
+			if tc.cancelAt > 0 {
+				w.Run(tc.cancelAt)
+				sub.Cancel()
+			}
+			w.Run(40*time.Second - tc.cancelAt)
 			atEnd := gpsJoules()
 			if items != tc.items || atEnd <= 0 {
 				t.Fatalf("%d items, %.2f J of GPS samples in 40 s; want %d items and some energy", items, atEnd, tc.items)
@@ -167,28 +192,80 @@ func TestWorldGPSQueryEndDetachesStream(t *testing.T) {
 
 // TestWorldInfraEventQueryEndUnsubscribes: an extInfra EVENT query holds a
 // Fuego subscription on its SELECT type while it runs and drops it when
-// its DURATION elapses.
+// it ends, by its DURATION, its sample budget or a cancel. A query merged
+// into the stream keeps the subscription after the stream's first owner
+// ends, receives its own items, and drops it when it ends.
 func TestWorldInfraEventQueryEndUnsubscribes(t *testing.T) {
-	w, err := NewWorld(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asker, err := w.AddPhone(PhoneConfig{ID: "asker"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := MustParseQuery("SELECT temperature FROM extInfra DURATION 30 sec EVENT temperature>10")
-	if _, err := asker.Factory.ProcessCxtQuery(q, ClientFuncs{}); err != nil {
-		t.Fatal(err)
-	}
-	srv := w.Infrastructure().Server()
-	w.Run(10 * time.Second)
-	if subs := srv.Subscribers("temperature"); len(subs) != 1 || string(subs[0]) != asker.ID() {
-		t.Fatalf("subscribers while the query runs = %v, want [%s]", subs, asker.ID())
-	}
-	w.Run(30 * time.Second)
-	if subs := srv.Subscribers("temperature"); len(subs) != 0 {
-		t.Fatalf("subscribers after the query's DURATION = %v, want none", subs)
+	for _, tc := range []struct {
+		name     string
+		src      string
+		also     string        // a longer query merged into src's stream
+		cancelAt time.Duration // when src is cancelled (0: never)
+		items    int           // delivered to src and also
+	}{
+		{name: "duration", src: "SELECT temperature FROM extInfra DURATION 30 sec EVENT temperature>10", items: 5},
+		{name: "samples", src: "SELECT temperature FROM extInfra DURATION 2 samples EVENT temperature>10", items: 2},
+		{name: "cancel", src: "SELECT temperature FROM extInfra DURATION 10 min EVENT temperature>10", cancelAt: 22 * time.Second, items: 4},
+		{
+			name:  "merged subscriber outlives owner",
+			src:   "SELECT temperature FROM extInfra DURATION 15 sec EVENT temperature>10",
+			also:  "SELECT temperature FROM extInfra DURATION 30 sec EVENT temperature>10",
+			items: 2 + 5,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := NewWorld(9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			asker, err := w.AddPhone(PhoneConfig{ID: "asker"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reporter, err := w.AddPhone(PhoneConfig{ID: "reporter"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			items := 0
+			cli := ClientFuncs{OnItem: func(Item) { items++ }}
+			sub, err := asker.Factory.ProcessCxtQuery(MustParseQuery(tc.src), cli)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.also != "" {
+				if _, err := asker.Factory.ProcessCxtQuery(MustParseQuery(tc.also), cli); err != nil {
+					t.Fatal(err)
+				}
+				if _, merged := asker.Factory.Facade(MechanismInfra).Stats(); merged != 1 {
+					t.Fatalf("%d merges, want the second query on the first one's stream", merged)
+				}
+			}
+			srv := w.Infrastructure().Server()
+			w.Run(4 * time.Second)
+			if subs := srv.Subscribers("temperature"); len(subs) != 1 || string(subs[0]) != asker.ID() {
+				t.Fatalf("subscribers while the query runs = %v, want [%s]", subs, asker.ID())
+			}
+			// The reporter publishes every 5 s from 5 s to 60 s.
+			for at := 5 * time.Second; at <= time.Minute; at += time.Second {
+				w.Run(time.Second)
+				if at == tc.cancelAt {
+					sub.Cancel()
+				}
+				if at%(5*time.Second) != 0 {
+					continue
+				}
+				if _, err := reporter.Device.UMTS.Publish("temperature", Item{Type: TypeTemperature, Value: 20.0, Timestamp: w.Now()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.Run(5 * time.Second)
+			if items != tc.items {
+				t.Fatalf("%d items, want %d", items, tc.items)
+			}
+			if subs := srv.Subscribers("temperature"); len(subs) != 0 {
+				t.Fatalf("subscribers after the query ended = %v, want none", subs)
+			}
+		})
 	}
 }
 
