@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build fmt-check vet staticcheck test race bench experiments examples cover clean load-smoke load-bench perf-smoke fleetbench-check
+.PHONY: all check build fmt-check vet staticcheck test race bench experiments examples cover clean load-smoke perf-smoke fleetbench-check
 
 all: check
 
@@ -43,7 +43,8 @@ bench:
 
 # load-smoke runs the race-built fleet CLI once over the load scenario and
 # rewrites the committed BENCH_fleet_smoke.json; a summary that moved shows
-# up in git status.
+# up in git status. The CLI only runs scenarios: host cost per workload is
+# measured by fleetbench (bash fleetbench/run.sh, see BENCHMARK.json).
 load-smoke:
 	$(GO) run -race ./cmd/contory-load -spec testdata/scenarios/load.json -workers 4 -stats-out BENCH_fleet_smoke.json
 
@@ -62,24 +63,6 @@ perf-smoke:
 fleetbench-check:
 	cd fleetbench && $(GO) build -o /dev/null . && $(GO) vet . && $(GO) test .
 
-# load-bench regenerates BENCH_fleet.json: wall-clock scaling of the fleet
-# engine at 1k/2k/5k phones over ten virtual minutes. With COUNT=n (needs
-# benchstat on PATH) the sweep repeats n times, accumulating Go-benchmark
-# format lines in BENCH_fleet.txt and summarising run-to-run variance with
-# benchstat.
-load-bench:
-ifeq ($(COUNT),)
-	$(GO) run ./cmd/contory-load -spec testdata/scenarios/load.json -duration 10m -sweep 1000,2000,5000 -bench-out BENCH_fleet.json
-else
-	@command -v benchstat >/dev/null 2>&1 || { echo "load-bench COUNT=$(COUNT) needs benchstat on PATH"; exit 1; }
-	rm -f BENCH_fleet.txt
-	for i in $$(seq 1 $(COUNT)); do \
-		$(GO) run ./cmd/contory-load -spec testdata/scenarios/load.json -duration 10m \
-			-sweep 1000,2000,5000 -bench-out BENCH_fleet.json -bench-go BENCH_fleet.txt || exit 1; \
-	done
-	benchstat BENCH_fleet.txt
-endif
-
 # Regenerate every table and figure of the paper's evaluation.
 experiments:
 	$(GO) run ./cmd/contory-bench -exp all
@@ -96,4 +79,4 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt BENCH_fleet.txt
+	rm -f cover.out test_output.txt bench_output.txt

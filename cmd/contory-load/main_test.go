@@ -16,7 +16,8 @@ const tinySpec = `{"name": "tiny", "phones": 10, "seed": 5, "duration": "1m"}`
 // a valid invocation runs and writes its summary, and each invalid one is
 // refused with an error naming the offending flag or spec field. Range
 // checks on the scenario come from fleet.New; the command itself checks
-// only -spec, -workers and what an audited scenario may be combined with.
+// only -spec, -workers and that -trace-out and -timeline-out name a plane
+// the scenario turns on.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -40,11 +41,6 @@ func TestValidateFlags(t *testing.T) {
 		{name: "negative overload", spec: `{"phones": 10, "duration": "1m",
 			"workload": {"overload": -0.2}}`, wantErr: "workload.overload"},
 		{name: "audited run", spec: `{"phones": 10, "duration": "1m", "audit": {"enabled": true}}`},
-		{name: "audited sweep", spec: `{"phones": 10, "duration": "1m", "audit": {"enabled": true}}`,
-			args: []string{"-sweep", "10,20"}, wantErr: "audited"},
-		{name: "audited bench", spec: `{"phones": 10, "duration": "1m", "audit": {"enabled": true}}`,
-			args: []string{"-bench-out", "BENCH.json"}, wantErr: "audited"},
-		{name: "unaudited sweep", spec: tinySpec, args: []string{"-sweep", "10,20"}},
 		{name: "timeline run", spec: `{"phones": 10, "duration": "1m",
 			"timeline": {"enabled": true, "interval": "10s"}}`},
 		{name: "timeline zero interval", spec: `{"phones": 10, "duration": "1m",

@@ -108,9 +108,6 @@ var (
 	// WithRetryPolicy applies one retry/timeout/backoff posture across the
 	// Bluetooth and WiFi references.
 	WithRetryPolicy = core.WithRetryPolicy
-	// WithRequestTimeout bounds each remote request attempt at d, leaving
-	// retry counts untouched.
-	WithRequestTimeout = core.WithRequestTimeout
 	// WithAnswerCache enables the answer cache: queries satisfiable by
 	// stored context are served with zero provider work.
 	WithAnswerCache = core.WithAnswerCache
@@ -187,8 +184,10 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 // alerting). Arm it world-wide with WorldConfig.Timeline so one window
 // stream covers the whole testbed.
 type (
-	// TimelineConfig configures the flight recorder: sampling interval,
-	// window ring bound, objectives and burn-rate gates.
+	// TimelineConfig configures the flight recorder: its sampling
+	// interval and objectives. The window ring (512 windows), the alert
+	// log (256 alerts) and the burn-rate gate (a violating window fires
+	// when half the evaluated windows of the last six violate) are fixed.
 	TimelineConfig = timeline.Config
 	// TimelineSLO is one declarative objective ("p99_first_item_ms<5000").
 	TimelineSLO = timeline.SLO

@@ -31,20 +31,18 @@ const DefaultGrace = 2 * time.Minute
 
 // Attribute matches every switch to the earliest injected fault that can
 // explain it: the switch's reason class must be in the fault's blast set
-// and the switch must land inside [start+f.At, start+f.At+f.Duration+grace].
-// Switches no fault explains come back in Unattributed — a chaos run where
-// that list is non-empty had failovers with no injected cause.
-func Attribute(start time.Time, faults []Fault, switches []Switch, grace time.Duration) Attribution {
-	if grace <= 0 {
-		grace = DefaultGrace
-	}
+// and the switch must land inside
+// [start+f.At, start+f.At+f.Duration+DefaultGrace]. Switches no fault
+// explains come back in Unattributed — a chaos run where that list is
+// non-empty had failovers with no injected cause.
+func Attribute(start time.Time, faults []Fault, switches []Switch) Attribution {
 	att := Attribution{Switches: len(switches), ByKind: make(map[string]int)}
 	for _, sw := range switches {
 		class := reasonClass(sw.Reason)
 		matched := false
 		for _, f := range faults {
 			from := start.Add(f.At)
-			until := from.Add(f.Duration + grace)
+			until := from.Add(f.Duration + DefaultGrace)
 			if sw.At.Before(from) || sw.At.After(until) {
 				continue
 			}

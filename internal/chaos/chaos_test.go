@@ -212,7 +212,7 @@ func TestAttribute(t *testing.T) {
 		// No fault anywhere near: unattributed.
 		{At: start.Add(20 * time.Minute), Query: "phone/q3", Reason: "failure of wifi: finder timeout"},
 	}
-	att := Attribute(start, faults, switches, DefaultGrace)
+	att := Attribute(start, faults, switches)
 	if att.Switches != 4 || att.Attributed != 3 {
 		t.Fatalf("attributed %d of %d, want 3 of 4", att.Attributed, att.Switches)
 	}

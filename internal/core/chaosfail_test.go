@@ -172,16 +172,6 @@ func TestRetryOptionsAndSettersLastWriteWins(t *testing.T) {
 	if f.MergeEnabled() || f.FailoverEnabled() {
 		t.Fatal("options did not disable merging/failover")
 	}
-
-	// WithRequestTimeout alone adjusts only the timeout.
-	b2 := newBed(t)
-	f2 := NewFactory(b2.peer, WithRequestTimeout(10*time.Second))
-	if p := f2.RetryPolicy(); p.Attempts != 1 || p.Timeout != 10*time.Second {
-		t.Fatalf("policy = %+v after WithRequestTimeout", p)
-	}
-	if got := b2.peer.BT.RequestTimeout(); got != 10*time.Second {
-		t.Fatalf("bt timeout = %v after WithRequestTimeout", got)
-	}
 }
 
 // TestFailoverChaosProfiles extends the Fig. 5 scenario into a table over
@@ -296,7 +286,7 @@ func TestFailoverChaosProfiles(t *testing.T) {
 			for _, s := range sws {
 				csw = append(csw, chaos.Switch{At: s.At, Query: s.QueryID, Reason: s.Reason})
 			}
-			att := chaos.Attribute(start, faults, csw, chaos.DefaultGrace)
+			att := chaos.Attribute(start, faults, csw)
 			if len(att.Unattributed) != 0 {
 				t.Fatalf("unattributed switches: %+v", att.Unattributed)
 			}

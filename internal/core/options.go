@@ -44,17 +44,6 @@ func WithRetryPolicy(p RetryPolicy) Option {
 	}
 }
 
-// WithRequestTimeout bounds every per-mechanism request with d, keeping
-// the rest of the retry policy — shorthand for the common "just fail
-// faster" need. d <= 0 is ignored.
-func WithRequestTimeout(d time.Duration) Option {
-	return func(f *Factory) {
-		if d > 0 {
-			f.retry.Timeout = d
-		}
-	}
-}
-
 // Option configures a Factory at construction time. Options replace the
 // old mutate-after-construction setters: behaviour toggles are fixed when
 // the factory is wired, so a factory's configuration is visible at the

@@ -33,9 +33,6 @@ type ClientPriority interface {
 	QoSClass() qos.Class
 }
 
-// QoSEnabled reports whether the factory runs the QoS plane.
-func (f *Factory) QoSEnabled() bool { return f.qos != nil }
-
 // QoS returns the factory's QoS controller (nil when disabled); exposed
 // for harnesses that assert on admission state.
 func (f *Factory) QoS() *qos.Controller { return f.qos }

@@ -115,11 +115,7 @@ func New(spec Spec) (*Engine, error) {
 		}))
 	}
 	if spec.Trace.Enabled {
-		wcfg.Trace = &tracing.Config{
-			Sample:  spec.Trace.Sample,
-			HeadCap: spec.Trace.HeadCap,
-			TailCap: spec.Trace.TailCap,
-		}
+		wcfg.Trace = &tracing.Config{}
 	}
 	if spec.Timeline.Enabled {
 		tcfg := spec.Timeline.config()
@@ -137,10 +133,10 @@ func New(spec Spec) (*Engine, error) {
 	if auditor != nil {
 		w.AttachAudit(auditor)
 	}
-	if err := w.SetRange("wifi", spec.WiFiRangeM); err != nil {
+	if err := w.SetRange("wifi", wifiRangeM); err != nil {
 		return nil, err
 	}
-	if err := w.SetRange("bt", spec.BTRangeM); err != nil {
+	if err := w.SetRange("bt", btRangeM); err != nil {
 		return nil, err
 	}
 	e := &Engine{
@@ -160,7 +156,7 @@ func New(spec Spec) (*Engine, error) {
 	e.scheduleChurn()
 	e.installChaos()
 	if spec.MobilitySpeedMS > 0 {
-		w.StartMobility(spec.MobilityTick)
+		w.StartMobility(mobilityTick)
 	}
 	return e, nil
 }
@@ -229,11 +225,12 @@ func roleOf(wl Workload, u float64) role {
 func (e *Engine) buildPopulation() error {
 	spec := e.spec
 	rng := rand.New(rand.NewSource(spec.Seed))
+	area := areaMetres(spec.Phones)
 	for i := 0; i < spec.Phones; i++ {
 		// Fixed draw order per phone keeps the stream aligned no matter
 		// which branches fire.
-		x := rng.Float64() * spec.AreaMetres
-		y := rng.Float64() * spec.AreaMetres
+		x := rng.Float64() * area
+		y := rng.Float64() * area
 		classU := rng.Float64()
 		pubU := rng.Float64()
 		gpsU := rng.Float64()
@@ -512,7 +509,7 @@ func (e *Engine) scheduleChurn() {
 				}
 				a, b := phoneID(i), phoneID(j)
 				e.w.After(at, func() { _ = e.w.FailLink(a, b, "wifi") })
-				e.w.After(at+ch.FailDuration, func() { _ = e.w.RestoreLink(a, b, "wifi") })
+				e.w.After(at+linkFailDuration, func() { _ = e.w.RestoreLink(a, b, "wifi") })
 			}
 		}
 	}
@@ -547,7 +544,7 @@ func (e *Engine) installChaos() {
 				Kind:   string(f.Kind),
 				Target: f.Target,
 				From:   base.Add(f.At),
-				Until:  base.Add(f.At + f.Duration + cs.Grace),
+				Until:  base.Add(f.At + f.Duration + chaos.DefaultGrace),
 			})
 		}
 		rec.SetFaults(spans)

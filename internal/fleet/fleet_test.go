@@ -371,6 +371,7 @@ func TestParseSpec(t *testing.T) {
 		{"unknown slo field", `{"timeline": {"slos": [{"metrc": "x"}]}}`, `spec.timeline.slos[0]: unknown field "metrc"`},
 		{"bad duration", `{"duration": "3 minutes"}`, `spec.duration: time: unknown unit`},
 		{"duration as number", `{"duration": 180}`, `spec.duration: want a duration string`},
+		{"removed field", `{"wifi_range_m": 50}`, `spec: unknown field "wifi_range_m"`},
 		{"wrong type", `{"phones": "3"}`, `Spec.phones of type int`},
 		{"trailing data", `{"phones": 3} {"phones": 4}`, `trailing data`},
 		{"not json", `phones: 3`, `invalid character`},
@@ -384,13 +385,63 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestSpecFieldsAreExercised keeps every scenario setting in use: each
+// leaf of Spec's JSON field tree (struct fields recurse; scalars and
+// slices such as timeline.slos are leaves) must be set by at least one
+// checked-in scenario file. A field no file sets runs only at its default,
+// so it belongs in the code as a constant.
+func TestSpecFieldsAreExercised(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join(scenarioDir, "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no scenario files in %s (%v)", scenarioDir, err)
+	}
+	set := make(map[string]bool)
+	var mark func(v any, prefix string)
+	mark = func(v any, prefix string) {
+		obj, _ := v.(map[string]any)
+		for k, e := range obj {
+			set[prefix+k] = true
+			mark(e, prefix+k+".")
+		}
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tree any
+		if err := json.Unmarshal(data, &tree); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		mark(tree, "")
+	}
+	var unset []string
+	var walk func(typ reflect.Type, prefix string)
+	walk = func(typ reflect.Type, prefix string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			switch {
+			case f.Type.Kind() == reflect.Struct:
+				walk(f.Type, prefix+name+".")
+			case !set[prefix+name]:
+				unset = append(unset, prefix+name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(Spec{}), "")
+	if len(unset) > 0 {
+		t.Fatalf("no scenario file sets %d Spec fields: %s", len(unset), strings.Join(unset, ", "))
+	}
+}
+
 // FuzzFleetSpec feeds scenario files through the whole engine: every input
 // must be refused by ParseSpec or New, or run audited to completion with
 // the same summary at one worker and four and no audit violation. The
 // seed corpus is the checked-in scenarios. Inputs too costly for one fuzz
-// iteration are skipped: over 60 phones or 3 minutes, a sub-second period,
-// tick or interval, or fault and link-failure rates that schedule events
-// by the million.
+// iteration are skipped: over 60 phones or 3 minutes, a sub-second period
+// or interval, or fault and link-failure rates that schedule events by the
+// million.
 func FuzzFleetSpec(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join(scenarioDir, "*.json"))
 	if err != nil {
@@ -410,8 +461,7 @@ func FuzzFleetSpec(f *testing.F) {
 			return
 		}
 		if spec.Phones > 60 || spec.Duration > 3*time.Minute ||
-			subSecond(spec.Workload.Period) || subSecond(spec.MobilityTick) ||
-			subSecond(spec.Timeline.Interval) ||
+			subSecond(spec.Workload.Period) || subSecond(spec.Timeline.Interval) ||
 			spec.Chaos.Rate > 10 || spec.Churn.LinkFailuresPerMin > 100 {
 			t.Skip("too costly for one fuzz iteration")
 		}
@@ -456,20 +506,12 @@ func TestSpecValidation(t *testing.T) {
 		{"timeline.interval", func(s *Spec) { s.Timeline = TimelineSpec{Enabled: true, Interval: -time.Second} }},
 		{"workload.period", func(s *Spec) { s.Workload.Period = -time.Second }},
 		{"cache.ttl", func(s *Spec) { s.Cache = CacheSpec{Enabled: true, TTL: -time.Second} }},
-		{"mobility_tick", func(s *Spec) { s.MobilityTick = -time.Second }},
-		{"churn.fail_duration", func(s *Spec) { s.Churn.FailDuration = -time.Second }},
-		{"chaos.grace", func(s *Spec) { s.Chaos = ChaosSpec{Profile: "mixed", Grace: -time.Second} }},
 		{"chaos.rate", func(s *Spec) { s.Chaos = ChaosSpec{Profile: "mixed", Rate: -1} }},
 		{"churn.link_failures_per_min", func(s *Spec) { s.Churn.LinkFailuresPerMin = -3 }},
 		{"lanes", func(s *Spec) { s.Lanes = -3 }},
 		{"lanes must be <= phones", func(s *Spec) { s.Lanes = 6 }},
-		{"wifi_range_m", func(s *Spec) { s.WiFiRangeM = -3 }},
-		{"bt_range_m", func(s *Spec) { s.BTRangeM = -3 }},
-		{"area_metres", func(s *Spec) { s.AreaMetres = -3 }},
 		{"mobility_speed_ms", func(s *Spec) { s.MobilitySpeedMS = -1 }},
-		{"trace.head_cap", func(s *Spec) { s.Trace = TraceSpec{Enabled: true, HeadCap: -1} }},
 		{"qos.rate", func(s *Spec) { s.QoS = QoSSpec{Enabled: true, Rate: -0.5} }},
-		{"timeline.burn_rate", func(s *Spec) { s.Timeline = TimelineSpec{Enabled: true, BurnRate: -0.5} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.field, func(t *testing.T) {

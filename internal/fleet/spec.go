@@ -78,10 +78,8 @@ type Churn struct {
 	LeaveJoinPerMin float64 `json:"leave_join_per_min"`
 	// LinkFailuresPerMin is the expected number of WiFi link failures
 	// injected fleet-wide each virtual minute; each failed link recovers
-	// after FailDuration.
+	// after linkFailDuration.
 	LinkFailuresPerMin float64 `json:"link_failures_per_min"`
-	// FailDuration is how long an injected link failure lasts (default 30s).
-	FailDuration time.Duration `json:"fail_duration"`
 }
 
 // ChaosSpec opts a run into seeded fault injection (internal/chaos): a
@@ -93,9 +91,6 @@ type ChaosSpec struct {
 	Profile string `json:"profile"`
 	// Rate scales the profile's per-kind fault rates (default 1).
 	Rate float64 `json:"rate"`
-	// Grace is how long after a fault clears its consequences may still be
-	// attributed to it (default chaos.DefaultGrace).
-	Grace time.Duration `json:"grace"`
 }
 
 // CacheSpec opts a run into the shared provisioning plane's answer cache:
@@ -141,17 +136,12 @@ type AuditSpec struct {
 
 // TraceSpec opts a run into deterministic distributed tracing: every query
 // grows a vclock-stamped span tree and the summary gains a latency
-// attribution report. The zero value disables tracing.
+// attribution report. Every query is traced; the run's trace store keeps
+// the earliest and latest finished traces (tracing's head and tail caps).
+// The zero value disables tracing.
 type TraceSpec struct {
 	// Enabled turns tracing on.
 	Enabled bool `json:"enabled"`
-	// Sample keeps one trace in Sample by trace-ID residue (<= 1 keeps
-	// every trace).
-	Sample int `json:"sample"`
-	// HeadCap / TailCap bound the per-run trace store: the earliest
-	// HeadCap and latest TailCap finished traces are retained (0 = 128).
-	HeadCap int `json:"head_cap"`
-	TailCap int `json:"tail_cap"`
 }
 
 // TimelineSpec opts a run into the flight recorder: the world-wide metrics
@@ -170,26 +160,11 @@ type TimelineSpec struct {
 	// SLOs are the objectives evaluated per window. An SLO without a Name
 	// is named after its objective, e.g. "p99_first_item_ms<5000".
 	SLOs []timeline.SLO `json:"slos,omitempty"`
-	// MaxWindows bounds the retained window ring (default 512).
-	MaxWindows int `json:"max_windows"`
-	// BurnShort / BurnLong / BurnRate tune the alerting gate (defaults
-	// 1 / 6 / 0.5): fire when the last BurnShort windows all violate and
-	// the violating fraction over the BurnLong lookback reaches BurnRate.
-	BurnShort int     `json:"burn_short"`
-	BurnLong  int     `json:"burn_long"`
-	BurnRate  float64 `json:"burn_rate"`
 }
 
 // config lowers the spec into the recorder's configuration.
 func (t TimelineSpec) config() timeline.Config {
-	return timeline.Config{
-		Interval:   t.Interval,
-		MaxWindows: t.MaxWindows,
-		SLOs:       t.SLOs,
-		BurnShort:  t.BurnShort,
-		BurnLong:   t.BurnLong,
-		BurnRate:   t.BurnRate,
-	}
+	return timeline.Config{Interval: t.Interval, SLOs: t.SLOs}
 }
 
 // RadioMix partitions the population into device classes. Fractions are
@@ -224,24 +199,15 @@ type Spec struct {
 	// Duration is the virtual time to run (required).
 	Duration time.Duration `json:"duration"`
 
-	// AreaMetres is the side of the square deployment area. 0 sizes the
-	// area so the average WiFi neighborhood holds ~10 phones.
-	AreaMetres float64 `json:"area_metres"`
-	// WiFiRangeM / BTRangeM are the range-based connectivity radii
-	// (defaults 50 m / 10 m).
-	WiFiRangeM float64 `json:"wifi_range_m"`
-	BTRangeM   float64 `json:"bt_range_m"`
-
 	// Lanes is the device-shard count for parallel execution (default
 	// min(Phones, 4×GOMAXPROCS ceiling of 64); 1 forces effectively serial
 	// batches while keeping the same deterministic schedule).
 	Lanes int `json:"lanes"`
 
 	// MobilitySpeedMS is the maximum walking speed; each phone gets a
-	// seeded constant velocity in [-v, v] per axis (0 disables mobility).
+	// seeded constant velocity in [-v, v] per axis, integrated every
+	// mobilityTick (0 disables mobility).
 	MobilitySpeedMS float64 `json:"mobility_speed_ms"`
-	// MobilityTick is the velocity-integration interval (default 10s).
-	MobilityTick time.Duration `json:"mobility_tick"`
 
 	// PublisherFraction of phones publish context: a WiFi tag at setup and
 	// a periodic weather report to the infrastructure (default 0.2).
@@ -260,32 +226,38 @@ type Spec struct {
 	Timeline TimelineSpec `json:"timeline"`
 }
 
+// Fixed properties of every fleet world.
+const (
+	// wifiRangeM and btRangeM are the range-based connectivity radii.
+	wifiRangeM = 50
+	btRangeM   = 10
+	// mobilityTick is the velocity-integration interval.
+	mobilityTick = 10 * time.Second
+	// linkFailDuration is how long an injected WiFi link failure lasts.
+	linkFailDuration = 30 * time.Second
+)
+
+// areaMetres is the side of the square deployment area for a population:
+// the average WiFi neighborhood holds ~10 phones (area = phones · πr²/10),
+// and the area is never narrower than four WiFi ranges.
+func areaMetres(phones int) float64 {
+	side := sqrt(float64(phones) * 3.14159 * wifiRangeM * wifiRangeM / 10)
+	if side < 4*wifiRangeM {
+		side = 4 * wifiRangeM
+	}
+	return side
+}
+
 // withDefaults returns a copy with all defaults applied.
 func (s Spec) withDefaults() Spec {
 	if s.Name == "" {
 		s.Name = "fleet"
-	}
-	if s.WiFiRangeM <= 0 {
-		s.WiFiRangeM = 50
-	}
-	if s.BTRangeM <= 0 {
-		s.BTRangeM = 10
-	}
-	if s.AreaMetres <= 0 {
-		// Average ~10 phones per WiFi disc: area = phones · πr²/10.
-		s.AreaMetres = sqrt(float64(s.Phones) * 3.14159 * s.WiFiRangeM * s.WiFiRangeM / 10)
-		if s.AreaMetres < 4*s.WiFiRangeM {
-			s.AreaMetres = 4 * s.WiFiRangeM
-		}
 	}
 	if s.Lanes <= 0 {
 		s.Lanes = 64
 		if s.Phones < s.Lanes {
 			s.Lanes = s.Phones
 		}
-	}
-	if s.MobilityTick <= 0 {
-		s.MobilityTick = 10 * time.Second
 	}
 	if s.Workload.Period <= 0 {
 		s.Workload.Period = 30 * time.Second
@@ -308,16 +280,8 @@ func (s Spec) withDefaults() Spec {
 	if s.PublisherFraction == 0 {
 		s.PublisherFraction = 0.2
 	}
-	if s.Churn.FailDuration <= 0 {
-		s.Churn.FailDuration = 30 * time.Second
-	}
-	if s.Chaos.Profile != "" {
-		if s.Chaos.Rate <= 0 {
-			s.Chaos.Rate = 1
-		}
-		if s.Chaos.Grace <= 0 {
-			s.Chaos.Grace = chaos.DefaultGrace
-		}
+	if s.Chaos.Profile != "" && s.Chaos.Rate <= 0 {
+		s.Chaos.Rate = 1
 	}
 	if s.Cache.Enabled && s.Cache.TTL <= 0 {
 		s.Cache.TTL = 2 * s.Workload.Period
@@ -346,10 +310,7 @@ func (s Spec) validate() error {
 		field string
 		v     time.Duration
 	}{
-		{"mobility_tick", s.MobilityTick},
 		{"workload.period", s.Workload.Period},
-		{"churn.fail_duration", s.Churn.FailDuration},
-		{"chaos.grace", s.Chaos.Grace},
 		{"cache.ttl", s.Cache.TTL},
 		{"timeline.interval", s.Timeline.Interval},
 	} {
@@ -358,23 +319,14 @@ func (s Spec) validate() error {
 		}
 	}
 	for _, k := range []knob{
-		{"area_metres", s.AreaMetres},
-		{"wifi_range_m", s.WiFiRangeM},
-		{"bt_range_m", s.BTRangeM},
 		{"lanes", float64(s.Lanes)},
 		{"mobility_speed_ms", s.MobilitySpeedMS},
 		{"churn.link_failures_per_min", s.Churn.LinkFailuresPerMin},
 		{"chaos.rate", s.Chaos.Rate},
-		{"trace.head_cap", float64(s.Trace.HeadCap)},
-		{"trace.tail_cap", float64(s.Trace.TailCap)},
 		{"qos.rate", s.QoS.Rate},
 		{"qos.burst", float64(s.QoS.Burst)},
 		{"qos.queue_cap", float64(s.QoS.QueueCap)},
 		{"qos.max_active", float64(s.QoS.MaxActive)},
-		{"timeline.max_windows", float64(s.Timeline.MaxWindows)},
-		{"timeline.burn_short", float64(s.Timeline.BurnShort)},
-		{"timeline.burn_long", float64(s.Timeline.BurnLong)},
-		{"timeline.burn_rate", s.Timeline.BurnRate},
 	} {
 		if k.v < 0 {
 			return fmt.Errorf("fleet: %s must be >= 0, got %v", k.field, k.v)

@@ -252,7 +252,7 @@ func (e *Engine) summarize(start time.Time, bs vclock.BatchStats) Summary {
 			}
 		}
 		faults := e.injector.Faults()
-		att := chaos.Attribute(start, faults, sws, e.spec.Chaos.Grace)
+		att := chaos.Attribute(start, faults, sws)
 		byKind := make(map[string]int)
 		for _, f := range faults {
 			byKind[string(f.Kind)]++

@@ -177,19 +177,29 @@ func (s *Server) onPublish(m simnet.Message) {
 	s.mu.Lock()
 	s.events++
 	consumer := s.consumers[env.Channel]
-	var targets []simnet.NodeID
-	for id := range s.subs[env.Channel] {
-		if id != m.From {
-			targets = append(targets, id)
-		}
-	}
 	s.mu.Unlock()
 	if consumer != nil {
 		consumer(m.From, env.Payload)
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+	s.Notify(env.Channel, m.From, env.Payload)
+}
+
+// Notify sends payload to every subscriber of channel except the node
+// except, in node-ID order, each over half a sampled UMTS round trip. It
+// is the broker's fan-out of a published event, and lets a channel
+// consumer forward what it received to another channel's subscribers.
+func (s *Server) Notify(channel string, except simnet.NodeID, payload any) {
+	s.mu.Lock()
+	var targets []simnet.NodeID
+	for id := range s.subs[channel] {
+		if id != except {
+			targets = append(targets, id)
+		}
+	}
+	s.mu.Unlock()
+	slices.Sort(targets)
 	for _, to := range targets {
-		n := Notification{Channel: env.Channel, Payload: env.Payload}
+		n := Notification{Channel: channel, Payload: payload}
 		// Downlink notification: half a UMTS round trip.
 		_ = s.net.Send(simnet.Message{
 			From:    s.node.ID(),

@@ -99,9 +99,9 @@ func New(cfg Config) (*Infrastructure, error) {
 		capacity: cfg.Capacity,
 	}
 	srv.HandleRequest(provider.InfraOpGetItem, inf.handleGet)
-	srv.HandleChannel("storeCxtItem", inf.handleStore)
-	srv.HandleChannel(ChannelLocation, inf.handleStore)
-	srv.HandleChannel(ChannelWeather, inf.handleStore)
+	for _, ch := range []string{"storeCxtItem", ChannelLocation, ChannelWeather} {
+		srv.HandleChannel(ch, inf.storeFrom(ch))
+	}
 	return inf, nil
 }
 
@@ -117,6 +117,20 @@ func (inf *Infrastructure) AttachRegatta(r *Regatta) {
 	inf.mu.Lock()
 	defer inf.mu.Unlock()
 	inf.regatta = r
+}
+
+// storeFrom returns the consumer of one publish channel: it archives each
+// item and forwards it to the subscribers of the channel its type names,
+// skipping the publisher, so an EVENT query on temperature hears a report
+// published on the weather channel. An item whose type is the channel it
+// arrived on was already fanned out by the broker and is not sent again.
+func (inf *Infrastructure) storeFrom(channel string) func(simnet.NodeID, any) {
+	return func(from simnet.NodeID, payload any) {
+		inf.handleStore(from, payload)
+		if it, ok := payload.(cxt.Item); ok && string(it.Type) != channel {
+			inf.server.Notify(string(it.Type), from, payload)
+		}
+	}
 }
 
 // handleStore archives one published context item and updates the entity

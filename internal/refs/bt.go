@@ -285,7 +285,7 @@ type reply struct {
 const btRequestTimeout = 30 * time.Second
 
 // SetRequestTimeout overrides the default 30 s bound on SDP and get
-// exchanges (core.WithRequestTimeout plumbs the factory-wide policy here).
+// exchanges (core.WithRetryPolicy plumbs the factory-wide timeout here).
 // d <= 0 restores the default. Last-write-wins.
 func (r *BTReference) SetRequestTimeout(d time.Duration) {
 	if d < 0 {

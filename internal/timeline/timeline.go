@@ -38,49 +38,23 @@ type Clock interface {
 type Config struct {
 	// Interval is the virtual time between samples (default 10s).
 	Interval time.Duration `json:"interval"`
-	// MaxWindows bounds the retained window ring (default 512); older
-	// windows are dropped and counted in Report.WindowsDropped.
-	MaxWindows int `json:"max_windows"`
 	// SLOs are the objectives evaluated against every window.
 	SLOs []SLO `json:"slos,omitempty"`
-	// BurnShort is how many consecutive violating windows (including the
-	// current one) must precede an alert (default 1).
-	BurnShort int `json:"burn_short"`
-	// BurnLong is the lookback length in windows for the burn fraction
-	// (default 6).
-	BurnLong int `json:"burn_long"`
-	// BurnRate is the violating fraction of evaluated windows over the
-	// lookback at or above which an alert fires (default 0.5).
-	BurnRate float64 `json:"burn_rate"`
-	// MaxAlerts bounds the alert log (default 256).
-	MaxAlerts int `json:"max_alerts"`
 }
 
-// withDefaults returns a copy with defaults applied.
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 10 * time.Second
-	}
-	if c.MaxWindows <= 0 {
-		c.MaxWindows = 512
-	}
-	if c.BurnShort <= 0 {
-		c.BurnShort = 1
-	}
-	if c.BurnLong < c.BurnShort {
-		c.BurnLong = 6
-		if c.BurnLong < c.BurnShort {
-			c.BurnLong = c.BurnShort
-		}
-	}
-	if c.BurnRate <= 0 {
-		c.BurnRate = 0.5
-	}
-	if c.MaxAlerts <= 0 {
-		c.MaxAlerts = 256
-	}
-	return c
-}
+// Recorder bounds and the burn-rate gate. A violating window fires an
+// alert when the violating fraction of evaluated windows over the last
+// burnLong windows (itself included) reaches burnRate.
+const (
+	// maxWindows bounds the retained window ring; older windows are
+	// dropped and counted in Report.WindowsDropped.
+	maxWindows = 512
+	// maxAlerts bounds the alert log; later alerts are counted in
+	// Report.AlertsDropped.
+	maxAlerts = 256
+	burnLong  = 6
+	burnRate  = 0.5
+)
 
 // Validate rejects configurations a Recorder would silently normalize:
 // harnesses call it so typos in SLO specs fail loudly.
@@ -228,7 +202,7 @@ type outcome struct {
 // sloState is one objective's burn-rate machinery.
 type sloState struct {
 	slo       SLO
-	recent    []outcome // last BurnLong outcomes, oldest first
+	recent    []outcome // last burnLong outcomes, oldest first
 	active    bool      // an alert episode is open
 	alertIdx  int       // index into Recorder.alerts of the open episode
 	evaluated int
@@ -271,10 +245,12 @@ type Recorder struct {
 	alertsDropped int
 }
 
-// New builds a recorder over reg, sampling on clk. The config is
-// normalized (call Config.Validate first to reject rather than normalize).
+// New builds a recorder over reg, sampling on clk. A non-positive Interval
+// becomes 10s (call Config.Validate first to reject a negative one).
 func New(clk Clock, reg *metrics.Registry, cfg Config) *Recorder {
-	cfg = cfg.withDefaults()
+	if cfg.Interval <= 0 {
+		cfg.Interval = 10 * time.Second
+	}
 	r := &Recorder{
 		cfg:          cfg,
 		clk:          clk,
@@ -480,7 +456,7 @@ func mergeHistogram(a, b metrics.HistogramPoint) metrics.HistogramPoint {
 // pushWindowLocked appends w to the bounded ring.
 func (r *Recorder) pushWindowLocked(w Window) {
 	r.total++
-	if len(r.windows) < r.cfg.MaxWindows {
+	if len(r.windows) < maxWindows {
 		r.windows = append(r.windows, w)
 		return
 	}
@@ -494,7 +470,7 @@ func (r *Recorder) evaluateLocked(st *sloState, w Window) {
 	value, has := w.MetricValue(st.slo.Metric)
 	violated := has && !st.slo.holds(value)
 	st.recent = append(st.recent, outcome{evaluated: has, violated: violated})
-	if len(st.recent) > r.cfg.BurnLong {
+	if len(st.recent) > burnLong {
 		st.recent = st.recent[1:]
 	}
 	if !has {
@@ -527,22 +503,8 @@ func (r *Recorder) evaluateLocked(st *sloState, w Window) {
 		a.Causes = mergeCauses(a.Causes, r.faultCausesLocked(w.Start, w.End))
 		return
 	}
-	// Burn gate: the last BurnShort windows all violated, and the violating
-	// fraction of evaluated windows over the lookback reaches BurnRate.
-	consec := 0
-	for i := len(st.recent) - 1; i >= 0; i-- {
-		o := st.recent[i]
-		if !o.evaluated {
-			break
-		}
-		if !o.violated {
-			break
-		}
-		consec++
-	}
-	if consec < r.cfg.BurnShort {
-		return
-	}
+	// Burn gate: the violating fraction of evaluated windows over the
+	// lookback reaches burnRate.
 	eval, bad := 0, 0
 	for _, o := range st.recent {
 		if o.evaluated {
@@ -553,14 +515,14 @@ func (r *Recorder) evaluateLocked(st *sloState, w Window) {
 		}
 	}
 	burn := float64(bad) / float64(eval)
-	if burn < r.cfg.BurnRate {
+	if burn < burnRate {
 		return
 	}
 
 	// Fire. The cause set starts with faults overlapping the burn lookback
 	// (the evidence that tripped the gate), and grows while the episode
 	// stays open.
-	lookback := w.End.Add(-time.Duration(r.cfg.BurnLong) * r.cfg.Interval)
+	lookback := w.End.Add(-burnLong * r.cfg.Interval)
 	alert := Alert{
 		At: w.End, SLO: st.slo.Name, Metric: st.slo.Metric, Op: st.slo.Op,
 		Threshold: st.slo.Threshold, Value: value, BurnRate: burn,
@@ -569,7 +531,7 @@ func (r *Recorder) evaluateLocked(st *sloState, w Window) {
 	}
 	st.alerts++
 	st.active = true
-	if len(r.alerts) >= r.cfg.MaxAlerts {
+	if len(r.alerts) >= maxAlerts {
 		r.alertsDropped++
 		st.active = false // no episode to extend once the log is full
 	} else {

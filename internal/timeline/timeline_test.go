@@ -106,14 +106,14 @@ func TestSamplerStopsAfterStop(t *testing.T) {
 }
 
 func TestWindowRingBounds(t *testing.T) {
-	sim, _, r := harness(Config{Interval: time.Second, MaxWindows: 4})
+	sim, _, r := harness(Config{Interval: time.Second})
 	r.Install()
-	sim.AdvanceTo(vclock.Epoch.Add(10 * time.Second))
+	sim.AdvanceTo(vclock.Epoch.Add((maxWindows + 6) * time.Second))
 	r.Stop()
 	rep := r.Report()
-	if rep.WindowsTotal != 10 || rep.WindowsDropped != 6 || len(rep.Windows) != 4 {
-		t.Fatalf("ring accounting total %d dropped %d retained %d, want 10/6/4",
-			rep.WindowsTotal, rep.WindowsDropped, len(rep.Windows))
+	if rep.WindowsTotal != maxWindows+6 || rep.WindowsDropped != 6 || len(rep.Windows) != maxWindows {
+		t.Fatalf("ring accounting total %d dropped %d retained %d, want %d/6/%d",
+			rep.WindowsTotal, rep.WindowsDropped, len(rep.Windows), maxWindows+6, maxWindows)
 	}
 	for i, w := range rep.Windows {
 		if w.Index != 6+i {
@@ -126,8 +126,6 @@ func TestBurnRateFireExtendClear(t *testing.T) {
 	sim, reg, r := harness(Config{
 		Interval: 10 * time.Second,
 		SLOs:     []SLO{{Name: "shed", Metric: MetricShedRate, Op: "<", Threshold: 0.5}},
-		// Fire after 2 consecutive violating windows at >= 50% of the lookback.
-		BurnShort: 2, BurnLong: 4, BurnRate: 0.5,
 	})
 	r.Install()
 	step := func(shedding bool) {
@@ -136,8 +134,9 @@ func TestBurnRateFireExtendClear(t *testing.T) {
 			reg.Counter("qos.shed").Add(10)
 		}
 	}
-	// Windows: ok, bad, bad(fire), bad(extend), ok(clear), no-data.
-	plan := []string{"ok", "bad", "bad", "bad", "ok", "idle"}
+	// Windows: ok, ok, bad (burn 1/3: below the gate), bad (burn 2/4:
+	// fire), bad (extend), ok (clear), no-data.
+	plan := []string{"ok", "ok", "bad", "bad", "bad", "ok", "idle"}
 	for i, p := range plan {
 		p := p
 		sim.After(time.Duration(i)*10*time.Second+time.Second, func() {
@@ -146,7 +145,7 @@ func TestBurnRateFireExtendClear(t *testing.T) {
 			}
 		})
 	}
-	sim.AdvanceTo(vclock.Epoch.Add(65 * time.Second))
+	sim.AdvanceTo(vclock.Epoch.Add(75 * time.Second))
 	r.Stop()
 
 	rep := r.Report()
@@ -154,39 +153,39 @@ func TestBurnRateFireExtendClear(t *testing.T) {
 		t.Fatalf("got %d alerts, want exactly 1 (episode must not re-fire): %+v", len(rep.Alerts), rep.Alerts)
 	}
 	a := rep.Alerts[0]
-	if a.Window != 2 {
-		t.Fatalf("alert fired at window %d, want 2 (second consecutive violation)", a.Window)
+	if a.Window != 3 {
+		t.Fatalf("alert fired at window %d, want 3 (first window whose lookback burn reaches %v)", a.Window, burnRate)
 	}
-	if a.Value != 1 || a.BurnRate != 2.0/3.0 {
-		t.Fatalf("alert value %v burn %v, want 1 and 2/3", a.Value, a.BurnRate)
+	if a.Value != 1 || a.BurnRate != 0.5 {
+		t.Fatalf("alert value %v burn %v, want 1 and 0.5", a.Value, a.BurnRate)
 	}
-	// The episode extended through window 3.
-	if want := vclock.Epoch.Add(40 * time.Second); !a.WindowEnd.Equal(want) {
+	// The episode extended through window 4.
+	if want := vclock.Epoch.Add(50 * time.Second); !a.WindowEnd.Equal(want) {
 		t.Fatalf("episode end %v, want %v", a.WindowEnd, want)
 	}
-	// SLO table: windows 0..4 evaluated (5 had no submissions), 3 violating.
+	// SLO table: windows 0..5 evaluated (6 had no submissions), 3 violating.
 	if len(rep.SLOs) != 1 {
 		t.Fatalf("got %d slo summaries", len(rep.SLOs))
 	}
 	s := rep.SLOs[0]
-	if s.Evaluated != 5 || s.Violating != 3 || s.Alerts != 1 {
-		t.Fatalf("slo summary = %+v, want 5 evaluated, 3 violating, 1 alert", s)
+	if s.Evaluated != 6 || s.Violating != 3 || s.Alerts != 1 {
+		t.Fatalf("slo summary = %+v, want 6 evaluated, 3 violating, 1 alert", s)
 	}
-	if s.WorstWindow != 1 || s.WorstValue != 1 {
-		t.Fatalf("worst window %d value %v, want first worst window 1 at value 1", s.WorstWindow, s.WorstValue)
+	if s.WorstWindow != 2 || s.WorstValue != 1 {
+		t.Fatalf("worst window %d value %v, want first worst window 2 at value 1", s.WorstWindow, s.WorstValue)
 	}
-	// The alert and clear landed in the event ring.
+	// The alert and the clear at window 5's end landed in the event ring.
 	var fired, cleared bool
 	for _, ev := range reg.Events().Events() {
 		switch ev.Kind {
 		case metrics.EventSLOAlert:
 			fired = true
 		case metrics.EventSLOClear:
-			cleared = true
+			cleared = ev.At.Equal(vclock.Epoch.Add(60 * time.Second))
 		}
 	}
 	if !fired || !cleared {
-		t.Fatalf("event ring missing alert/clear records (fired=%v cleared=%v)", fired, cleared)
+		t.Fatalf("event ring missing alert/clear records (fired=%v cleared at 60s=%v)", fired, cleared)
 	}
 }
 

@@ -10,15 +10,13 @@ import (
 
 // Store is the bounded finished-trace store. At fleet scale a run finishes
 // far more traces than anyone can read, so the store keeps a deterministic
-// head+tail-biased sample: the HeadCap earliest-started traces (the run's
-// warm-up, where radios first power on) and the TailCap latest-started
+// head+tail-biased sample: the headCap earliest-started traces (the run's
+// warm-up, where radios first power on) and the tailCap latest-started
 // ones (steady state, chaos aftermath). The retained set is a pure
 // function of the finished-trace set ordered by (start, trace id) — never
 // of arrival order — so parallel runs at any worker count retain, and
 // drop, exactly the same traces.
 type Store struct {
-	headCap, tailCap int
-
 	mu       sync.Mutex
 	head     []*traceData // ascending by key; the headCap earliest
 	tail     []*traceData // ascending by key; the tailCap latest
@@ -27,12 +25,8 @@ type Store struct {
 	mDropped *metrics.Counter
 }
 
-func newStore(headCap, tailCap int, reg *metrics.Registry) *Store {
-	return &Store{
-		headCap:  headCap,
-		tailCap:  tailCap,
-		mDropped: reg.Counter("tracing.traces.dropped"),
-	}
+func newStore(reg *metrics.Registry) *Store {
+	return &Store{mDropped: reg.Counter("tracing.traces.dropped")}
 }
 
 // keyLess orders traces by (root start, trace id) — both deterministic
@@ -69,13 +63,13 @@ func (s *Store) add(td *traceData) {
 // window no longer holds it either.
 func (s *Store) insertHead(td *traceData) bool {
 	i := sort.Search(len(s.head), func(i int) bool { return keyLess(td, s.head[i]) })
-	if i >= s.headCap {
+	if i >= headCap {
 		return false
 	}
 	s.head = append(s.head, nil)
 	copy(s.head[i+1:], s.head[i:])
 	s.head[i] = td
-	if len(s.head) > s.headCap {
+	if len(s.head) > headCap {
 		evicted := s.head[len(s.head)-1]
 		s.head = s.head[:len(s.head)-1]
 		if !s.inTailLocked(evicted) {
@@ -89,13 +83,13 @@ func (s *Store) insertHead(td *traceData) bool {
 // insertTail keeps the tailCap largest keys.
 func (s *Store) insertTail(td *traceData) bool {
 	i := sort.Search(len(s.tail), func(i int) bool { return keyLess(td, s.tail[i]) })
-	if len(s.tail) == s.tailCap && i == 0 {
+	if len(s.tail) == tailCap && i == 0 {
 		return false
 	}
 	s.tail = append(s.tail, nil)
 	copy(s.tail[i+1:], s.tail[i:])
 	s.tail[i] = td
-	if len(s.tail) > s.tailCap {
+	if len(s.tail) > tailCap {
 		evicted := s.tail[0]
 		s.tail = s.tail[1:]
 		if !s.inHeadLocked(evicted) {

@@ -113,38 +113,21 @@ type Config struct {
 	// every trace. Sampling is decided at root-start, so sampled-out
 	// queries pay no tracing cost at all.
 	Sample int
-	// HeadCap and TailCap bound the finished-trace store: the HeadCap
-	// earliest-started and TailCap latest-started traces are retained
-	// (0 = DefaultHeadCap/DefaultTailCap).
-	HeadCap int
-	TailCap int
-	// MaxSpans bounds spans per trace; excess children are dropped and
-	// counted (0 = DefaultMaxSpans).
-	MaxSpans int
 	// Registry receives the tracer's own counters (traces started /
 	// sampled out / dropped, spans dropped) so overflow is never silent.
 	Registry *metrics.Registry
 }
 
-// Store and span-cap defaults.
+// Store and span caps.
 const (
-	DefaultHeadCap  = 128
-	DefaultTailCap  = 128
-	DefaultMaxSpans = 512
+	// headCap and tailCap bound the finished-trace store: the headCap
+	// earliest-started and tailCap latest-started traces are retained.
+	headCap = 128
+	tailCap = 128
+	// maxSpans bounds spans per trace; excess children are dropped and
+	// counted.
+	maxSpans = 512
 )
-
-func (c Config) withDefaults() Config {
-	if c.HeadCap <= 0 {
-		c.HeadCap = DefaultHeadCap
-	}
-	if c.TailCap <= 0 {
-		c.TailCap = DefaultTailCap
-	}
-	if c.MaxSpans <= 0 {
-		c.MaxSpans = DefaultMaxSpans
-	}
-	return c
-}
 
 // activeFault is one chaos fault currently applied, as reported by the
 // injector. Faults are applied and cleared at global scheduler barriers, so
@@ -181,11 +164,10 @@ type Tracer struct {
 
 // New returns a Tracer stamping spans from the given virtual clock.
 func New(clock vclock.Clock, cfg Config) *Tracer {
-	cfg = cfg.withDefaults()
 	return &Tracer{
 		cfg:         cfg,
 		clock:       clock,
-		store:       newStore(cfg.HeadCap, cfg.TailCap, cfg.Registry),
+		store:       newStore(cfg.Registry),
 		live:        make(map[TraceID]*traceData),
 		mStarted:    cfg.Registry.Counter("tracing.traces.started"),
 		mFinished:   cfg.Registry.Counter("tracing.traces.finished"),
@@ -211,7 +193,7 @@ type traceData struct {
 
 	mu        sync.Mutex
 	spans     []*Span // spans[0] is the root
-	dropped   int     // children discarded over MaxSpans
+	dropped   int     // children discarded over maxSpans
 	firstItem time.Duration
 	hasFirst  bool
 	flushed   bool
@@ -393,15 +375,6 @@ func (s *Span) Context() SpanContext {
 	return SpanContext{Trace: s.trace.id, Span: s.id}
 }
 
-// TraceName returns the owning trace's name ("" for nil) — useful for
-// labelling artifacts derived from a span.
-func (s *Span) TraceName() string {
-	if s == nil {
-		return ""
-	}
-	return s.trace.name
-}
-
 // Child opens a child span on the same node and timeline.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
@@ -425,7 +398,7 @@ func (s *Span) ChildAt(name, node string, tl *energy.Timeline) *Span {
 	s.mu.Unlock()
 
 	td.mu.Lock()
-	if len(td.spans) >= s.tr.cfg.MaxSpans {
+	if len(td.spans) >= maxSpans {
 		td.dropped++
 		td.mu.Unlock()
 		s.tr.mSpansDrop.Inc()

@@ -123,10 +123,10 @@ func TestSamplingByResidue(t *testing.T) {
 }
 
 func TestMaxSpansDropsAreCounted(t *testing.T) {
-	tr, _ := newTestTracer(Config{Seed: 1, MaxSpans: 4})
+	tr, _ := newTestTracer(Config{Seed: 1})
 	root := tr.StartRoot("phone/q-1", "phone", nil)
 	var dropped int
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxSpans+6; i++ {
 		if c := root.Child("sensor.read"); c == nil {
 			dropped++
 		} else {
@@ -134,38 +134,43 @@ func TestMaxSpansDropsAreCounted(t *testing.T) {
 		}
 	}
 	root.End()
-	if dropped != 7 { // root + 3 children admitted
+	if dropped != 7 { // root + maxSpans-1 children admitted
 		t.Fatalf("dropped %d children, want 7", dropped)
 	}
 	if st := tr.Stats(); st.DroppedSpans != 7 {
 		t.Fatalf("stats %+v, want 7 dropped spans", st)
 	}
 	tv := tr.Store().Traces()[0]
-	if tv.DroppedSpans != 7 || len(tv.Spans) != 4 {
+	if tv.DroppedSpans != 7 || len(tv.Spans) != maxSpans {
 		t.Fatalf("view dropped=%d spans=%d", tv.DroppedSpans, len(tv.Spans))
 	}
 }
 
 func TestStoreHeadTailRetention(t *testing.T) {
-	tr, clk := newTestTracer(Config{Seed: 1, HeadCap: 2, TailCap: 3})
-	for i := 0; i < 10; i++ {
+	tr, clk := newTestTracer(Config{Seed: 1})
+	const n = headCap + tailCap + 5
+	for i := 0; i < n; i++ {
 		sp := tr.StartRoot(fmt.Sprintf("p%05d/q-1", i), "phone", nil)
 		sp.End()
 		clk.Advance(time.Second) // distinct start times in creation order
 	}
 	st := tr.Store()
-	if st.Len() != 5 {
-		t.Fatalf("retained %d traces, want head 2 + tail 3", st.Len())
+	if st.Len() != headCap+tailCap {
+		t.Fatalf("retained %d traces, want head %d + tail %d", st.Len(), headCap, tailCap)
 	}
-	if st.Finished() != 10 || st.DroppedTraces() != 5 {
+	if st.Finished() != n || st.DroppedTraces() != 5 {
 		t.Fatalf("finished=%d dropped=%d", st.Finished(), st.DroppedTraces())
 	}
 	traces := st.Traces()
-	var names []string
+	var names, want []string
 	for _, tv := range traces {
 		names = append(names, tv.Name)
 	}
-	want := []string{"p00000/q-1", "p00001/q-1", "p00007/q-1", "p00008/q-1", "p00009/q-1"}
+	for i := 0; i < n; i++ {
+		if i < headCap || i >= n-tailCap {
+			want = append(want, fmt.Sprintf("p%05d/q-1", i))
+		}
+	}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("retained %v, want %v", names, want)
 	}

@@ -872,10 +872,6 @@ func (p *lanePool) run(group [][]*event) uint64 {
 
 func (p *lanePool) close() { close(p.jobs) }
 
-// Sleep advances virtual time by d without requiring pending events. It is a
-// convenience wrapper over Advance used by experiment scripts.
-func (s *Simulator) Sleep(d time.Duration) { s.Advance(d) }
-
 // SinceEpoch returns the duration elapsed since the simulator start.
 func (s *Simulator) SinceEpoch() time.Duration {
 	return time.Duration(s.nowNanos.Load())

@@ -3,6 +3,9 @@ package contory
 import (
 	"testing"
 	"time"
+
+	"contory/internal/fuego"
+	"contory/internal/infra"
 )
 
 func TestWorldEndToEndAdHoc(t *testing.T) {
@@ -309,6 +312,75 @@ func TestWorldInfraEventQueriesShareChannel(t *testing.T) {
 	w.Run(5 * time.Second)
 	if timed != 3 || counted != publishes {
 		t.Fatalf("20 s query got %d items, want 3; sample-limited query got %d, want %d", timed, counted, publishes)
+	}
+}
+
+// TestWorldWeatherReportsReachEventQueries: ReportWeather publishes on the
+// weather channel, while an extInfra EVENT query subscribes on its SELECT
+// type; the infrastructure forwards each stored observation to the channel
+// its type names, so every report reaches the query — except the
+// reporter's own, as with any published event.
+func TestWorldWeatherReportsReachEventQueries(t *testing.T) {
+	w, err := NewWorld(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asker, err := w.AddPhone(PhoneConfig{ID: "asker"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reporter, err := w.AddPhone(PhoneConfig{ID: "reporter"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items, own := 0, 0
+	q := MustParseQuery("SELECT temperature FROM extInfra DURATION 2 min EVENT temperature>10")
+	if _, err := asker.Factory.ProcessCxtQuery(q, ClientFuncs{OnItem: func(Item) { items++ }}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reporter.Factory.ProcessCxtQuery(q, ClientFuncs{OnItem: func(Item) { own++ }}); err != nil {
+		t.Fatal(err)
+	}
+	const reports = 12 // one every 5 s for 60 s
+	for i := 0; i < reports; i++ {
+		w.Run(5 * time.Second)
+		if err := reporter.ReportWeather(TypeTemperature, 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Run(5 * time.Second)
+	if items != reports || own != 0 {
+		t.Fatalf("EVENT query got %d items from %d weather reports, want one each; the reporter's got %d, want 0", items, reports, own)
+	}
+}
+
+// TestWorldLocationReportHeardOnce: an item whose type is the channel it
+// was published on reaches that channel's subscribers through the broker's
+// fan-out alone, not a second time by forwarding.
+func TestWorldLocationReportHeardOnce(t *testing.T) {
+	w, err := NewWorld(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listener, err := w.AddPhone(PhoneConfig{ID: "listener"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reporter, err := w.AddPhone(PhoneConfig{ID: "reporter"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heard := 0
+	if _, err := listener.Device.UMTS.Subscribe(infra.ChannelLocation, func(fuego.Notification) { heard++ }); err != nil {
+		t.Fatal(err)
+	}
+	w.Run(5 * time.Second)
+	if err := reporter.ReportLocation(Fix{Lat: 60.1, Lon: 24.9}); err != nil {
+		t.Fatal(err)
+	}
+	w.Run(time.Minute)
+	if heard != 1 {
+		t.Fatalf("location subscriber heard one report %d times, want 1", heard)
 	}
 }
 
