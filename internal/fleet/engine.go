@@ -13,7 +13,6 @@ import (
 	"contory/internal/refs"
 	"contory/internal/timeline"
 	"contory/internal/tracing"
-	"contory/internal/vclock"
 )
 
 // role is a phone's assigned query archetype.
@@ -576,21 +575,16 @@ func (e *Engine) Injector() *chaos.Injector { return e.injector }
 func (e *Engine) Auditor() *audit.Auditor { return e.auditor }
 
 // Run executes the scenario for Spec.Duration of virtual time and returns
-// its summary. On a sharded world the run drains timestamps across workers
-// goroutines (<= 0 means GOMAXPROCS); an unsharded world runs serially.
-// Run can only be called once per engine.
+// its summary. The run drains timestamps across workers goroutines (<= 0
+// means GOMAXPROCS); the summary is the same at any worker count. Run can
+// only be called once per engine.
 func (e *Engine) Run(workers int) (Summary, error) {
 	if e.ran {
 		return Summary{}, fmt.Errorf("fleet: engine already ran")
 	}
 	e.ran = true
 	start := e.w.Now()
-	var bs vclock.BatchStats
-	if e.w.Sharded() {
-		bs = e.w.RunParallel(e.spec.Duration, workers)
-	} else {
-		e.w.Run(e.spec.Duration)
-	}
+	bs := e.w.RunParallel(e.spec.Duration, workers)
 	e.quiesceAudit(start, workers)
 	// Spans of queries still running when the clock stops must land in the
 	// store before the summary reads it.
@@ -618,11 +612,7 @@ func (e *Engine) quiesceAudit(start time.Time, workers int) {
 	for _, p := range e.phones {
 		p.Factory.Close()
 	}
-	if e.w.Sharded() {
-		e.w.RunParallel(auditDrain, workers)
-	} else {
-		e.w.Run(auditDrain)
-	}
+	e.w.RunParallel(auditDrain, workers)
 	now := e.w.Now()
 	counters := make(map[string]int64)
 	for _, c := range e.w.Metrics().Snapshot().Counters {

@@ -352,8 +352,9 @@ func (s Spec) validate() error {
 		}
 	}
 	if s.Lanes > s.Phones {
-		// Lanes are scheduler shards indexed by a hash modulo Lanes: more
-		// lanes than phones only allocates empty shards.
+		// Lanes partition the phones by a hash of the ID modulo Lanes, so
+		// at most Phones lanes hold a phone: a larger count adds no
+		// parallelism, only lanes that never run an event.
 		return fmt.Errorf("fleet: lanes must be <= phones (%d), got %d", s.Phones, s.Lanes)
 	}
 	wl := s.Workload.LocalPeriodic + s.Workload.LocalEvent + s.Workload.AdHocPeriodic +

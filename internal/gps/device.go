@@ -38,7 +38,7 @@ type Device struct {
 	// or sorting.
 	subs   []simnet.NodeID
 	failed bool
-	ticker interface{ Stop() bool }
+	ticker interface{ Stop() }
 }
 
 // NewDevice registers a GPS device node with the given id on the network.

@@ -26,8 +26,14 @@ type UMTSReference struct {
 	umts   *radio.UMTS
 	mon    *monitor.Monitor
 
-	idleStop *vclock.Timer
-	gsmOn    bool
+	// idleStop is the pending GSM idle-signalling peak. Its callback is
+	// onIdlePeak, the reference's bound idlePeak, which charges the power
+	// idleMW and duration idleDur drawn when the peak was scheduled.
+	idleStop   *vclock.Timer
+	onIdlePeak func()
+	idleMW     float64
+	idleDur    time.Duration
+	gsmOn      bool
 	// busyUntil marks the end of the current connection cycle (open +
 	// transfer + radio tail); idle signalling is subsumed until then.
 	busyUntil time.Time
@@ -134,6 +140,7 @@ func NewUMTSReference(nw *simnet.Network, id, server simnet.NodeID, umts *radio.
 		mon:    mon,
 	}
 	r.issueQueued = r.issueNext
+	r.onIdlePeak = r.idlePeak
 	client.ObserveRequests(r.observeRequest)
 	return r, nil
 }
@@ -169,18 +176,22 @@ func (r *UMTSReference) SetGSMRadio(on bool) {
 func (r *UMTSReference) GSMOn() bool { return r.gsmOn }
 
 func (r *UMTSReference) scheduleIdlePeak() {
-	mw, dur, next := r.umts.IdlePeak()
-	r.idleStop = r.clock.After(next, func() {
-		if !r.gsmOn {
-			return
-		}
-		// Idle signalling only happens while the radio is otherwise idle;
-		// during a data connection cycle it is subsumed by the transfer.
-		if r.clock.Now().After(r.busyUntil) {
-			r.node.Timeline().AddWindow("gsm-idle-peak", energy.Milliwatts(mw), dur)
-		}
-		r.scheduleIdlePeak()
-	})
+	var next time.Duration
+	r.idleMW, r.idleDur, next = r.umts.IdlePeak()
+	r.idleStop = r.clock.After(next, r.onIdlePeak)
+}
+
+// idlePeak charges the scheduled idle-signalling peak and schedules the next.
+func (r *UMTSReference) idlePeak() {
+	if !r.gsmOn {
+		return
+	}
+	// Idle signalling only happens while the radio is otherwise idle;
+	// during a data connection cycle it is subsumed by the transfer.
+	if r.clock.Now().After(r.busyUntil) {
+		r.node.Timeline().AddWindow("gsm-idle-peak", energy.Milliwatts(r.idleMW), r.idleDur)
+	}
+	r.scheduleIdlePeak()
 }
 
 // Publish pushes an event-encapsulated context item or query to the

@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// BenchmarkRunParallelUntil exercises the sharded hot path under the two
+// BenchmarkRunParallelUntil exercises the batch drain under the two
 // workload shapes the fleet produces: lane-heavy (many device lanes, no
-// global events — shard pops dominate) and barrier-heavy (a global event
-// at every timestamp — flush/barrier transitions dominate). Both run the
-// serial inline path and with a worker pool.
+// global events — heap pops and lane grouping dominate) and barrier-heavy
+// (a global event at every timestamp — flush/barrier transitions
+// dominate). Both run the serial inline path and with a worker pool.
 func BenchmarkRunParallelUntil(b *testing.B) {
 	cases := []struct {
 		name    string
@@ -50,8 +50,8 @@ func BenchmarkRunParallelUntil(b *testing.B) {
 
 // BenchmarkTimerStopChurn measures schedule-then-cancel churn: subscription
 // timeouts and retry timers that are armed and stopped without ever firing.
-// Stop must be O(log shard) removal plus free-list recycle, not a linear
-// scan or a leaked queue entry.
+// Stop must be an in-place heap removal plus free-list recycle, not a
+// linear scan or a leaked queue entry.
 func BenchmarkTimerStopChurn(b *testing.B) {
 	s := NewSimulator()
 	timers := make([]*Timer, 0, 1024)

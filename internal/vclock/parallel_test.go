@@ -52,6 +52,25 @@ func TestStopRemovesPeriodicTimerFromHeap(t *testing.T) {
 	}
 }
 
+// A periodic timer that fires and re-arms, then is stopped by a later
+// event of the same instant, is recycled once: the free list must not hand
+// its event object to two later timers.
+func TestStopAfterRearmInSameInstant(t *testing.T) {
+	s := NewSimulator()
+	lane := s.Lane(0)
+	periodic := lane.Every(time.Second, func() {})
+	lane.After(time.Second, func() { periodic.Stop() })
+	s.RunParallelUntil(s.Now().Add(time.Second), 1)
+	var got []int
+	for i := 0; i < 3; i++ {
+		s.After(time.Second, func() { got = append(got, i) })
+	}
+	s.Advance(time.Second)
+	if !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("callbacks ran %v, want [0 1 2]", got)
+	}
+}
+
 // Interleaved stops must not corrupt heap ordering for surviving events.
 func TestStopInterleavedKeepsOrder(t *testing.T) {
 	s := NewSimulator()

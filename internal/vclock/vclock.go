@@ -10,26 +10,21 @@
 //
 // Fleet-scale runs (internal/fleet) drive thousands of devices; executing
 // every event on one goroutine serialises the whole testbed. The simulator
-// therefore supports device-sharded lanes: a Lane is a Clock handle bound to
-// one shard, and RunParallelUntil drains all events that share a virtual
+// therefore supports device lanes: a Lane is a Clock handle bound to one
+// lane, and RunParallelUntil drains all events that share a virtual
 // timestamp across a bounded worker pool, running each lane's events
 // sequentially (per-device ordering is preserved) while different lanes
 // proceed concurrently. A barrier separates timestamps, and events scheduled
 // on the simulator itself (GlobalLane) are barriers within a timestamp, so
 // topology-wide mutations never race device work.
 //
-// # Storage sharding and pooling
+// # Storage and pooling
 //
-// Timer storage is sharded per lane: each lane owns a min-heap ordered by
-// (at, origin, seq), and a small index heap tracks the head event of every
-// non-empty shard. Stopping a timer removes its event from the owning
-// shard's heap — O(log shard) instead of O(log total) — and draining a
-// timestamp pops from only the shards whose head matches, which in the
-// common case (one contributing shard) yields an already-ordered batch with
-// no merge. All shards share the simulator mutex: correctness needs pushes,
-// stops and head-index updates to be mutually consistent, and the sharding
-// win here is algorithmic (smaller heaps, cheaper pops) rather than lock
-// spreading. Event objects and per-batch scratch are recycled through free
+// Pending events of every lane sit in one min-heap ordered by (at, origin,
+// seq), guarded by the simulator mutex. Stopping a timer removes its event
+// from the heap in place, and draining a timestamp pops the heap while its
+// head is at that instant, which yields the batch already in (origin, seq)
+// order. Event objects and per-batch scratch are recycled through free
 // lists owned by the simulator, so steady-state dispatch allocates nothing:
 // one-shot events return to the pool after execution, and periodic events
 // are re-armed in place instead of being re-created each firing.
@@ -48,7 +43,6 @@ package vclock
 import (
 	"errors"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,7 +66,7 @@ type Clock interface {
 	Post(d time.Duration, fn func())
 }
 
-// GlobalLane is the lane of events not bound to any device shard. In
+// GlobalLane is the lane of events not bound to any device lane. In
 // parallel batch runs global events are barriers: every lane event ordered
 // before them completes first, and no lane event ordered after them starts
 // until they return.
@@ -88,33 +82,27 @@ type Timer struct {
 	ev *event
 }
 
-// Stop cancels the timer and removes its pending event from the owning
-// shard's heap, so stopping N timers shrinks the queue by N immediately
-// (high-churn fleets would otherwise grow it unboundedly with dead events).
-// It is safe to call multiple times and after the timer has fired; it
-// reports whether the call prevented a future firing.
-func (t *Timer) Stop() bool {
-	if t == nil {
-		return false
+// Stop cancels the timer and removes its pending event from the heap, so
+// stopping N timers shrinks the queue by N immediately (high-churn fleets
+// would otherwise grow it unboundedly with dead events). It is safe to call
+// multiple times and after the timer has fired.
+func (t *Timer) Stop() {
+	if t == nil || !t.stopped.CompareAndSwap(false, true) || t.sim == nil {
+		return
 	}
-	if !t.stopped.CompareAndSwap(false, true) {
-		return false
+	s := t.sim
+	s.mu.Lock()
+	if ev := t.ev; ev != nil && ev.index >= 0 {
+		s.removeLocked(ev)
+		s.recycleLocked(ev)
 	}
-	if s := t.sim; s != nil {
-		s.mu.Lock()
-		if ev := t.ev; ev != nil && ev.index >= 0 {
-			s.removeLocked(ev)
-			s.recycleLocked(ev)
-		}
-		t.ev = nil
-		s.mu.Unlock()
-	}
-	return true
+	t.ev = nil
+	s.mu.Unlock()
 }
 
 func (t *Timer) isStopped() bool { return t.stopped.Load() }
 
-// event is a scheduled callback in one of the simulator's shard heaps.
+// event is a scheduled callback in the simulator's heap.
 // at is nanoseconds since the simulator start: an integer key keeps heap
 // comparisons to two loads and a subtract instead of time.Time method calls.
 type event struct {
@@ -125,7 +113,7 @@ type event struct {
 	// the main goroutine and barrier events.
 	origin int32
 	seq    uint64
-	// lane is the execution shard: events sharing a lane run sequentially
+	// lane is the execution lane: events sharing a lane run sequentially
 	// even in parallel batches. GlobalLane events are barriers.
 	lane int32
 	// period is the re-arm interval in nanoseconds for Every timers; 0 for
@@ -134,7 +122,7 @@ type event struct {
 	period int64
 	fn     func()
 	timer  *Timer // nil for one-shot internal events
-	index  int    // index in the owning shard's heap; -1 once popped or removed
+	index  int    // index in the heap; -1 once popped or removed
 }
 
 func evLess(a, b *event) bool {
@@ -145,46 +133,6 @@ func evLess(a, b *event) bool {
 		return a.origin < b.origin
 	}
 	return a.seq < b.seq
-}
-
-// shard is one lane's private min-heap of pending events, ordered by
-// (at, origin, seq).
-type shard struct {
-	q   []*event
-	pos int // index in Simulator.heads; -1 while the shard is empty
-}
-
-func (sh *shard) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !evLess(sh.q[i], sh.q[p]) {
-			break
-		}
-		sh.q[i], sh.q[p] = sh.q[p], sh.q[i]
-		sh.q[i].index = i
-		sh.q[p].index = p
-		i = p
-	}
-}
-
-func (sh *shard) down(i int) {
-	n := len(sh.q)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if r := c + 1; r < n && evLess(sh.q[r], sh.q[c]) {
-			c = r
-		}
-		if !evLess(sh.q[c], sh.q[i]) {
-			return
-		}
-		sh.q[i], sh.q[c] = sh.q[c], sh.q[i]
-		sh.q[i].index = i
-		sh.q[c].index = c
-		i = c
-	}
 }
 
 // Simulator is a discrete-event Clock. The zero value is not usable; use
@@ -198,14 +146,9 @@ type Simulator struct {
 	nowNanos  atomic.Int64 // ns since start; written under mu, read lock-free
 	globalSeq uint64
 	laneSeq   []uint64
-	// shards holds per-lane event heaps: slot 0 is GlobalLane, slot l+1 is
-	// lane l. heads is a min-heap over the non-empty shards keyed by each
-	// shard's head event, so the global minimum is heads[0].q[0].
-	shards  []*shard
-	heads   []*shard
-	pending int
-	free    []*event      // recycled event objects; owned by mu
-	runs    atomic.Uint64 // number of events executed
+	q         []*event      // pending events, a min-heap ordered by evLess
+	free      []*event      // recycled event objects; owned by mu
+	runs      atomic.Uint64 // number of events executed
 }
 
 var _ Clock = (*Simulator)(nil)
@@ -239,7 +182,7 @@ func (s *Simulator) Executed() uint64 {
 func (s *Simulator) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pending
+	return len(s.q)
 }
 
 // After implements Clock; the event is scheduled on the global lane.
@@ -268,7 +211,7 @@ func (s *Simulator) Post(d time.Duration, fn func()) {
 // scheduling primitive: a message send executes sender-side (origin = the
 // sender's lane, whose sequential code makes the ordering key
 // deterministic) but must be delivered receiver-side (exec = the receiver's
-// lane, so receiver state is only touched from its own shard). With both
+// lane, so receiver state is only touched from its own lane). With both
 // lanes GlobalLane it orders exactly like After. The event has no Timer and
 // cannot be stopped, so scheduling it allocates nothing once the event free
 // list is warm.
@@ -305,8 +248,8 @@ func (s *Simulator) everyIn(origin, lane int32, d time.Duration, fn func()) *Tim
 	return t
 }
 
-// Lane is a Clock handle bound to one execution shard. Events scheduled
-// through it carry the lane as both ordering origin and execution shard, so
+// Lane is a Clock handle bound to one execution lane. Events scheduled
+// through it carry the lane as both ordering origin and execution lane, so
 // a device whose components all share its lane handle keeps strict
 // per-device event ordering even in parallel batches.
 type Lane struct {
@@ -316,7 +259,7 @@ type Lane struct {
 
 var _ Clock = (*Lane)(nil)
 
-// Lane returns the Clock handle for shard id (id >= 0).
+// Lane returns the Clock handle for lane id (id >= 0).
 func (s *Simulator) Lane(id int) *Lane {
 	if id < 0 {
 		id = 0
@@ -324,26 +267,20 @@ func (s *Simulator) Lane(id int) *Lane {
 	return &Lane{s: s, id: int32(id)}
 }
 
-// ID returns the lane's shard number.
-func (l *Lane) ID() int32 { return l.id }
-
-// Simulator returns the underlying simulator.
-func (l *Lane) Simulator() *Simulator { return l.s }
-
 // Now implements Clock.
 func (l *Lane) Now() time.Time { return l.s.Now() }
 
-// After implements Clock on the lane's shard.
+// After implements Clock on the lane.
 func (l *Lane) After(d time.Duration, fn func()) *Timer {
 	return l.s.afterIn(l.id, l.id, d, fn)
 }
 
-// Post implements Clock on the lane's shard.
+// Post implements Clock on the lane.
 func (l *Lane) Post(d time.Duration, fn func()) {
 	l.s.AfterFrom(l.id, l.id, d, fn)
 }
 
-// Every implements Clock on the lane's shard.
+// Every implements Clock on the lane.
 func (l *Lane) Every(d time.Duration, fn func()) *Timer {
 	return l.s.everyIn(l.id, l.id, d, fn)
 }
@@ -363,143 +300,65 @@ func (s *Simulator) nextSeqLocked(origin int32) uint64 {
 	return seq
 }
 
-// shardForLocked returns lane's shard, creating it on first use; s.mu held.
-func (s *Simulator) shardForLocked(lane int32) *shard {
-	slot := 0
-	if lane != GlobalLane {
-		slot = int(lane) + 1
-	}
-	for slot >= len(s.shards) {
-		s.shards = append(s.shards, nil)
-	}
-	sh := s.shards[slot]
-	if sh == nil {
-		sh = &shard{pos: -1}
-		s.shards[slot] = sh
-	}
-	return sh
-}
-
-func shLess(a, b *shard) bool { return evLess(a.q[0], b.q[0]) }
-
-func (s *Simulator) headUp(i int) {
+func (s *Simulator) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !shLess(s.heads[i], s.heads[p]) {
+		if !evLess(s.q[i], s.q[p]) {
 			break
 		}
-		s.heads[i], s.heads[p] = s.heads[p], s.heads[i]
-		s.heads[i].pos = i
-		s.heads[p].pos = p
+		s.q[i], s.q[p] = s.q[p], s.q[i]
+		s.q[i].index = i
+		s.q[p].index = p
 		i = p
 	}
 }
 
-func (s *Simulator) headDown(i int) {
-	n := len(s.heads)
+func (s *Simulator) down(i int) {
+	n := len(s.q)
 	for {
 		c := 2*i + 1
 		if c >= n {
 			return
 		}
-		if r := c + 1; r < n && shLess(s.heads[r], s.heads[c]) {
+		if r := c + 1; r < n && evLess(s.q[r], s.q[c]) {
 			c = r
 		}
-		if !shLess(s.heads[c], s.heads[i]) {
+		if !evLess(s.q[c], s.q[i]) {
 			return
 		}
-		s.heads[i], s.heads[c] = s.heads[c], s.heads[i]
-		s.heads[i].pos = i
-		s.heads[c].pos = c
+		s.q[i], s.q[c] = s.q[c], s.q[i]
+		s.q[i].index = i
+		s.q[c].index = c
 		i = c
 	}
 }
 
-// headDeleteLocked removes an emptied shard from the head index; s.mu held.
-func (s *Simulator) headDeleteLocked(sh *shard) {
-	i := sh.pos
-	last := len(s.heads) - 1
-	s.heads[i] = s.heads[last]
-	s.heads[i].pos = i
-	s.heads[last] = nil
-	s.heads = s.heads[:last]
-	if i < last {
-		s.headDown(i)
-		s.headUp(i)
-	}
-	sh.pos = -1
+// queueLocked inserts ev into the heap; s.mu held.
+func (s *Simulator) queueLocked(ev *event) {
+	ev.index = len(s.q)
+	s.q = append(s.q, ev)
+	s.up(ev.index)
 }
 
-// shardPushLocked inserts ev into sh and fixes the head index; s.mu held.
-func (s *Simulator) shardPushLocked(sh *shard, ev *event) {
-	ev.index = len(sh.q)
-	sh.q = append(sh.q, ev)
-	sh.up(ev.index)
-	if ev.index == 0 {
-		// New shard head: either the shard just became non-empty, or its
-		// key decreased — both only ever move it up the head index.
-		if sh.pos < 0 {
-			sh.pos = len(s.heads)
-			s.heads = append(s.heads, sh)
-		}
-		s.headUp(sh.pos)
-	}
-	s.pending++
-}
-
-// shardPopRootLocked removes and returns sh's head event without touching
-// the head index; the caller fixes it once after a run of pops. s.mu held.
-func (s *Simulator) shardPopRootLocked(sh *shard) *event {
-	ev := sh.q[0]
-	last := len(sh.q) - 1
-	sh.q[0] = sh.q[last]
-	sh.q[0].index = 0
-	sh.q[last] = nil
-	sh.q = sh.q[:last]
-	if last > 0 {
-		sh.down(0)
-	}
-	ev.index = -1
-	s.pending--
-	return ev
-}
-
-// headFixAfterPopsLocked restores sh's position in the head index after its
-// head event changed (or the shard emptied); s.mu held.
-func (s *Simulator) headFixAfterPopsLocked(sh *shard) {
-	if len(sh.q) == 0 {
-		s.headDeleteLocked(sh)
-	} else {
-		s.headDown(sh.pos)
-	}
-}
-
-// removeLocked unlinks a still-queued event from its shard; s.mu held.
+// removeLocked unlinks a queued event from the heap; s.mu held.
 func (s *Simulator) removeLocked(ev *event) {
-	sh := s.shardForLocked(ev.lane)
 	i := ev.index
-	last := len(sh.q) - 1
-	sh.q[i] = sh.q[last]
-	sh.q[i].index = i
-	sh.q[last] = nil
-	sh.q = sh.q[:last]
+	last := len(s.q) - 1
+	s.q[i] = s.q[last]
+	s.q[i].index = i
+	s.q[last] = nil
+	s.q = s.q[:last]
 	if i < last {
-		sh.down(i)
-		sh.up(i)
+		s.down(i)
+		s.up(i)
 	}
 	ev.index = -1
-	s.pending--
-	if i == 0 || len(sh.q) == 0 {
-		s.headFixAfterPopsLocked(sh)
-	}
 }
 
-// popMinLocked removes and returns the globally minimal event; s.mu held,
-// heads non-empty.
+// popMinLocked removes and returns the least event; s.mu held, q non-empty.
 func (s *Simulator) popMinLocked() *event {
-	sh := s.heads[0]
-	ev := s.shardPopRootLocked(sh)
-	s.headFixAfterPopsLocked(sh)
+	ev := s.q[0]
+	s.removeLocked(ev)
 	return ev
 }
 
@@ -543,7 +402,7 @@ func (s *Simulator) pushLocked(at int64, fn func(), t *Timer, origin, lane int32
 	if t != nil {
 		t.ev = ev
 	}
-	s.shardPushLocked(s.shardForLocked(lane), ev)
+	s.queueLocked(ev)
 }
 
 // reschedule re-arms a periodic event after a firing, drawing a fresh
@@ -552,9 +411,8 @@ func (s *Simulator) pushLocked(at int64, fn func(), t *Timer, origin, lane int32
 // periodic timelines are identical to the pre-pooling implementation.
 // If the timer was stopped since the firing began the event is not
 // re-armed; its period is zeroed and the caller's recycling path reclaims
-// it. reschedule itself never touches the free list: batch slices may still
-// reference the event, and recycling here could hand it to a concurrent
-// push while the coordinator later recycles the reused object.
+// it (Step at once, a batch when its flush returns). reschedule itself
+// never touches the free list.
 func (s *Simulator) reschedule(ev *event) {
 	s.mu.Lock()
 	if t := ev.timer; t != nil && t.stopped.Load() {
@@ -567,7 +425,7 @@ func (s *Simulator) reschedule(ev *event) {
 	if ev.timer != nil {
 		ev.timer.ev = ev
 	}
-	s.shardPushLocked(s.shardForLocked(ev.lane), ev)
+	s.queueLocked(ev)
 	s.mu.Unlock()
 }
 
@@ -578,7 +436,7 @@ var ErrNoEvents = errors.New("vclock: no pending events")
 func (s *Simulator) Step() error {
 	for {
 		s.mu.Lock()
-		if len(s.heads) == 0 {
+		if len(s.q) == 0 {
 			s.mu.Unlock()
 			return ErrNoEvents
 		}
@@ -624,7 +482,7 @@ func (s *Simulator) AdvanceTo(deadline time.Time) {
 	dNs := deadline.Sub(s.start).Nanoseconds()
 	for {
 		s.mu.Lock()
-		if len(s.heads) == 0 || s.heads[0].q[0].at > dNs {
+		if len(s.q) == 0 || s.q[0].at > dNs {
 			if dNs > s.nowNanos.Load() {
 				s.nowNanos.Store(dNs)
 			}
@@ -720,34 +578,17 @@ func (s *Simulator) RunParallelUntil(deadline time.Time, workers int) BatchStats
 
 	for {
 		s.mu.Lock()
-		if len(s.heads) == 0 || s.heads[0].q[0].at > dNs {
+		if len(s.q) == 0 || s.q[0].at > dNs {
 			if dNs > s.nowNanos.Load() {
 				s.nowNanos.Store(dNs)
 			}
 			s.mu.Unlock()
 			return st
 		}
-		t := s.heads[0].q[0].at
+		t := s.q[0].at
 		batch = batch[:0]
-		contributors := 0
-		for len(s.heads) > 0 && s.heads[0].q[0].at == t {
-			sh := s.heads[0]
-			for len(sh.q) > 0 && sh.q[0].at == t {
-				batch = append(batch, s.shardPopRootLocked(sh))
-			}
-			s.headFixAfterPopsLocked(sh)
-			contributors++
-		}
-		if contributors > 1 {
-			// Each shard's pops are already (origin, seq)-ordered; merge
-			// shards into the global deterministic order. seq is unique per
-			// origin, so the key is total and stability is irrelevant.
-			sort.Slice(batch, func(i, j int) bool {
-				if batch[i].origin != batch[j].origin {
-					return batch[i].origin < batch[j].origin
-				}
-				return batch[i].seq < batch[j].seq
-			})
+		for len(s.q) > 0 && s.q[0].at == t {
+			batch = append(batch, s.popMinLocked())
 		}
 		if t > s.nowNanos.Load() {
 			s.nowNanos.Store(t)
@@ -792,12 +633,15 @@ func (s *Simulator) RunParallelUntil(deadline time.Time, workers int) BatchStats
 		}
 		flush()
 		// Events scheduled at exactly t during this batch drain on the
-		// next loop iteration, before the clock moves past t. Executed
-		// one-shot events are dead once the flush returns: recycle them in
-		// one critical section. Periodic events re-armed themselves.
+		// next loop iteration, before the clock moves past t. Once the
+		// flush returns, the batch's events are dead unless a periodic one
+		// re-armed itself: recycle the dead ones in one critical section.
+		// A re-armed event is queued, or a later callback stopped it and
+		// Stop recycled it (fn nil), and it may be queued again as a new
+		// event; the batch owns it in neither case.
 		s.mu.Lock()
 		for _, ev := range batch {
-			if ev.period == 0 {
+			if ev.index < 0 && ev.fn != nil {
 				s.recycleLocked(ev)
 			}
 		}

@@ -163,9 +163,6 @@ func (w *World) RunParallel(d time.Duration, workers int) vclock.BatchStats {
 	return w.clock.RunParallelUntil(w.clock.Now().Add(d), workers)
 }
 
-// Sharded reports whether the world was built with lane sharding.
-func (w *World) Sharded() bool { return w.net.Sharded() }
-
 // EventsExecuted returns the cumulative count of simulator events run.
 func (w *World) EventsExecuted() uint64 { return w.clock.Executed() }
 
