@@ -96,7 +96,7 @@ func (f *Factory) tryServeFromCache(aq *activeQuery) bool {
 		hit.SetAttr("age", it.Age(f.clock.Now()).String())
 		hit.End()
 	}
-	f.register(aq, MechanismCache, "")
+	f.register(aq, MechanismCache, "", metrics.DetailArgs{})
 	// The first answer is delivered asynchronously, like a provider's, so
 	// the Subscription handle exists before the client callback runs.
 	f.clock.Post(0, func() { f.cacheDeliver(aq.id, true) })
@@ -203,5 +203,5 @@ func (f *Factory) promoteFromCache(queryID, reason string) {
 	pr.SetAttr("to", mech.String())
 	pr.SetAttr("reason", reason)
 	pr.End()
-	f.reportAssigned(queryID, mech, "promoted from cache: "+reason)
+	f.reportAssigned(queryID, mech, "promoted from cache: ", metrics.DetailArgs{Reason: reason})
 }

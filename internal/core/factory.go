@@ -312,7 +312,7 @@ func (f *Factory) ProcessCxtQuery(q *query.Query, client Client) (*Subscription,
 
 	mech, err := f.submitFirst(aq)
 	if err == nil {
-		f.register(aq, mech, "")
+		f.register(aq, mech, "", metrics.DetailArgs{})
 		return &aq.Subscription, nil
 	}
 	if aq.qosLive {
@@ -376,9 +376,9 @@ func (f *Factory) ProcessCxtQueryMulti(q *query.Query, client Client, mechs ...M
 		f.multi[aq.id] = extra
 		f.mu.Unlock()
 	}
-	f.register(aq, assigned[0], "")
+	f.register(aq, assigned[0], "", metrics.DetailArgs{})
 	for _, mech := range extra {
-		f.reportAssigned(aq.id, mech, "")
+		f.reportAssigned(aq.id, mech, "", metrics.DetailArgs{})
 	}
 	return &aq.Subscription, nil
 }
@@ -406,7 +406,7 @@ func (f *Factory) openQuery(q *query.Query, client Client, prefs mechList) *acti
 	}
 	aq.q.ID = id
 	f.instr.submitted.Inc()
-	f.instr.event(aq.submitted, id, metrics.EventSubmitted, "", string(aq.q.Select))
+	f.instr.event(aq.submitted, id, metrics.EventSubmitted, "", string(aq.q.Select), metrics.DetailArgs{})
 	if f.tracer != nil {
 		aq.span = f.tracer.StartRoot(string(f.dev.ID)+"/"+id, string(f.dev.ID), f.dev.Node.Timeline())
 		aq.span.SetAttr("select", string(aq.q.Select))
@@ -448,7 +448,7 @@ func (f *Factory) submitFirst(aq *activeQuery) (Mechanism, error) {
 // expiry, tells the auditor and reports the assignment. The expiry is armed
 // before any timer the caller schedules next, so at an equal virtual
 // instant it fires first.
-func (f *Factory) register(aq *activeQuery, mech Mechanism, detail string) {
+func (f *Factory) register(aq *activeQuery, mech Mechanism, detail string, args metrics.DetailArgs) {
 	id := aq.id
 	aq.mech = mech
 	if mech != MechanismPending {
@@ -465,13 +465,14 @@ func (f *Factory) register(aq *activeQuery, mech Mechanism, detail string) {
 		f.auditTimerArmed(id, "expiry")
 	}
 	f.instr.active.Add(1)
-	f.reportAssigned(id, mech, detail)
+	f.reportAssigned(id, mech, detail, args)
 }
 
-// reportAssigned counts and ring-logs a query's assignment to a mechanism.
-func (f *Factory) reportAssigned(queryID string, mech Mechanism, detail string) {
+// reportAssigned counts and ring-logs a query's assignment to a mechanism;
+// the ring appends args to detail on read.
+func (f *Factory) reportAssigned(queryID string, mech Mechanism, detail string, args metrics.DetailArgs) {
 	f.instr.assigned[mech].Inc()
-	f.instr.event(f.clock.Now(), queryID, metrics.EventAssigned, mech.String(), detail)
+	f.instr.event(f.clock.Now(), queryID, metrics.EventAssigned, mech.String(), detail, args)
 }
 
 // moveTo records that a preference walk moved a registered query onto
@@ -542,7 +543,7 @@ func (f *Factory) finishQuery(queryID string, kind metrics.EventKind) {
 		kind = metrics.EventCancelled
 		f.instr.cancelled.Inc()
 	}
-	f.instr.event(f.clock.Now(), queryID, kind, aq.mech.String(), "")
+	f.instr.event(f.clock.Now(), queryID, kind, aq.mech.String(), "", metrics.DetailArgs{})
 	aq.span.SetAttr("outcome", string(kind))
 	aq.span.End()
 	f.audit.QueryFinished(f.clock.Now(), string(f.dev.ID), queryID, string(kind),
@@ -642,7 +643,7 @@ func (f *Factory) reportDelivered(aq *activeQuery, mech Mechanism, it cxt.Item, 
 	now := f.clock.Now()
 	f.instr.delivered.Inc()
 	f.audit.ItemDelivered(now, string(f.dev.ID), aq.id, fromCache)
-	f.instr.event(now, aq.id, metrics.EventDelivered, mech.String(), string(it.Type))
+	f.instr.event(now, aq.id, metrics.EventDelivered, mech.String(), string(it.Type), metrics.DetailArgs{})
 	if first {
 		f.instr.observeFirstItem(mech, now.Sub(aq.submitted))
 		aq.span.MarkFirstItem()
@@ -1026,7 +1027,7 @@ func (f *Factory) switchQuery(queryID, reason string) {
 	f.mu.Unlock()
 	f.instr.switched.Inc()
 	f.instr.event(f.clock.Now(), queryID, metrics.EventSwitched, to.String(),
-		"from "+from.String()+": "+reason)
+		"from ", metrics.DetailArgs{From: from.String(), Reason: reason})
 }
 
 // startRecoveryProbeLocked arms the periodic probe watching for the

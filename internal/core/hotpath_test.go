@@ -314,9 +314,38 @@ func TestEventAllocs(t *testing.T) {
 	in := newInstruments(metrics.NewRegistry(), "boat-1")
 	at := vclock.Epoch
 	if got := testing.AllocsPerRun(2*metrics.DefaultRingCapacity, func() {
-		in.event(at, "q-12", metrics.EventDelivered, "extInfra", "temperature")
+		in.event(at, "q-12", metrics.EventDelivered, "extInfra", "temperature", metrics.DetailArgs{})
 	}); got != 0 {
 		t.Fatalf("instruments.event allocates %v times, want 0", got)
+	}
+}
+
+// The ring record of a deferred or a degraded admission allocates
+// nothing: the wait and the reason travel beside the detail, and the ring
+// joins them on read into the text that was once built at record time.
+func TestQoSRingDetailAllocs(t *testing.T) {
+	reg := metrics.NewRegistry()
+	in := newInstruments(reg, "boat-1")
+	for _, d := range []qos.Decision{
+		{Verdict: qos.VerdictDefer, Wait: 1500 * time.Millisecond},
+		{Verdict: qos.VerdictDefer},
+		{Verdict: qos.VerdictDegrade, Reason: "queue full"},
+	} {
+		record := func() {
+			detail, args := qosDetail(d)
+			in.event(vclock.Epoch, "q-7", metrics.EventAssigned, "pending", detail, args)
+		}
+		if got := testing.AllocsPerRun(100, record); got != 0 {
+			t.Errorf("ring record of %v admission allocates %v times, want 0", d.Verdict, got)
+		}
+		want := "degraded: " + d.Reason
+		if d.Verdict == qos.VerdictDefer {
+			want = "deferred " + d.Wait.String()
+		}
+		evs := reg.Events().Events()
+		if got := evs[len(evs)-1]; got.Detail != want || got.Query != "boat-1/q-7" {
+			t.Errorf("%v admission reads %q on %q, want %q on boat-1/q-7", d.Verdict, got.Detail, got.Query, want)
+		}
 	}
 }
 

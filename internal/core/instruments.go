@@ -92,9 +92,11 @@ func (in *instruments) observeServedAge(age time.Duration) {
 }
 
 // event stamps one lifecycle transition into the registry's bounded ring.
-func (in *instruments) event(at time.Time, queryID string, kind metrics.EventKind, mech, detail string) {
+// The ring joins args onto detail on read, so a detail with a variable
+// part builds no string here.
+func (in *instruments) event(at time.Time, queryID string, kind metrics.EventKind, mech, detail string, args metrics.DetailArgs) {
 	in.reg.Record(metrics.Event{
-		At: at, Owner: in.owner, Query: queryID, Kind: kind, Mechanism: mech, Detail: detail,
+		At: at, Owner: in.owner, Query: queryID, Kind: kind, Mechanism: mech, Detail: detail, Args: args,
 	})
 }
 

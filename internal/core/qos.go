@@ -93,12 +93,14 @@ func (f *Factory) qosGate(aq *activeQuery) (sub *Subscription, err error, handle
 		dg := aq.span.Child("qos.degrade")
 		dg.SetAttr("reason", d.Reason)
 		dg.End()
-		f.register(aq, MechanismCache, "degraded: "+d.Reason)
+		detail, args := qosDetail(d)
+		f.register(aq, MechanismCache, detail, args)
 		f.instr.qosDegraded.Inc()
 		f.clock.Post(0, func() { f.cacheDeliver(aq.id, true) })
 		return &aq.Subscription, nil, true
 	case qos.VerdictDefer:
-		f.register(aq, MechanismPending, "deferred "+d.Wait.String())
+		detail, args := qosDetail(d)
+		f.register(aq, MechanismPending, detail, args)
 		f.instr.qosDeferred.Inc()
 		f.instr.qosPending.Add(1)
 		f.audit.Add(f.clock.Now(), string(f.dev.ID), balQoSPending, 1)
@@ -112,6 +114,16 @@ func (f *Factory) qosGate(aq *activeQuery) (sub *Subscription, err error, handle
 		f.reject(aq, rejErr)
 		return nil, rejErr, true
 	}
+}
+
+// qosDetail is the ring detail of an admission that degrades a query to
+// the cache ("degraded: <reason>") or defers it ("deferred <wait>"), in
+// the parts the ring joins on read.
+func qosDetail(d qos.Decision) (string, metrics.DetailArgs) {
+	if d.Verdict == qos.VerdictDefer {
+		return "deferred ", metrics.DetailArgs{Wait: d.Wait, Timed: true}
+	}
+	return "degraded: ", metrics.DetailArgs{Reason: d.Reason}
 }
 
 // canDegradeToCache reports whether a stale-cache answer could serve the
@@ -181,7 +193,7 @@ func (f *Factory) qosRelease(queryID string) {
 	}
 	aq.span.SetAttr("mech", mech.String())
 	f.instr.qosReleased.Inc()
-	f.reportAssigned(queryID, mech, "released from qos queue")
+	f.reportAssigned(queryID, mech, "released from qos queue", metrics.DetailArgs{})
 }
 
 // queryCost is the measured energy cost of a query: joules the device
@@ -322,7 +334,7 @@ func (f *Factory) degradeToCache(queryID, reason string) bool {
 	sp.SetAttr("from", from.String())
 	sp.SetAttr("reason", reason)
 	sp.End()
-	f.reportAssigned(queryID, MechanismCache, "degraded from "+from.String()+": "+reason)
+	f.reportAssigned(queryID, MechanismCache, "degraded from ", metrics.DetailArgs{From: from.String(), Reason: reason})
 	f.clock.Post(0, func() { f.cacheDeliver(queryID, true) })
 	return true
 }

@@ -615,7 +615,7 @@ func (e *Engine) quiesceAudit(start time.Time, workers int) {
 	e.w.RunParallel(auditDrain, workers)
 	now := e.w.Now()
 	counters := make(map[string]int64)
-	for _, c := range e.w.Metrics().Snapshot().Counters {
+	for _, c := range e.w.Metrics().Instruments().Counters {
 		counters[c.Name] = c.Value
 	}
 	tapsDelivered, tapsCache := e.auditor.Totals()

@@ -158,7 +158,7 @@ func (s Summary) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ")
 
 // summarize builds the Summary from the world's metrics after a run.
 func (e *Engine) summarize(start time.Time, bs vclock.BatchStats) Summary {
-	snap := e.w.Metrics().Snapshot().WithoutEvents()
+	snap := e.w.Metrics().Instruments()
 	end := e.w.Now()
 	virtSec := end.Sub(start).Seconds()
 

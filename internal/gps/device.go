@@ -17,7 +17,8 @@ const (
 	KindSubscribe = "gps-subscribe"
 	// KindUnsubscribe stops the stream for the sender.
 	KindUnsubscribe = "gps-unsubscribe"
-	// KindNMEA carries one 340-byte NMEA burst (payload: string).
+	// KindNMEA carries one 340-byte NMEA burst (payload: a Sample, whose
+	// Text is the burst's wire text).
 	KindNMEA = "gps-nmea"
 )
 
@@ -33,6 +34,11 @@ type Device struct {
 
 	mu  sync.Mutex
 	fix cxt.Fix
+	// reading is fix rendered and parsed, built by the first tick with a
+	// subscriber after NewDevice or SetFix (nil until then), so a device
+	// that nobody reads, or whose fix never changes, renders no text per
+	// tick.
+	reading *reading
 	// subs is the subscribers in ID order. Subscribing and unsubscribing
 	// build a new slice, so a tick sends from its snapshot without copying
 	// or sorting.
@@ -81,6 +87,7 @@ func (d *Device) SetFix(f cxt.Fix) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.fix = f
+	d.reading = nil
 }
 
 // Fix returns the current position.
@@ -118,18 +125,23 @@ func (d *Device) Close() {
 
 // tick streams one NMEA burst to every subscriber still linked over BT,
 // in NodeID order so same-instant deliveries replay identically. With no
-// subscribers there is nothing to send, so no burst is rendered.
+// subscribers there is nothing to send, so no burst is built. A tick sends
+// one Sample, shared by every subscriber's frame: the fix's reading, built
+// once per fix, and the tick's time.
 func (d *Device) tick() {
 	d.mu.Lock()
 	if d.failed || len(d.subs) == 0 {
 		d.mu.Unlock()
 		return
 	}
-	fix, subs := d.fix, d.subs
+	now := d.net.Clock().Now()
+	if d.reading == nil {
+		d.reading = newReading(d.fix, now)
+	}
+	var burst any = Sample{r: d.reading, at: now}
+	subs := d.subs
 	d.mu.Unlock()
 
-	// One interface box per burst, shared by every subscriber's frame.
-	var burst any = Burst(fix, d.net.Clock().Now())
 	for _, to := range subs {
 		msg := simnet.Message{
 			From:    d.node.ID(),
@@ -145,3 +157,44 @@ func (d *Device) tick() {
 		_ = d.net.Send(msg, 50*time.Millisecond)
 	}
 }
+
+// Sample is one burst as the device sends it: the reading of the fix in
+// force and the virtual time of the tick that sent it. It is immutable,
+// holds no text, and its Text and Fix agree with the NMEA codec: Fix
+// returns what ParseBurst(Text()) does.
+type Sample struct {
+	r  *reading
+	at time.Time
+}
+
+// reading is a fix together with what ParseBurst returns for its burst.
+// ParseRMC reads only the RMC sentence's status, position, speed and
+// course, never its time or date, so the parse of Burst(fix, t) is the
+// same at every t and one reading serves every tick until the fix
+// changes.
+type reading struct {
+	fix    cxt.Fix
+	parsed cxt.Fix
+	err    error
+}
+
+func newReading(fix cxt.Fix, at time.Time) *reading {
+	parsed, err := ParseBurst(Burst(fix, at))
+	return &reading{fix: fix, parsed: parsed, err: err}
+}
+
+// NewSample renders the burst for fix at the given time and parses it
+// once, as a device does when its fix changes.
+func NewSample(fix cxt.Fix, at time.Time) Sample {
+	return Sample{r: newReading(fix, at), at: at}
+}
+
+// At returns the virtual time of the tick that sent the burst.
+func (s Sample) At() time.Time { return s.at }
+
+// Text renders the burst's 340-byte NMEA wire text, stamped with At.
+func (s Sample) Text() string { return Burst(s.r.fix, s.at) }
+
+// Fix returns the fix the phone parses out of Text, or the parse error,
+// without rendering or parsing anything.
+func (s Sample) Fix() (cxt.Fix, error) { return s.r.parsed, s.r.err }

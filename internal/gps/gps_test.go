@@ -3,6 +3,7 @@ package gps
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -138,9 +139,9 @@ func newTestbed(t *testing.T) (*simnet.Network, *vclock.Simulator, *Device, *sim
 func TestDeviceStreamsAtOneHz(t *testing.T) {
 	nw, clk, dev, phone := newTestbed(t)
 	defer dev.Close()
-	var bursts []string
+	var bursts []Sample
 	phone.Handle(KindNMEA, func(m simnet.Message) {
-		s, ok := m.Payload.(string)
+		s, ok := m.Payload.(Sample)
 		if !ok {
 			t.Errorf("payload type %T", m.Payload)
 			return
@@ -157,12 +158,19 @@ func TestDeviceStreamsAtOneHz(t *testing.T) {
 	if len(bursts) != 10 {
 		t.Fatalf("received %d bursts in 10 s, want 10", len(bursts))
 	}
-	fix, err := ParseBurst(bursts[0])
+	text := bursts[0].Text()
+	if len(text) != BurstBytes {
+		t.Fatalf("burst text is %d bytes, want %d", len(text), BurstBytes)
+	}
+	fix, err := ParseBurst(text)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(fix.Lat-60.16) > 1e-3 {
 		t.Fatalf("fix = %+v", fix)
+	}
+	if got, err := bursts[0].Fix(); err != nil || got != fix {
+		t.Fatalf("Sample.Fix() = %+v, %v; the text parses to %+v", got, err, fix)
 	}
 }
 
@@ -224,9 +232,9 @@ func TestDeviceUnsubscribe(t *testing.T) {
 func TestDeviceSetFix(t *testing.T) {
 	_, clk, dev, phone := newTestbed(t)
 	defer dev.Close()
-	var last string
+	var last Sample
 	phone.Handle(KindNMEA, func(m simnet.Message) {
-		if s, ok := m.Payload.(string); ok {
+		if s, ok := m.Payload.(Sample); ok {
 			last = s
 		}
 	})
@@ -238,7 +246,7 @@ func TestDeviceSetFix(t *testing.T) {
 	}
 	dev.SetFix(cxt.Fix{Lat: 61.5, Lon: 23.75, SpeedKn: 7})
 	clk.Advance(2 * time.Second)
-	fix, err := ParseBurst(last)
+	fix, err := ParseBurst(last.Text())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,8 +268,8 @@ func TestDeviceIdleTicksSendNothing(t *testing.T) {
 	if delivered, dropped := nw.Stats(); delivered != 0 || dropped != 0 {
 		t.Fatalf("idle device: %d frames delivered, %d dropped, want none", delivered, dropped)
 	}
-	var bursts []string
-	phone.Handle(KindNMEA, func(m simnet.Message) { bursts = append(bursts, m.Payload.(string)) })
+	var bursts []Sample
+	phone.Handle(KindNMEA, func(m simnet.Message) { bursts = append(bursts, m.Payload.(Sample)) })
 	if err := nw.Send(simnet.Message{
 		From: "phone", To: dev.ID(), Medium: radio.MediumBT, Kind: KindSubscribe,
 	}, 0); err != nil {
@@ -271,8 +279,12 @@ func TestDeviceIdleTicksSendNothing(t *testing.T) {
 	if len(bursts) != 1 {
 		t.Fatalf("late subscriber got %d bursts in the next second, want 1", len(bursts))
 	}
-	if want := FormatRMC(dev.Fix(), vclock.Epoch.Add(6*time.Second)); !strings.HasPrefix(bursts[0], want+"\r\n") {
-		t.Fatalf("burst %q does not start with %q", bursts[0], want)
+	sent := vclock.Epoch.Add(6 * time.Second)
+	if at := bursts[0].At(); !at.Equal(sent) {
+		t.Fatalf("burst stamped %v, want the sending tick's %v", at, sent)
+	}
+	if want := FormatRMC(dev.Fix(), sent); !strings.HasPrefix(bursts[0].Text(), want+"\r\n") {
+		t.Fatalf("burst %q does not start with %q", bursts[0].Text(), want)
 	}
 }
 
@@ -312,9 +324,10 @@ func TestDeviceSendsInNodeIDOrder(t *testing.T) {
 	}
 }
 
-// TestDeviceTickAllocs: a tick renders its burst and boxes it once,
-// however many phones subscribe: two allocations per tick with one
-// subscriber or four. Unsubscribing one keeps the rest in NodeID order.
+// TestDeviceTickAllocs: a tick allocates at most its Sample, shared by
+// every subscriber's frame, whether one phone subscribes or four: the fix
+// is rendered and parsed once, by the first tick after it is set, not per
+// tick. Unsubscribing one keeps the rest in NodeID order.
 func TestDeviceTickAllocs(t *testing.T) {
 	clk := vclock.NewSimulator()
 	nw := simnet.New(clk)
@@ -345,8 +358,8 @@ func TestDeviceTickAllocs(t *testing.T) {
 		})
 		subscribe(id, KindSubscribe)
 		clk.Advance(time.Second)
-		if n := testing.AllocsPerRun(20, func() { clk.Advance(time.Second) }); n != 2 {
-			t.Errorf("tick with %d subscribers: %v allocations, want 2", i+1, n)
+		if n := testing.AllocsPerRun(20, func() { clk.Advance(time.Second) }); n > 1 {
+			t.Errorf("tick with %d subscribers: %v allocations, want at most 1", i+1, n)
 		}
 	}
 	subscribe("phone-b", KindUnsubscribe)
@@ -355,5 +368,127 @@ func TestDeviceTickAllocs(t *testing.T) {
 	clk.Advance(time.Second)
 	if want := []simnet.NodeID{"phone-a", "phone-c", "phone-d"}; !slices.Equal(got, want) {
 		t.Fatalf("after unsubscribing phone-b: delivery order %v, want %v", got, want)
+	}
+}
+
+// randomFix draws a fix in any of the four hemispheres or, half the time,
+// one whose fields include the values the formatter must carry through:
+// NaN, ±Inf, −0 and huge magnitudes.
+func randomFix(rng *rand.Rand) cxt.Fix {
+	edge := rng.Intn(2) == 0
+	field := func(scale float64) float64 {
+		v := (2*rng.Float64() - 1) * scale
+		if !edge || rng.Intn(3) > 0 {
+			return v
+		}
+		switch rng.Intn(5) {
+		case 0:
+			return math.NaN()
+		case 1:
+			return math.Inf(1 - 2*rng.Intn(2))
+		case 2:
+			return math.Copysign(0, -1)
+		case 3:
+			return v / scale * math.MaxFloat64
+		default:
+			return v * 1e18
+		}
+	}
+	return cxt.Fix{Lat: field(90), Lon: field(180), SpeedKn: field(60), Course: field(360)}
+}
+
+// randomTime draws an instant between the years 1000 and 4000.
+func randomTime(rng *rand.Rand) time.Time {
+	const y1000, y4000 = -30_610_224_000, 64_060_588_800
+	return time.Unix(y1000+rng.Int63n(y4000-y1000), rng.Int63n(1e9)).UTC()
+}
+
+// TestSampleReadsAsItsText: on random fixes at random times, every burst a
+// device sends is the codec's: its Text is Burst(fix, At()), and its Fix
+// is what ParseBurst returns for that text and for the burst of the same
+// fix at any other time. A SetFix between two ticks takes effect on the
+// next tick.
+func TestSampleReadsAsItsText(t *testing.T) {
+	check := func(s Sample, fix cxt.Fix, other time.Time) bool {
+		got, gotErr := s.Fix()
+		want, wantErr := ParseBurst(Burst(fix, s.At()))
+		if s.Text() != Burst(fix, s.At()) || !sameParse(got, gotErr, want, wantErr) {
+			t.Logf("burst of %+v at %v: Fix() = %+v, %v; ParseBurst = %+v, %v", fix, s.At(), got, gotErr, want, wantErr)
+			return false
+		}
+		want, wantErr = ParseBurst(Burst(fix, other))
+		if !sameParse(got, gotErr, want, wantErr) {
+			t.Logf("burst of %+v at %v: Fix() = %+v, %v; ParseBurst at %v = %+v, %v", fix, s.At(), got, gotErr, other, want, wantErr)
+			return false
+		}
+		return true
+	}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		first, second := randomFix(rng), randomFix(rng)
+		clk := vclock.NewSimulatorAt(randomTime(rng))
+		nw := simnet.New(clk)
+		phone, err := nw.AddNode("phone", simnet.Position{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev, err := NewDevice(nw, "bt-gps-1", first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dev.Close()
+		if err := nw.Connect("phone", dev.ID(), radio.MediumBT); err != nil {
+			t.Fatal(err)
+		}
+		var got []Sample
+		phone.Handle(KindNMEA, func(m simnet.Message) { got = append(got, m.Payload.(Sample)) })
+		if err := nw.Send(simnet.Message{From: "phone", To: dev.ID(), Medium: radio.MediumBT, Kind: KindSubscribe}, 0); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(2*time.Second + 100*time.Millisecond)
+		dev.SetFix(second)
+		clk.Advance(time.Second)
+		if len(got) != 3 {
+			t.Fatalf("%d bursts in 3 s, want 3", len(got))
+		}
+		for i, s := range got {
+			if want := clk.Now().Add(time.Duration(i-2)*time.Second - 100*time.Millisecond); !s.At().Equal(want) {
+				t.Fatalf("burst %d stamped %v, want %v", i, s.At(), want)
+			}
+		}
+		return check(got[0], first, randomTime(rng)) && check(got[1], first, randomTime(rng)) &&
+			check(got[2], second, randomTime(rng))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func BenchmarkDeviceTick(b *testing.B) {
+	clk := vclock.NewSimulator()
+	nw := simnet.New(clk)
+	dev, err := NewDevice(nw, "bt-gps-1", cxt.Fix{Lat: 60.16, Lon: 24.93, SpeedKn: 4.5, Course: 90})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer dev.Close()
+	for _, id := range []simnet.NodeID{"phone-a", "phone-b"} {
+		phone, err := nw.AddNode(id, simnet.Position{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := nw.Connect(id, dev.ID(), radio.MediumBT); err != nil {
+			b.Fatal(err)
+		}
+		phone.Handle(KindNMEA, func(simnet.Message) {})
+		if err := nw.Send(simnet.Message{From: id, To: dev.ID(), Medium: radio.MediumBT, Kind: KindSubscribe}, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	clk.Advance(time.Second)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clk.Advance(time.Second)
 	}
 }

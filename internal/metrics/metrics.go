@@ -324,14 +324,39 @@ const (
 // Owner is the device that numbered the query, kept apart from Query so
 // recording builds no label: the ring keeps only its newest events, and
 // Ring.Events joins the two as "owner/query" for every reader, leaving
-// Owner empty in what it returns.
+// Owner empty in what it returns. Args likewise carries the parts a
+// recorder would append to Detail, and Ring.Events appends them on read.
 type Event struct {
-	At        time.Time `json:"at"`
-	Owner     string    `json:"-"`
-	Query     string    `json:"query"`
-	Kind      EventKind `json:"kind"`
-	Mechanism string    `json:"mechanism,omitempty"`
-	Detail    string    `json:"detail,omitempty"`
+	At        time.Time  `json:"at"`
+	Owner     string     `json:"-"`
+	Query     string     `json:"query"`
+	Kind      EventKind  `json:"kind"`
+	Mechanism string     `json:"mechanism,omitempty"`
+	Detail    string     `json:"detail,omitempty"`
+	Args      DetailArgs `json:"-"`
+}
+
+// DetailArgs are the trailing parts of an event's detail, such as a QoS
+// decision's reason or wait. Ring.Events appends them to Detail in this
+// order: From followed by ": " when From is set, then Reason, then Wait
+// when Timed; it leaves Args zero in what it returns.
+type DetailArgs struct {
+	From   string
+	Reason string
+	Wait   time.Duration
+	Timed  bool
+}
+
+// join returns detail with the parts appended.
+func (a DetailArgs) join(detail string) string {
+	if a.From != "" {
+		detail += a.From + ": "
+	}
+	detail += a.Reason
+	if a.Timed {
+		detail += a.Wait.String()
+	}
+	return detail
 }
 
 // Ring is a bounded buffer of lifecycle events: when full, recording evicts
@@ -373,7 +398,8 @@ func (r *Ring) Record(ev Event) {
 }
 
 // Events returns the retained events, oldest first, each event's owner
-// joined into its query label ("owner/query"). Nil-safe.
+// joined into its query label ("owner/query") and its detail arguments
+// into its detail. Nil-safe.
 func (r *Ring) Events() []Event {
 	if r == nil {
 		return nil
@@ -386,6 +412,10 @@ func (r *Ring) Events() []Event {
 		if ev.Owner != "" {
 			ev.Query = ev.Owner + "/" + ev.Query
 			ev.Owner = ""
+		}
+		if ev.Args != (DetailArgs{}) {
+			ev.Detail = ev.Args.join(ev.Detail)
+			ev.Args = DetailArgs{}
 		}
 		out = append(out, ev)
 	}

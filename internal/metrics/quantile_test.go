@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -63,20 +64,32 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-func TestSnapshotWithoutEvents(t *testing.T) {
+// Instruments reads everything Snapshot does except the retained events:
+// the same instruments and ring totals, and a nil event list.
+func TestInstrumentsWithoutEvents(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Inc()
+	r.Gauge("g").Set(1.5)
+	r.Histogram("h", []float64{1, 10}).Observe(3)
 	r.Record(Event{Query: "q-1", Kind: EventSubmitted})
 	r.Record(Event{Query: "q-1", Kind: EventExpired})
-	s := r.Snapshot().WithoutEvents()
+	s := r.Instruments()
 	if s.Events != nil {
-		t.Fatalf("WithoutEvents kept %d events", len(s.Events))
+		t.Fatalf("Instruments kept %d events", len(s.Events))
 	}
-	if s.EventsTotal != 2 {
-		t.Fatalf("EventsTotal = %d, want 2", s.EventsTotal)
+	if s.EventsTotal != 2 || s.EventsCap != DefaultRingCapacity {
+		t.Fatalf("EventsTotal = %d, EventsCap = %d, want 2 and %d", s.EventsTotal, s.EventsCap, DefaultRingCapacity)
 	}
-	if len(s.Counters) != 1 {
-		t.Fatalf("counters dropped: %+v", s.Counters)
+	full := r.Snapshot()
+	if len(full.Events) != 2 {
+		t.Fatalf("Snapshot kept %d events, want 2", len(full.Events))
+	}
+	full.Events = nil
+	if !reflect.DeepEqual(s, full) {
+		t.Fatalf("Instruments = %+v, want Snapshot without its events %+v", s, full)
+	}
+	if got := (*Registry)(nil).Instruments(); !reflect.DeepEqual(got, Snapshot{}) {
+		t.Fatalf("nil registry: %+v", got)
 	}
 }
 

@@ -108,45 +108,60 @@ func TestRingDroppedAccounting(t *testing.T) {
 
 // labelEvents is a mixed stream: query events from two owners, owner-less
 // events (a fault and an SLO alert, as chaos and timeline record them),
-// and a query event without an owner (a solo factory's).
-func labelEvents(n int) []Event {
+// and a query event without an owner (a solo factory's). The assignments
+// and expiries carry detail arguments as the factory records them: a QoS
+// deferral's wait (zero included), a degradation's reason, a degradation
+// from a mechanism, a cache promotion and a switch with an empty reason.
+// glued is the same stream as every reader saw it when the owner label
+// and the detail were built at record time.
+func labelEvents(n int) (split, glued []Event) {
 	at := time.Date(2005, time.June, 10, 12, 0, 0, 0, time.UTC)
-	var out []Event
-	for i := 0; len(out) < n; i++ {
+	details := []struct {
+		detail string
+		args   DetailArgs
+		built  string
+	}{
+		{"", DetailArgs{}, ""},
+		{"deferred ", DetailArgs{Wait: 1500 * time.Millisecond, Timed: true}, "deferred " + (1500 * time.Millisecond).String()},
+		{"deferred ", DetailArgs{Timed: true}, "deferred " + time.Duration(0).String()},
+		{"degraded: ", DetailArgs{Reason: "queue full"}, "degraded: " + "queue full"},
+		{"degraded from ", DetailArgs{From: "extInfra", Reason: "low battery"}, "degraded from " + "extInfra" + ": " + "low battery"},
+		{"promoted from cache: ", DetailArgs{Reason: "stale"}, "promoted from cache: " + "stale"},
+		{"from ", DetailArgs{From: "intSensor"}, "from " + "intSensor" + ": " + ""},
+	}
+	for i := 0; len(split) < n; i++ {
 		q := fmt.Sprintf("q-%d", i)
-		out = append(out,
+		a, e := details[i%len(details)], details[(i+3)%len(details)]
+		split = append(split,
 			Event{At: at, Owner: "boat-1", Query: q, Kind: EventSubmitted, Detail: "temperature"},
-			Event{At: at, Owner: "boat-10", Query: q, Kind: EventAssigned, Mechanism: "extInfra"},
+			Event{At: at, Owner: "boat-10", Query: q, Kind: EventAssigned, Mechanism: "extInfra", Detail: a.detail, Args: a.args},
 			Event{At: at, Query: "fault-" + q, Kind: EventFaultInjected, Mechanism: "gps-off"},
-			Event{At: at, Query: q, Kind: EventExpired, Mechanism: "cache"},
+			Event{At: at, Query: q, Kind: EventExpired, Mechanism: "cache", Detail: e.detail, Args: e.args},
+		)
+		glued = append(glued,
+			Event{At: at, Query: "boat-1/" + q, Kind: EventSubmitted, Detail: "temperature"},
+			Event{At: at, Query: "boat-10/" + q, Kind: EventAssigned, Mechanism: "extInfra", Detail: a.built},
+			Event{At: at, Query: "fault-" + q, Kind: EventFaultInjected, Mechanism: "gps-off"},
+			Event{At: at, Query: q, Kind: EventExpired, Mechanism: "cache", Detail: e.built},
 		)
 		at = at.Add(time.Second)
 	}
-	return out[:n]
+	return split[:n], glued[:n]
 }
 
-// joined is the event as every reader saw it when the owner was joined
-// into the label at record time.
-func joined(ev Event) Event {
-	if ev.Owner != "" {
-		ev.Query = ev.Owner + "/" + ev.Query
-		ev.Owner = ""
-	}
-	return ev
-}
-
-// Events carry their owner apart from the query id and are joined on
-// read: the ring, the registry snapshot and its JSON and text exposition
-// show "owner/q-N" exactly as when the label was built at record time,
-// before and after the ring wraps, for owned and owner-less events alike.
+// Events carry their owner apart from the query id, and their detail's
+// arguments apart from its text, and are joined on read: the ring, the
+// registry snapshot and its JSON and text exposition show "owner/q-N" and
+// the detail exactly as when both were built at record time, before and
+// after the ring wraps, for owned and owner-less events alike.
 func TestRingLabelsJoinOnRead(t *testing.T) {
 	for _, n := range []int{6, DefaultRingCapacity, DefaultRingCapacity + 7} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			evs := labelEvents(n)
+			splitEvs, gluedEvs := labelEvents(n)
 			split, glued := NewRegistry(), NewRegistry()
-			for _, ev := range evs {
-				split.Record(ev)
-				glued.Record(joined(ev))
+			for i := range splitEvs {
+				split.Record(splitEvs[i])
+				glued.Record(gluedEvs[i])
 			}
 			got, want := split.Events().Events(), glued.Events().Events()
 			if !reflect.DeepEqual(got, want) {
@@ -158,8 +173,8 @@ func TestRingLabelsJoinOnRead(t *testing.T) {
 			for k, ev := range got {
 				j := first + k
 				wantQ := fmt.Sprintf([]string{"boat-1/q-%d", "boat-10/q-%d", "fault-q-%d", "q-%d"}[j%4], j/4)
-				if ev.Query != wantQ || ev.Owner != "" {
-					t.Fatalf("event %d reads %q (owner %q), want %q", j, ev.Query, ev.Owner, wantQ)
+				if ev.Query != wantQ || ev.Owner != "" || ev.Args != (DetailArgs{}) {
+					t.Fatalf("event %d reads %q (owner %q, args %+v), want %q", j, ev.Query, ev.Owner, ev.Args, wantQ)
 				}
 			}
 			if n > DefaultRingCapacity && split.Events().Dropped() == 0 {
@@ -180,8 +195,8 @@ func TestRingLabelsJoinOnRead(t *testing.T) {
 			if !bytes.Equal(gj, wj) {
 				t.Fatalf("JSON exposition differs:\n%s\nwant\n%s", gj, wj)
 			}
-			if bytes.Contains(gj, []byte("Owner")) || bytes.Contains(gj, []byte(`"owner"`)) {
-				t.Fatal("JSON exposition shows the owner field")
+			if bytes.Contains(gj, []byte("Owner")) || bytes.Contains(gj, []byte(`"owner"`)) || bytes.Contains(gj, []byte("Args")) {
+				t.Fatal("JSON exposition shows the owner or argument fields")
 			}
 			if gs.String() != ws.String() {
 				t.Fatalf("text exposition differs:\n%s\nwant\n%s", gs, ws)

@@ -60,6 +60,19 @@ type Snapshot struct {
 // Snapshot captures the registry's current state. Nil-safe: a nil registry
 // yields an empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
+	s := r.Instruments()
+	s.Events = r.Events().Events()
+	return s
+}
+
+// Instruments captures the registry's counters, gauges and histograms and
+// the ring's totals (EventsTotal, EventsDropped, EventsCap), leaving Events
+// nil: it neither copies nor labels the retained events. The ring evicts in
+// execution order, which across parallel lanes is schedule-dependent, so
+// fleet runs read their metrics this way to keep byte-identical output at
+// any worker count; the flight recorder samples this way every window.
+// Nil-safe: a nil registry yields an empty snapshot.
+func (r *Registry) Instruments() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
@@ -80,7 +93,6 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 
-	s.Events = r.ring.Events()
 	s.EventsTotal = r.ring.Total()
 	s.EventsDropped = r.ring.Dropped()
 	s.EventsCap = r.ring.Capacity()
@@ -157,15 +169,6 @@ func (p HistogramPoint) Quantile(q float64) float64 {
 		}
 	}
 	return p.Max
-}
-
-// WithoutEvents returns a copy of the snapshot with the retained event list
-// dropped (EventsTotal and EventsCap are kept). The ring evicts in execution
-// order, which across parallel lanes is schedule-dependent; fleet runs use
-// event-free snapshots so byte-identical output holds at any worker count.
-func (s Snapshot) WithoutEvents() Snapshot {
-	s.Events = nil
-	return s
 }
 
 // formatFloat renders floats with the shortest exact representation, so the

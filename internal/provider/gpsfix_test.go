@@ -63,15 +63,16 @@ func newGPSFixRig(tb testing.TB) *gpsFixRig {
 	return r
 }
 
-// TestGPSFixAllocs: one fix, from the frame's delivery through the NMEA
-// parse and the energy window to a periodic query's onFix, allocates at
-// most the watchdog's re-armed timer; the burst is rendered once, outside
-// the measurement. The item built at the period carries the latest fix,
-// stamped with its arrival time.
+// TestGPSFixAllocs: one fix, from the frame's delivery through the energy
+// window and the burst's parsed reading to a periodic query's onFix,
+// allocates at most the watchdog's re-armed timer; the burst value is
+// built once, outside the measurement, as a device builds one per tick.
+// The item built at the period carries the latest fix, stamped with its
+// arrival time.
 func TestGPSFixAllocs(t *testing.T) {
 	r := newGPSFixRig(t)
 	fix := cxt.Fix{Lat: 60.16, Lon: 24.93, SpeedKn: 4.5, Course: 90}
-	var burst any = gps.Burst(fix, r.clk.Now())
+	var burst any = gps.NewSample(fix, r.clk.Now())
 	if got := testing.AllocsPerRun(100, func() { r.fix(burst) }); got > 1 {
 		t.Fatalf("one fix: %v allocations, want at most 1 (the watchdog timer)", got)
 	}
@@ -92,7 +93,7 @@ func TestGPSFixAllocs(t *testing.T) {
 
 func BenchmarkGPSFix(b *testing.B) {
 	r := newGPSFixRig(b)
-	var burst any = gps.Burst(cxt.Fix{Lat: 60.16, Lon: 24.93, SpeedKn: 4.5, Course: 90}, r.clk.Now())
+	var burst any = gps.NewSample(cxt.Fix{Lat: 60.16, Lon: 24.93, SpeedKn: 4.5, Course: 90}, r.clk.Now())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -512,7 +512,7 @@ func (r *BTReference) gpsLost(s *gpsStream) {
 }
 
 func (r *BTReference) onNMEA(m simnet.Message) {
-	burst, ok := m.Payload.(string)
+	burst, ok := m.Payload.(gps.Sample)
 	if !ok {
 		return
 	}
@@ -538,7 +538,9 @@ func (r *BTReference) onNMEA(m simnet.Message) {
 	r.mGPSFixes.Inc()
 	_, ws := r.bt.GPSSample()
 	applyWindows(r.node, ws, r.clock.Now())
-	fix, err := gps.ParseBurst(burst)
+	// The burst's fix as ParseBurst reads it from the wire text, parsed
+	// once per device fix; a burst that does not parse carries no fix.
+	fix, err := burst.Fix()
 	if err != nil {
 		return
 	}

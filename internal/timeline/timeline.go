@@ -284,7 +284,7 @@ func (r *Recorder) Install() {
 // baselineLocked seeds the previous-sample maps from the current registry
 // state so the first window only covers observations after Install.
 func (r *Recorder) baselineLocked() {
-	snap := r.reg.Snapshot().WithoutEvents()
+	snap := r.reg.Instruments()
 	for _, c := range snap.Counters {
 		r.prevCounters[c.Name] = c.Value
 	}
@@ -329,7 +329,7 @@ func (r *Recorder) tick() {
 // SLO engine over it.
 func (r *Recorder) sampleLocked() {
 	now := r.clk.Now()
-	snap := r.reg.Snapshot().WithoutEvents()
+	snap := r.reg.Instruments()
 	w := Window{Index: r.total, Start: r.prevAt, End: now}
 	secs := now.Sub(r.prevAt).Seconds()
 

@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -91,6 +92,66 @@ func TestSamplerWindows(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("gauge zero-transition missing from window 1: %+v", w1.Gauges)
+	}
+}
+
+// sampleRig is a recorder over a registry shaped like a fleet's (a few
+// dozen counters, gauges and latency histograms) whose event ring holds
+// ringEvents owned events; step moves every instrument and samples one
+// window.
+func sampleRig(ringEvents int) (step func()) {
+	sim, reg, r := harness(Config{Interval: 10 * time.Second})
+	var counters []*metrics.Counter
+	var gauges []*metrics.Gauge
+	var hists []*metrics.Histogram
+	for i := 0; i < 32; i++ {
+		counters = append(counters, reg.Counter(fmt.Sprintf("layer.counter.%02d", i)))
+	}
+	for i := 0; i < 8; i++ {
+		gauges = append(gauges, reg.Gauge(fmt.Sprintf("layer.gauge.%02d", i)))
+		hists = append(hists, reg.Histogram(fmt.Sprintf("layer.latency_ms.%02d", i), metrics.DefaultLatencyBucketsMs))
+	}
+	for i := 0; i < ringEvents; i++ {
+		reg.Record(metrics.Event{At: sim.Now(), Owner: fmt.Sprintf("boat-%d", i%50), Query: fmt.Sprintf("q-%d", i), Kind: metrics.EventDelivered, Mechanism: "extInfra"})
+	}
+	r.Install()
+	n := 0
+	return func() {
+		n++
+		for _, c := range counters {
+			c.Add(int64(n % 3))
+		}
+		for _, g := range gauges {
+			g.Set(float64(n % 2))
+		}
+		for _, h := range hists {
+			h.Observe(float64(n % 700))
+		}
+		sim.Advance(10 * time.Second)
+	}
+}
+
+// TestSampleAllocsIgnoreRing: a window sample reads the registry's
+// instruments and ring totals without copying the retained events, so it
+// allocates the same with an empty event ring as with a full one.
+func TestSampleAllocsIgnoreRing(t *testing.T) {
+	empty, full := sampleRig(0), sampleRig(2*metrics.DefaultRingCapacity)
+	empty()
+	full()
+	a := testing.AllocsPerRun(50, empty)
+	b := testing.AllocsPerRun(50, full)
+	if a != b {
+		t.Fatalf("window sample: %v allocations with an empty ring, %v with a full one", a, b)
+	}
+}
+
+func BenchmarkSampleWindow(b *testing.B) {
+	step := sampleRig(metrics.DefaultRingCapacity)
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }
 

@@ -291,6 +291,35 @@ func TestSameInstantReentrancyDrainsBeforeAdvance(t *testing.T) {
 	}
 }
 
+// A lane event that stops a global timer ordered after it at the same
+// instant keeps that barrier from running under RunParallelUntil, as under
+// Advance, though both were popped into one batch; the end-of-flush pass
+// still recycles the barrier's event, once.
+func TestBarrierStoppedDuringFlushDoesNotRun(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} { // 0: Advance
+		s := NewSimulator()
+		var g *Timer
+		s.AfterFrom(GlobalLane, 0, time.Second, func() { g.Stop() })
+		g = s.After(time.Second, func() { t.Errorf("workers %d: stopped barrier ran", workers) })
+		gev := g.ev
+		if workers == 0 {
+			s.Advance(time.Second)
+		} else if st := s.RunParallelUntil(s.Now().Add(time.Second), workers); st.Events != 1 || st.Barriers != 0 {
+			t.Errorf("workers %d: ran %d events and %d barriers, want 1 and 0", workers, st.Events, st.Barriers)
+		}
+		n := 0
+		for _, ev := range s.free {
+			if ev == gev {
+				n++
+			}
+		}
+		if n != 1 || gev.fn != nil || s.Pending() != 0 {
+			t.Errorf("workers %d: barrier event on the free list %d times (fn cleared %v, %d pending), want once",
+				workers, n, gev.fn == nil, s.Pending())
+		}
+	}
+}
+
 func TestRunParallelAdvancesClockToDeadline(t *testing.T) {
 	s := NewSimulator()
 	s.RunParallelUntil(s.Now().Add(time.Minute), 2)

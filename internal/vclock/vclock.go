@@ -604,6 +604,12 @@ func (s *Simulator) RunParallelUntil(deadline time.Time, workers int) BatchStats
 			}
 			if ev.lane == GlobalLane {
 				flush()
+				// A lane event of that flush may have stopped this timer;
+				// Advance would then not run it either. The end-of-flush
+				// pass below recycles it.
+				if ev.timer != nil && ev.timer.isStopped() {
+					continue
+				}
 				st.Barriers++
 				st.Events++
 				s.runs.Add(1)
