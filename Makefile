@@ -52,11 +52,11 @@ load-smoke:
 # send-deliver, energy-integration, power-window-append, NMEA-burst,
 # GPS-device-tick, GPS-fix, SM-finder-tour, answer-cache-lookup,
 # facade-fan-out, query-submission, infrastructure-archive,
-# repository-store, event-window-observe and timeline-sample
-# microbenchmarks once each, so a broken hot path fails the gate without
-# paying for full measurement.
+# repository-store, event-window-observe, timeline-sample, span and
+# audit-tap microbenchmarks once each, so a broken hot path fails the gate
+# without paying for full measurement.
 perf-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/vclock ./internal/simnet ./internal/energy ./internal/gps ./internal/provider ./internal/sm ./internal/core ./internal/infra ./internal/repo ./internal/query ./internal/timeline
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/vclock ./internal/simnet ./internal/energy ./internal/gps ./internal/provider ./internal/sm ./internal/core ./internal/infra ./internal/repo ./internal/query ./internal/timeline ./internal/tracing ./internal/audit
 
 # fleetbench-check builds, vets and tests the fleet benchmark, a nested
 # module that the root build, vet and test skip, so an internal API change

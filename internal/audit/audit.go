@@ -8,7 +8,7 @@
 // All methods are safe on a nil *Auditor, mirroring the metrics idiom, so
 // call sites never need to guard the tap:
 //
-//	f.audit.QueryStarted(now, dev, id, traceRef) // no-op when auditing is off
+//	f.audit.QueryStarted(now, dev, id, trace, span) // no-op when auditing is off
 //
 // Timestamps are passed in by the caller (the owning lane's virtual clock)
 // rather than sampled here, which keeps the auditor free of clock plumbing
@@ -75,12 +75,102 @@ type Report struct {
 	Violations []Violation `json:"violations"`
 }
 
+// traceRef is a query's span identity, kept as numbers and rendered only
+// when a violation cites it.
+type traceRef struct{ trace, span uint64 }
+
+// String renders the reference in the %016x form of the trace exporters,
+// or "" when the query is untraced.
+func (r traceRef) String() string {
+	if r == (traceRef{}) {
+		return ""
+	}
+	return fmt.Sprintf("%016x/%016x", r.trace, r.span)
+}
+
+// timerCount is one timer kind's armed-minus-stopped count.
+type timerCount struct {
+	kind string
+	n    int
+}
+
+// timerTable holds a query's timer counts. The factory arms three kinds
+// (expiry, probe, cacheTick), which fit inline; any further kind spills.
+type timerTable struct {
+	inline [3]timerCount
+	more   []timerCount
+}
+
+// slot returns the count for kind, adding a zero entry when add is set;
+// nil when the kind is absent and add is not set.
+func (t *timerTable) slot(kind string, add bool) *int {
+	for i := range t.inline {
+		c := &t.inline[i]
+		if c.kind == kind {
+			return &c.n
+		}
+		if c.kind == "" {
+			if !add {
+				return nil
+			}
+			c.kind = kind
+			return &c.n
+		}
+	}
+	for i := range t.more {
+		if t.more[i].kind == kind {
+			return &t.more[i].n
+		}
+	}
+	if !add {
+		return nil
+	}
+	t.more = append(t.more, timerCount{kind: kind})
+	return &t.more[len(t.more)-1].n
+}
+
+// armed returns the kinds still armed, sorted by kind; nil when none is.
+func (t *timerTable) armed() []timerCount {
+	var out []timerCount
+	for _, c := range t.inline {
+		if c.n > 0 {
+			out = append(out, c)
+		}
+	}
+	for _, c := range t.more {
+		if c.n > 0 {
+			out = append(out, c)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].kind < out[j].kind })
+	return out
+}
+
+// total sums the counts of every kind.
+func (t *timerTable) total() int {
+	n := 0
+	for _, c := range t.inline {
+		n += c.n
+	}
+	for _, c := range t.more {
+		n += c.n
+	}
+	return n
+}
+
 type queryState struct {
-	trace     string
-	terminal  string         // terminal event kind; "" while active
-	timers    map[string]int // timer kind -> armed minus stopped
-	delivered int            // per-delivery taps, every disposition
-	cacheHits int            // per-delivery taps, cache-served subset
+	trace     traceRef
+	terminal  string // terminal event kind; "" while active
+	timers    timerTable
+	delivered int // per-delivery taps, every disposition
+	cacheHits int // per-delivery taps, cache-served subset
+}
+
+// deviceState is one device's records. Keeping them per device means a
+// tap looks up two short keys and never builds a joined one.
+type deviceState struct {
+	queries  map[string]*queryState // by query id
+	balances map[string]int64       // by balance name
 }
 
 // Auditor collects conservation-law state for one world. A single
@@ -88,21 +178,45 @@ type queryState struct {
 // internally locked so taps may arrive from any simulation lane.
 type Auditor struct {
 	mu         sync.Mutex
-	queries    map[string]*queryState // device + "/" + query id
-	balances   map[string]int64       // device + "/" + balance name
+	devices    map[string]*deviceState
+	nqueries   int // query records across devices
 	violations []Violation
 	checks     int64
 }
 
 // New returns an empty auditor ready to receive taps.
 func New() *Auditor {
-	return &Auditor{
-		queries:  make(map[string]*queryState),
-		balances: make(map[string]int64),
-	}
+	return &Auditor{devices: make(map[string]*deviceState)}
 }
 
-func key(device, query string) string { return device + "/" + query }
+// deviceLocked returns the device's records, creating them on first use.
+func (a *Auditor) deviceLocked(device string) *deviceState {
+	ds, ok := a.devices[device]
+	if !ok {
+		ds = &deviceState{
+			queries:  make(map[string]*queryState),
+			balances: make(map[string]int64),
+		}
+		a.devices[device] = ds
+	}
+	return ds
+}
+
+// queryLocked returns the query's record, or nil.
+func (a *Auditor) queryLocked(device, query string) *queryState {
+	if ds, ok := a.devices[device]; ok {
+		return ds.queries[query]
+	}
+	return nil
+}
+
+// balanceLocked returns the balance's value (0 when never moved).
+func (a *Auditor) balanceLocked(device, name string) int64 {
+	if ds, ok := a.devices[device]; ok {
+		return ds.balances[name]
+	}
+	return 0
+}
 
 // lawForBalance maps a conservation-balance name to its owning law.
 func lawForBalance(name string) Law {
@@ -113,22 +227,29 @@ func lawForBalance(name string) Law {
 }
 
 // QueryStarted records that a query entered the plane (was admitted under
-// any mechanism, including cache and pending). trace carries the query's
-// span identity for violation reports; "" when tracing is off.
-func (a *Auditor) QueryStarted(at time.Time, device, query, trace string) {
+// any mechanism, including cache and pending). trace and span are the
+// query's span identity, rendered into violation reports as
+// "%016x/%016x"; both zero when the query is untraced.
+func (a *Auditor) QueryStarted(at time.Time, device, query string, trace, span uint64) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.checks++
-	k := key(device, query)
-	if st, ok := a.queries[k]; ok && st.terminal == "" {
+	ds := a.deviceLocked(device)
+	st, ok := ds.queries[query]
+	if ok && st.terminal == "" {
 		a.violate(at, device, query, LawLifecycle,
-			"query started twice without a terminal event in between", st.trace)
+			"query started twice without a terminal event in between", st.trace.String())
 		return
 	}
-	a.queries[k] = &queryState{trace: trace, timers: make(map[string]int)}
+	if !ok {
+		st = new(queryState)
+		ds.queries[query] = st
+		a.nqueries++
+	}
+	*st = queryState{trace: traceRef{trace: trace, span: span}}
 }
 
 // QueryFinished records the query's terminal lifecycle event (finished,
@@ -143,32 +264,29 @@ func (a *Auditor) QueryFinished(at time.Time, device, query, kind string, delive
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.checks++
-	k := key(device, query)
-	st, ok := a.queries[k]
-	if !ok {
+	st := a.queryLocked(device, query)
+	if st == nil {
 		a.violate(at, device, query, LawLifecycle,
 			fmt.Sprintf("terminal event %q for a query that never started", kind), "")
 		return
 	}
 	if st.terminal != "" {
 		a.violate(at, device, query, LawLifecycle,
-			fmt.Sprintf("second terminal event %q after %q", kind, st.terminal), st.trace)
+			fmt.Sprintf("second terminal event %q after %q", kind, st.terminal), st.trace.String())
 		return
 	}
 	st.terminal = kind
-	for _, tk := range sortedKeys(st.timers) {
-		if st.timers[tk] > 0 {
-			a.violate(at, device, query, LawTimers,
-				fmt.Sprintf("timer %q still armed at terminal event %q", tk, kind), st.trace)
-		}
+	for _, tc := range st.timers.armed() {
+		a.violate(at, device, query, LawTimers,
+			fmt.Sprintf("timer %q still armed at terminal event %q", tc.kind, kind), st.trace.String())
 	}
 	if st.delivered != delivered {
 		a.violate(at, device, query, LawItems,
-			fmt.Sprintf("delivered items: query total %d, delivery taps %d", delivered, st.delivered), st.trace)
+			fmt.Sprintf("delivered items: query total %d, delivery taps %d", delivered, st.delivered), st.trace.String())
 	}
 	if st.cacheHits != cacheHits {
 		a.violate(at, device, query, LawItems,
-			fmt.Sprintf("cache items: query total %d, delivery taps %d", cacheHits, st.cacheHits), st.trace)
+			fmt.Sprintf("cache items: query total %d, delivery taps %d", cacheHits, st.cacheHits), st.trace.String())
 	}
 }
 
@@ -181,13 +299,13 @@ func (a *Auditor) TimerArmed(at time.Time, device, query, kind string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.checks++
-	st, ok := a.queries[key(device, query)]
-	if !ok {
+	st := a.queryLocked(device, query)
+	if st == nil {
 		a.violate(at, device, query, LawTimers,
 			fmt.Sprintf("timer %q armed on an unknown query", kind), "")
 		return
 	}
-	st.timers[kind]++
+	*st.timers.slot(kind, true)++
 }
 
 // TimerStopped records that the named timer was stopped (or had fired and
@@ -200,16 +318,17 @@ func (a *Auditor) TimerStopped(at time.Time, device, query, kind string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.checks++
-	st, ok := a.queries[key(device, query)]
-	if !ok {
+	st := a.queryLocked(device, query)
+	if st == nil {
 		return // query record already gone; nothing to balance
 	}
-	if st.timers[kind] <= 0 {
+	n := st.timers.slot(kind, false)
+	if n == nil || *n <= 0 {
 		a.violate(at, device, query, LawTimers,
-			fmt.Sprintf("timer %q stopped more times than armed", kind), st.trace)
+			fmt.Sprintf("timer %q stopped more times than armed", kind), st.trace.String())
 		return
 	}
-	st.timers[kind]--
+	*n--
 }
 
 // ItemDelivered records one context item handed to a client, with its
@@ -222,8 +341,8 @@ func (a *Auditor) ItemDelivered(at time.Time, device, query string, cache bool) 
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.checks++
-	st, ok := a.queries[key(device, query)]
-	if !ok || st.terminal != "" {
+	st := a.queryLocked(device, query)
+	if st == nil || st.terminal != "" {
 		a.violate(at, device, query, LawItems,
 			"item delivered to a query with no active lifecycle record", "")
 		return
@@ -244,13 +363,14 @@ func (a *Auditor) Add(at time.Time, device, name string, delta int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.checks++
-	k := key(device, name)
-	a.balances[k] += delta
-	if a.balances[k] < 0 {
+	bs := a.deviceLocked(device).balances
+	v := bs[name] + delta
+	if v < 0 {
 		a.violate(at, device, "", lawForBalance(name),
-			fmt.Sprintf("balance %q went negative (%d): more releases than acquisitions", name, a.balances[k]), "")
-		a.balances[k] = 0 // re-arm so one bug yields one violation
+			fmt.Sprintf("balance %q went negative (%d): more releases than acquisitions", name, v), "")
+		v = 0 // re-arm so one bug yields one violation
 	}
+	bs[name] = v
 }
 
 // BalanceValue reports the current value of a conservation balance.
@@ -260,7 +380,7 @@ func (a *Auditor) BalanceValue(device, name string) int64 {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.balances[key(device, name)]
+	return a.balanceLocked(device, name)
 }
 
 // Expect asserts that an externally computed pair agrees; a mismatch is a
@@ -289,7 +409,7 @@ func (a *Auditor) ExpectZero(at time.Time, device, name string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.checks++
-	if v := a.balances[key(device, name)]; v != 0 {
+	if v := a.balanceLocked(device, name); v != 0 {
 		a.violate(at, device, "", lawForBalance(name),
 			fmt.Sprintf("balance %q = %d at zero-check, want 0", name, v), "")
 	}
@@ -321,27 +441,49 @@ func (a *Auditor) CheckQuiesce(at time.Time) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.checks++
-	for _, k := range sortedKeys(a.queries) {
-		st := a.queries[k]
-		device, query := splitKey(k)
-		if st.terminal == "" {
-			a.violate(at, device, query, LawLifecycle,
-				"query never reached a terminal lifecycle event", st.trace)
-			for _, tk := range sortedKeys(st.timers) {
-				if st.timers[tk] > 0 {
-					a.violate(at, device, query, LawTimers,
-						fmt.Sprintf("timer %q still armed at quiesce", tk), st.trace)
-				}
+	var open []record[*queryState]
+	var nonzero []record[int64]
+	for device, ds := range a.devices {
+		for query, st := range ds.queries {
+			if st.terminal == "" {
+				open = append(open, record[*queryState]{device, query, st})
+			}
+		}
+		for name, v := range ds.balances {
+			if v != 0 {
+				nonzero = append(nonzero, record[int64]{device, name, v})
 			}
 		}
 	}
-	for _, k := range sortedKeys(a.balances) {
-		if a.balances[k] != 0 {
-			device, name := splitKey(k)
-			a.violate(at, device, "", lawForBalance(name),
-				fmt.Sprintf("balance %q = %d at quiesce, want 0", name, a.balances[k]), "")
+	sortRecords(open)
+	sortRecords(nonzero)
+	for _, r := range open {
+		trace := r.v.trace.String()
+		a.violate(at, r.device, r.name, LawLifecycle,
+			"query never reached a terminal lifecycle event", trace)
+		for _, tc := range r.v.timers.armed() {
+			a.violate(at, r.device, r.name, LawTimers,
+				fmt.Sprintf("timer %q still armed at quiesce", tc.kind), trace)
 		}
 	}
+	for _, r := range nonzero {
+		a.violate(at, r.device, "", lawForBalance(r.name),
+			fmt.Sprintf("balance %q = %d at quiesce, want 0", r.name, r.v), "")
+	}
+}
+
+// record is one per-device entry named for a quiesce report.
+type record[V any] struct {
+	device, name string
+	v            V
+}
+
+// sortRecords orders entries as their "device/name" joins sort, the order
+// quiesce reports have always used.
+func sortRecords[V any](rs []record[V]) {
+	sort.Slice(rs, func(i, j int) bool {
+		return rs[i].device+"/"+rs[i].name < rs[j].device+"/"+rs[j].name
+	})
 }
 
 // LiveTimers counts timers still armed on queries that have not reached a
@@ -354,12 +496,11 @@ func (a *Auditor) LiveTimers() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n := 0
-	for _, st := range a.queries {
-		if st.terminal != "" {
-			continue
-		}
-		for _, c := range st.timers {
-			n += c
+	for _, ds := range a.devices {
+		for _, st := range ds.queries {
+			if st.terminal == "" {
+				n += st.timers.total()
+			}
 		}
 	}
 	return n
@@ -375,9 +516,11 @@ func (a *Auditor) Totals() (delivered, cacheHits int64) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, st := range a.queries {
-		delivered += int64(st.delivered)
-		cacheHits += int64(st.cacheHits)
+	for _, ds := range a.devices {
+		for _, st := range ds.queries {
+			delivered += int64(st.delivered)
+			cacheHits += int64(st.cacheHits)
+		}
 	}
 	return delivered, cacheHits
 }
@@ -418,7 +561,7 @@ func (a *Auditor) Report() *Report {
 		Violations: a.Violations(),
 	}
 	a.mu.Lock()
-	r.Queries = len(a.queries)
+	r.Queries = a.nqueries
 	a.mu.Unlock()
 	return r
 }
@@ -435,8 +578,8 @@ func (a *Auditor) traceOf(device, query string) string {
 	if query == "" {
 		return ""
 	}
-	if st, ok := a.queries[key(device, query)]; ok {
-		return st.trace
+	if st := a.queryLocked(device, query); st != nil {
+		return st.trace.String()
 	}
 	return ""
 }
@@ -458,20 +601,4 @@ func sortViolations(vs []Violation) {
 		}
 		return a.Detail < b.Detail
 	})
-}
-
-func sortedKeys[M map[string]V, V any](m M) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-func splitKey(k string) (device, rest string) {
-	if i := strings.Index(k, "/"); i >= 0 {
-		return k[:i], k[i+1:]
-	}
-	return k, ""
 }

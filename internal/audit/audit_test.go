@@ -34,7 +34,7 @@ func TestAuditDoubleRelease(t *testing.T) {
 // the query's trace reference.
 func TestAuditDoubleTerminal(t *testing.T) {
 	a := New()
-	a.QueryStarted(at(0), "p1", "q-1", "74726163/73706e31")
+	a.QueryStarted(at(0), "p1", "q-1", 0x74726163, 0x73706e31)
 	a.QueryFinished(at(time.Second), "p1", "q-1", "finished", 0, 0)
 	a.QueryFinished(at(2*time.Second), "p1", "q-1", "cancelled", 0, 0)
 	vs := a.Violations()
@@ -45,7 +45,7 @@ func TestAuditDoubleTerminal(t *testing.T) {
 	if v.Law != LawLifecycle || !strings.Contains(v.Detail, `second terminal event "cancelled" after "finished"`) {
 		t.Fatalf("violation = %+v, want double-terminal lifecycle breach", v)
 	}
-	if v.Trace != "74726163/73706e31" {
+	if v.Trace != "0000000074726163/0000000073706e31" {
 		t.Fatalf("violation trace = %q, want the query's span reference", v.Trace)
 	}
 }
@@ -55,7 +55,7 @@ func TestAuditDoubleTerminal(t *testing.T) {
 // query is still active.
 func TestAuditLeakedTimer(t *testing.T) {
 	a := New()
-	a.QueryStarted(at(0), "p1", "q-1", "")
+	a.QueryStarted(at(0), "p1", "q-1", 0, 0)
 	a.TimerArmed(at(0), "p1", "q-1", "expiry")
 	a.TimerArmed(at(0), "p1", "q-1", "probe")
 	a.TimerStopped(at(time.Second), "p1", "q-1", "probe")
@@ -76,7 +76,7 @@ func TestAuditLeakedTimer(t *testing.T) {
 // caught too — the dual failure mode of a leak.
 func TestAuditTimerDoubleStop(t *testing.T) {
 	a := New()
-	a.QueryStarted(at(0), "p1", "q-1", "")
+	a.QueryStarted(at(0), "p1", "q-1", 0, 0)
 	a.TimerArmed(at(0), "p1", "q-1", "expiry")
 	a.TimerStopped(at(time.Second), "p1", "q-1", "expiry")
 	a.TimerStopped(at(2*time.Second), "p1", "q-1", "expiry")
@@ -90,7 +90,7 @@ func TestAuditTimerDoubleStop(t *testing.T) {
 // per-delivery taps must match the query's terminal totals.
 func TestAuditItemAccounting(t *testing.T) {
 	a := New()
-	a.QueryStarted(at(0), "p1", "q-1", "")
+	a.QueryStarted(at(0), "p1", "q-1", 0, 0)
 	a.ItemDelivered(at(time.Second), "p1", "q-1", false)
 	a.ItemDelivered(at(2*time.Second), "p1", "q-1", true)
 	a.QueryFinished(at(3*time.Second), "p1", "q-1", "finished", 2, 1)
@@ -99,7 +99,7 @@ func TestAuditItemAccounting(t *testing.T) {
 	}
 
 	b := New()
-	b.QueryStarted(at(0), "p1", "q-2", "")
+	b.QueryStarted(at(0), "p1", "q-2", 0, 0)
 	b.ItemDelivered(at(time.Second), "p1", "q-2", false)
 	b.QueryFinished(at(2*time.Second), "p1", "q-2", "finished", 2, 0)
 	vs := b.Violations()
@@ -112,7 +112,7 @@ func TestAuditItemAccounting(t *testing.T) {
 // its still-armed timer, and a nonzero balance are all reported.
 func TestAuditQuiesce(t *testing.T) {
 	a := New()
-	a.QueryStarted(at(0), "p1", "q-1", "")
+	a.QueryStarted(at(0), "p1", "q-1", 0, 0)
 	a.TimerArmed(at(0), "p1", "q-1", "expiry")
 	a.Add(at(0), "p1", "facade.providers.local", 1)
 	a.CheckQuiesce(at(time.Minute))
@@ -165,7 +165,7 @@ func TestAuditDeterministicOrder(t *testing.T) {
 // no-ops, exactly like the metrics instruments.
 func TestAuditNilSafe(t *testing.T) {
 	var a *Auditor
-	a.QueryStarted(at(0), "p1", "q-1", "")
+	a.QueryStarted(at(0), "p1", "q-1", 0, 0)
 	a.QueryFinished(at(0), "p1", "q-1", "finished", 0, 0)
 	a.TimerArmed(at(0), "p1", "q-1", "expiry")
 	a.TimerStopped(at(0), "p1", "q-1", "expiry")
@@ -183,5 +183,81 @@ func TestAuditNilSafe(t *testing.T) {
 	}
 	if a.Report() != nil {
 		t.Fatal("nil auditor Report must be nil")
+	}
+}
+
+// TestAuditTimerKinds covers a query's timer table past its three inline
+// kinds: every kind balances on its own, and the ones left armed at the
+// terminal event are each reported.
+func TestAuditTimerKinds(t *testing.T) {
+	a := New()
+	a.QueryStarted(at(0), "p1", "q-1", 0, 0)
+	for _, kind := range []string{"probe", "expiry", "cacheTick", "retry", "retry"} {
+		a.TimerArmed(at(0), "p1", "q-1", kind)
+	}
+	a.TimerStopped(at(time.Second), "p1", "q-1", "expiry")
+	a.TimerStopped(at(time.Second), "p1", "q-1", "retry")
+	if got := a.LiveTimers(); got != 3 {
+		t.Fatalf("LiveTimers = %d, want 3 (probe, cacheTick, retry)", got)
+	}
+	a.TimerStopped(at(time.Second), "p1", "q-1", "never")
+	a.QueryFinished(at(2*time.Second), "p1", "q-1", "finished", 0, 0)
+	var details []string
+	for _, v := range a.Violations() {
+		details = append(details, v.Detail)
+	}
+	want := []string{
+		`timer "never" stopped more times than armed`,
+		`timer "cacheTick" still armed at terminal event "finished"`,
+		`timer "probe" still armed at terminal event "finished"`,
+		`timer "retry" still armed at terminal event "finished"`,
+	}
+	if strings.Join(details, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("violations:\n%s\nwant:\n%s", strings.Join(details, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestAuditTapAllocs: once a query and a balance exist, the hot taps —
+// balance moves, timer arm and stop, item delivery — allocate nothing.
+func TestAuditTapAllocs(t *testing.T) {
+	a := New()
+	a.QueryStarted(at(0), "p00042", "q-17", 0x74726163, 0x73706e31)
+	a.Add(at(0), "p00042", "facade.providers.adHocNetwork", 1)
+	a.TimerArmed(at(0), "p00042", "q-17", "expiry")
+	a.TimerArmed(at(0), "p00042", "q-17", "probe")
+	a.TimerArmed(at(0), "p00042", "q-17", "cacheTick")
+	taps := map[string]func(){
+		"Add": func() {
+			a.Add(at(0), "p00042", "facade.providers.adHocNetwork", 1)
+			a.Add(at(0), "p00042", "facade.providers.adHocNetwork", -1)
+		},
+		"TimerArmed+TimerStopped": func() {
+			a.TimerArmed(at(0), "p00042", "q-17", "cacheTick")
+			a.TimerStopped(at(0), "p00042", "q-17", "cacheTick")
+		},
+		"ItemDelivered": func() { a.ItemDelivered(at(0), "p00042", "q-17", true) },
+	}
+	for name, tap := range taps {
+		if got := testing.AllocsPerRun(100, tap); got != 0 {
+			t.Errorf("%s: %v allocations, want 0", name, got)
+		}
+	}
+	if vs := a.Violations(); len(vs) != 0 {
+		t.Fatalf("balanced taps produced violations: %v", vs)
+	}
+}
+
+func BenchmarkAuditTap(b *testing.B) {
+	a := New()
+	const dev, q = "p00042", "q-17"
+	a.QueryStarted(at(0), dev, q, 0x74726163, 0x73706e31)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Add(at(0), dev, "qos.slots", 1)
+		a.TimerArmed(at(0), dev, q, "expiry")
+		a.ItemDelivered(at(0), dev, q, false)
+		a.TimerStopped(at(0), dev, q, "expiry")
+		a.Add(at(0), dev, "qos.slots", -1)
 	}
 }

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"contory/internal/audit"
-	"contory/internal/tracing"
-)
+import "contory/internal/audit"
 
 // This file wires the runtime invariant auditor (internal/audit) into the
 // ContextFactory: thin taps at every query-lifecycle transition, timer
@@ -31,20 +26,15 @@ func WithAudit(a *audit.Auditor) Option {
 // off); exposed for harnesses that assert on audit state.
 func (f *Factory) Auditor() *audit.Auditor { return f.audit }
 
-// auditTraceRef renders a span's identity for violation reports, matching
-// the %016x form of the trace exporters ("" when untraced).
-func auditTraceRef(sp *tracing.Span) string {
-	sc := sp.Context()
-	if sc.Trace == 0 && sc.Span == 0 {
-		return ""
-	}
-	return fmt.Sprintf("%016x/%016x", uint64(sc.Trace), uint64(sc.Span))
-}
-
 // auditStarted records a query entering the plane (under any mechanism,
-// including cache and pending service).
+// including cache and pending service). The auditor keeps the root span's
+// identity as numbers and renders it only into a violation.
 func (f *Factory) auditStarted(aq *activeQuery) {
-	f.audit.QueryStarted(f.clock.Now(), string(f.dev.ID), aq.id, auditTraceRef(aq.span))
+	if f.audit == nil {
+		return
+	}
+	sc := aq.span.Context()
+	f.audit.QueryStarted(f.clock.Now(), string(f.dev.ID), aq.id, uint64(sc.Trace), uint64(sc.Span))
 }
 
 // auditTimerArmed / auditTimerStopped mirror every vclock timer the

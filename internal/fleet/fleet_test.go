@@ -592,3 +592,39 @@ func TestFleetQoS(t *testing.T) {
 	}
 
 }
+
+// TestTraceStoreOverflow runs all-planes at a size that overflows the
+// 256-trace store, which no scenario file does: most traces are dropped,
+// many of them doomed while still live, so the tracer stops recording them
+// early. The summary and Chrome export must still be byte-identical at
+// workers 1 and 8, the audit clean, and the model the same with tracing
+// and the recorder off.
+func TestTraceStoreOverflow(t *testing.T) {
+	spec := loadScenario(t, "all-planes")
+	spec.Phones, spec.Duration = 300, 3*time.Minute
+	sum, serial, serialTrace := runSpec(t, spec, 1)
+	_, parallel, parallelTrace := runSpec(t, spec, 8)
+	if st := sum.Trace; st == nil || st.DroppedTraces < int64(st.Retained) {
+		t.Fatalf("trace report %+v: want a store that drops more traces than it keeps", st)
+	}
+	if !bytes.Equal(serial, parallel) {
+		t.Fatalf("summary differs between workers=1 and workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			firstDiff(serial, parallel), firstDiff(parallel, serial))
+	}
+	if !bytes.Equal(serialTrace, parallelTrace) {
+		t.Fatalf("Chrome export differs between workers=1 and workers=8:\n%s", firstDiff(serialTrace, parallelTrace))
+	}
+	if sum.Audit == nil || sum.Audit.Checks == 0 {
+		t.Fatal("audited run made zero checks")
+	}
+	for _, v := range sum.Audit.Violations {
+		t.Errorf("violation: %s", v)
+	}
+	off := spec
+	off.Trace, off.Timeline = TraceSpec{}, TimelineSpec{}
+	bare, _, _ := runSpec(t, off, 1)
+	if observed, unobserved := modelled(t, sum), modelled(t, bare); !bytes.Equal(observed, unobserved) {
+		t.Errorf("turning tracing and the recorder off changed the model:\n--- observed ---\n%s\n--- unobserved ---\n%s",
+			firstDiff(observed, unobserved), firstDiff(unobserved, observed))
+	}
+}

@@ -116,6 +116,7 @@ func (g *Gauge) Value() float64 {
 // reads observe a consistent state.
 type Histogram struct {
 	bounds []float64 // strictly increasing upper bounds (excl. +Inf)
+	labels []string  // bounds rendered once for snapshots; last is "+Inf"
 
 	counts  []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
 	count   atomic.Int64
@@ -131,7 +132,9 @@ var DefaultLatencyBucketsMs = []float64{
 	1000, 2000, 5000, 10000, 30000, 60000,
 }
 
-// newHistogram copies and sorts the bounds, dropping duplicates.
+// newHistogram copies and sorts the bounds, dropping duplicates, and
+// renders each bucket's label once: bounds never change, so snapshots only
+// read the labels.
 func newHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)
@@ -142,8 +145,13 @@ func newHistogram(bounds []float64) *Histogram {
 		}
 		dedup = append(dedup, b)
 	}
+	labels := make([]string, 0, len(dedup)+1)
+	for _, b := range dedup {
+		labels = append(labels, formatFloat(b))
+	}
 	h := &Histogram{
 		bounds: dedup,
+		labels: append(labels, "+Inf"),
 		counts: make([]atomic.Int64, len(dedup)+1),
 	}
 	h.minBits.Store(math.Float64bits(math.Inf(1)))

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +87,42 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 	if p.Min != 0.5 || p.Max != 1e9 {
 		t.Errorf("min/max = %v/%v", p.Min, p.Max)
+	}
+}
+
+// TestHistogramLabelsRenderedOnce: bucket labels are rendered when the
+// histogram is made, from its sorted, deduplicated bounds; the text and
+// JSON expositions are the bytes that rendering them on every read gave.
+func TestHistogramLabelsRenderedOnce(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("lat.ms", []float64{1e21, 5, 0.1, 2.5, 5, 1e-7, 1, 0.1})
+	for _, v := range []float64{0, 0.1, 0.3, 3, 5, 7e5, 2e9} {
+		h.Observe(v)
+	}
+	reg.Histogram("empty", nil)
+	s := reg.Instruments()
+	const wantText = `histogram empty count=0 sum=0 min=0 max=0
+histogram empty le=+Inf 0
+histogram lat.ms count=7 sum=2.0007000084e+09 min=0 max=2e+09
+histogram lat.ms le=1e-07 1
+histogram lat.ms le=0.1 2
+histogram lat.ms le=1 3
+histogram lat.ms le=2.5 3
+histogram lat.ms le=5 5
+histogram lat.ms le=1e+21 7
+histogram lat.ms le=+Inf 7
+events total=0 retained=0 dropped=0 capacity=1024
+`
+	if got := s.String(); got != wantText {
+		t.Errorf("text exposition:\n%s\nwant:\n%s", got, wantText)
+	}
+	const wantJSON = `{"counters":null,"gauges":null,"histograms":[{"name":"empty","count":0,"sum":0,"min":0,"max":0,"buckets":[{"le":"+Inf","count":0}]},{"name":"lat.ms","count":7,"sum":2000700008.4,"min":0,"max":2000000000,"buckets":[{"le":"1e-07","count":1},{"le":"0.1","count":2},{"le":"1","count":3},{"le":"2.5","count":3},{"le":"5","count":5},{"le":"1e+21","count":7},{"le":"+Inf","count":7}]}],"events":null,"events_total":0,"events_dropped":0,"events_capacity":1024}`
+	got, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != wantJSON {
+		t.Errorf("JSON exposition:\n%s\nwant:\n%s", got, wantJSON)
 	}
 }
 

@@ -108,13 +108,12 @@ func snapHistogram(name string, h *Histogram) HistogramPoint {
 		Min:   lo,
 		Max:   hi,
 	}
+	p.Buckets = make([]Bucket, len(h.labels))
 	cum := int64(0)
-	for i, b := range h.bounds {
+	for i, le := range h.labels {
 		cum += h.counts[i].Load()
-		p.Buckets = append(p.Buckets, Bucket{Le: formatFloat(b), Count: cum})
+		p.Buckets[i] = Bucket{Le: le, Count: cum}
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	p.Buckets = append(p.Buckets, Bucket{Le: "+Inf", Count: cum})
 	return p
 }
 

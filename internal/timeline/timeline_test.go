@@ -145,6 +145,17 @@ func TestSampleAllocsIgnoreRing(t *testing.T) {
 	}
 }
 
+// TestSampleAllocsCeiling: histogram bucket labels are rendered when each
+// histogram is made, so one window sample allocates the snapshot's slices
+// and the window's own records, not a label per bucket.
+func TestSampleAllocsCeiling(t *testing.T) {
+	step := sampleRig(metrics.DefaultRingCapacity)
+	step()
+	if got := testing.AllocsPerRun(50, step); got > 60 {
+		t.Fatalf("window sample: %v allocations, want at most 60", got)
+	}
+}
+
 func BenchmarkSampleWindow(b *testing.B) {
 	step := sampleRig(metrics.DefaultRingCapacity)
 	step()

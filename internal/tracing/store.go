@@ -3,6 +3,7 @@ package tracing
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"contory/internal/metrics"
@@ -16,6 +17,13 @@ import (
 // function of the finished-trace set ordered by (start, trace id) — never
 // of arrival order — so parallel runs at any worker count retain, and
 // drop, exactly the same traces.
+//
+// The windows' bounds only move one way: once the head is full its largest
+// key can only fall, and once the tail is full its smallest key can only
+// rise. So a trace that orders strictly after headMax and strictly before
+// tailMin can never be retained, live or finished: it is doomed, and the
+// tracer stops recording it. A bound read while another lane moves it is
+// only looser, never wrong.
 type Store struct {
 	mu       sync.Mutex
 	head     []*traceData // ascending by key; the headCap earliest
@@ -23,6 +31,9 @@ type Store struct {
 	finished int64
 	dropped  int64
 	mDropped *metrics.Counter
+
+	headMax atomic.Pointer[traceData] // head's largest key once it is full
+	tailMin atomic.Pointer[traceData] // tail's smallest key once it is full
 }
 
 func newStore(reg *metrics.Registry) *Store {
@@ -36,6 +47,13 @@ func keyLess(a, b *traceData) bool {
 		return a.start.Before(b.start)
 	}
 	return a.id < b.id
+}
+
+// dooms reports whether td can no longer be retained: headCap finished
+// traces order before it and tailCap after it. Lock-free.
+func (s *Store) dooms(td *traceData) bool {
+	h, t := s.headMax.Load(), s.tailMin.Load()
+	return h != nil && t != nil && keyLess(h, td) && keyLess(td, t)
 }
 
 // add offers a finished trace to both retention windows. A trace evicted
@@ -77,6 +95,9 @@ func (s *Store) insertHead(td *traceData) bool {
 			s.mDropped.Inc()
 		}
 	}
+	if len(s.head) == headCap {
+		s.headMax.Store(s.head[headCap-1])
+	}
 	return true
 }
 
@@ -96,6 +117,9 @@ func (s *Store) insertTail(td *traceData) bool {
 			s.dropped++
 			s.mDropped.Inc()
 		}
+	}
+	if len(s.tail) == tailCap {
+		s.tailMin.Store(s.tail[0])
 	}
 	return true
 }

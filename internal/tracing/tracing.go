@@ -28,6 +28,7 @@ package tracing
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -152,8 +153,10 @@ type Tracer struct {
 	clock vclock.Clock
 	store *Store
 
-	mu     sync.Mutex
-	live   map[TraceID]*traceData
+	mu   sync.Mutex
+	live map[TraceID]*traceData
+	// faults is replaced, never edited in place, so a reader may range
+	// over the slice it loaded after releasing mu.
 	faults []activeFault
 
 	mStarted    *metrics.Counter
@@ -184,19 +187,33 @@ func (tr *Tracer) Store() *Store {
 	return tr.store
 }
 
-// traceData is the mutable state of one in-flight or finished trace.
+// traceData is the mutable state of one in-flight or finished trace. Its
+// mutex guards the trace's own fields and every field of its spans.
 type traceData struct {
+	tr    *Tracer
 	id    TraceID
 	name  string
 	node  string
 	start time.Time
 
 	mu        sync.Mutex
-	spans     []*Span // spans[0] is the root
+	spans     []*Span // spans[0] is the root; recorded spans only
+	nspans    int     // spans counted against maxSpans, recorded or not
 	dropped   int     // children discarded over maxSpans
 	firstItem time.Duration
 	hasFirst  bool
 	flushed   bool
+	doomed    bool  // the store can no longer retain the trace (sticky)
+	inert     *Span // the one span a doomed trace hands out; made lazily
+}
+
+// doomedLocked reports whether the store can no longer retain the trace,
+// latching the answer once it is yes. Called with td.mu held.
+func (td *traceData) doomedLocked() bool {
+	if !td.doomed && td.tr.store.dooms(td) {
+		td.doomed = true
+	}
+	return td.doomed
 }
 
 // StartRoot opens a trace's root span. The name must be unique per query
@@ -213,12 +230,12 @@ func (tr *Tracer) StartRoot(name, node string, tl *energy.Timeline) *Span {
 		return nil
 	}
 	now := tr.clock.Now()
-	td := &traceData{id: id, name: name, node: node, start: now}
+	td := &traceData{tr: tr, id: id, name: name, node: node, start: now, nspans: 1}
 	sp := &Span{
-		tr: tr, trace: td,
-		id:   spanIDFor(id, 0, 0),
-		name: name, node: node, tl: tl,
-		start: now,
+		trace: td,
+		id:    spanIDFor(id, 0, 0),
+		name:  name, node: node, tl: tl,
+		start: now.UnixNano(),
 	}
 	td.spans = []*Span{sp}
 	tr.mu.Lock()
@@ -288,7 +305,7 @@ func (tr *Tracer) FaultActive(id, kind string, nodes []string) {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	tr.faults = append(tr.faults, f)
+	tr.faults = append(tr.faults[:len(tr.faults):len(tr.faults)], f)
 }
 
 // FaultCleared removes a fault from the active set. Nil-safe.
@@ -298,7 +315,7 @@ func (tr *Tracer) FaultCleared(id string) {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	kept := tr.faults[:0]
+	var kept []activeFault
 	for _, f := range tr.faults {
 		if f.id != id {
 			kept = append(kept, f)
@@ -309,19 +326,25 @@ func (tr *Tracer) FaultCleared(id string) {
 
 // annotateFaults stamps the span with every active fault touching its
 // node. Used at span start and again at End (a fault injected mid-span is
-// still attributed).
+// still attributed). It allocates nothing beyond the attributes it adds.
 func (tr *Tracer) annotateFaults(sp *Span) {
 	tr.mu.Lock()
-	var hits []activeFault
-	for _, f := range tr.faults {
-		if f.matches(sp.node) {
-			hits = append(hits, f)
-		}
-	}
+	faults := tr.faults
 	tr.mu.Unlock()
-	for _, f := range hits {
-		sp.setAttrOnce("fault", f.id)
-		sp.setAttrOnce("fault_kind", f.kind)
+	if len(faults) == 0 {
+		return
+	}
+	td := sp.trace
+	td.mu.Lock()
+	defer td.mu.Unlock()
+	if td.doomedLocked() {
+		return
+	}
+	for _, f := range faults {
+		if f.matches(sp.node) {
+			sp.addAttrOnceLocked("fault", f.id)
+			sp.addAttrOnceLocked("fault_kind", f.kind)
+		}
 	}
 }
 
@@ -348,9 +371,15 @@ func (tr *Tracer) Stats() Stats {
 	}
 }
 
-// Span is one timed segment of a trace. All methods are nil-safe.
+// Span is one timed segment of a trace. All methods are nil-safe. A span
+// is one allocation: it reaches its tracer through its trace, shares the
+// trace's mutex, keeps its instants as Unix nanoseconds of virtual time and
+// its first two attributes inline.
+//
+// A doomed trace (one the store can no longer retain, see Store.dooms)
+// records nothing more: its children are all one inert span whose methods
+// record nothing, so callers cannot tell it from a recorded one.
 type Span struct {
-	tr    *Tracer
 	trace *traceData
 
 	id     SpanID
@@ -358,13 +387,16 @@ type Span struct {
 	name   string
 	node   string
 	tl     *energy.Timeline
-	start  time.Time
+	start  int64 // Unix nanoseconds
 
-	mu    sync.Mutex
-	end   time.Time
-	ended bool
-	attrs []Attr
-	kids  uint64
+	// Guarded by trace.mu.
+	end    int64 // Unix nanoseconds; meaningful once ended
+	kids   uint32
+	nattrs uint8
+	ended  bool
+	inert  bool
+	attrs  [2]Attr // the first two attributes
+	more   []Attr  // the rest, in order
 }
 
 // Context returns the span's propagable identity (zero for nil).
@@ -385,80 +417,121 @@ func (s *Span) Child(name string) *Span {
 
 // ChildAt opens a child span on another node — the cross-node edge of the
 // trace: SM migration hops, infrastructure-side handling. tl is that
-// node's power timeline (may be nil).
+// node's power timeline (may be nil). A child of a doomed trace still
+// counts against maxSpans, so span-drop counts do not depend on dooming.
 func (s *Span) ChildAt(name, node string, tl *energy.Timeline) *Span {
 	if s == nil {
 		return nil
 	}
 	td := s.trace
-	now := s.tr.clock.Now()
-	s.mu.Lock()
+	now := td.tr.clock.Now()
+	td.mu.Lock()
 	idx := s.kids
 	s.kids++
-	s.mu.Unlock()
-
-	td.mu.Lock()
-	if len(td.spans) >= maxSpans {
+	if td.nspans >= maxSpans {
 		td.dropped++
 		td.mu.Unlock()
-		s.tr.mSpansDrop.Inc()
+		td.tr.mSpansDrop.Inc()
 		return nil
 	}
+	td.nspans++
+	if s.inert || td.doomedLocked() {
+		if td.inert == nil {
+			td.inert = &Span{trace: td, inert: true}
+		}
+		inert := td.inert
+		td.mu.Unlock()
+		return inert
+	}
 	child := &Span{
-		tr: s.tr, trace: td,
-		id:     spanIDFor(td.id, s.id, idx),
+		trace:  td,
+		id:     spanIDFor(td.id, s.id, uint64(idx)),
 		parent: s.id,
 		name:   name, node: node, tl: tl,
-		start: now,
+		start: now.UnixNano(),
 	}
 	td.spans = append(td.spans, child)
 	td.mu.Unlock()
-	s.tr.annotateFaults(child)
+	td.tr.annotateFaults(child)
 	return child
 }
 
 // SetAttr annotates the span. Later values for the same key are kept as
 // additional attributes (exports render them in order).
 func (s *Span) SetAttr(key, value string) {
-	if s == nil {
+	if s == nil || s.inert {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+	td := s.trace
+	td.mu.Lock()
+	if !td.doomedLocked() {
+		s.addAttrLocked(key, value)
+	}
+	td.mu.Unlock()
 }
 
-// SetAttrInt annotates the span with an integer value.
+// SetAttrInt annotates the span with an integer value, rendered only when
+// the trace still records.
 func (s *Span) SetAttrInt(key string, value int64) {
-	if s == nil {
+	if s == nil || s.inert {
 		return
 	}
-	s.SetAttr(key, fmt.Sprintf("%d", value))
+	td := s.trace
+	td.mu.Lock()
+	if !td.doomedLocked() {
+		s.addAttrLocked(key, strconv.FormatInt(value, 10))
+	}
+	td.mu.Unlock()
 }
 
-// setAttrOnce adds the pair unless it is already present.
-func (s *Span) setAttrOnce(key, value string) {
-	if s == nil {
+// addAttrLocked appends one attribute: inline while there is room, then
+// to the spill slice.
+func (s *Span) addAttrLocked(key, value string) {
+	a := Attr{Key: key, Value: value}
+	if int(s.nattrs) < len(s.attrs) {
+		s.attrs[s.nattrs] = a
+		s.nattrs++
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, a := range s.attrs {
-		if a.Key == key && a.Value == value {
+	s.more = append(s.more, a)
+}
+
+// addAttrOnceLocked adds the pair unless it is already present.
+func (s *Span) addAttrOnceLocked(key, value string) {
+	a := Attr{Key: key, Value: value}
+	for _, b := range s.attrs[:s.nattrs] {
+		if a == b {
 			return
 		}
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+	for _, b := range s.more {
+		if a == b {
+			return
+		}
+	}
+	s.addAttrLocked(key, value)
+}
+
+// attrsLocked copies the span's attributes in the order they were set (nil
+// when there are none).
+func (s *Span) attrsLocked() []Attr {
+	n := int(s.nattrs) + len(s.more)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Attr, 0, n)
+	out = append(out, s.attrs[:s.nattrs]...)
+	return append(out, s.more...)
 }
 
 // MarkFirstItem records the trace's first context-item delivery, the
 // latency figure of Table 1. Only the first call counts.
 func (s *Span) MarkFirstItem() {
-	if s == nil {
+	if s == nil || s.inert {
 		return
 	}
 	td := s.trace
-	now := s.tr.clock.Now()
+	now := td.tr.clock.Now()
 	td.mu.Lock()
 	if !td.hasFirst {
 		td.hasFirst = true
@@ -470,25 +543,26 @@ func (s *Span) MarkFirstItem() {
 // End closes the span at the current virtual time. Ending the root span
 // finishes the trace and moves it to the store. Idempotent.
 func (s *Span) End() {
-	if s == nil {
+	if s == nil || s.inert {
 		return
 	}
-	s.endAt(s.tr.clock.Now())
+	s.endAt(s.trace.tr.clock.Now())
 }
 
 func (s *Span) endAt(now time.Time) {
-	s.mu.Lock()
+	td := s.trace
+	td.mu.Lock()
 	if s.ended {
-		s.mu.Unlock()
+		td.mu.Unlock()
 		return
 	}
 	s.ended = true
-	s.end = now
-	s.mu.Unlock()
+	s.end = now.UnixNano()
+	td.mu.Unlock()
 	// A fault injected while the span ran is attributed too.
-	s.tr.annotateFaults(s)
+	td.tr.annotateFaults(s)
 	if s.parent == 0 {
-		s.tr.finish(s.trace)
+		td.tr.finish(td)
 	}
 }
 
@@ -527,27 +601,27 @@ type TraceView struct {
 // independent.
 func (td *traceData) view() TraceView {
 	td.mu.Lock()
-	spans := append([]*Span(nil), td.spans...)
+	defer td.mu.Unlock()
 	tv := TraceView{
 		ID: td.id, Name: td.name, Node: td.node, Start: td.start,
 		FirstItem: td.firstItem, HasFirstItem: td.hasFirst,
 		DroppedSpans: td.dropped, Flushed: td.flushed,
+		Spans: make([]SpanView, 0, len(td.spans)),
 	}
-	td.mu.Unlock()
-
-	tv.Spans = make([]SpanView, 0, len(spans))
-	for _, sp := range spans {
-		sp.mu.Lock()
+	for _, sp := range td.spans {
+		start := time.Unix(0, sp.start)
+		var end time.Time // an open span keeps the zero end it always had
+		if sp.ended {
+			end = time.Unix(0, sp.end)
+		}
 		sv := SpanView{
 			ID: sp.id, Parent: sp.parent, Name: sp.name, Node: sp.node,
-			Start: sp.start.Sub(td.start),
-			Dur:   sp.end.Sub(sp.start),
-			Attrs: append([]Attr(nil), sp.attrs...),
+			Start: start.Sub(td.start),
+			Dur:   end.Sub(start),
+			Attrs: sp.attrsLocked(),
 		}
-		end := sp.end
-		sp.mu.Unlock()
-		if sp.tl != nil && end.After(sp.start) {
-			sv.EnergyJ = float64(sp.tl.EnergyBetweenClamped(sp.start, end))
+		if sp.tl != nil && end.After(start) {
+			sv.EnergyJ = float64(sp.tl.EnergyBetweenClamped(start, end))
 		}
 		tv.Spans = append(tv.Spans, sv)
 	}

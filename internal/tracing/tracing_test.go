@@ -425,3 +425,122 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil store not inert")
 	}
 }
+
+// doomedRoot opens a root, then finishes headCap traces that start before
+// it and tailCap that start after it, so the store can no longer retain
+// the root's trace.
+func doomedRoot(tr *Tracer, clk *vclock.Simulator) *Span {
+	for i := 0; i < headCap; i++ {
+		tr.StartRoot(fmt.Sprintf("early/q-%d", i), "phone", nil).End()
+	}
+	clk.Advance(time.Second)
+	root := tr.StartRoot("phone/q-doomed", "phone", nil)
+	clk.Advance(time.Second)
+	for i := 0; i < tailCap; i++ {
+		tr.StartRoot(fmt.Sprintf("late/q-%d", i), "phone", nil).End()
+	}
+	return root
+}
+
+// TestSpanAllocs: a recorded child with two attributes is one allocation,
+// also while a chaos fault is active elsewhere; a fault on the child's own
+// node fills its two inline attributes without another; and on a doomed
+// trace the same calls allocate nothing.
+func TestSpanAllocs(t *testing.T) {
+	tr, clk := newTestTracer(Config{Seed: 1})
+	child := func(root *Span) func() {
+		return func() {
+			c := root.Child("sensor.read")
+			c.SetAttr("mech", "intSensor")
+			c.SetAttrInt("items", 2)
+			c.End()
+		}
+	}
+	if got := testing.AllocsPerRun(100, child(tr.StartRoot("phone/q-1", "phone", nil))); got > 1 {
+		t.Errorf("recorded child with two attributes: %v allocations, want at most 1", got)
+	}
+	tr.FaultActive("f-1", "provider-hang", []string{"peer"})
+	if got := testing.AllocsPerRun(100, child(tr.StartRoot("phone/q-2", "phone", nil))); got > 1 {
+		t.Errorf("recorded child, fault on another node: %v allocations, want at most 1", got)
+	}
+	tr.FaultActive("f-2", "gps-off", []string{"phone"})
+	root := tr.StartRoot("phone/q-3", "phone", nil)
+	if got := testing.AllocsPerRun(100, func() { root.Child("sensor.read").End() }); got > 1 {
+		t.Errorf("recorded child, fault on its node: %v allocations, want at most 1", got)
+	}
+	tr.FaultCleared("f-1")
+	tr.FaultCleared("f-2")
+
+	doomed := doomedRoot(tr, clk)
+	if got := testing.AllocsPerRun(100, child(doomed)); got != 0 {
+		t.Errorf("doomed trace: %v allocations, want 0", got)
+	}
+	if st := tr.Stats(); st.DroppedSpans != 0 {
+		t.Fatalf("stats %+v: no trace passed maxSpans", st)
+	}
+}
+
+// TestDoomedTraceIsInert: a doomed trace's children are one non-nil inert
+// span that records nothing, counts against maxSpans like a recorded
+// child, and leaves the trace to be dropped when its root ends.
+func TestDoomedTraceIsInert(t *testing.T) {
+	tr, clk := newTestTracer(Config{Seed: 1})
+	root := doomedRoot(tr, clk)
+	a, b := root.Child("bt.inquiry"), root.ChildAt("sm.hop", "peer", nil)
+	if a == nil || a != b || a.Child("bt.sdp") != a {
+		t.Fatalf("doomed trace children %p, %p: want one shared non-nil span", a, b)
+	}
+	a.SetAttr("k", "v")
+	a.End()
+	dropped := 0
+	for i := 0; i < maxSpans; i++ {
+		if root.Child("sensor.read") == nil {
+			dropped++
+		}
+	}
+	// root + 3 children above, so maxSpans-4 more are admitted.
+	if dropped != 4 {
+		t.Fatalf("dropped %d children past maxSpans, want 4", dropped)
+	}
+	root.End()
+	st := tr.Stats()
+	if st.DroppedSpans != 4 || st.DroppedTraces != 1 || st.Finished != headCap+tailCap+1 {
+		t.Fatalf("stats %+v", st)
+	}
+	for _, tv := range tr.Store().Traces() {
+		if tv.Name == "phone/q-doomed" {
+			t.Fatal("the doomed trace was retained")
+		}
+	}
+}
+
+func BenchmarkSpan(b *testing.B) {
+	run := func(b *testing.B, root func() *Span) {
+		sp := root()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%(maxSpans-1) == maxSpans-2 {
+				b.StopTimer()
+				sp = root()
+				b.StartTimer()
+			}
+			c := sp.Child("sensor.read")
+			c.SetAttr("mech", "intSensor")
+			c.SetAttrInt("items", int64(i&63))
+			c.End()
+		}
+	}
+	b.Run("recorded", func(b *testing.B) {
+		tr, _ := newTestTracer(Config{Seed: 1})
+		n := 0
+		run(b, func() *Span {
+			n++
+			return tr.StartRoot(fmt.Sprintf("phone/q-%d", n), "phone", nil)
+		})
+	})
+	b.Run("doomed", func(b *testing.B) {
+		tr, clk := newTestTracer(Config{Seed: 1})
+		run(b, func() *Span { return doomedRoot(tr, clk) })
+	})
+}
