@@ -49,7 +49,7 @@ load-smoke:
 	$(GO) run -race ./cmd/contory-load -spec testdata/scenarios/load.json -workers 4 -stats-out BENCH_fleet_smoke.json
 
 # perf-smoke compiles and runs the scheduler, spatial-index, frame
-# send-deliver, energy-integration, power-window-append, NMEA-burst,
+# send-deliver, power-window-add, energy-interval-read, NMEA-burst,
 # GPS-device-tick, GPS-fix, SM-finder-tour, answer-cache-lookup,
 # facade-fan-out, query-submission, infrastructure-archive,
 # repository-store, event-window-observe, timeline-sample, span and

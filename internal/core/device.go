@@ -162,18 +162,22 @@ func (d *Device) attachAudit(a *audit.Auditor) {
 // ResourcesMonitor, so control policies such as
 // <batteryLevel, equal, low> → reducePower fire from actual consumption.
 // It returns a stop function.
+//
+// Each period closes one interval on the power timeline and reopens it at
+// the same instant, so the battery drains exactly what was drawn.
 func (d *Device) StartBatteryAccounting(interval time.Duration) (stop func()) {
-	last := d.Clock.Now()
+	tl := d.Node.Timeline()
+	var drawn energy.Interval
+	tl.Open(&drawn)
 	t := d.Clock.Every(interval, func() {
-		now := d.Clock.Now()
-		d.Battery().Drain(d.Node.Timeline().EnergyBetween(last, now))
-		last = now
+		d.Battery().Drain(drawn.Close())
+		tl.Open(&drawn)
 		d.Monitor.SetBattery(d.Battery().Remaining())
-		// The drained history is no longer needed: bound the timeline's
-		// memory on long (multi-day) runs.
-		d.Node.Timeline().Compact(now)
 	})
-	return func() { t.Stop() }
+	return func() {
+		t.Stop()
+		drawn.Close()
+	}
 }
 
 // Battery returns the device's battery model.

@@ -12,6 +12,7 @@ import (
 	"contory/internal/access"
 	"contory/internal/audit"
 	"contory/internal/cxt"
+	"contory/internal/energy"
 	"contory/internal/metrics"
 	"contory/internal/monitor"
 	"contory/internal/policy"
@@ -74,8 +75,11 @@ type activeQuery struct {
 	probe     *vclock.Timer
 	cacheTick *vclock.Timer // EVERY-period refresh while cache-served
 	submitted time.Time
-	delivered int32
-	cacheHits int32 // answers served from the answer cache
+	// drawnBefore is the device's energy drawn up to submission
+	// (Timeline.Joules), from which queryCost measures the query's share.
+	drawnBefore energy.Joules
+	delivered   int32
+	cacheHits   int32 // answers served from the answer cache
 	// mech is the (primary) serving mechanism.
 	mech  Mechanism
 	prefs mechList
@@ -403,6 +407,7 @@ func (f *Factory) openQuery(q *query.Query, client Client, prefs mechList) *acti
 	aq := &activeQuery{
 		Subscription: Subscription{f: f, id: id},
 		q:            q.Clone(), client: client, prefs: prefs, submitted: f.clock.Now(),
+		drawnBefore: f.dev.Node.Timeline().Joules(),
 	}
 	aq.q.ID = id
 	f.instr.submitted.Inc()

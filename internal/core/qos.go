@@ -5,8 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
+	"contory/internal/energy"
 	"contory/internal/metrics"
 	"contory/internal/qos"
 	"contory/internal/query"
@@ -199,17 +199,17 @@ func (f *Factory) qosRelease(queryID string) {
 // queryCost is the measured energy cost of a query: joules the device
 // spent over the query's lifetime so far, per delivered item. All queries
 // on a device share its power timeline, so the longest-lived, least
-// productive queries cost the most. Callers hold f.mu.
-func (f *Factory) queryCost(aq *activeQuery, now time.Time) float64 {
-	e := f.dev.Node.Timeline().EnergyBetween(aq.submitted, now)
-	return float64(e) / float64(aq.delivered+1)
+// productive queries cost the most. drawn is the device's Timeline.Joules
+// now. Callers hold f.mu.
+func queryCost(aq *activeQuery, drawn energy.Joules) float64 {
+	return float64(drawn-aq.drawnBefore) / float64(aq.delivered+1)
 }
 
 // shedOrder ranks the queries for shedding: highest measured joules per
 // delivered item first, equal costs by shedBefore. liveOnly leaves out
 // the cache-served and QoS-pending queries, which hold no live provider.
 func (f *Factory) shedOrder(liveOnly bool) []*activeQuery {
-	now := f.clock.Now()
+	drawn := f.dev.Node.Timeline().Joules()
 	type costed struct {
 		aq   *activeQuery
 		cost float64
@@ -220,7 +220,7 @@ func (f *Factory) shedOrder(liveOnly bool) []*activeQuery {
 		if liveOnly && (aq.mech == MechanismCache || aq.mech == MechanismPending) {
 			continue
 		}
-		cs = append(cs, costed{aq, f.queryCost(aq, now)})
+		cs = append(cs, costed{aq, queryCost(aq, drawn)})
 	}
 	f.mu.Unlock()
 	sort.Slice(cs, func(i, j int) bool {

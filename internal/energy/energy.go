@@ -3,19 +3,16 @@
 // multimeter sampler, and a lithium-ion battery model.
 //
 // The paper measures energy by inserting a multimeter in series between the
-// phone and its battery and integrating current × voltage over time. This
+// phone and its battery and integrating current × voltage as it flows. This
 // package reproduces that methodology over virtual time: components declare
 // piecewise-constant power contributions (continuous states such as
 // "display" or "wifi-connected", and transient windows such as "bt-inquiry"
-// for 13 s), and the timeline integrates them exactly.
+// for 13 s), and the timeline integrates them exactly, as they are drawn,
+// into the intervals its readers open.
 package energy
 
 import (
-	"cmp"
 	"fmt"
-	"math"
-	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -54,94 +51,75 @@ const (
 // (deviation < 2 % from 4.0965 V under load for the first hour).
 const BatteryVoltage = 4.0965
 
-// changePoint is a step in a state's power level at a Unix-nanosecond
-// instant.
-type changePoint struct {
-	at int64
-	mw Milliwatts
+// Timeline is one device's power draw, integrated as it is drawn, the way
+// the paper's multimeter in series with the battery integrates current ×
+// voltage as it flows. It keeps no history: only each named state's level,
+// the edges of windows that have not ended yet, the fixed-point power in
+// force, and the intervals its readers opened. A reader that wants the
+// energy of a span opens an Interval when the span starts; every edge the
+// timeline consumes while the interval is open cuts a segment of constant
+// power and adds its energy to it.
+//
+// The fold is lazy: every write and every read first consumes the pending
+// edges at or before now, in time order. The cuts, the fixed-point power of
+// each segment and the order of the float additions are those of
+// integrating a full history over the interval afterwards, so a reading is
+// that integral bit for bit. A reading at t depends only on edges before t
+// (an edge at t adds a zero-length segment), so peer lanes writing one
+// timeline at the same virtual instant, in any order, leave every reading
+// unchanged. All methods are safe for concurrent use; instants are Unix
+// nanoseconds of virtual time.
+type Timeline struct {
+	clock vclock.Clock
+
+	mu       sync.Mutex
+	states   map[string]Milliwatts
+	pending  []edge    // min-heap by instant: at most one edge per instant
+	buf      [8]edge   // pending's first backing array
+	level    int64     // the fixed-point power in force
+	open     *Interval // head of the open intervals' list; life is on it
+	life     Interval  // open from NewTimeline on: Joules reads it
+	labels   []windowLabel
+	labelIdx map[string]int32 // label name → index into labels
+	metrics  *metrics.Registry
 }
 
-// window is a transient power contribution over [start, end), in Unix
-// nanoseconds. Its label is an index into the timeline's label table, so
-// the record holds no pointers and a long history costs the GC nothing to
-// scan.
-type window struct {
-	start, end int64
-	mw         Milliwatts
-	label      int32
-}
-
-// windowLog holds a timeline's transient power windows in the order they
-// were added, in segments that are never re-grown: the first holds
-// firstSegment windows, each next one twice as many up to maxSegment. A
-// full log gains a segment instead of copying itself into a larger array,
-// so a window costs no allocation unless it opens a segment. The segment
-// directory, one slice header per segment, grows by append. Compact
-// refills the segments from the front and keeps the emptied ones for
-// reuse. Readers walk segs in order, then each segment in order: the order
-// windows were added, as one append-grown slice would hold them.
-type windowLog struct {
-	segs [][]window // full up to segs[fill], empty after it
-	fill int        // the segment the next window goes to
-}
-
-const (
-	firstSegment = 4
-	maxSegment   = 64
-)
-
-// segmentSize is the capacity of the log's i-th segment.
-func segmentSize(i int) int {
-	if i >= 4 { // firstSegment << 4 == maxSegment
-		return maxSegment
-	}
-	return firstSegment << i
-}
-
-func (l *windowLog) push(w window) {
-	for l.fill < len(l.segs) && len(l.segs[l.fill]) == cap(l.segs[l.fill]) {
-		l.fill++
-	}
-	if l.fill == len(l.segs) {
-		l.segs = append(l.segs, make([]window, 0, segmentSize(len(l.segs))))
-	}
-	l.segs[l.fill] = append(l.segs[l.fill], w)
+// edge is a step in the timeline's total fixed-point power at an instant.
+// A zero step still cuts: a window of 0 mW, a same-instant SetState
+// collapse, or a first SetState to 0 ends the segment in force there.
+type edge struct {
+	at    int64
+	delta int64
 }
 
 // windowLabel is what a timeline keeps per window label, besides its name.
 type windowLabel struct {
-	// folded is the energy of this label's windows before the compaction
-	// cutoff, which Compact dropped or trimmed away.
-	folded Joules
+	joules Joules         // every window's energy, added in insertion order
 	gauge  *metrics.Gauge // "energy.joules.<label>", nil until first use
 }
 
-// Timeline records the full power history of one device. All methods are
-// safe for concurrent use. Power is the sum of all named continuous states
-// plus all transient windows active at an instant. Instants are kept as
-// Unix nanoseconds, which covers the years 1678 to 2262 and so every
-// virtual-clock time; the zero Time orders before every record.
-type Timeline struct {
-	clock vclock.Clock
-
-	mu        sync.Mutex
-	states    map[string][]changePoint
-	windows   windowLog
-	labels    []windowLabel
-	labelIdx  map[string]int32 // label name → index into labels
-	compacted time.Time
-	folded    Joules // energy of history dropped by Compact
-
-	metrics *metrics.Registry
+// Interval integrates one timeline's power from the instant it is opened
+// until the instant it is closed; reading an open interval integrates up
+// to now. A reader embeds it in its own record, so opening one allocates
+// nothing. The zero Interval reads 0; an open one must not be copied.
+type Interval struct {
+	tl         *Timeline
+	prev, next *Interval // the timeline's open list
+	from       int64     // the instant joules runs up to
+	joules     Joules
 }
 
 // NewTimeline returns an empty Timeline bound to the given clock.
 func NewTimeline(clock vclock.Clock) *Timeline {
-	return &Timeline{
+	tl := &Timeline{
 		clock:    clock,
-		states:   make(map[string][]changePoint),
+		states:   make(map[string]Milliwatts),
 		labelIdx: make(map[string]int32),
 	}
+	tl.pending = tl.buf[:0]
+	tl.life = Interval{tl: tl, from: clock.Now().UnixNano()}
+	tl.open = &tl.life
+	return tl
 }
 
 // SetMetrics attaches a metrics registry: from now on every transient power
@@ -157,114 +135,244 @@ func (tl *Timeline) SetMetrics(reg *metrics.Registry) {
 	}
 }
 
+// nowLocked reads the clock and consumes every pending edge at or before
+// now, in time order: each cuts the segment in force, then steps the
+// power. Callers hold tl.mu.
+func (tl *Timeline) nowLocked() int64 {
+	now := tl.clock.Now().UnixNano()
+	for len(tl.pending) > 0 && tl.pending[0].at <= now {
+		e := tl.popEdge()
+		tl.cutLocked(e.at)
+		tl.level += e.delta
+	}
+	return now
+}
+
+// cutLocked ends the segment of constant power at instant at: every open
+// interval adds the segment's energy since its own from, then moves from
+// to at. A zero-power segment adds nothing: +0 never changes a sum that
+// starts at +0.
+func (tl *Timeline) cutLocked(at int64) {
+	for iv := tl.open; iv != nil; iv = iv.next {
+		iv.joules = iv.readLocked(at)
+		iv.from = at
+	}
+}
+
+// readLocked is the interval's energy up to instant at ≥ from, at the
+// power in force.
+func (iv *Interval) readLocked(at int64) Joules {
+	if level := iv.tl.level; level != 0 {
+		return iv.joules + joulesOver(levelMW(level), at-iv.from)
+	}
+	return iv.joules
+}
+
 // SetState sets the named continuous power state to mw starting now. Setting
 // 0 turns the state off. Re-setting to the current level is a no-op.
 func (tl *Timeline) SetState(name string, mw Milliwatts) {
-	now := unixNano(tl.clock.Now())
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	pts := tl.states[name]
-	if n := len(pts); n > 0 && pts[n-1].mw == mw {
+	now := tl.nowLocked()
+	old, set := tl.states[name]
+	if set && old == mw {
 		return
 	}
-	// Collapse multiple changes at the same instant to the last one.
-	if n := len(pts); n > 0 && pts[n-1].at == now {
-		pts[n-1].mw = mw
-		return
-	}
-	tl.states[name] = append(pts, changePoint{at: now, mw: mw})
+	tl.cutLocked(now)
+	tl.level += fixedMW(mw) - fixedMW(old)
+	tl.states[name] = mw
 }
 
 // State returns the current level of the named state (0 if never set).
 func (tl *Timeline) State(name string) Milliwatts {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	pts := tl.states[name]
-	if len(pts) == 0 {
-		return 0
-	}
-	return pts[len(pts)-1].mw
+	return tl.states[name]
 }
 
 // AddWindow contributes mw for d starting now, labelled for traceability.
 // Negative or zero durations are ignored.
 func (tl *Timeline) AddWindow(label string, mw Milliwatts, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	now := tl.clock.Now()
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	tl.addWindowLocked(label, mw, now, d)
+	tl.AddWindowAt(label, mw, tl.clock.Now(), d)
 }
 
 // AddWindowAt is AddWindow with an explicit start time; used by radio models
 // that schedule power ahead of time (e.g. a transfer that begins after a
-// connection-establishment delay).
+// connection-establishment delay). The timeline keeps no history, so a
+// window may not start before now: that panics.
 func (tl *Timeline) AddWindowAt(label string, mw Milliwatts, start time.Time, d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	tl.addWindowLocked(label, mw, start, d)
-}
+	s := start.UnixNano()
+	if now := tl.nowLocked(); s < now {
+		panic(fmt.Sprintf("energy: window %q starts %v before now", label, time.Duration(now-s)))
+	}
+	v := fixedMW(mw)
+	tl.pushEdge(s, v)
+	tl.pushEdge(s+int64(d), -v)
 
-// addWindowLocked records the window and adds its exact energy (power ×
-// duration) to its label's gauge. Callers hold tl.mu.
-func (tl *Timeline) addWindowLocked(label string, mw Milliwatts, start time.Time, d time.Duration) {
 	i, ok := tl.labelIdx[label]
 	if !ok {
 		i = int32(len(tl.labels))
 		tl.labels = append(tl.labels, windowLabel{})
 		tl.labelIdx[label] = i
 	}
-	s := unixNano(start)
-	tl.windows.push(window{start: s, end: s + int64(d), mw: mw, label: i})
+	l := &tl.labels[i]
+	l.joules += joulesOver(mw, int64(d))
 	if tl.metrics == nil {
 		return
 	}
-	l := &tl.labels[i]
 	if l.gauge == nil {
 		l.gauge = tl.metrics.Gauge("energy.joules." + label)
 	}
 	l.gauge.Add(float64(mw) / 1000.0 * d.Seconds())
 }
 
-// PowerAt returns the total power draw at time t.
-func (tl *Timeline) PowerAt(t time.Time) Milliwatts {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	return tl.powerAtLocked(unixNano(t))
-}
-
-// Power returns the total power draw now.
-func (tl *Timeline) Power() Milliwatts {
-	return tl.PowerAt(tl.clock.Now())
-}
-
-func (tl *Timeline) powerAtLocked(t int64) Milliwatts {
-	// Accumulate in fixed-point nano-milliwatts so the total is exactly
-	// order-independent: states live in a map and windows append in event
-	// execution order, neither of which is stable across runs, and float
-	// addition order would otherwise leak ULP differences into summaries.
-	var total int64
-	for _, pts := range tl.states {
-		total += fixedMW(stateAt(pts, t))
-	}
-	for _, seg := range tl.windows.segs {
-		for _, w := range seg {
-			if w.start <= t && t < w.end {
-				total += fixedMW(w.mw)
-			}
+// pushEdge adds a power step at instant at, merged into the pending edge
+// already there if there is one.
+func (tl *Timeline) pushEdge(at, delta int64) {
+	h := tl.pending
+	for i := range h {
+		if h[i].at == at {
+			h[i].delta += delta
+			return
 		}
 	}
-	return levelMW(total)
+	h = append(h, edge{at, delta})
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].at <= h[i].at {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	tl.pending = h
 }
+
+// popEdge removes and returns the earliest pending edge.
+func (tl *Timeline) popEdge() edge {
+	h := tl.pending
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].at < h[m].at {
+			m = r
+		}
+		if h[i].at <= h[m].at {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	tl.pending = h
+	return top
+}
+
+// Power returns the total power draw now: every state plus every window
+// that has started and not yet ended.
+func (tl *Timeline) Power() Milliwatts {
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	tl.nowLocked()
+	return levelMW(tl.level)
+}
+
+// Joules returns the energy drawn since the timeline was made.
+func (tl *Timeline) Joules() Joules {
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	return tl.life.readLocked(tl.nowLocked())
+}
+
+// WindowEnergy returns the total energy contributed by windows whose label
+// matches the given label, each counted in full when it is added.
+func (tl *Timeline) WindowEnergy(label string) Joules {
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	i, ok := tl.labelIdx[label]
+	if !ok {
+		return 0
+	}
+	return tl.labels[i].joules
+}
+
+// Open starts iv integrating the timeline's power from now. iv must not be
+// open; a closed interval may be reopened.
+func (tl *Timeline) Open(iv *Interval) {
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	if iv.tl == tl && iv.openLocked() {
+		panic("energy: interval opened twice")
+	}
+	*iv = Interval{tl: tl, from: tl.nowLocked(), next: tl.open}
+	tl.open.prev = iv // the list always holds life
+	tl.open = iv
+}
+
+// Timeline returns the timeline the interval was opened on (nil if never).
+func (iv *Interval) Timeline() *Timeline { return iv.tl }
+
+// Joules returns the energy drawn from the interval's opening to now, or
+// to its closing once it is closed.
+func (iv *Interval) Joules() Joules {
+	tl := iv.tl
+	if tl == nil {
+		return 0
+	}
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	if !iv.openLocked() {
+		return iv.joules
+	}
+	return iv.readLocked(tl.nowLocked())
+}
+
+// Close ends the interval now and returns its energy, which Joules
+// returns from then on. Closing an interval that is not open returns its
+// value.
+func (iv *Interval) Close() Joules {
+	tl := iv.tl
+	if tl == nil {
+		return 0
+	}
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	if !iv.openLocked() {
+		return iv.joules
+	}
+	now := tl.nowLocked()
+	iv.joules = iv.readLocked(now)
+	iv.from = now
+	if iv.prev == nil {
+		tl.open = iv.next
+	} else {
+		iv.prev.next = iv.next
+	}
+	if iv.next != nil {
+		iv.next.prev = iv.prev
+	}
+	iv.prev, iv.next = nil, nil
+	return iv.joules
+}
+
+// openLocked reports whether the interval is on its timeline's open list.
+func (iv *Interval) openLocked() bool { return iv.prev != nil || iv.tl.open == iv }
 
 // mwFixedScale is the fixed-point resolution of power summation: 1 nW.
 // Every calibrated draw in the model has far fewer fractional digits, so
-// rounding to this grid is exact for all inputs the testbed produces.
+// rounding to this grid is exact for all inputs the testbed produces, and
+// the power in force is an exact, order-independent sum however peer
+// lanes interleave their writes.
 const mwFixedScale = 1e6
 
 func fixedMW(mw Milliwatts) int64 {
@@ -281,267 +389,6 @@ func levelMW(total int64) Milliwatts { return Milliwatts(float64(total) / mwFixe
 // joulesOver is the energy of a constant draw held for d nanoseconds.
 func joulesOver(mw Milliwatts, d int64) Joules {
 	return Joules(float64(mw) / 1000.0 * time.Duration(d).Seconds())
-}
-
-// stateAt evaluates a step function at t (0 before the first change).
-func stateAt(pts []changePoint, t int64) Milliwatts {
-	// Binary search for the last change at or before t.
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].at > t })
-	if i == 0 {
-		return 0
-	}
-	return pts[i-1].mw
-}
-
-// unixNano converts t to the timeline's Unix-nanosecond instants,
-// saturating outside their range so that the zero Time, the cutoff of a
-// timeline never compacted, still orders before every record.
-func unixNano(t time.Time) int64 {
-	switch {
-	case t.Before(minInstant):
-		return math.MinInt64
-	case t.After(maxInstant):
-		return math.MaxInt64
-	}
-	return t.UnixNano()
-}
-
-var (
-	minInstant = time.Unix(0, math.MinInt64)
-	maxInstant = time.Unix(0, math.MaxInt64)
-)
-
-// edge is a step in the timeline's total fixed-point power.
-type edge struct {
-	at    int64
-	delta int64
-}
-
-// edgeScratch recycles the edge slices of integrals too long for
-// energyBetweenLocked's stack buffer: the end-of-run summary, the audit's
-// energy check and every traced span integrate a whole phone history.
-var edgeScratch = sync.Pool{New: func() any { return new([]edge) }}
-
-// EnergyBetween integrates power over [t0, t1] and returns Joules. The
-// integral is exact because the timeline is piecewise constant. After
-// Compact, only spans at or after the compaction cutoff are meaningful.
-func (tl *Timeline) EnergyBetween(t0, t1 time.Time) Joules {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	return tl.energyBetweenLocked(t0, t1)
-}
-
-// energyBetweenLocked integrates in one sweep. Every state change point is
-// an edge carrying the change of its fixed-point level, zero included (a
-// same-instant SetState collapse can leave one), and every window an edge
-// of ±its power at its start and at its end. Edges at or before t0 sum to
-// the power at t0; edges inside (t0, t1) are sorted by time and cut the
-// span into segments of constant power. Later edges cannot matter. The
-// cuts, the per-segment power and the order in which segment energies
-// are added are those of evaluating the power afresh at every state
-// change and window boundary inside the span, so the result is the same
-// float64 in O(E log E) instead of O(E·(S+W)).
-func (tl *Timeline) energyBetweenLocked(t0, t1 time.Time) Joules {
-	if !t1.After(t0) {
-		return 0
-	}
-	lo, hi := unixNano(t0), unixNano(t1)
-	var buf [64]edge
-	level, n := tl.edgesLocked(lo, hi, buf[:])
-	cuts := buf[:min(n, len(buf))]
-	var scratch *[]edge
-	if n > len(buf) {
-		scratch = edgeScratch.Get().(*[]edge)
-		*scratch = slices.Grow((*scratch)[:0], n)
-		cuts = (*scratch)[:n]
-		tl.edgesLocked(lo, hi, cuts)
-	}
-	slices.SortFunc(cuts, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
-
-	// A zero-power segment adds +0, which leaves the sum unchanged; skipping
-	// it also keeps the unbounded first segment of an integral from the
-	// zero Time out of the arithmetic.
-	var joules Joules
-	from := lo
-	for i := 0; i < len(cuts); {
-		at := cuts[i].at
-		if level != 0 {
-			joules += joulesOver(levelMW(level), at-from)
-		}
-		for ; i < len(cuts) && cuts[i].at == at; i++ {
-			level += cuts[i].delta
-		}
-		from = at
-	}
-	if level != 0 {
-		joules += joulesOver(levelMW(level), hi-from)
-	}
-	if scratch != nil {
-		edgeScratch.Put(scratch)
-	}
-	return joules
-}
-
-// edgesLocked returns the fixed-point power at lo and the number of edges
-// inside (lo, hi), writing as many of those edges as fit into dst.
-func (tl *Timeline) edgesLocked(lo, hi int64, dst []edge) (level int64, n int) {
-	put := func(at, delta int64) {
-		if n < len(dst) {
-			dst[n] = edge{at, delta}
-		}
-		n++
-	}
-	for _, pts := range tl.states {
-		var prev int64
-		for _, p := range pts {
-			if p.at >= hi {
-				break // change points are in time order
-			}
-			v := fixedMW(p.mw)
-			if p.at <= lo {
-				level += v - prev
-			} else {
-				put(p.at, v-prev)
-			}
-			prev = v
-		}
-	}
-	for _, seg := range tl.windows.segs {
-		for _, w := range seg {
-			if w.end <= lo || w.start >= hi {
-				continue
-			}
-			v := fixedMW(w.mw)
-			if w.start <= lo {
-				level += v
-			} else {
-				put(w.start, v)
-			}
-			if w.end < hi {
-				put(w.end, -v)
-			}
-		}
-	}
-	return level, n
-}
-
-// EnergyBetweenClamped is EnergyBetween with the start clamped to the
-// compaction cutoff: integrating a span that began before a Compact would
-// silently read a truncated history as zero power. Used by the tracing
-// layer, whose span intervals may predate a long run's compaction.
-func (tl *Timeline) EnergyBetweenClamped(t0, t1 time.Time) Joules {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	if t0.Before(tl.compacted) {
-		t0 = tl.compacted
-	}
-	return tl.energyBetweenLocked(t0, t1)
-}
-
-// WindowEnergy returns the total energy contributed by windows whose label
-// matches the given label, regardless of when they occurred: the share of
-// history that Compact dropped or trimmed is counted too.
-func (tl *Timeline) WindowEnergy(label string) Joules {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	i, ok := tl.labelIdx[label]
-	if !ok {
-		return 0
-	}
-	joules := tl.labels[i].folded
-	for _, seg := range tl.windows.segs {
-		for _, w := range seg {
-			if w.label == i {
-				joules += joulesOver(w.mw, w.end-w.start)
-			}
-		}
-	}
-	return joules
-}
-
-// Compact folds all history strictly before the cutoff into a single
-// accumulated energy figure, bounding the timeline's memory on long runs
-// (a day of 1 Hz GPS sampling would otherwise accumulate ~86k windows).
-// After compaction, PowerAt and EnergyBetween are only valid at or after
-// the cutoff; FoldedEnergy returns the energy of the dropped history.
-// Windows still active at the cutoff are trimmed, not dropped.
-func (tl *Timeline) Compact(cutoff time.Time) {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	if !cutoff.After(tl.compacted) {
-		return
-	}
-	// Integrate the dropped span exactly before mutating anything.
-	tl.folded += tl.energyBetweenLocked(tl.compacted, cutoff)
-	c := unixNano(cutoff)
-
-	// States: keep only the value in force at the cutoff, restamped to it,
-	// plus later changes.
-	for name, pts := range tl.states {
-		i := sort.Search(len(pts), func(i int) bool { return pts[i].at > c })
-		if i == 0 {
-			continue // no history before the cutoff
-		}
-		n := copy(pts, pts[i-1:])
-		pts[0].at = c
-		tl.states[name] = pts[:n]
-	}
-	// Windows: drop those fully before the cutoff; trim those straddling
-	// it. Their pre-cutoff share moves to the label's folded energy. Kept
-	// windows move forward in place, in order: the write position (ws, wi)
-	// never passes the one being read.
-	log := &tl.windows
-	ws, wi := 0, 0
-	for _, seg := range log.segs {
-		for _, w := range seg {
-			if w.start < c {
-				tl.labels[w.label].folded += joulesOver(w.mw, min(w.end, c)-w.start)
-				if w.end <= c {
-					continue
-				}
-				w.start = c
-			}
-			if wi == cap(log.segs[ws]) {
-				ws, wi = ws+1, 0
-			}
-			log.segs[ws] = append(log.segs[ws][:wi], w)
-			wi++
-		}
-	}
-	for i := ws + 1; i < len(log.segs); i++ {
-		log.segs[i] = log.segs[i][:0]
-	}
-	if len(log.segs) > 0 {
-		log.segs[ws] = log.segs[ws][:wi]
-	}
-	log.fill = ws
-	tl.compacted = cutoff
-}
-
-// CompactedAt returns the current compaction cutoff (zero if never
-// compacted).
-func (tl *Timeline) CompactedAt() time.Time {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	return tl.compacted
-}
-
-// FoldedEnergy returns the total energy of history dropped by Compact.
-func (tl *Timeline) FoldedEnergy() Joules {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	return tl.folded
-}
-
-// WindowCount returns the number of retained transient windows.
-func (tl *Timeline) WindowCount() int {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	n := 0
-	for _, seg := range tl.windows.segs {
-		n += len(seg)
-	}
-	return n
 }
 
 // Sample is one multimeter reading.
@@ -615,7 +462,7 @@ func (m *Meter) OnSample(f func(Sample)) {
 
 func (m *Meter) record() {
 	now := m.clock.Now()
-	p := m.timeline.PowerAt(now)
+	p := m.timeline.Power()
 	s := Sample{
 		At:    now,
 		Since: now.Sub(m.started),

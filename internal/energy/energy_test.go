@@ -37,9 +37,17 @@ func TestBaselineDecomposition(t *testing.T) {
 	}
 }
 
+// open returns an interval opened on tl now.
+func open(tl *Timeline) *Interval {
+	iv := new(Interval)
+	tl.Open(iv)
+	return iv
+}
+
 func TestTimelineStatePower(t *testing.T) {
 	clk := vclock.NewSimulator()
 	tl := NewTimeline(clk)
+	iv := open(tl)
 	tl.SetState("base", BaseIdle)
 	if got := tl.Power(); !almostEqual(float64(got), 5.75, 1e-9) {
 		t.Fatalf("Power() = %v, want 5.75", got)
@@ -49,9 +57,9 @@ func TestTimelineStatePower(t *testing.T) {
 	if got := tl.Power(); !almostEqual(float64(got), 14.35, 1e-9) {
 		t.Fatalf("Power() = %v, want 14.35", got)
 	}
-	// Power before the display change is unaffected.
-	if got := tl.PowerAt(vclock.Epoch); !almostEqual(float64(got), 5.75, 1e-9) {
-		t.Fatalf("PowerAt(epoch) = %v, want 5.75", got)
+	// The second before the display change drew the base state only.
+	if got := iv.Close(); !almostEqual(float64(got), 5.75e-3, 1e-12) {
+		t.Fatalf("energy of the first second = %v J, want 5.75e-3", got)
 	}
 }
 
@@ -70,19 +78,22 @@ func TestTimelineStateOffAndRead(t *testing.T) {
 	if got := tl.State("unset"); got != 0 {
 		t.Fatalf("State(unset) = %v, want 0", got)
 	}
+	if got := tl.Joules(); !almostEqual(float64(got), 1.19, 1e-9) {
+		t.Fatalf("Joules since the timeline was made = %v, want 1.19", got)
+	}
 }
 
 func TestTimelineSameInstantStateCollapse(t *testing.T) {
 	clk := vclock.NewSimulator()
 	tl := NewTimeline(clk)
+	iv := open(tl)
 	tl.SetState("s", 100)
 	tl.SetState("s", 200) // same instant: only the last value holds
 	if got := tl.Power(); got != 200 {
 		t.Fatalf("Power = %v, want 200", got)
 	}
 	clk.Advance(time.Second)
-	e := tl.EnergyBetween(vclock.Epoch, vclock.Epoch.Add(time.Second))
-	if !almostEqual(float64(e), 0.2, 1e-9) {
+	if e := iv.Joules(); !almostEqual(float64(e), 0.2, 1e-9) {
 		t.Fatalf("energy = %v J, want 0.2 J", e)
 	}
 }
@@ -90,11 +101,11 @@ func TestTimelineSameInstantStateCollapse(t *testing.T) {
 func TestWindowEnergyIntegration(t *testing.T) {
 	clk := vclock.NewSimulator()
 	tl := NewTimeline(clk)
+	iv := open(tl)
 	// WiFi-connected identity from the paper: 1190 mW for 0.761 s ≈ 0.906 J.
 	tl.AddWindow("wifi-get", 1190, 761*time.Millisecond)
 	clk.Advance(2 * time.Second)
-	e := tl.EnergyBetween(vclock.Epoch, clk.Now())
-	if !almostEqual(float64(e), 1.190*0.761, 1e-6) {
+	if e := iv.Joules(); !almostEqual(float64(e), 1.190*0.761, 1e-6) {
 		t.Fatalf("energy = %v J, want %v J", e, 1.190*0.761)
 	}
 	if we := tl.WindowEnergy("wifi-get"); !almostEqual(float64(we), 1.190*0.761, 1e-6) {
@@ -105,79 +116,112 @@ func TestWindowEnergyIntegration(t *testing.T) {
 func TestWindowOverlapsState(t *testing.T) {
 	clk := vclock.NewSimulator()
 	tl := NewTimeline(clk)
+	iv := open(tl)
 	tl.SetState("base", 10) // 10 mW forever
 	clk.Advance(time.Second)
 	tl.AddWindow("burst", 90, time.Second) // 90 mW for 1 s
-	clk.Advance(3 * time.Second)
-	// Total over 4 s: 10 mW * 4 s + 90 mW * 1 s = 0.04 + 0.09 = 0.13 J.
-	e := tl.EnergyBetween(vclock.Epoch, clk.Now())
-	if !almostEqual(float64(e), 0.13, 1e-9) {
-		t.Fatalf("energy = %v J, want 0.13 J", e)
-	}
+	clk.Advance(500 * time.Millisecond)
 	// Mid-window power is the sum.
-	mid := vclock.Epoch.Add(1500 * time.Millisecond)
-	if got := tl.PowerAt(mid); got != 100 {
-		t.Fatalf("PowerAt(mid) = %v, want 100", got)
+	if got := tl.Power(); got != 100 {
+		t.Fatalf("Power mid-window = %v, want 100", got)
+	}
+	clk.Advance(2500 * time.Millisecond)
+	// Total over 4 s: 10 mW * 4 s + 90 mW * 1 s = 0.04 + 0.09 = 0.13 J.
+	if e := iv.Joules(); !almostEqual(float64(e), 0.13, 1e-9) {
+		t.Fatalf("energy = %v J, want 0.13 J", e)
 	}
 }
 
 func TestAddWindowAtFutureStart(t *testing.T) {
 	clk := vclock.NewSimulator()
 	tl := NewTimeline(clk)
+	iv := open(tl)
 	start := vclock.Epoch.Add(5 * time.Second)
 	tl.AddWindowAt("tx", 1000, start, time.Second)
-	if got := tl.PowerAt(vclock.Epoch.Add(2 * time.Second)); got != 0 {
+	clk.Advance(2 * time.Second)
+	if got := tl.Power(); got != 0 {
 		t.Fatalf("power before window = %v", got)
 	}
-	if got := tl.PowerAt(start.Add(500 * time.Millisecond)); got != 1000 {
+	clk.AdvanceTo(start.Add(500 * time.Millisecond))
+	if got := tl.Power(); got != 1000 {
 		t.Fatalf("power inside window = %v", got)
 	}
-	e := tl.EnergyBetween(vclock.Epoch, start.Add(2*time.Second))
-	if !almostEqual(float64(e), 1.0, 1e-9) {
+	clk.AdvanceTo(start.Add(2 * time.Second))
+	if e := iv.Joules(); !almostEqual(float64(e), 1.0, 1e-9) {
 		t.Fatalf("energy = %v J, want 1 J", e)
 	}
+}
+
+// A window that starts before now would need the history the timeline no
+// longer keeps: every caller passes now plus a non-negative offset, so
+// one that does not is a bug.
+func TestWindowInPastPanics(t *testing.T) {
+	clk := vclock.NewSimulator()
+	tl := NewTimeline(clk)
+	clk.Advance(time.Second)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a window starting before now did not panic")
+		}
+	}()
+	tl.AddWindowAt("late", 100, vclock.Epoch, 2*time.Second)
 }
 
 func TestZeroDurationWindowIgnored(t *testing.T) {
 	clk := vclock.NewSimulator()
 	tl := NewTimeline(clk)
+	iv := open(tl)
 	tl.AddWindow("noop", 500, 0)
 	tl.AddWindow("noop", 500, -time.Second)
 	clk.Advance(time.Second)
-	if e := tl.EnergyBetween(vclock.Epoch, clk.Now()); e != 0 {
+	if e := iv.Joules(); e != 0 {
 		t.Fatalf("energy = %v, want 0", e)
 	}
 }
 
-func TestEnergyBetweenEmptyOrInverted(t *testing.T) {
+// An interval read or closed at the instant it opened holds +0, whatever
+// is drawn; the zero Interval reads 0; a closed one keeps its value.
+func TestIntervalAtOpenIsZero(t *testing.T) {
 	clk := vclock.NewSimulator()
 	tl := NewTimeline(clk)
 	tl.SetState("s", 100)
-	if e := tl.EnergyBetween(clk.Now(), clk.Now()); e != 0 {
-		t.Fatalf("zero-width integral = %v", e)
+	clk.Advance(time.Second)
+	iv := open(tl)
+	tl.AddWindow("w", 50, time.Second)
+	if e := iv.Joules(); e != 0 || math.Signbit(float64(e)) {
+		t.Fatalf("zero-width reading = %v", e)
 	}
-	if e := tl.EnergyBetween(clk.Now().Add(time.Hour), clk.Now()); e != 0 {
-		t.Fatalf("inverted integral = %v", e)
+	if e := iv.Close(); e != 0 || math.Signbit(float64(e)) {
+		t.Fatalf("zero-width close = %v", e)
+	}
+	clk.Advance(time.Second)
+	if e := iv.Joules(); e != 0 {
+		t.Fatalf("closed interval read %v after the clock moved", e)
+	}
+	var never Interval
+	if e := never.Joules(); e != 0 || never.Close() != 0 || never.Timeline() != nil {
+		t.Fatalf("zero Interval reads %v", e)
 	}
 }
 
-// Property: energy integration is additive over adjacent intervals.
+// Property: energy integration is additive over adjacent intervals: the
+// battery accounting closes one interval and reopens it at the same
+// instant every period.
 func TestEnergyAdditivityProperty(t *testing.T) {
 	prop := func(p1, p2 uint16, d1, d2 uint16) bool {
 		clk := vclock.NewSimulator()
 		tl := NewTimeline(clk)
+		whole, first := open(tl), open(tl)
 		tl.SetState("a", Milliwatts(p1%2000))
 		da := time.Duration(d1%5000+1) * time.Millisecond
 		db := time.Duration(d2%5000+1) * time.Millisecond
 		clk.Advance(da)
+		split := float64(first.Close())
+		tl.Open(first)
 		tl.SetState("a", Milliwatts(p2%2000))
 		clk.Advance(db)
-		t0 := vclock.Epoch
-		tm := t0.Add(da)
-		t1 := tm.Add(db)
-		whole := float64(tl.EnergyBetween(t0, t1))
-		split := float64(tl.EnergyBetween(t0, tm)) + float64(tl.EnergyBetween(tm, t1))
-		return almostEqual(whole, split, 1e-6)
+		split += float64(first.Close())
+		return almostEqual(float64(whole.Close()), split, 1e-6)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -340,70 +384,49 @@ func TestMeterObserverFeedsBatteryTrip(t *testing.T) {
 	m.Stop()
 }
 
-func TestCompactBoundsMemoryAndPreservesEnergy(t *testing.T) {
+// TestTimelineKeepsNoHistory: an hour of 1 Hz windows leaves nothing but
+// the next window's edges pending, and the interval open over the hour
+// reads what integrating the hour's whole history gives.
+func TestTimelineKeepsNoHistory(t *testing.T) {
 	clk := vclock.NewSimulator()
-	tl := NewTimeline(clk)
+	tl, ref := NewTimeline(clk), newRefTimeline()
+	iv := open(tl)
 	tl.SetState("base", 10)
-	// An hour of 1 Hz windows.
+	ref.setState(clk.Now(), "base", 10)
 	for i := 0; i < 3600; i++ {
 		tl.AddWindow("sample", 300, 500*time.Millisecond)
+		ref.addWindowAt("sample", 300, clk.Now(), 500*time.Millisecond)
+		if n := len(tl.pending); n > 2 {
+			t.Fatalf("second %d: %d edges pending, want at most 2", i, n)
+		}
 		clk.Advance(time.Second)
 	}
-	totalBefore := float64(tl.EnergyBetween(vclock.Epoch, clk.Now()))
-	if tl.WindowCount() != 3600 {
-		t.Fatalf("windows = %d", tl.WindowCount())
+	if got, want := iv.Joules(), ref.energyBetween(vclock.Epoch, clk.Now()); got != want {
+		t.Fatalf("hour = %v J, oracle %v J", got, want)
 	}
-	cutoff := vclock.Epoch.Add(59 * time.Minute)
-	tl.Compact(cutoff)
-	if !tl.CompactedAt().Equal(cutoff) {
-		t.Fatalf("CompactedAt = %v", tl.CompactedAt())
-	}
-	if tl.WindowCount() > 70 {
-		t.Fatalf("windows after compact = %d, want ≈ 60", tl.WindowCount())
-	}
-	// Folded energy + remaining integral = original total.
-	totalAfter := float64(tl.FoldedEnergy()) + float64(tl.EnergyBetween(cutoff, clk.Now()))
-	if !almostEqual(totalAfter, totalBefore, 1e-6) {
-		t.Fatalf("energy leaked by Compact: %v vs %v", totalAfter, totalBefore)
-	}
-	// Post-cutoff power still correct (state survives compaction).
 	if p := tl.Power(); p != 10 {
-		t.Fatalf("power after compact = %v", p)
-	}
-	// Earlier or equal cutoff: no-op.
-	tl.Compact(cutoff)
-	tl.Compact(cutoff.Add(-time.Minute))
-	if !tl.CompactedAt().Equal(cutoff) {
-		t.Fatal("compaction cutoff moved backwards")
+		t.Fatalf("power after the hour = %v", p)
 	}
 }
 
-func TestCompactTrimsStraddlingWindow(t *testing.T) {
+// TestWindowEnergyCountsWholeWindow: a window's energy counts in full from
+// the moment it is added, while an interval holds only the part drawn
+// inside it.
+func TestWindowEnergyCountsWholeWindow(t *testing.T) {
 	clk := vclock.NewSimulator()
 	tl := NewTimeline(clk)
+	iv := open(tl)
 	tl.AddWindow("long", 1000, 10*time.Second) // 10 J total
-	clk.Advance(20 * time.Second)
-	cutoff := vclock.Epoch.Add(5 * time.Second)
-	tl.Compact(cutoff)
-	// 5 J folded, 5 J still queryable.
-	if got := float64(tl.FoldedEnergy()); !almostEqual(got, 5, 1e-9) {
-		t.Fatalf("folded = %v J", got)
-	}
-	rest := float64(tl.EnergyBetween(cutoff, clk.Now()))
-	if !almostEqual(rest, 5, 1e-9) {
-		t.Fatalf("remaining = %v J", rest)
-	}
-	// WindowEnergy counts the whole window whether it was trimmed or, once
-	// the cutoff passes its end, dropped.
 	if got := float64(tl.WindowEnergy("long")); !almostEqual(got, 10, 1e-9) {
-		t.Fatalf("WindowEnergy after trim = %v J, want 10 J", got)
+		t.Fatalf("WindowEnergy as added = %v J, want 10 J", got)
 	}
-	tl.Compact(vclock.Epoch.Add(15 * time.Second))
-	if n := tl.WindowCount(); n != 0 {
-		t.Fatalf("windows after dropping compaction = %d, want 0", n)
+	clk.Advance(5 * time.Second)
+	if got := float64(iv.Close()); !almostEqual(got, 5, 1e-9) {
+		t.Fatalf("first half = %v J, want 5 J", got)
 	}
+	clk.Advance(15 * time.Second)
 	if got := float64(tl.WindowEnergy("long")); !almostEqual(got, 10, 1e-9) {
-		t.Fatalf("WindowEnergy after drop = %v J, want 10 J", got)
+		t.Fatalf("WindowEnergy after the window = %v J, want 10 J", got)
 	}
 	if got := tl.WindowEnergy("never-added"); got != 0 {
 		t.Fatalf("WindowEnergy(unknown label) = %v J", got)

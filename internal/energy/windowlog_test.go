@@ -3,6 +3,7 @@ package energy
 import (
 	"cmp"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -12,25 +13,34 @@ import (
 	"contory/internal/vclock"
 )
 
-// appendTimeline is the timeline as it was before the segmented window
-// log: the same records and integrator, with every window appended to one
-// slice that re-grows by copying and that Compact filters in place. It is
-// the oracle the segmented log must match bit for bit.
+// appendTimeline is the timeline as it was when it kept a window log:
+// every state change point and every window of the run appended to
+// slices, and an integrator that sums the edges at or before a span's
+// start into its power, sorts the edges inside it and sweeps them once.
+// It is the oracle for what replaced the log (the heap of pending edges,
+// merged per instant, and the per-label window totals), which must give
+// its readings bit for bit.
 type appendTimeline struct {
-	states    map[string][]changePoint
-	windows   []window
-	folded    []Joules // per label index: energy Compact dropped or trimmed
-	labelIdx  map[string]int32
-	compacted time.Time
-	total     Joules // energy of history dropped by Compact
+	states  map[string][]logPoint
+	windows []logWindow
+}
+
+type logPoint struct {
+	at int64
+	mw Milliwatts
+}
+
+type logWindow struct {
+	start, end int64
+	mw         Milliwatts
+	label      string
 }
 
 func newAppendTimeline() *appendTimeline {
-	return &appendTimeline{states: make(map[string][]changePoint), labelIdx: make(map[string]int32)}
+	return &appendTimeline{states: make(map[string][]logPoint)}
 }
 
-func (a *appendTimeline) setState(now time.Time, name string, mw Milliwatts) {
-	at := unixNano(now)
+func (a *appendTimeline) setState(at int64, name string, mw Milliwatts) {
 	pts := a.states[name]
 	if n := len(pts); n > 0 && pts[n-1].mw == mw {
 		return
@@ -39,28 +49,22 @@ func (a *appendTimeline) setState(now time.Time, name string, mw Milliwatts) {
 		pts[n-1].mw = mw
 		return
 	}
-	a.states[name] = append(pts, changePoint{at: at, mw: mw})
+	a.states[name] = append(pts, logPoint{at: at, mw: mw})
 }
 
-func (a *appendTimeline) addWindowAt(label string, mw Milliwatts, start time.Time, d time.Duration) {
+func (a *appendTimeline) addWindowAt(label string, mw Milliwatts, start int64, d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	i, ok := a.labelIdx[label]
-	if !ok {
-		i = int32(len(a.folded))
-		a.folded = append(a.folded, 0)
-		a.labelIdx[label] = i
-	}
-	s := unixNano(start)
-	a.windows = append(a.windows, window{start: s, end: s + int64(d), mw: mw, label: i})
+	a.windows = append(a.windows, logWindow{start: start, end: start + int64(d), mw: mw, label: label})
 }
 
-func (a *appendTimeline) powerAt(t time.Time) Milliwatts {
-	at := unixNano(t)
+func (a *appendTimeline) powerAt(at int64) Milliwatts {
 	var total int64
 	for _, pts := range a.states {
-		total += fixedMW(stateAt(pts, at))
+		if i := sort.Search(len(pts), func(i int) bool { return pts[i].at > at }); i > 0 {
+			total += fixedMW(pts[i-1].mw)
+		}
 	}
 	for _, w := range a.windows {
 		if w.start <= at && at < w.end {
@@ -70,11 +74,10 @@ func (a *appendTimeline) powerAt(t time.Time) Milliwatts {
 	return levelMW(total)
 }
 
-func (a *appendTimeline) energyBetween(t0, t1 time.Time) Joules {
-	if !t1.After(t0) {
+func (a *appendTimeline) energyBetween(lo, hi int64) Joules {
+	if hi <= lo {
 		return 0
 	}
-	lo, hi := unixNano(t0), unixNano(t1)
 	var level int64
 	var cuts []edge
 	for _, pts := range a.states {
@@ -126,129 +129,131 @@ func (a *appendTimeline) energyBetween(t0, t1 time.Time) Joules {
 }
 
 func (a *appendTimeline) windowEnergy(label string) Joules {
-	i, ok := a.labelIdx[label]
-	if !ok {
-		return 0
-	}
-	joules := a.folded[i]
+	var joules Joules
 	for _, w := range a.windows {
-		if w.label == i {
+		if w.label == label {
 			joules += joulesOver(w.mw, w.end-w.start)
 		}
 	}
 	return joules
 }
 
-func (a *appendTimeline) compact(cutoff time.Time) {
-	if !cutoff.After(a.compacted) {
-		return
-	}
-	a.total += a.energyBetween(a.compacted, cutoff)
-	c := unixNano(cutoff)
-	for name, pts := range a.states {
-		i := sort.Search(len(pts), func(i int) bool { return pts[i].at > c })
-		if i == 0 {
-			continue
-		}
-		n := copy(pts, pts[i-1:])
-		pts[0].at = c
-		a.states[name] = pts[:n]
-	}
-	kept := a.windows[:0]
+// edgesAfter returns the distinct window edge instants after at, in order.
+func (a *appendTimeline) edgesAfter(at int64) []int64 {
+	var out []int64
 	for _, w := range a.windows {
-		if w.start < c {
-			a.folded[w.label] += joulesOver(w.mw, min(w.end, c)-w.start)
-			if w.end <= c {
-				continue
+		for _, e := range []int64{w.start, w.end} {
+			if e > at {
+				out = append(out, e)
 			}
-			w.start = c
 		}
-		kept = append(kept, w)
 	}
-	a.windows = kept
-	a.compacted = cutoff
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 var logLabels = []string{"bt-inquiry", "wifi-get", "umts", "bt-gps-sample"}
 
-// logOp is one generated step. A window step adds Repeat%16+1 windows, so
-// a sequence fills several segments, 64-window ones included.
+// logOp is one generated step. A window step adds Repeat%16+1 windows,
+// all starting now or staggered by half their length, so a sequence holds
+// more pending edges than the heap's inline buffer and merges the edges
+// that windows share.
 type logOp struct {
-	Kind   uint8  // %14: 0–2 advance, 3–4 state, 5–8 AddWindow, 9–11 AddWindowAt, 12–13 Compact
-	Step   uint16 // milliseconds: clock step, or how far before now a cutoff lies
+	Kind   uint8  // %14: 0 step to a window edge, 1–2 advance, 3–4 state, 5–8 AddWindow, 9–11 AddWindowAt, 12–13 open or close an interval
+	Step   uint16 // milliseconds
 	Label  uint8
-	Power  uint16 // tenths of a milliwatt
-	Offset int16  // AddWindowAt start relative to now, milliseconds
+	Power  uint16 // tenths of a milliwatt; a multiple of 5 draws 0 mW
+	Offset uint16 // AddWindowAt start after now, milliseconds
 	Dur    uint16 // milliseconds (0 = an ignored window)
 	Repeat uint8
 }
 
-// Property: over random histories of states, windows added now, in the
-// past and in the future, clock steps and compactions, the segmented log
-// gives the former append log's PowerAt, EnergyBetween,
-// EnergyBetweenClamped, WindowEnergy, FoldedEnergy and WindowCount bit
-// for bit after every step, at instants that include every window
-// boundary and cutoff.
+// Property: over random histories of states, bursts of windows added now
+// and later, clock steps (to window edges exactly, or by any number of
+// milliseconds) and intervals opened and closed, the timeline gives the
+// former append log's power, interval energies (open and closed), energy
+// since creation and WindowEnergy bit for bit after every step, and keeps
+// one pending edge per distinct future window edge instant and nothing
+// more.
 func TestWindowLogMatchesAppendOracle(t *testing.T) {
-	most := 0 // the longest log any sequence built
+	most := 0 // the most pending edges any sequence held
 	prop := func(ops []logOp) bool {
 		clk := vclock.NewSimulator()
 		tl, o := NewTimeline(clk), newAppendTimeline()
-		instants := []time.Time{{}, clk.Now()}
+		created := clk.Now().UnixNano()
+		var slots [4]struct {
+			iv     Interval
+			opened int64
+			open   bool
+			closed bool
+			value  Joules
+		}
 		for i, op := range ops {
-			now := clk.Now()
+			now := clk.Now().UnixNano()
 			label := logLabels[int(op.Label)%len(logLabels)]
 			mw := Milliwatts(op.Power) / 10
+			if op.Power%5 == 0 {
+				mw = 0
+			}
 			d := time.Duration(op.Dur) * time.Millisecond
 			switch k := op.Kind % 14; {
+			case k == 0:
+				if next := o.edgesAfter(now); len(next) > 0 {
+					clk.AdvanceTo(time.Unix(0, next[min(int(op.Repeat)%4, len(next)-1)]))
+				}
 			case k < 3:
 				clk.Advance(time.Duration(op.Step) * time.Millisecond)
 			case k < 5:
-				name := logLabels[int(op.Label)%2]
+				name := []string{"s0", "s1"}[op.Label%2]
 				tl.SetState(name, mw)
 				o.setState(now, name, mw)
 			case k < 12:
 				for r := 0; r <= int(op.Repeat%16); r++ {
-					start := now.Add(time.Duration(r) * d / 2)
+					start := now
 					if k < 9 {
-						start = now
 						tl.AddWindow(label, mw, d)
 					} else {
-						start = start.Add(time.Duration(op.Offset) * time.Millisecond)
-						tl.AddWindowAt(label, mw, start, d)
+						start += int64(r)*int64(d)/2 + int64(op.Offset)*int64(time.Millisecond)
+						tl.AddWindowAt(label, mw, time.Unix(0, start), d)
 					}
 					o.addWindowAt(label, mw, start, d)
-					instants = append(instants, start, start.Add(d))
 				}
 			default:
-				cutoff := now.Add(-time.Duration(op.Step) * time.Millisecond)
-				tl.Compact(cutoff)
-				o.compact(cutoff)
-				instants = append(instants, cutoff, cutoff.Add(-1), cutoff.Add(1))
+				s := &slots[op.Label%4]
+				if s.open {
+					s.value, s.open, s.closed = s.iv.Close(), false, true
+					if want := o.energyBetween(s.opened, now); s.value != want {
+						t.Logf("op %d: Close of an interval opened at %d = %v, oracle %v", i, s.opened, s.value, want)
+						return false
+					}
+				} else {
+					tl.Open(&s.iv)
+					s.opened, s.open = now, true
+				}
 			}
-			end := clk.Now().Add(time.Hour)
-			for k := 0; k < 6; k++ {
-				t0 := instants[(i*7+k*13)%len(instants)]
-				t1 := instants[(i*11+k*5+3)%len(instants)]
-				if k == 0 {
-					t0, t1 = o.compacted, end // the whole retained history
+			now = clk.Now().UnixNano()
+			for j := range slots {
+				s := &slots[j]
+				switch {
+				case s.open:
+					if got, want := s.iv.Joules(), o.energyBetween(s.opened, now); got != want {
+						t.Logf("op %d: interval opened at %d reads %v, oracle %v", i, s.opened, got, want)
+						return false
+					}
+				case s.closed:
+					if got := s.iv.Joules(); got != s.value {
+						t.Logf("op %d: closed interval reads %v, closed at %v", i, got, s.value)
+						return false
+					}
 				}
-				if got, want := tl.EnergyBetween(t0, t1), o.energyBetween(t0, t1); got != want {
-					t.Logf("op %d: EnergyBetween(%v, %v) = %v, oracle %v", i, t0, t1, got, want)
-					return false
-				}
-				clamped := t0
-				if clamped.Before(o.compacted) {
-					clamped = o.compacted
-				}
-				if got, want := tl.EnergyBetweenClamped(t0, t1), o.energyBetween(clamped, t1); got != want {
-					t.Logf("op %d: EnergyBetweenClamped(%v, %v) = %v, oracle %v", i, t0, t1, got, want)
-					return false
-				}
-				if got, want := tl.PowerAt(t1), o.powerAt(t1); got != want {
-					t.Logf("op %d: PowerAt(%v) = %v, oracle %v", i, t1, got, want)
-					return false
-				}
+			}
+			if got, want := tl.Joules(), o.energyBetween(created, now); got != want {
+				t.Logf("op %d: Timeline.Joules = %v, oracle %v", i, got, want)
+				return false
+			}
+			if got, want := tl.Power(), o.powerAt(now); got != want {
+				t.Logf("op %d: Power = %v, oracle %v", i, got, want)
+				return false
 			}
 			for _, label := range logLabels {
 				if got, want := tl.WindowEnergy(label), o.windowEnergy(label); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
@@ -256,102 +261,20 @@ func TestWindowLogMatchesAppendOracle(t *testing.T) {
 					return false
 				}
 			}
-			most = max(most, len(o.windows))
-			if tl.FoldedEnergy() != o.total || tl.WindowCount() != len(o.windows) {
-				t.Logf("op %d: FoldedEnergy %v, oracle %v; WindowCount %d, oracle %d", i,
-					tl.FoldedEnergy(), o.total, tl.WindowCount(), len(o.windows))
+			if got, want := len(tl.pending), len(o.edgesAfter(now)); got != want {
+				t.Logf("op %d: %d pending edges, oracle %d distinct future edge instants", i, got, want)
 				return false
 			}
+			most = max(most, len(tl.pending))
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(21))}); err != nil {
 		t.Fatal(err)
 	}
-	// Six segments hold 188 windows: the sequences must reach the 64-window
-	// segments.
-	if most < 188 {
-		t.Fatalf("longest log %d windows: the sequences never filled a 64-window segment", most)
-	}
-}
-
-// TestWindowLogSegments pins the segment sizes, and that a compacted log
-// refills its segments from the front instead of allocating new ones.
-func TestWindowLogSegments(t *testing.T) {
-	var l windowLog
-	for i := 0; i < 200; i++ {
-		l.push(window{start: int64(i), end: int64(i) + 1})
-	}
-	var sizes []int
-	for _, seg := range l.segs {
-		sizes = append(sizes, cap(seg))
-	}
-	if want := []int{4, 8, 16, 32, 64, 64, 64}; !slices.Equal(sizes, want) {
-		t.Fatalf("segment capacities %v, want %v", sizes, want)
-	}
-	clk := vclock.NewSimulator()
-	tl := NewTimeline(clk)
-	for i := 0; i < 200; i++ {
-		tl.AddWindowAt("umts", 1, clk.Now().Add(time.Duration(i)*time.Second), time.Second)
-	}
-	tl.Compact(clk.Now().Add(150 * time.Second))
-	if got := tl.WindowCount(); got != 50 {
-		t.Fatalf("WindowCount after Compact = %d, want 50", got)
-	}
-	if got := testing.AllocsPerRun(100, func() {
-		tl.AddWindowAt("umts", 1, clk.Now(), time.Second)
-	}); got != 0 {
-		t.Fatalf("AddWindow into a compacted log: %v allocations, want 0", got)
-	}
-	if got := tl.WindowCount(); got != 151 {
-		t.Fatalf("WindowCount = %d, want 151", got)
-	}
-}
-
-// TestAddWindowAllocs: appending a window allocates only when it opens a
-// new segment, once, and never copies the windows already held. (The
-// directory of segment headers grows by append as well; its capacity
-// reaches eight at the fifth segment.)
-func TestAddWindowAllocs(t *testing.T) {
-	clk := vclock.NewSimulator()
-	tl := NewTimeline(clk)
-	add := func() { tl.AddWindow("bt-gps-sample", 300, time.Second) }
-	// The fifth window opens the 8-window second segment.
-	for i := 0; i < 5; i++ {
-		add()
-	}
-	// The warm-up and the measured run add windows 6–8 and 9–11, all
-	// into the second segment.
-	if got := testing.AllocsPerRun(1, func() { add(); add(); add() }); got != 0 {
-		t.Errorf("AddWindow inside a segment: %v allocations, want 0", got)
-	}
-	// Fill the 16-, 32- and first 64-window segments: 124 windows in five.
-	for tl.WindowCount() < 124 {
-		add()
-	}
-	segment := func() {
-		for i := 0; i < maxSegment; i++ {
-			add()
-		}
-	}
-	// Warm-up and two runs open the sixth to eighth segments.
-	if got := testing.AllocsPerRun(2, segment); got != 1 {
-		t.Errorf("AddWindow over a 64-window segment: %v allocations, want 1", got)
-	}
-}
-
-// BenchmarkAddWindow appends GPS-sample windows the way a phone's radio
-// path does, starting a fresh timeline every 1,024 windows so that the
-// segment allocations of a growing log are included.
-func BenchmarkAddWindow(b *testing.B) {
-	clk := vclock.NewSimulator()
-	var tl *Timeline
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%1024 == 0 {
-			tl = NewTimeline(clk)
-		}
-		tl.AddWindow("bt-gps-sample", 300, time.Second)
+	// The sequences must grow the heap past its inline buffer, and re-grow
+	// it once more.
+	if inline := len(Timeline{}.buf); most <= 2*inline {
+		t.Fatalf("at most %d pending edges: the sequences never grew the heap past %d", most, 2*inline)
 	}
 }

@@ -111,7 +111,8 @@ func Figure4(seed int64) (Figure4Result, error) {
 	}
 	cli := &collectClient{}
 	meter.Start()
-	start := clk.Now()
+	var drawn energy.Interval
+	tb.Phone.Node.Timeline().Open(&drawn)
 	tb.Phone.UMTS.SetGSMRadio(true)
 
 	completed := 0
@@ -125,13 +126,12 @@ func Figure4(seed int64) (Figure4Result, error) {
 	}
 	tb.Phone.UMTS.SetGSMRadio(false)
 	meter.Stop()
-	end := clk.Now()
 
 	res := Figure4Result{
 		Samples:     meter.Samples(),
 		PeakMW:      float64(meter.MaxPower()),
 		QueriesSent: completed,
-		EnergyJ:     float64(tb.Phone.Node.Timeline().EnergyBetween(start, end)),
+		EnergyJ:     float64(drawn.Close()),
 	}
 	// Count idle peaks: samples in the GSM idle band while no query burst
 	// is running.

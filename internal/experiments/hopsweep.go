@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"contory/internal/cxt"
+	"contory/internal/energy"
 	"contory/internal/radio"
 	"contory/internal/simnet"
 	"contory/internal/sm"
@@ -131,11 +132,14 @@ func measureChain(hops, rounds int, seed int64) (lat, en Stat, err error) {
 	var lats, ens []float64
 	for i := 0; i < rounds+1; i++ {
 		start := clk.Now()
-		baseline := float64(origin.Timeline().PowerAt(start))
+		baseline := float64(origin.Timeline().Power())
+		var drawn energy.Interval
+		origin.Timeline().Open(&drawn)
 		var doneAt time.Time
 		err := p.LaunchFinder(ids[0], sm.FinderSpec{
 			TagName: "light", MaxHops: hops, Timeout: time.Hour,
 		}, func(rs []sm.Result, err error) {
+			drawn.Close()
 			if err == nil && len(rs) > 0 {
 				doneAt = clk.Now()
 			}
@@ -152,7 +156,7 @@ func measureChain(hops, rounds int, seed int64) (lat, en Stat, err error) {
 		}
 		dur := doneAt.Sub(start)
 		lats = append(lats, float64(dur)/float64(time.Millisecond))
-		e := float64(origin.Timeline().EnergyBetween(start, doneAt)) - baseline/1000*dur.Seconds()
+		e := float64(drawn.Joules()) - baseline/1000*dur.Seconds()
 		ens = append(ens, e)
 	}
 	return newStat(lats), newStat(ens), nil

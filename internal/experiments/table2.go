@@ -263,10 +263,15 @@ func measureWiFiPeriodic(hops, rounds int, seed int64) (Stat, error) {
 	var vals []float64
 	for i := 0; i < rounds+1; i++ {
 		start := tb.Clock.Now()
-		baseline := float64(tl.PowerAt(start))
+		baseline := float64(tl.Power())
+		var drawn energy.Interval
+		tl.Open(&drawn)
 		var doneAt time.Time
 		tb.Phone.WiFi.Query(sm.FinderSpec{TagName: "light", MaxHops: hops},
-			func([]sm.Result, error) { doneAt = tb.Clock.Now() })
+			func([]sm.Result, error) {
+				drawn.Close()
+				doneAt = tb.Clock.Now()
+			})
 		tb.Clock.Advance(time.Minute)
 		if doneAt.IsZero() {
 			return Stat{}, fmt.Errorf("experiments: wifi periodic (%d hops) round %d stalled", hops, i)
@@ -275,7 +280,7 @@ func measureWiFiPeriodic(hops, rounds int, seed int64) (Stat, error) {
 			continue // route-building round excluded, as in Table 1/2
 		}
 		dur := doneAt.Sub(start).Seconds()
-		e := float64(tl.EnergyBetween(start, doneAt)) - baseline/1000*dur
+		e := float64(drawn.Joules()) - baseline/1000*dur
 		vals = append(vals, e)
 	}
 	return newStat(vals), nil

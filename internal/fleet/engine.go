@@ -9,6 +9,7 @@ import (
 	"contory/internal/audit"
 	"contory/internal/chaos"
 	"contory/internal/cxt"
+	"contory/internal/energy"
 	"contory/internal/radio"
 	"contory/internal/refs"
 	"contory/internal/timeline"
@@ -584,12 +585,18 @@ func (e *Engine) Run(workers int) (Summary, error) {
 	}
 	e.ran = true
 	start := e.w.Now()
+	// One interval per phone integrates what it draws from here to the end
+	// of the run, audit drain included.
+	drawn := make([]energy.Interval, len(e.phones))
+	for i, p := range e.phones {
+		p.Device.Node.Timeline().Open(&drawn[i])
+	}
 	bs := e.w.RunParallel(e.spec.Duration, workers)
-	e.quiesceAudit(start, workers)
+	e.quiesceAudit(drawn, workers)
 	// Spans of queries still running when the clock stops must land in the
 	// store before the summary reads it.
 	e.w.Tracer().Flush()
-	return e.summarize(start, bs), nil
+	return e.summarize(start, drawn, bs), nil
 }
 
 // auditDrain is how much extra virtual time an audited run gets to reach
@@ -604,7 +611,7 @@ const auditDrain = 2 * time.Minute
 // (cancelling surviving queries and running the facades' refcount
 // zero-checks), cross-check global item accounting against the world's
 // counters, and sweep every lifecycle record, timer and balance for leaks.
-func (e *Engine) quiesceAudit(start time.Time, workers int) {
+func (e *Engine) quiesceAudit(drawn []energy.Interval, workers int) {
 	if e.auditor == nil {
 		return
 	}
@@ -628,7 +635,7 @@ func (e *Engine) quiesceAudit(start time.Time, workers int) {
 	// Energy accounting: batteries only drain, so a negative per-phone
 	// energy delta means the timeline double-credited some disposition.
 	for i, p := range e.phones {
-		if j := p.Device.Node.Timeline().EnergyBetween(start, now); j < 0 {
+		if j := drawn[i].Joules(); j < 0 {
 			e.auditor.Violate(now, p.ID(), "", audit.LawItems,
 				fmt.Sprintf("energy balance: phone %d drained %f J < 0", i, float64(j)), "")
 		}

@@ -7,6 +7,7 @@ import (
 
 	"contory/internal/audit"
 	"contory/internal/chaos"
+	"contory/internal/energy"
 	"contory/internal/metrics"
 	"contory/internal/timeline"
 	"contory/internal/tracing"
@@ -157,7 +158,7 @@ type Summary struct {
 func (s Summary) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
 
 // summarize builds the Summary from the world's metrics after a run.
-func (e *Engine) summarize(start time.Time, bs vclock.BatchStats) Summary {
+func (e *Engine) summarize(start time.Time, drawn []energy.Interval, bs vclock.BatchStats) Summary {
 	snap := e.w.Metrics().Instruments()
 	end := e.w.Now()
 	virtSec := end.Sub(start).Seconds()
@@ -225,12 +226,12 @@ func (e *Engine) summarize(start time.Time, bs vclock.BatchStats) Summary {
 	}
 
 	// Per-class energy, summed in phone-index order so float addition order
-	// is fixed.
-	for i, p := range e.phones {
+	// is fixed. Closing the run's intervals takes them off the timelines.
+	for i := range e.phones {
 		class := e.classes[i]
 		ce := s.Energy[class]
 		ce.Phones++
-		ce.TotalJoules += float64(p.Device.Node.Timeline().EnergyBetween(start, end))
+		ce.TotalJoules += float64(drawn[i].Close())
 		s.Energy[class] = ce
 	}
 	for class, ce := range s.Energy {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"contory/internal/energy"
 	"contory/internal/radio"
 	"contory/internal/simnet"
 	"contory/internal/vclock"
@@ -331,7 +332,8 @@ func TestPublishFailsWhenUnlinked(t *testing.T) {
 func TestRequestEnergyMatchesTable2(t *testing.T) {
 	_, clk, srv, cli := rig(t)
 	srv.HandleRequest("get", func(Request) (any, error) { return 14.0, nil })
-	start := clk.Now()
+	var drawn energy.Interval
+	cli.Node().Timeline().Open(&drawn)
 	done := false
 	if err := cli.Request("get", nil, 0, func(any, error) { done = true }); err != nil {
 		t.Fatal(err)
@@ -341,7 +343,7 @@ func TestRequestEnergyMatchesTable2(t *testing.T) {
 		t.Fatal("request incomplete")
 	}
 	clk.Advance(30 * time.Second) // let the radio tail finish
-	e := float64(cli.Node().Timeline().EnergyBetween(start, clk.Now()))
+	e := float64(drawn.Close())
 	// Table 2: extInfra on-demand getCxtItem ≈ 14.076 J.
 	if e < 11 || e > 17 {
 		t.Fatalf("request energy = %v J, want ≈ 14 J", e)

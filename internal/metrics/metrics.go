@@ -49,10 +49,10 @@ func (c *Counter) Value() int64 {
 }
 
 // fixedScale is the resolution of fixed-point accumulation: one microunit.
-// Gauges and histogram sums accumulate int64 microunits instead of floats so
-// concurrent Adds from different simulation lanes commute exactly — float
-// addition is order-dependent in its low bits, and parallel fleet runs must
-// produce byte-identical snapshots at any worker count.
+// Gauges and histogram sums accumulate integer microunits instead of floats
+// so concurrent Adds from different simulation lanes commute exactly —
+// float addition is order-dependent in its low bits, and parallel fleet
+// runs must produce byte-identical snapshots at any worker count.
 const fixedScale = 1e6
 
 // toFixed converts a float delta to microunits, saturating on overflow and
@@ -70,14 +70,53 @@ func toFixed(v float64) int64 {
 	return int64(f)
 }
 
-func fromFixed(fp int64) float64 { return float64(fp) / fixedScale }
+// fixedSum is a 128-bit two's-complement sum of int64 microunit terms:
+// hi·2⁶⁴ + lo. No sequence of fewer than 2⁶³ terms can wrap it, so the
+// total is exact and the same in any order, even with terms that
+// saturated in toFixed. An add is one atomic add on the low word, plus one
+// on the high word when that carries or borrows; the words are read
+// together while no add runs (snapshots are taken between batches).
+type fixedSum struct {
+	lo atomic.Uint64
+	hi atomic.Int64
+}
+
+func (s *fixedSum) add(d int64) {
+	u := uint64(d)
+	var carry int64
+	if s.lo.Add(u) < u { // the low word wrapped
+		carry = 1
+	}
+	if d < 0 { // the term's sign extension into the high word
+		carry--
+	}
+	if carry != 0 {
+		s.hi.Add(carry)
+	}
+}
+
+func (s *fixedSum) set(v int64) {
+	s.lo.Store(uint64(v))
+	s.hi.Store(v >> 63)
+}
+
+// value converts the sum back to units. A sum that fits in int64 converts
+// as it always did.
+func (s *fixedSum) value() float64 {
+	lo, hi := s.lo.Load(), s.hi.Load()
+	if v := int64(lo); hi == v>>63 {
+		return float64(v) / fixedScale
+	}
+	return (float64(hi)*(1<<64) + float64(lo)) / fixedScale
+}
 
 // Gauge is an instantaneous value (e.g. active providers, accumulated
 // joules per operation class). It supports both Set and Add. Values are held
 // in fixed point at microunit resolution, so concurrent Adds are
-// order-independent (see fixedScale).
+// order-independent (see fixedScale and fixedSum); a Set does not order
+// against Adds that run at the same time.
 type Gauge struct {
-	fp atomic.Int64
+	fp fixedSum
 }
 
 // Set replaces the gauge value.
@@ -85,7 +124,7 @@ func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
-	g.fp.Store(toFixed(v))
+	g.fp.set(toFixed(v))
 }
 
 // Add increments the gauge by d.
@@ -93,7 +132,7 @@ func (g *Gauge) Add(d float64) {
 	if g == nil {
 		return
 	}
-	g.fp.Add(toFixed(d))
+	g.fp.add(toFixed(d))
 }
 
 // Value returns the current gauge value.
@@ -101,7 +140,7 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return fromFixed(g.fp.Load())
+	return g.fp.value()
 }
 
 // Histogram is a fixed-bucket histogram: observations are counted in the
@@ -120,7 +159,7 @@ type Histogram struct {
 
 	counts  []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
 	count   atomic.Int64
-	sum     atomic.Int64  // microunits (see fixedScale): order-independent accumulation
+	sum     fixedSum      // microunits (see fixedScale): order-independent accumulation
 	minBits atomic.Uint64 // Float64bits; +Inf until the first observation
 	maxBits atomic.Uint64 // Float64bits; -Inf until the first observation
 }
@@ -167,7 +206,7 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	h.sum.Add(toFixed(v))
+	h.sum.add(toFixed(v))
 	for {
 		ob := h.minBits.Load()
 		if !(v < math.Float64frombits(ob)) || h.minBits.CompareAndSwap(ob, math.Float64bits(v)) {
@@ -195,7 +234,7 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return fromFixed(h.sum.Load())
+	return h.sum.value()
 }
 
 // minMax returns the observed extrema, or (0, 0) for an empty histogram —

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -240,5 +242,153 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	if got := reg.Events().Total(); got != 8000 {
 		t.Errorf("ring total = %d, want 8000", got)
+	}
+}
+
+// foundTerms are values whose saturated fixed-point sum once wrapped: the
+// histogram read sum=8.399998 and the gauge 0.999998.
+var foundTerms = []float64{0, 0.1, 0.3, 3, 5, 7e20, 2e21}
+
+// permute calls f with every ordering of xs.
+func permute(xs []float64, k int, f func([]float64)) {
+	if k == len(xs) {
+		f(xs)
+		return
+	}
+	for i := k; i < len(xs); i++ {
+		xs[k], xs[i] = xs[i], xs[k]
+		permute(xs, k+1, f)
+		xs[k], xs[i] = xs[i], xs[k]
+	}
+}
+
+// TestFixedSumsNeverWrap: each term saturates at the int64 microunit
+// range, and the sum of saturated terms does not wrap: every ordering of
+// the terms gives one histogram sum and one gauge value, near 2⁶⁴
+// microunits, not the wrapped 8.399998.
+func TestFixedSumsNeverWrap(t *testing.T) {
+	xs := append([]float64(nil), foundTerms...)
+	var hsum, gval float64
+	first := true
+	permute(xs, 0, func(order []float64) {
+		h := newHistogram(DefaultLatencyBucketsMs)
+		var g Gauge
+		for _, v := range order {
+			h.Observe(v)
+			g.Add(v)
+		}
+		if first {
+			hsum, gval, first = h.Sum(), g.Value(), false
+		}
+		if h.Sum() != hsum || g.Value() != gval {
+			t.Fatalf("order %v: sum %v, gauge %v; first order %v, %v", order, h.Sum(), g.Value(), hsum, gval)
+		}
+	})
+	// Two saturated terms of 2⁶³−1 microunits plus 8.4 units.
+	if want := 18446744073717.951; math.Abs(hsum-want) > 0.01 || hsum != gval {
+		t.Fatalf("sum %v, gauge %v, want %v", hsum, gval, want)
+	}
+	var g Gauge
+	g.Add(7e20)
+	g.Add(2e21)
+	g.Add(1)
+	if got := g.Value(); got < 1e13 {
+		t.Fatalf("gauge after Add(7e20), Add(2e21), Add(1) = %v, wrapped", got)
+	}
+	// Saturated terms sum exactly and back into range: 2(2⁶³−1) − 2·2⁶³
+	// + 10⁶ microunits.
+	g.Add(-7e20)
+	g.Add(-2e21)
+	if got := g.Value(); got != 0.999998 {
+		t.Fatalf("gauge back in range = %v, want 0.999998", got)
+	}
+}
+
+// TestFixedSumsConcurrentAddsMatchSerial: adds of mixed signs and sizes,
+// saturated ones included, from eight goroutines give the serial sum.
+func TestFixedSumsConcurrentAddsMatchSerial(t *testing.T) {
+	terms := func(w int) []float64 {
+		out := make([]float64, 0, 200)
+		for j := 0; j < 200; j++ {
+			v := float64((w+1)*(j+1)) * 1e9
+			if j%3 == 0 {
+				v = -v
+			}
+			if j%50 == 7 {
+				v = 3e21 * float64(1-2*(w%2))
+			}
+			out = append(out, v+0.25)
+		}
+		return out
+	}
+	var serialG Gauge
+	serialH := newHistogram(nil)
+	for w := 0; w < 8; w++ {
+		for _, v := range terms(w) {
+			serialG.Add(v)
+			serialH.Observe(v)
+		}
+	}
+	var g Gauge
+	h := newHistogram(nil)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, v := range terms(w) {
+				g.Add(v)
+				h.Observe(v)
+			}
+		}()
+	}
+	wg.Wait()
+	if g.Value() != serialG.Value() || h.Sum() != serialH.Sum() {
+		t.Fatalf("concurrent gauge %v, sum %v; serial %v, %v", g.Value(), h.Sum(), serialG.Value(), serialH.Sum())
+	}
+}
+
+// TestFixedSumsInRangeExposition: sums that fit in int64 microunits read,
+// and render in the text and JSON exposition, as float64(sum)/1e6 always
+// did, negative ones and ones near the int64 range included.
+func TestFixedSumsInRangeExposition(t *testing.T) {
+	reg := NewRegistry()
+	cases := []struct {
+		name  string
+		terms []float64
+	}{
+		{"neg", []float64{1.5, -0.25, -7.125}},
+		{"big", []float64{9.2e12, 1.5e3, -0.000001}},
+		{"low", []float64{-9.2e12, -1.5e3, 0.000001}},
+		{"back", []float64{-4e12, 4e12, 0.1, 0.2}},
+	}
+	for _, c := range cases {
+		var fp int64
+		h := reg.Histogram("h."+c.name, nil)
+		for _, v := range c.terms {
+			reg.Gauge("g." + c.name).Add(v)
+			h.Observe(v)
+			fp += toFixed(v)
+		}
+		want := float64(fp) / fixedScale
+		if got := reg.Gauge("g." + c.name).Value(); got != want {
+			t.Errorf("gauge %s = %v, want %v", c.name, got, want)
+		}
+		text := reg.Snapshot().String()
+		if line := "gauge g." + c.name + " " + formatFloat(want); !strings.Contains(text, line) {
+			t.Errorf("text lacks %q:\n%s", line, text)
+		}
+		if line := "histogram h." + c.name + " count=" + fmt.Sprint(len(c.terms)) + " sum=" + formatFloat(want); !strings.Contains(text, line) {
+			t.Errorf("text lacks %q:\n%s", line, text)
+		}
+		j, err := json.Marshal(reg.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wj, _ := json.Marshal(want)
+		if !strings.Contains(string(j), `"name":"g.`+c.name+`","value":`+string(wj)) ||
+			!strings.Contains(string(j), `"sum":`+string(wj)) {
+			t.Errorf("JSON lacks %s = %s: %s", c.name, wj, j)
+		}
 	}
 }

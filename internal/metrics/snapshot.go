@@ -104,7 +104,7 @@ func snapHistogram(name string, h *Histogram) HistogramPoint {
 	p := HistogramPoint{
 		Name:  name,
 		Count: h.count.Load(),
-		Sum:   fromFixed(h.sum.Load()),
+		Sum:   h.sum.value(),
 		Min:   lo,
 		Max:   hi,
 	}

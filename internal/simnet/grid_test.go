@@ -290,6 +290,51 @@ func BenchmarkNeighborsUnderMobility(b *testing.B) {
 	}
 }
 
+// TestNeighborsAllocs: a neighbour query allocates exactly the slice it
+// returns when the node has neighbours, and nothing when it has none, at
+// 10 and at 1,000 nodes: the candidate buffer is reused.
+func TestNeighborsAllocs(t *testing.T) {
+	for _, n := range []int{10, 1000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		nw := New(vclock.NewSimulator())
+		nw.SetRange(radio.MediumWiFi, 50)
+		side := 100.0 // most of the ten in range of each other
+		if n == 1000 {
+			side = 1000
+		}
+		ids := make([]NodeID, n)
+		for i := range ids {
+			ids[i] = NodeID(fmt.Sprintf("m%04d", i))
+			if _, err := nw.AddNode(ids[i], Position{X: rng.Float64() * side, Y: rng.Float64() * side}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A pair in range of each other and nothing else, and a loner.
+		for _, id := range []NodeID{"pair-a", "pair-b", "loner"} {
+			if _, err := nw.AddNode(id, Position{X: -1000, Y: -1000}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nw.Node("loner").SetPosition(Position{X: -5000, Y: -5000})
+		crowded := ids[0]
+		for _, id := range ids {
+			if len(nw.Neighbors(id, radio.MediumWiFi)) > len(nw.Neighbors(crowded, radio.MediumWiFi)) {
+				crowded = id
+			}
+		}
+		for _, c := range []struct {
+			id   NodeID
+			want float64
+		}{{"pair-a", 1}, {crowded, 1}, {"loner", 0}} {
+			got := testing.AllocsPerRun(100, func() { nw.Neighbors(c.id, radio.MediumWiFi) })
+			if got != c.want {
+				t.Errorf("%d nodes: Neighbors(%s) with %d neighbours: %v allocations, want %v",
+					n, c.id, len(nw.Neighbors(c.id, radio.MediumWiFi)), got, c.want)
+			}
+		}
+	}
+}
+
 func TestShardingAssignsStableLanes(t *testing.T) {
 	clk := vclock.NewSimulator()
 	nw := New(clk)

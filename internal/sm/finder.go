@@ -143,19 +143,14 @@ func (p *Platform) LaunchFinder(origin simnet.NodeID, spec FinderSpec, done func
 	m.Data["queryBytes"] = queryBytesOrDefault(spec.QueryBytes)
 
 	// Requester radio connected for the duration of the operation.
-	stateKey := "wifi-finder-" + m.ID
-	if n := p.net.Node(origin); n != nil {
-		n.Timeline().SetState(stateKey, energy.Milliwatts(radio.WiFiConnectedPower))
-	}
+	rt.finderRadio(+1)
 	completed := false
 	finish := func(rs []Result, err error) {
 		if completed {
 			return
 		}
 		completed = true
-		if n := p.net.Node(origin); n != nil {
-			n.Timeline().SetState(stateKey, 0)
-		}
+		rt.finderRadio(-1)
 		done(rs, err)
 	}
 	p.mu.Lock()
@@ -178,6 +173,23 @@ func (p *Platform) LaunchFinder(origin simnet.NodeID, spec FinderSpec, done func
 		}
 	})
 	return nil
+}
+
+// finderPowerState is the power state of a node's WiFi radio held connected
+// for the SM-FINDERs it launched: one state per node, whatever the number
+// of finders.
+const finderPowerState = "wifi-finder"
+
+// finderRadio starts (+1) or finishes (-1) one finder on the node: the
+// state's level is WiFiConnectedPower per running finder. Each start and
+// finish sets a new level, so it cuts the node's power at its own instant
+// as a state per finder would, and the level is exact on the timeline's
+// fixed-point grid, so no joule moves.
+func (rt *Runtime) finderRadio(delta int) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.finders += delta
+	rt.node.Timeline().SetState(finderPowerState, energy.Milliwatts(rt.finders)*energy.Milliwatts(radio.WiFiConnectedPower))
 }
 
 func queryBytesOrDefault(b int) int {

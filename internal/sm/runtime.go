@@ -240,6 +240,7 @@ type Runtime struct {
 	codeCache map[string]bool
 	accepted  int
 	rejected  int
+	finders   int // SM-FINDERs launched here and still running
 }
 
 // Tags returns the node's tag space.

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"contory/internal/energy"
 	"contory/internal/radio"
 	"contory/internal/simnet"
 	"contory/internal/vclock"
@@ -474,10 +475,14 @@ func TestFinderRequesterEnergyMatchesTable2(t *testing.T) {
 	p, clk, nw := line(t)
 	p.Runtime("relay").Tags().Update(Tag{Name: "temperature", Value: 14.0})
 	origin := nw.Node("origin")
-	start := clk.Now()
+	var drawn energy.Interval
+	origin.Timeline().Open(&drawn)
 	var doneAt time.Time
 	err := p.LaunchFinder("origin", FinderSpec{TagName: "temperature", MaxHops: 1},
-		func(rs []Result, err error) { doneAt = clk.Now() })
+		func(rs []Result, err error) {
+			drawn.Close()
+			doneAt = clk.Now()
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +490,7 @@ func TestFinderRequesterEnergyMatchesTable2(t *testing.T) {
 	if doneAt.IsZero() {
 		t.Fatal("finder did not finish")
 	}
-	e := float64(origin.Timeline().EnergyBetween(start, doneAt))
+	e := float64(drawn.Joules())
 	// Table 2: WiFi one-hop periodic get > 0.906 J (1190 mW × latency).
 	if e < 0.7 || e > 1.3 {
 		t.Fatalf("requester energy = %v J, want ≈ 0.906 J", e)
@@ -552,5 +557,100 @@ func TestFinderHopBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFinderRadioMatchesPerFinderStates: one finder-radio state per node,
+// at WiFiConnectedPower per running finder, integrates to the same float
+// as one state per finder would: two overlapping finders, one ending at
+// the instant another starts (in both orders), and one that starts and
+// finishes at the same instant. The oracle timeline sets a fresh state
+// per finder, as LaunchFinder did.
+func TestFinderRadioMatchesPerFinderStates(t *testing.T) {
+	p, clk, nw := line(t)
+	rt := p.Runtime("origin")
+	tl := nw.Node("origin").Timeline()
+	oracle := energy.NewTimeline(clk)
+	var got, want [3]energy.Interval
+	for _, w := range []*energy.Timeline{tl, oracle} {
+		w.SetState("base", energy.BaseIdle)
+	}
+	wifi := energy.Milliwatts(radio.WiFiConnectedPower)
+	start := func(id string) {
+		rt.finderRadio(+1)
+		oracle.SetState("wifi-finder-"+id, wifi)
+	}
+	finish := func(id string) {
+		rt.finderRadio(-1)
+		oracle.SetState("wifi-finder-"+id, 0)
+	}
+	step := func(d time.Duration) {
+		for _, w := range []*energy.Timeline{tl, oracle} {
+			w.AddWindow("sm-hop", 300, d/3)
+		}
+		clk.Advance(d)
+	}
+	tl.Open(&got[0])
+	oracle.Open(&want[0])
+	start("a")
+	step(300 * time.Millisecond)
+	start("b")
+	if lvl := tl.State(finderPowerState); lvl != 2*wifi {
+		t.Fatalf("two finders hold the radio at %v mW, want %v", lvl, 2*wifi)
+	}
+	tl.Open(&got[1])
+	oracle.Open(&want[1])
+	step(457 * time.Millisecond)
+	finish("a")
+	start("c")
+	step(333 * time.Millisecond)
+	start("d")
+	finish("d")
+	tl.Open(&got[2])
+	oracle.Open(&want[2])
+	step(211 * time.Millisecond)
+	start("e")
+	finish("b")
+	step(1013 * time.Millisecond)
+	finish("c")
+	step(100 * time.Millisecond)
+	finish("e")
+	if lvl := tl.State(finderPowerState); lvl != 0 {
+		t.Fatalf("radio left at %v mW after every finder finished", lvl)
+	}
+	step(time.Second)
+	for i := range got {
+		if g, w := got[i].Close(), want[i].Close(); g != w {
+			t.Errorf("interval %d: %v J, per-finder states %v J", i, g, w)
+		}
+	}
+	if g, w := tl.Joules(), oracle.Joules(); g != w {
+		t.Errorf("timeline: %v J, per-finder states %v J", g, w)
+	}
+}
+
+// TestConcurrentFindersShareOneRadioState: two finders launched from one
+// origin hold its radio at twice WiFiConnectedPower while both run, and
+// release it when both are done.
+func TestConcurrentFindersShareOneRadioState(t *testing.T) {
+	p, clk, nw := line(t)
+	p.Runtime("relay").Tags().Update(Tag{Name: "temperature", Value: 14.0})
+	tl := nw.Node("origin").Timeline()
+	done := 0
+	for i := 0; i < 2; i++ {
+		if err := p.LaunchFinder("origin", FinderSpec{TagName: "temperature", MaxHops: 1},
+			func([]Result, error) { done++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lvl, want := tl.State(finderPowerState), 2*energy.Milliwatts(radio.WiFiConnectedPower); lvl != want {
+		t.Fatalf("radio at %v mW with two finders running, want %v", lvl, want)
+	}
+	clk.Run(0)
+	if done != 2 {
+		t.Fatalf("%d finders finished, want 2", done)
+	}
+	if lvl := tl.State(finderPowerState); lvl != 0 {
+		t.Fatalf("radio at %v mW after both finders, want 0", lvl)
 	}
 }

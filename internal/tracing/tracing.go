@@ -234,8 +234,11 @@ func (tr *Tracer) StartRoot(name, node string, tl *energy.Timeline) *Span {
 	sp := &Span{
 		trace: td,
 		id:    spanIDFor(id, 0, 0),
-		name:  name, node: node, tl: tl,
+		name:  name, node: node,
 		start: now.UnixNano(),
+	}
+	if tl != nil {
+		tl.Open(&sp.energy)
 	}
 	td.spans = []*Span{sp}
 	tr.mu.Lock()
@@ -373,8 +376,9 @@ func (tr *Tracer) Stats() Stats {
 
 // Span is one timed segment of a trace. All methods are nil-safe. A span
 // is one allocation: it reaches its tracer through its trace, shares the
-// trace's mutex, keeps its instants as Unix nanoseconds of virtual time and
-// its first two attributes inline.
+// trace's mutex, keeps its instants as Unix nanoseconds of virtual time,
+// the energy interval on its node's power timeline and its first two
+// attributes inline.
 //
 // A doomed trace (one the store can no longer retain, see Store.dooms)
 // records nothing more: its children are all one inert span whose methods
@@ -386,11 +390,12 @@ type Span struct {
 	parent SpanID
 	name   string
 	node   string
-	tl     *energy.Timeline
 	start  int64 // Unix nanoseconds
 
-	// Guarded by trace.mu.
-	end    int64 // Unix nanoseconds; meaningful once ended
+	// Guarded by trace.mu; energy is also written by its timeline, under
+	// the timeline's lock, while the span is open.
+	end    int64           // Unix nanoseconds; meaningful once ended
+	energy energy.Interval // the node's draw from start to end
 	kids   uint32
 	nattrs uint8
 	ended  bool
@@ -412,7 +417,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.ChildAt(name, s.node, s.tl)
+	return s.ChildAt(name, s.node, s.energy.Timeline())
 }
 
 // ChildAt opens a child span on another node — the cross-node edge of the
@@ -447,8 +452,11 @@ func (s *Span) ChildAt(name, node string, tl *energy.Timeline) *Span {
 		trace:  td,
 		id:     spanIDFor(td.id, s.id, uint64(idx)),
 		parent: s.id,
-		name:   name, node: node, tl: tl,
+		name:   name, node: node,
 		start: now.UnixNano(),
+	}
+	if tl != nil {
+		tl.Open(&child.energy)
 	}
 	td.spans = append(td.spans, child)
 	td.mu.Unlock()
@@ -558,6 +566,7 @@ func (s *Span) endAt(now time.Time) {
 	}
 	s.ended = true
 	s.end = now.UnixNano()
+	s.energy.Close()
 	td.mu.Unlock()
 	// A fault injected while the span ran is attributed too.
 	td.tr.annotateFaults(s)
@@ -566,8 +575,8 @@ func (s *Span) endAt(now time.Time) {
 	}
 }
 
-// SpanView is one exported span: immutable, ordered, with lazily-computed
-// energy-in-interval from the node's power timeline.
+// SpanView is one exported span: immutable, ordered, with the energy its
+// node drew over the span's interval.
 type SpanView struct {
 	ID      SpanID        `json:"id"`
 	Parent  SpanID        `json:"parent,omitempty"`
@@ -594,11 +603,11 @@ type TraceView struct {
 	Spans        []SpanView    `json:"spans"`
 }
 
-// view freezes a finished trace for export. Span energy integrates the
-// node's power timeline over the span's interval here, at export time:
-// windows contributed by peer lanes at identical virtual instants are all
-// present once the run is over, which keeps the figure execution-order
-// independent.
+// view freezes a finished trace for export. A span's energy is read from
+// the interval it opened on its node's power timeline when it started and
+// closed when it ended. A reading at an instant depends only on power
+// edges before it, so windows that peer lanes add at the span's end
+// instant, in whatever order, leave the frozen figure unchanged.
 func (td *traceData) view() TraceView {
 	td.mu.Lock()
 	defer td.mu.Unlock()
@@ -620,8 +629,8 @@ func (td *traceData) view() TraceView {
 			Dur:   end.Sub(start),
 			Attrs: sp.attrsLocked(),
 		}
-		if sp.tl != nil && end.After(start) {
-			sv.EnergyJ = float64(sp.tl.EnergyBetweenClamped(start, end))
+		if sp.ended {
+			sv.EnergyJ = float64(sp.energy.Joules())
 		}
 		tv.Spans = append(tv.Spans, sv)
 	}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
+	"contory/internal/energy"
 	"contory/internal/metrics"
 	"contory/internal/vclock"
 )
@@ -443,9 +446,10 @@ func doomedRoot(tr *Tracer, clk *vclock.Simulator) *Span {
 }
 
 // TestSpanAllocs: a recorded child with two attributes is one allocation,
-// also while a chaos fault is active elsewhere; a fault on the child's own
-// node fills its two inline attributes without another; and on a doomed
-// trace the same calls allocate nothing.
+// also while a chaos fault is active elsewhere and when it integrates its
+// node's power timeline; a fault on the child's own node fills its two
+// inline attributes without another; and on a doomed trace the same calls
+// allocate nothing.
 func TestSpanAllocs(t *testing.T) {
 	tr, clk := newTestTracer(Config{Seed: 1})
 	child := func(root *Span) func() {
@@ -458,6 +462,16 @@ func TestSpanAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, child(tr.StartRoot("phone/q-1", "phone", nil))); got > 1 {
 		t.Errorf("recorded child with two attributes: %v allocations, want at most 1", got)
+	}
+	tl := energy.NewTimeline(clk)
+	tl.SetState("base", energy.BaseIdle)
+	powered := tr.StartRoot("phone/q-powered", "phone", tl)
+	if got := testing.AllocsPerRun(100, func() {
+		tl.AddWindow("bt-get", 300, time.Second)
+		child(powered)()
+		clk.Advance(time.Second)
+	}); got > 1 {
+		t.Errorf("recorded child with a power timeline: %v allocations, want at most 1", got)
 	}
 	tr.FaultActive("f-1", "provider-hang", []string{"peer"})
 	if got := testing.AllocsPerRun(100, child(tr.StartRoot("phone/q-2", "phone", nil))); got > 1 {
@@ -543,4 +557,56 @@ func BenchmarkSpan(b *testing.B) {
 		tr, clk := newTestTracer(Config{Seed: 1})
 		run(b, func() *Span { return doomedRoot(tr, clk) })
 	})
+}
+
+// TestSpanRecordSize: the energy interval lives inside the span record, so
+// a recorded span stays one allocation of at most 208 bytes.
+func TestSpanRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Span{}); got > 208 {
+		t.Fatalf("Span is %d bytes, want at most 208", got)
+	}
+}
+
+// TestSpanEnergyFromInterval: a span's energy is what its node drew from
+// the span's start to its end, read from the interval the span holds on
+// that node's timeline; a span on another node reads that node's
+// timeline, a span without one reads 0, and a span still open at export
+// reads 0, as before.
+func TestSpanEnergyFromInterval(t *testing.T) {
+	tr, clk := newTestTracer(Config{Seed: 1})
+	phone, peer := energy.NewTimeline(clk), energy.NewTimeline(clk)
+	phone.SetState("base", 10)
+	peer.SetState("base", 1000)
+	root := tr.StartRoot("phone/q-1", "phone", phone)
+	clk.Advance(time.Second)
+	get := root.Child("bt.get")
+	hop := root.ChildAt("sm.hop", "peer", peer)
+	bare := root.ChildAt("infra", "server", nil)
+	open := root.Child("gps.stream")
+	phone.AddWindow("bt-get", 90, 500*time.Millisecond)
+	clk.Advance(2 * time.Second)
+	get.End()
+	hop.End()
+	bare.End()
+	// A window that starts as the span ends adds nothing to it.
+	phone.AddWindow("bt-get", 5000, time.Second)
+	clk.Advance(time.Second)
+	root.End()
+	want := map[string]float64{
+		"phone/q-1":  0.04 + 0.045 + 5, // 10 mW × 4 s, 90 mW × 0.5 s, 5 W × 1 s
+		"bt.get":     0.02 + 0.045,
+		"sm.hop":     2,
+		"infra":      0,
+		"gps.stream": 0,
+	}
+	views := tr.Store().Traces()
+	if len(views) != 1 {
+		t.Fatalf("%d traces, want 1", len(views))
+	}
+	for _, sv := range views[0].Spans {
+		if w := want[sv.Name]; math.Abs(sv.EnergyJ-w) > 1e-12 {
+			t.Errorf("%s: %v J, want %v J", sv.Name, sv.EnergyJ, w)
+		}
+	}
+	open.End()
 }
